@@ -16,7 +16,7 @@
 // The protocol is deliberately semantics-identical to the hand-written
 // model in internal/protocols/twophase: the two explore isomorphic state
 // spaces, which makes "adapter overhead vs. a hand-written model" a fair,
-// like-for-like measurement (cmd/benchjson gates it at ≤3×).
+// like-for-like measurement (BenchmarkAdapterAblation, EXPERIMENTS.md A6).
 package actordemo
 
 import (

@@ -29,8 +29,9 @@ func (r *Reader) Err() error { return r.err }
 // Remaining reports how many bytes are left to decode.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-// fail records the first error.
-func (r *Reader) fail(err error) {
+// Fail records err as the decode error unless one is already recorded; decoders
+// built on Reader use it to reject well-framed but meaningless input.
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
@@ -42,7 +43,7 @@ func (r *Reader) take(n int) []byte {
 		return nil
 	}
 	if n < 0 || r.off+n > len(r.buf) {
-		r.fail(ErrShortBuffer)
+		r.Fail(ErrShortBuffer)
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -63,7 +64,7 @@ func (r *Reader) Bool() bool {
 	case 1:
 		return true
 	default:
-		r.fail(fmt.Errorf("codec: non-canonical bool byte %#x", b[0]))
+		r.Fail(fmt.Errorf("codec: non-canonical bool byte %#x", b[0]))
 		return false
 	}
 }
@@ -117,7 +118,24 @@ func (r *Reader) length(elemSize int) int {
 		return 0
 	}
 	if elemSize > 0 && n > r.Remaining()/elemSize {
-		r.fail(ErrShortBuffer)
+		r.Fail(ErrShortBuffer)
+		return 0
+	}
+	return n
+}
+
+// Count reads an element count written with Writer.Int and checks it against
+// the remaining bytes, assuming each element occupies at least elemSize
+// bytes. A negative or oversized count — corruption or truncation — sticks
+// ErrShortBuffer, so a partial decode can never pass for a clean one and a
+// hostile count cannot force a giant allocation.
+func (r *Reader) Count(elemSize int) int {
+	n := r.Int()
+	if r.err != nil {
+		return 0
+	}
+	if n < 0 || n > r.Remaining()/elemSize {
+		r.Fail(ErrShortBuffer)
 		return 0
 	}
 	return n

@@ -316,8 +316,8 @@ func TestCheckpointWorkersParity(t *testing.T) {
 }
 
 // TestCheckpointOverheadSmoke keeps the checkpoint path from regressing
-// catastrophically in unit tests (the precise <=5% gate lives in
-// cmd/benchjson -storegate): a checkpointed run must finish within 3x of a
+// catastrophically in unit tests (the measured cost is the repo benchmark's
+// serve-resume workload): a checkpointed run must finish within 3x of a
 // plain one on the small test space, a bar generous enough for CI noise.
 func TestCheckpointOverheadSmoke(t *testing.T) {
 	if testing.Short() {

@@ -175,7 +175,7 @@ type Options struct {
 	// new-state fingerprints, a replica digest, and a counter snapshot. A
 	// sink error disables checkpointing for the rest of the run (reported
 	// via a KindCheckpoint event); the run itself continues. See
-	// checkpoint.go and internal/store.
+	// roundlog.go and internal/store.
 	Checkpoint CheckpointSink
 	// Resume, when non-nil, primes each round's delivery walk with the
 	// stored records of a previous run of the identical spec, so the resumed
@@ -185,13 +185,6 @@ type Options struct {
 	// digest is verified against the stored one; a mismatch stops the run
 	// with StopResumeDiverged.
 	Resume ResumeSource
-	// Shards requests sharded multi-process exploration when the run is
-	// launched through a runner that can spawn worker processes (cmd/lmc,
-	// internal/service, internal/shard.Check); <= 1 means in-process. The
-	// in-process checkers themselves ignore it — sharding needs a Spawner,
-	// which only those runners supply.
-	Shards int
-
 	// Observer receives typed run events: round start/end, pass restarts,
 	// system-state batches, soundness calls, preliminary and confirmed
 	// violations, and periodic heartbeat snapshots of the counters. Events
@@ -396,7 +389,7 @@ type space struct {
 
 	// chain is the running combination of every visited fingerprint in
 	// discovery order. The states list only ever appends within a pass, so
-	// shardDigest reads this instead of re-hashing the whole list each round.
+	// replicaDigest reads this instead of re-hashing the whole list each round.
 	chain codec.Hasher
 
 	// minProducer indexes creation-edge message emissions: fingerprint → seq

@@ -93,54 +93,10 @@ type checker struct {
 	// resets it along with the LS sets.
 	pairOutcomes map[pairKey]*pairOutcome
 
-	// link is the shard-worker fleet of a sharded run (nil otherwise); it is
-	// dropped on degradation, after which the run finishes in-process.
-	// shardRecs/actRecs/anchorReps are the current round's record tables
-	// (hints for the walks and the invariant sweeps); shardBatch the digest
-	// cadence cached from the link; shardTaint latches a detected
-	// determinism violation (a record's emissions disagreed with
-	// re-execution), which degrades at round end.
-	link       ShardLink
-	shardRecs  map[shardKey]*DeliveryRecord
-	actRecs    map[actKey]*ActionRecord
-	anchorReps map[anchorKey]*AnchorReport
-	shardBatch int
-	shardTaint error
-
-	// Worker-replica capture state (zero on the coordinator): capIdx/
-	// capCount partition the fingerprint space for record capture, and the
-	// cap* buffers collect one round's records for owned parents
-	// (capActsOff suppresses the action records). invShardIdx/invShardCount
-	// additionally partition the system-state sweeps when invariant
-	// sharding is on (zero otherwise).
-	capIdx, capCount           int
-	capActsOff                 bool
-	capActs                    []ActionRecord
-	capDels                    []DeliveryRecord
-	capAnchors                 []AnchorReport
-	invShardIdx, invShardCount int
-
-	// ckpt is the round-checkpoint sink (nil disables); ckptOn arms the
-	// per-round record capture in the delivery walk. resume supplies stored
-	// rounds of a previous identical run; resumeDigest/resumePending carry a
-	// primed round's stored digest to the barrier's verification.
-	ckpt          CheckpointSink
-	ckptOn        bool
-	resume        ResumeSource
-	resumeDigest  ShardDigest
-	resumePending bool
-	// Reused checkpoint buffers: the merged record batch and per-node
-	// new-state segments handed to the sink (which serializes them
-	// synchronously and must not retain them), plus the per-node capture
-	// buffers lent to the delivery runs. All keep their capacity across
-	// rounds so steady-state checkpointing allocates nothing per round.
-	ckptRecs []DeliveryRecord
-	ckptNews [][]codec.Fingerprint
-	recsBuf  [][]DeliveryRecord
-	recIdx   []int
-	// ckptSeq marks a canonical delivery phase, whose single-goroutine walk
-	// captures into ckptRecs directly in merge order (armRecBufs).
-	ckptSeq bool
+	// log is the round log: the hint tables, the capture buffer and the
+	// attached sources and sink (roundlog.go). Shard fleets, shard-worker
+	// replicas, checkpoint sinks and resume all live behind it.
+	log roundLog
 
 	stopped bool // a stop criterion (budget/transitions/first-bug) fired
 	// reason records which criterion fired first; meaningful only while
@@ -181,7 +137,7 @@ func resolveWorkers(w int) int {
 // with a background context and, for backward compatibility, no option
 // validation.
 func Check(m model.Machine, start model.SystemState, opt Options) *Result {
-	return run(context.Background(), m, start, opt, nil)
+	return run(context.Background(), m, start, opt)
 }
 
 // CheckContext is Check with option validation and cooperative
@@ -197,7 +153,7 @@ func CheckContext(ctx context.Context, m model.Machine, start model.SystemState,
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return run(ctx, m, start, opt, nil), nil
+	return run(ctx, m, start, opt), nil
 }
 
 // newChecker resolves the option defaults and builds a checker ready to run
@@ -261,20 +217,20 @@ func newChecker(ctx context.Context, m model.Machine, start model.SystemState, o
 	c.ctx = ctx
 	c.em = newEmitter(opt.Observer, opt.HeartbeatEvery, c.begin)
 	c.localBound = opt.LocalBound
-	c.ckpt = opt.Checkpoint
-	c.resume = opt.Resume
+	if opt.Resume != nil {
+		c.log.sources = append(c.log.sources, &resumeSource{src: opt.Resume})
+	}
+	if opt.Checkpoint != nil {
+		c.log.sink, c.log.discoveries = checkpointDrain{opt.Checkpoint}, true
+	}
 	return c
 }
 
-func run(ctx context.Context, m model.Machine, start model.SystemState, opt Options, link ShardLink) *Result {
+// run executes a full check. sources are attached to the round log after
+// the ones the options name (Options.Resume).
+func run(ctx context.Context, m model.Machine, start model.SystemState, opt Options, sources ...roundSource) *Result {
 	c := newChecker(ctx, m, start, opt)
-	c.link = link
-	if link != nil {
-		c.shardBatch = link.Batch()
-		if c.shardBatch < 1 {
-			c.shardBatch = 1
-		}
-	}
+	c.log.sources = append(c.log.sources, sources...)
 	c.em.runStart()
 
 	// Iterative deepening on the local-event bound (§4.2, "Local events"):
@@ -282,11 +238,6 @@ func run(ctx context.Context, m model.Machine, start model.SystemState, opt Opti
 	// configured, restart from scratch with a larger bound.
 	for pass := 1; ; pass++ {
 		c.em.passStart(pass, c.localBound)
-		if c.link != nil {
-			if err := c.link.BeginPass(pass, c.localBound); err != nil {
-				c.degradeShards(-1, err)
-			}
-		}
 		complete := c.pass()
 		c.res.Complete = complete && !c.stopped
 		c.res.Suppressed = c.passSuppressed
@@ -300,10 +251,6 @@ func run(ctx context.Context, m model.Machine, start model.SystemState, opt Opti
 		if c.localBound > c.opt.MaxLocalBound {
 			c.localBound = c.opt.MaxLocalBound
 		}
-	}
-	if c.link != nil {
-		c.link.Finish()
-		c.link = nil
 	}
 	c.res.Stats.Elapsed = time.Since(c.begin)
 	if c.stopped {
@@ -380,9 +327,7 @@ func (c *checker) underPhase(phase string, f func()) {
 // are bit-for-bit identical for every worker count.
 // beginPass resets the per-pass state: fresh LS sets seeded with the start
 // states, a fresh shared network seeded with the captured in-flight
-// messages, and fresh per-pass caches. Shard workers reset their replicas
-// through it too (ShardWorker.BeginPass), so coordinator and worker start
-// every pass from identical ground.
+// messages, and fresh per-pass caches.
 func (c *checker) beginPass() {
 	c.passSuppressed = false
 	c.net = netstate.NewSharedNet(c.opt.DupLimit)
@@ -445,14 +390,10 @@ func (c *checker) pass() bool {
 	for round := 1; !c.stopped; round++ {
 		progress := false
 		c.em.roundStart()
-		// Checkpointing: arm record capture, snapshot the round-start
-		// visited-list lengths, and prime the delivery walk with a resumed
-		// run's stored records for this round.
-		ckLens := c.beginRoundCheckpoint(round)
-		// Sharded runs: the workers ran this round on their replicas
-		// already (they stream rounds autonomously once the pass begins);
-		// pull their records so both phases below consult them as hints.
-		c.shardFetchRound(round)
+		// Round log, first half: the attached sources (a shard fleet, a
+		// stored checkpoint) load this round's records so both phases
+		// below consult them as hints.
+		c.beginRound(round)
 
 		// Internal events: execute the enabled actions of every node state
 		// that has not been processed yet (new states from the previous
@@ -479,16 +420,13 @@ func (c *checker) pass() bool {
 					progress = true
 				}
 			})
-			c.clearShardRecords()
 		}
 
 		c.underPhase("soundness", func() { c.drainPending(false) })
 		c.recordRound()
-		// Checkpoint barrier: verify a resume-primed round's digest, then
-		// hand the completed round to the sink. Before em.barrier, so the
-		// checkpoint/resume events flush with the round's batch; skipped
-		// when a stop criterion fired mid-round (the round is incomplete).
-		c.endRoundCheckpoint(round, runsB, ckLens)
+		// Round log, second half: the sources verify the round's digest and
+		// the sink stores the round's capture.
+		c.endRound(round, progress)
 		// The round barrier: flush buffered run events, then poll the
 		// context. The observer runs before the poll, so a hook that cancels
 		// on a chosen round stops the run at that exact barrier regardless of
@@ -498,7 +436,6 @@ func (c *checker) pass() bool {
 		if c.stopped {
 			break
 		}
-		c.shardEndBatch(round, progress)
 		if !progress {
 			// Exploration fixpoint: run every deferred witness search, then
 			// re-expand the recorded violating orbits so every arrangement

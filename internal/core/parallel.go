@@ -35,10 +35,6 @@ type nodeRun struct {
 	// internal events), which is what the barrier sorts by.
 	emits []emitBatch
 	news  []discovery
-	// recs are the delivery records captured for the round checkpoint
-	// (checkpoint.go); entry-ascending by construction, empty unless a
-	// CheckpointSink armed the capture.
-	recs []DeliveryRecord
 
 	// Stats deltas, merged into Result.Stats at the barrier. transitions
 	// stays zero in canonical mode (chargeTransition charges the global
@@ -66,7 +62,7 @@ func (r *nodeRun) capped() bool {
 
 // emitBatch is one handler execution's emitted messages, with their
 // fingerprints (hashed once at the handler; the barrier's network merge
-// reuses them instead of re-hashing). A batch minted from a trusted shard
+// reuses them instead of re-hashing). A batch minted from a trusted round-log
 // record carries fingerprints only: msgs is nil and lazy holds what the
 // merge needs to materialize the real messages, which it does only when the
 // network would still admit one of them (mergeEmit).
@@ -147,11 +143,11 @@ func (r *nodeRun) sweepActions() {
 
 // runActions executes the internal actions enabled at s, subject to the
 // per-node, per-pass local-event budget of §4.2. It reports whether any
-// handler ran. On a sharded coordinator an ActionRecord shipped by the
-// owning worker stands in for the execution (after the canonical charge):
-// a recorded rejection or duplicate successor costs no handler call at
-// all. On a worker replica the execution additionally captures a record
-// when this replica owns the parent's fingerprint range.
+// handler ran. An ActionRecord in the round log's hint table stands in for
+// the execution (after the canonical charge): a recorded rejection or
+// duplicate successor costs no handler call at all. On a worker replica the
+// execution additionally captures a record when this replica owns the
+// parent's fingerprint range.
 func (r *nodeRun) runActions(s *nodeState) bool {
 	c := r.c
 	acts := c.m.Actions(s.node, s.state)
@@ -172,7 +168,7 @@ func (r *nodeRun) runActions(s *nodeState) bool {
 			break
 		}
 		c.localExecuted[s.node]++
-		if rec := c.shardAct(int(s.node), s.fp, ai); rec != nil {
+		if rec := c.log.action(int(s.node), s.fp, ai); rec != nil {
 			ran = true
 			if rec.Rejected {
 				r.rejections++
@@ -199,22 +195,22 @@ func (r *nodeRun) runActions(s *nodeState) bool {
 				continue
 			}
 			// New successor: the walk needs the real objects — one inline
-			// execution, exactly what an unsharded run pays.
+			// execution, exactly what a run without hints pays.
 		}
 		next, emitted := c.m.HandleAction(s.node, s.state.Clone(), a)
 		ran = true
 		if next == nil {
 			r.rejections++
-			if c.capOwned(s.fp) && !c.capActsOff {
-				c.capActs = append(c.capActs, ActionRecord{
+			if c.log.owns(s.fp) {
+				c.log.batch.Acts = append(c.log.batch.Acts, ActionRecord{
 					Node: int(s.node), Parent: s.fp, Action: ai, Rejected: true})
 			}
 			continue
 		}
 		ev := model.ActEvent(a)
-		fp, generated, _ := r.addNext(s, ev, ev.Fingerprint(), 0, next, emitted, 0, -1)
-		if c.capOwned(s.fp) && !c.capActsOff {
-			c.capActs = append(c.capActs, ActionRecord{
+		fp, generated := r.addNext(s, ev, ev.Fingerprint(), 0, next, emitted, 0, -1)
+		if c.log.owns(s.fp) {
+			c.log.batch.Acts = append(c.log.batch.Acts, ActionRecord{
 				Node: int(s.node), Parent: s.fp, Action: ai, Succ: fp, Emitted: generated})
 		}
 	}
@@ -281,7 +277,7 @@ func (r *nodeRun) deliver(e *netstate.Entry, s *nodeState, entry int) {
 		return
 	}
 	r.delivered++
-	if rec := c.shardRec(entry, s.fp); rec != nil {
+	if rec := c.log.delivery(entry, s.fp); rec != nil {
 		r.deliverRecorded(e, s, entry, rec, evfp)
 		return
 	}
@@ -290,8 +286,8 @@ func (r *nodeRun) deliver(e *netstate.Entry, s *nodeState, entry int) {
 		r.rejections++
 		// A worker replica records owned rejections too: the trusted
 		// rejection saves the coordinator the whole handler call.
-		if c.capOwned(s.fp) {
-			c.capDels = append(c.capDels, DeliveryRecord{Entry: entry, Parent: s.fp, Rejected: true})
+		if c.log.owns(s.fp) {
+			c.log.batch.Dels = append(c.log.batch.Dels, DeliveryRecord{Entry: entry, Parent: s.fp, Rejected: true})
 		}
 		return
 	}
@@ -302,31 +298,25 @@ func (r *nodeRun) deliver(e *netstate.Entry, s *nodeState, entry int) {
 	if e.RecvEventFP == 0 {
 		e.RecvEventFP = ev.Fingerprint()
 	}
-	fp, generated, fresh := r.addNext(s, ev, e.RecvEventFP, evfp, next, emitted, e.FP, entry)
-	// Checkpoint only the deliveries that discovered a state: records are
-	// hints, and a rejected or duplicate-successor delivery re-derives
-	// itself bit-for-bit when a resumed walk executes it inline, so those
-	// records would buy resume speed at a ~7x capture/encode/write cost.
-	if fresh {
-		r.capture(DeliveryRecord{Entry: entry, Parent: s.fp, Succ: fp, Emitted: generated})
-	}
-	// Shard capture is the opposite trade: ~85% of deliveries land on
+	fp, generated := r.addNext(s, ev, e.RecvEventFP, evfp, next, emitted, e.FP, entry)
+	// A worker replica records every owned pair: ~85% of deliveries land on
 	// already-visited successors, and those records are exactly the ones
-	// that let the coordinator skip the handler call entirely, so a worker
-	// records every owned pair.
-	if c.capOwned(s.fp) {
-		c.capDels = append(c.capDels, DeliveryRecord{Entry: entry, Parent: s.fp, Succ: fp, Emitted: generated})
+	// that let the coordinator skip the handler call entirely. (A
+	// checkpointed run needs only the discoveries, which the delivery
+	// barrier derives from their creation edges — nothing to do here.)
+	if c.log.owns(s.fp) {
+		c.log.batch.Dels = append(c.log.batch.Dels, DeliveryRecord{Entry: entry, Parent: s.fp, Succ: fp, Emitted: generated})
 	}
 }
 
-// deliverRecorded resolves one delivery pair from its shard record instead
+// deliverRecorded resolves one delivery pair from its round-log record instead
 // of executing the handler. Three cases, in decreasing savings: a rejection
 // is trusted outright; a successor already in the visited set resolves to a
 // predecessor edge plus a fingerprint-only (lazy) emission batch, with no
 // execution at all; a new successor is materialized by one inline
-// re-execution — exactly what an unsharded run pays for the pair. The
+// re-execution — exactly what a run without hints pays for the pair. The
 // transition was already charged by deliver — exactly the sequential
-// charge for this pair — so counters match the unsharded run bit-for-bit.
+// charge for this pair — so counters match the plain run bit-for-bit.
 func (r *nodeRun) deliverRecorded(e *netstate.Entry, s *nodeState, entry int,
 	rec *DeliveryRecord, evfp codec.Fingerprint) {
 
@@ -365,10 +355,7 @@ func (r *nodeRun) deliverRecorded(e *netstate.Entry, s *nodeState, entry int,
 		r.rejections++
 		return
 	}
-	fp, generated, fresh := r.addNext(s, ev, e.RecvEventFP, evfp, next, emitted, e.FP, entry)
-	if fresh {
-		r.capture(DeliveryRecord{Entry: entry, Parent: s.fp, Succ: fp, Emitted: generated})
-	}
+	r.addNext(s, ev, e.RecvEventFP, evfp, next, emitted, e.FP, entry)
 }
 
 // addNext is Procedure addNextState of Figure 9, split around the round
@@ -380,11 +367,10 @@ func (r *nodeRun) deliverRecorded(e *netstate.Entry, s *nodeState, entry int,
 // events); msgFP the consumed message's content fingerprint; entry the
 // producing network-entry index (-1 for internal events). It returns the
 // successor's state fingerprint and the generated-message fingerprints —
-// both computed here anyway, so the delivery walk's checkpoint capture
-// never re-hashes — plus whether the successor was first visited here,
-// which is what decides if the delivery is worth a checkpoint record.
+// both computed here anyway, so a worker replica's record capture never
+// re-hashes.
 func (r *nodeRun) addNext(prev *nodeState, ev model.Event, evFP, historyFP codec.Fingerprint,
-	next model.State, emitted []model.Message, msgFP codec.Fingerprint, entry int) (codec.Fingerprint, []codec.Fingerprint, bool) {
+	next model.State, emitted []model.Message, msgFP codec.Fingerprint, entry int) (codec.Fingerprint, []codec.Fingerprint) {
 
 	c := r.c
 	generated := make([]codec.Fingerprint, len(emitted))
@@ -412,7 +398,7 @@ func (r *nodeRun) addNext(prev *nodeState, ev model.Event, evFP, historyFP codec
 		// is deliberately not applied to existing states, matching the
 		// paper's simplification.
 		c.addPred(existing, edge)
-		return fp, generated, false
+		return fp, generated
 	}
 
 	ns := &nodeState{
@@ -445,7 +431,7 @@ func (r *nodeRun) addNext(prev *nodeState, ev model.Event, evFP, historyFP codec
 		r.maxDepth = ns.depth
 	}
 	r.news = append(r.news, discovery{ns: ns, entry: entry})
-	return fp, generated, true
+	return fp, generated
 }
 
 // runActionPhase executes the internal-events half of a round. In parallel
@@ -474,7 +460,6 @@ func (c *checker) runActionPhase(parallel bool) []*nodeRun {
 func (c *checker) runDeliveryPhase(parallel bool) []*nodeRun {
 	ep := c.net.Epoch()
 	runs := c.newRuns(parallel)
-	c.armRecBufs(runs)
 	if !parallel {
 		for i := 0; i < ep.Len() && !c.stopped; i++ {
 			e := ep.Entry(i)
@@ -643,6 +628,11 @@ func (c *checker) mergeDeliveryPhase(runs []*nodeRun) bool {
 		}
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].entry < all[j].entry })
+	if c.log.discoveries {
+		for _, d := range all {
+			c.log.captureDiscovery(d.entry, d.ns)
+		}
+	}
 
 	pre := c.phaseStarts(runs)
 	counts := make([]int, len(runs))
@@ -672,13 +662,13 @@ func (c *checker) mergeDeliveryPhase(runs []*nodeRun) bool {
 }
 
 // mergeEmit appends one emission batch to I+. A materialized batch adds its
-// messages directly. A fingerprint-only batch (from a trusted shard record)
+// messages directly. A fingerprint-only batch (from a trusted round-log record)
 // is resolved lazily: if the network would drop every emitted fingerprint as
 // a duplicate anyway, the whole batch is accounted as dropped without ever
 // building the messages — the common case for recorded duplicates — and only
 // an admissible batch pays one handler re-execution. A re-execution whose
-// emissions disagree with the record latches shardTaint; the local truth is
-// used and the run degrades at the round barrier.
+// emissions disagree with the record latches the log's taint; the local
+// truth is used and the attached sources answer for it at the round barrier.
 func (c *checker) mergeEmit(b emitBatch) {
 	msgs, fps := b.msgs, b.fps
 	if b.lazy != nil {
@@ -693,13 +683,24 @@ func (c *checker) mergeEmit(b emitBatch) {
 			_, emitted = c.m.HandleMessage(b.lazy.node, b.lazy.state.Clone(), b.lazy.msg)
 		}
 		real := fingerprintAll(emitted)
-		if !fpsEqual(real, fps) && c.shardTaint == nil {
-			c.shardTaint = errors.New("shard record emissions diverged from re-execution")
+		if !fpsEqual(real, fps) && c.log.taint == nil {
+			c.log.taint = errors.New("record emissions diverged from re-execution")
 		}
 		msgs, fps = emitted, real
 	}
 	added := c.net.AddAllFP(msgs, fps)
 	c.res.Stats.DuplicatesDropped += len(msgs) - len(added)
+}
+
+func fingerprintAll(msgs []model.Message) []codec.Fingerprint {
+	if len(msgs) == 0 {
+		return nil
+	}
+	fps := make([]codec.Fingerprint, len(msgs))
+	for i, m := range msgs {
+		fps[i] = model.MessageFingerprint(m)
+	}
+	return fps
 }
 
 func fpsEqual(a, b []codec.Fingerprint) bool {

@@ -1,0 +1,521 @@
+package core
+
+import (
+	"context"
+	"math/bits"
+
+	"lmc/internal/codec"
+	"lmc/internal/model"
+	"lmc/internal/obs"
+	"lmc/internal/stats"
+)
+
+// The round log. The checker's state is two append-only structures (the
+// per-node LS sets and the monotonic I+), so one exploration round is fully
+// described by an ordered log of fingerprint-only records (records.go) plus a
+// replica digest. Everything that distributes or persists a run is a client
+// of that log, attached at one seam:
+//
+//   - A roundSource fills the round's hint tables before the walks run — a
+//     shard fleet with the records its workers streamed (fleetSource), a
+//     stored checkpoint with the records of a previous identical run
+//     (resumeSource) — and verifies the post-round digest.
+//   - The walks consult the tables: a record whose successor is already
+//     visited resolves to a predecessor edge with no handler execution at
+//     all; a clean anchor report replaces the whole invariant sweep of that
+//     anchor with a counter merge. Pairs with no record execute inline.
+//   - The capture buffer collects the round's own records under one filter:
+//     a worker replica captures every execution whose parent fingerprint
+//     falls in its range (rejections and duplicate successors included —
+//     those are what save the coordinator the handler call), a checkpointed
+//     run captures only the deliveries that discovered a state (a rejected
+//     or duplicate-successor delivery re-derives itself bit-for-bit when a
+//     resumed walk executes it inline, at a fifth of the write volume).
+//   - A roundSink drains the capture at the barrier with the digest — a
+//     CheckpointSink stores it (checkpointDrain), a worker replica frames it
+//     to its coordinator (workerDrain).
+//
+// Records are hints, never authority: the walk IS the sequential algorithm
+// and charges every transition before consulting a table, so any record
+// subset — including the empty set — yields the bit-for-bit sequential
+// result, Counters included. That is what makes every failure policy a
+// detach: each adapter below decides what its own failure means (a lost
+// fleet degrades to in-process, a lying checkpoint stops the run, a failing
+// sink is dropped) and returns false, and the round loop never asks who is
+// attached. The one nuance is the anchor reports: a clean report's
+// combination count is merged rather than re-derived, so counter parity
+// there rests on the replicas running the identical canonical engine —
+// which the digest exchange verifies.
+//
+// Correctness of a trusted record rests on the model.Machine determinism
+// contract (equal state + message in, equal successor + emissions out) that
+// fingerprint dedup and witness replay already rely on. A record whose
+// emissions disagree with re-execution latches taint; sources treat it like
+// a digest mismatch.
+type roundLog struct {
+	dels    map[delKey]*DeliveryRecord
+	acts    map[actKey]*ActionRecord
+	anchors map[anchorKey]*AnchorReport
+	taint   error
+
+	// owner/owners select the worker-replica filter (owners > 1): capture
+	// what falls in range owner of owners, sweep only owned anchors.
+	// discoveries selects the checkpoint filter. A replica runs the
+	// canonical single-goroutine walk, so its captures append to batch in
+	// merge order; discovery records are derived at the delivery barrier.
+	owner, owners int
+	discoveries   bool
+	batch         RoundBatch
+	// starts are the round-start visited-list lengths and news the reused
+	// per-node segments newStates cuts from them.
+	starts []int
+	news   [][]codec.Fingerprint
+
+	sources []roundSource
+	sink    roundSink
+}
+
+type delKey struct {
+	entry  int
+	parent codec.Fingerprint
+}
+
+type actKey struct {
+	node   int
+	parent codec.Fingerprint
+	action int
+}
+
+type anchorKey struct{ node, seq int }
+
+// roundSource supplies a round's hints and checks the round's outcome. Both
+// methods run on the sequential merge goroutine and return false to detach
+// the source for the rest of the run, after applying its own failure policy.
+type roundSource interface {
+	fill(c *checker, round int) bool
+	verify(c *checker, round int, d ShardDigest, progress bool) bool
+}
+
+// roundSink receives the round's capture and digest at the barrier; false
+// detaches it.
+type roundSink interface {
+	drain(c *checker, round int, d ShardDigest, progress bool) bool
+}
+
+// beginRound resets the one-round state and lets every source load its hints.
+func (c *checker) beginRound(round int) {
+	lg := &c.log
+	lg.batch = RoundBatch{Acts: lg.batch.Acts[:0], Dels: lg.batch.Dels[:0], Anchors: lg.batch.Anchors[:0]}
+	if lg.discoveries {
+		lg.starts = lg.starts[:0]
+		for _, sp := range c.spaces {
+			lg.starts = append(lg.starts, len(sp.states))
+		}
+	}
+	lg.keepSources(func(s roundSource) bool { return s.fill(c, round) })
+}
+
+// keepSources calls keep on every attached source, in attach order, and
+// detaches the ones it returns false for.
+func (lg *roundLog) keepSources(keep func(roundSource) bool) {
+	kept := lg.sources[:0]
+	for _, s := range lg.sources {
+		if keep(s) {
+			kept = append(kept, s)
+		}
+	}
+	lg.sources = kept
+}
+
+// endRound is the barrier half: one digest, handed first to the sources that
+// verify it and then to the sink that stores it. progress false marks the
+// pass fixpoint. It runs before the event barrier so the adapters' events
+// flush with the round's batch and a round cancelled at that barrier is
+// already stored.
+func (c *checker) endRound(round int, progress bool) {
+	lg := &c.log
+	if len(lg.sources) > 0 || lg.sink != nil {
+		d := c.replicaDigest()
+		lg.keepSources(func(s roundSource) bool { return s.verify(c, round, d, progress) })
+		if lg.sink != nil && !lg.sink.drain(c, round, d, progress) {
+			lg.sink, lg.discoveries = nil, false
+		}
+	}
+	lg.dels, lg.acts, lg.anchors, lg.taint = nil, nil, nil, nil
+}
+
+// load indexes one batch of hints for the round's walks.
+func (lg *roundLog) load(b RoundBatch) {
+	if lg.dels == nil && len(b.Dels) > 0 {
+		lg.dels = make(map[delKey]*DeliveryRecord, len(b.Dels))
+	}
+	for i := range b.Dels {
+		r := &b.Dels[i]
+		lg.dels[delKey{r.Entry, r.Parent}] = r
+	}
+	if lg.acts == nil && len(b.Acts) > 0 {
+		lg.acts = make(map[actKey]*ActionRecord, len(b.Acts))
+	}
+	for i := range b.Acts {
+		r := &b.Acts[i]
+		lg.acts[actKey{r.Node, r.Parent, r.Action}] = r
+	}
+	if lg.anchors == nil && len(b.Anchors) > 0 {
+		lg.anchors = make(map[anchorKey]*AnchorReport, len(b.Anchors))
+	}
+	for i := range b.Anchors {
+		r := &b.Anchors[i]
+		lg.anchors[anchorKey{r.Node, r.Seq}] = r
+	}
+}
+
+// delivery, action and anchor look up the round's hint for one execution;
+// nil on a miss. The explicit nil-table test is the whole cost on runs with
+// no source attached.
+func (lg *roundLog) delivery(entry int, parent codec.Fingerprint) *DeliveryRecord {
+	if lg.dels == nil {
+		return nil
+	}
+	return lg.dels[delKey{entry, parent}]
+}
+
+func (lg *roundLog) action(node int, parent codec.Fingerprint, action int) *ActionRecord {
+	if lg.acts == nil {
+		return nil
+	}
+	return lg.acts[actKey{node, parent, action}]
+}
+
+func (lg *roundLog) anchor(node, seq int) *AnchorReport {
+	if lg.anchors == nil {
+		return nil
+	}
+	return lg.anchors[anchorKey{node, seq}]
+}
+
+// owns reports whether this replica captures records (and sweeps anchors)
+// for the given fingerprint; false everywhere but on worker replicas.
+func (lg *roundLog) owns(fp codec.Fingerprint) bool {
+	return lg.owners > 1 && ShardOwner(fp, lg.owners) == lg.owner
+}
+
+// captureDiscovery records the delivery that first visited ns: the creation
+// edge carries exactly the record's fields. mergeDeliveryPhase calls it over
+// the round's discoveries in canonical merge order (ascending by entry).
+func (lg *roundLog) captureDiscovery(entry int, ns *nodeState) {
+	edge := &ns.preds[0]
+	lg.batch.Dels = append(lg.batch.Dels, DeliveryRecord{
+		Entry: entry, Parent: edge.prev.fp, Succ: ns.fp, Emitted: edge.generated})
+}
+
+// newStates cuts, per node, the fingerprints first visited since beginRound.
+func (lg *roundLog) newStates(spaces []*space) [][]codec.Fingerprint {
+	if len(lg.news) != len(spaces) {
+		lg.news = make([][]codec.Fingerprint, len(spaces))
+	}
+	for n, sp := range spaces {
+		buf := lg.news[n][:0]
+		for _, ns := range sp.states[lg.starts[n]:] {
+			buf = append(buf, ns.fp)
+		}
+		lg.news[n] = buf
+	}
+	return lg.news
+}
+
+// replicaDigest fingerprints the replica's deterministic state after a
+// round. Each space maintains its visited-list combination incrementally
+// (space.chain), so the digest costs O(nodes), not O(visited states).
+func (c *checker) replicaDigest() ShardDigest {
+	h := codec.NewHasher()
+	states := 0
+	for _, sp := range c.spaces {
+		h.Add(codec.Fingerprint(len(sp.states)))
+		h.Add(sp.chain.Sum())
+		states += len(sp.states)
+	}
+	return ShardDigest{
+		NetLen: c.net.Len(),
+		Net:    c.net.Digest(),
+		States: states,
+		Spaces: h.Sum(),
+	}
+}
+
+// ShardLink is the coordinator's view of its worker fleet; internal/shard
+// implements it over the wire protocol. Every method is called from the
+// sequential merge goroutine, and the first error from any of them makes the
+// run degrade: the link is finished and the run completes in-process.
+type ShardLink interface {
+	// Shards is the total process count, coordinator included (the
+	// fingerprint space is split N ways; range 0 is the coordinator's).
+	Shards() int
+	// BeginPass announces a fresh pass (iterative deepening restarts
+	// exploration from scratch) with its local-event bound; the workers
+	// then run the pass's rounds autonomously, streaming records.
+	BeginPass(pass, bound int) error
+	// FetchRound returns every worker's records for the round, in worker
+	// order. Batches collected before an error are returned with it and
+	// still used — records are only hints.
+	FetchRound(round int) ([]RoundBatch, error)
+	// EndRound closes a completed round with the coordinator's digest. The
+	// link owns the digest cadence: it compares d against the workers'
+	// digests on the rounds they send one. final marks the pass fixpoint,
+	// after which the workers park awaiting the next pass.
+	EndRound(round int, d ShardDigest, final bool) error
+	// Finish shuts the fleet down; it may be called more than once.
+	Finish()
+}
+
+// fleetSource attaches a shard fleet. Its failure policy: any link error, a
+// digest mismatch or a tainted record degrades the run — one typed event,
+// the fleet torn down, exploration continuing in-process with whatever
+// hints already arrived. Result.Complete keeps its usual meaning.
+type fleetSource struct{ link ShardLink }
+
+// fill pulls every worker's records for the round — the workers produced
+// them autonomously, so in the steady state the frames are already buffered
+// in the transport. The wait is accounted to ShardWaitTime, never to the
+// exploration phases. A pass begins with its first round.
+func (f fleetSource) fill(c *checker, round int) bool {
+	if round == 1 {
+		if err := f.link.BeginPass(c.em.pass, c.localBound); err != nil {
+			return f.degrade(c, err)
+		}
+	}
+	var sw stats.Stopwatch
+	sw.Start()
+	batches, err := f.link.FetchRound(round)
+	c.res.Stats.ShardWaitTime += sw.Elapsed()
+	for i, b := range batches {
+		c.em.shardRound(i+1, f.link.Shards(), len(b.Acts)+len(b.Dels)+len(b.Anchors))
+		c.log.load(b)
+	}
+	return err == nil || f.degrade(c, err)
+}
+
+// verify hands the link the digest unless a stop criterion fired: the pass
+// is over then, and workers ignore coordinator-only criteria like the
+// wall-clock budget, so divergence past a stop is expected.
+func (f fleetSource) verify(c *checker, round int, d ShardDigest, progress bool) bool {
+	if c.stopped {
+		return true
+	}
+	err := c.log.taint
+	if err == nil {
+		var sw stats.Stopwatch
+		sw.Start()
+		err = f.link.EndRound(round, d, !progress)
+		c.res.Stats.ShardWaitTime += sw.Elapsed()
+	}
+	return err == nil || f.degrade(c, err)
+}
+
+func (f fleetSource) degrade(c *checker, err error) bool {
+	f.link.Finish()
+	c.em.shardDegraded(-1, f.link.Shards(), err.Error())
+	return false
+}
+
+// CheckpointSink receives one RoundCheckpoint per completed round. Called
+// on the sequential merge goroutine; implementations must not retain the
+// slices beyond the call (the store serializes them synchronously). An
+// error disables checkpointing for the rest of the run — the run itself
+// continues and a KindCheckpoint event carries the error detail.
+type CheckpointSink interface {
+	OnRoundCheckpoint(RoundCheckpoint) error
+}
+
+// ResumeSource supplies the stored rounds of a previous run of the
+// identical spec. RoundHints is called once per (pass, round) before the
+// round's delivery walk; ok=false means the source has no checkpoint for
+// that round (the run has caught up with the stored frontier) and the
+// source is not consulted again.
+type ResumeSource interface {
+	RoundHints(pass, round int) (cp RoundCheckpoint, ok bool)
+}
+
+// resumeSource attaches a stored run. Its failure policy: a primed round
+// whose digest disagrees with the stored one (changed handler code, changed
+// options, corrupted store), or whose records lied about an emission, stops
+// the run with StopResumeDiverged so the caller can invalidate the
+// checkpoint and re-run fresh. A truncated checkpoint is no failure: the
+// source detaches and the later rounds execute inline.
+type resumeSource struct {
+	src  ResumeSource
+	want ShardDigest
+}
+
+func (s *resumeSource) fill(c *checker, round int) bool {
+	cp, ok := s.src.RoundHints(c.em.pass, round)
+	if !ok {
+		return false
+	}
+	c.log.load(RoundBatch{Dels: cp.Records})
+	s.want = cp.Digest
+	c.em.resume(len(cp.Records), "")
+	return true
+}
+
+func (s *resumeSource) verify(c *checker, round int, d ShardDigest, progress bool) bool {
+	detail := ""
+	switch {
+	case c.stopped:
+		// The round is incomplete; its digest means nothing.
+		return true
+	case d != s.want:
+		detail = "post-round digest mismatch against stored checkpoint"
+	case c.log.taint != nil:
+		// The net content still matched the digest, but the checkpoint lied
+		// once — treat it as divergence rather than trust the rest.
+		detail = c.log.taint.Error()
+	default:
+		return true
+	}
+	c.em.resume(0, detail)
+	c.stop(obs.StopResumeDiverged)
+	return false
+}
+
+// checkpointDrain hands each completed round to a CheckpointSink. A round a
+// stop criterion cut short is skipped — a partial checkpoint would poison a
+// resume. Its failure policy: a sink error is reported once and the sink
+// dropped; the run continues.
+type checkpointDrain struct{ sink CheckpointSink }
+
+func (k checkpointDrain) drain(c *checker, round int, d ShardDigest, progress bool) bool {
+	if c.stopped {
+		return true
+	}
+	recs := c.log.batch.Dels
+	err := k.sink.OnRoundCheckpoint(RoundCheckpoint{
+		Pass:       c.em.pass,
+		Round:      round,
+		LocalBound: c.localBound,
+		Records:    recs,
+		NewStates:  c.log.newStates(c.spaces),
+		Digest:     d,
+		Counters:   c.res.Stats,
+	})
+	if err != nil {
+		c.em.checkpoint(len(recs), err.Error())
+		return false
+	}
+	c.em.checkpoint(len(recs), "")
+	return true
+}
+
+// ShardOwner maps a state fingerprint to its owning shard: contiguous
+// fingerprint ranges via the high word of fp × shards, so the partition
+// needs no modulo and stays stable for any shard count.
+func ShardOwner(fp codec.Fingerprint, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	hi, _ := bits.Mul64(uint64(fp), uint64(shards))
+	return int(hi)
+}
+
+// CheckShardedContext runs the checker with a shard-worker fleet attached.
+// Results are bit-for-bit identical to Check/CheckContext for any shard
+// count; the link only redistributes handler executions and invariant
+// sweeps. The caller owns the link's transport setup; the checker finishes
+// the link when the run ends or degrades.
+func CheckShardedContext(ctx context.Context, m model.Machine, start model.SystemState,
+	opt Options, link ShardLink) (*Result, error) {
+
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	defer link.Finish()
+	return run(ctx, m, start, opt, fleetSource{link}), nil
+}
+
+// ShardInvariantsEligible reports whether a run's invariant sweeps can be
+// partitioned across the fleet: a plain LMC-GEN invariant run, with no
+// reduction, no symmetry, and system states enabled. Reduced runs prune
+// combinations through coordinator-resident caches (interest groups,
+// canonicalized orbits) whose evolution a worker cannot replicate
+// counter-exactly, so they keep invariant checking on the coordinator.
+func ShardInvariantsEligible(opt Options) bool {
+	return opt.Invariant != nil && opt.Reduction == nil &&
+		!opt.Reduce.Symmetry && !opt.DisableSystemStates
+}
+
+// ShardSink receives every round a worker replica runs: the records captured
+// for the replica's fingerprint range, whether the round made progress
+// (false is the pass fixpoint), and the post-round digest. complete is false
+// when a replicated stop criterion (MaxTransitions) cut the round short —
+// the records are still valid hints, the digest is not comparable. The batch
+// slices are valid until the call returns. An error ends the worker's pass.
+type ShardSink interface {
+	EndRound(round int, progress, complete bool, b RoundBatch, d ShardDigest) error
+}
+
+// workerDrain feeds a ShardSink. Its failure policy: the only peer is the
+// coordinator, so a sink error means nobody is reading — stop the replica.
+type workerDrain struct {
+	out ShardSink
+	err error
+}
+
+func (k *workerDrain) drain(c *checker, round int, d ShardDigest, progress bool) bool {
+	if k.err = k.out.EndRound(round, progress, !c.stopped, c.log.batch, d); k.err != nil {
+		c.stop(obs.StopCancelled)
+	}
+	return true
+}
+
+// ShardWorker is one worker process's replica: the same checker running the
+// same pass loop as the coordinator, with the capture filter set to its
+// fingerprint range and a ShardSink at the barrier.
+type ShardWorker struct {
+	c     *checker
+	drain *workerDrain
+}
+
+// NewShardWorker builds a worker replica for shard idx of count processes
+// (idx ≥ 1; index 0 is the coordinator). The options must carry the
+// exploration-shaping knobs of the coordinator's run (DupLimit,
+// LocalBound, MaxPathDepth, MaxPredecessors, RoundDeliveryCap,
+// MaxTransitions, MaxSystemDepth, InitialMessages). Reductions, soundness,
+// budgets and observers are stripped — they are coordinator work. The
+// invariant is kept only when shardInvariants is set (and opt.Invariant is
+// non-nil): the worker then sweeps the system-state combinations of the
+// anchors it owns and reports them, instead of exploring without checking.
+func NewShardWorker(m model.Machine, start model.SystemState, opt Options,
+	idx, count int, shardInvariants bool, sink ShardSink) *ShardWorker {
+
+	shardInv := shardInvariants && opt.Invariant != nil
+	if !shardInv {
+		opt.Invariant = nil
+	}
+	opt.LocalInvariants = nil
+	opt.Reduction = nil
+	opt.Reduce = Reductions{}
+	opt.DisableSystemStates = !shardInv
+	opt.DisableSoundness = true
+	opt.Budget = 0
+	opt.StopAtFirstBug = false
+	opt.Workers = -1
+	opt.Observer = nil
+	opt.RecordSeries = false
+	opt.Checkpoint = nil
+	opt.Resume = nil
+	w := &ShardWorker{
+		c:     newChecker(context.Background(), m, start, opt),
+		drain: &workerDrain{out: sink},
+	}
+	w.c.log.owner, w.c.log.owners = idx, count
+	w.c.log.sink = w.drain
+	return w
+}
+
+// RunPass runs one exploration pass under the given local-event bound — the
+// coordinator's own round loop, to the same fixpoint or replicated stop —
+// handing every round to the sink. It returns the sink's error, if any.
+func (w *ShardWorker) RunPass(bound int) error {
+	w.c.localBound = bound
+	w.c.pass()
+	return w.drain.err
+}

@@ -81,11 +81,9 @@ func (c *checker) checkStartState() {
 	if c.opt.Invariant == nil || c.opt.DisableSystemStates {
 		return
 	}
-	if c.invShardIdx > 0 {
-		// Worker replica with sharded invariants: the start-state check is
-		// coordinator work (it is not anchored at a discovery, so it has no
-		// report slot). Defensive — workers drive rounds through RunRound
-		// and never reach the pass preamble.
+	if c.log.owners > 1 {
+		// Worker replica: the start-state check is coordinator work (it is
+		// not anchored at a discovery, so it has no report slot).
 		return
 	}
 	combo := make([]*nodeState, len(c.spaces))
@@ -140,18 +138,18 @@ func (c *checker) checkNewState(ns *nodeState, view []int) {
 		return
 	}
 
-	// Sharded invariants, worker side: sweep only the anchors whose
-	// fingerprint falls in this replica's range, and report each sweep's
-	// outcome. Foreign anchors are the coordinator's (or another worker's)
-	// work.
-	if c.invShardCount > 1 {
-		if ShardOwner(ns.fp, c.invShardCount) != c.invShardIdx {
+	// Worker replica (one that kept its invariant sweeps them): sweep only
+	// the anchors whose fingerprint falls in this replica's range, and
+	// report each sweep's outcome. Foreign anchors are the coordinator's (or
+	// another worker's) work.
+	if c.log.owners > 1 {
+		if !c.log.owns(ns.fp) {
 			return
 		}
 		states0 := c.res.Stats.SystemStates
 		prelims0 := c.res.Stats.PreliminaryViolations
 		c.forEachComboGEN(ns, view)
-		c.capAnchors = append(c.capAnchors, AnchorReport{
+		c.log.batch.Anchors = append(c.log.batch.Anchors, AnchorReport{
 			Node:     int(ns.node),
 			Seq:      ns.seq,
 			Violated: c.res.Stats.PreliminaryViolations > prelims0,
@@ -161,12 +159,12 @@ func (c *checker) checkNewState(ns *nodeState, view []int) {
 		return
 	}
 
-	// Sharded invariants, coordinator side: a clean report from the owning
-	// worker stands in for the whole sweep — its combination count merges
-	// into the counters (the worker enumerated the identical product). A
-	// violated or missing report falls through to the inline sweep, so
-	// violations are confirmed and reported exactly canonically.
-	if rep := c.shardAnchor(int(ns.node), ns.seq); rep != nil && !rep.Violated {
+	// Coordinator side: a clean report from the owning worker stands in for
+	// the whole sweep — its combination count merges into the counters (the
+	// worker enumerated the identical product). A violated or missing report
+	// falls through to the inline sweep, so violations are confirmed and
+	// reported exactly canonically.
+	if rep := c.log.anchor(int(ns.node), ns.seq); rep != nil && !rep.Violated {
 		c.res.Stats.SystemStates += rep.Combos
 		c.res.Stats.InvariantChecks += rep.Combos
 		if rep.MaxDepth > c.res.Stats.MaxDepth {

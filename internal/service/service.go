@@ -6,7 +6,7 @@
 // resumes every unfinished job from its last completed round, bit-for-bit:
 // resumed results are identical to uninterrupted ones because resume just
 // replays exploration with the stored delivery records primed into the
-// canonical walk (internal/core/checkpoint.go).
+// canonical walk (internal/core/roundlog.go).
 //
 // Staleness is handled at two levels. At startup, a stored run whose code
 // hash (the checker binary's fingerprint) or options signature disagrees
@@ -482,7 +482,6 @@ func (s *Service) execute(ctx context.Context, status *JobStatus, resume bool) (
 		MaxPathDepth:    spec.Depth,
 		StopAtFirstBug:  spec.First,
 		Workers:         spec.Workers,
-		Shards:          spec.Shards,
 		Observer:        s.observer,
 	}
 	if spec.Checker == "lmc-opt" {
@@ -571,20 +570,19 @@ func (s *Service) runLocal(ctx context.Context, spec JobSpec, w bench.Workload,
 	}
 
 	// Sharded execution: the coordinator's canonical walk still produces
-	// every checkpoint record, so the sink composes with sharding. Resume
-	// does not — the shard exchange would overwrite the primed records —
-	// so a resumed run always executes in-process (results are identical
-	// for every shard count, so nothing is lost but the fan-out).
-	if opt.Shards > 1 && s.spawner != nil && !resumed {
+	// every checkpoint record, so the sink composes with sharding. A
+	// resumed run executes in-process: the stored records already spare it
+	// the handler calls a fleet would, and results are identical for every
+	// shard count, so nothing is lost but the fan-out.
+	if spec.Shards > 1 && s.spawner != nil && !resumed {
 		res, err := shard.Check(ctx, w.Machine, start, opt, shard.Config{
-			Shards:  opt.Shards,
+			Shards:  spec.Shards,
 			Spawner: s.spawner,
 			Spec:    bench.ShardSpec(w.Name),
 			Batch:   spec.ShardBatch,
 		})
 		return res, false, err
 	}
-	opt.Shards = 0
 	res, err := core.CheckContext(ctx, w.Machine, start, opt)
 	return res, resumed, err
 }

@@ -22,11 +22,11 @@ type remoteWorker struct {
 
 // link implements core.ShardLink over the wire protocol. All methods run on
 // the checker's sequential merge goroutine; any error returned makes the
-// checker degrade (drop the link, Finish, continue in-process), so methods
-// never retry. Frame order is deterministic on both sides — per pass, each
-// worker writes RECORDS(r) for every round r and DIGEST(r) exactly at batch
-// boundaries and the fixpoint, and the coordinator reads in the same order —
-// so replica divergence surfaces as a digest or frame-type mismatch, never
+// checker degrade (Finish, continue in-process), so methods never retry.
+// Frame order is deterministic on both sides — per pass, each worker writes
+// RECORDS(r) for every round r and DIGEST(r) exactly at batch boundaries
+// and the fixpoint, and the coordinator reads in the same order — so
+// replica divergence surfaces as a digest or frame-type mismatch, never
 // as a deadlock.
 type link struct {
 	ws    []*remoteWorker
@@ -65,7 +65,6 @@ func dial(cfg Config, opt core.Options) (*link, error) {
 		MaxTransitions:   opt.MaxTransitions,
 		MaxSystemDepth:   opt.MaxSystemDepth,
 		Batch:            batch,
-		ActionRecords:    !cfg.DisableActionRecords,
 		ShardInvariants:  core.ShardInvariantsEligible(opt),
 	}
 	for wi, w := range l.ws {
@@ -103,7 +102,6 @@ func dial(cfg Config, opt core.Options) (*link, error) {
 }
 
 func (l *link) Shards() int { return l.n }
-func (l *link) Batch() int  { return l.batch }
 
 // BeginPass releases every worker into autonomous round streaming: after
 // this frame, the next coordinator I/O with each worker is FetchRound(1).
@@ -140,7 +138,7 @@ func (l *link) FetchRound(round int) ([]core.RoundBatch, error) {
 		if ft != ftRecords {
 			return out, fmt.Errorf("shard %d: expected RECORDS, got %s", wi+1, ft)
 		}
-		gotRound, _, batch := decodeRoundBatch(r)
+		gotRound, _, batch := decodeFrameRecords(r)
 		if r.Err() != nil {
 			return out, fmt.Errorf("shard %d: bad RECORDS: %w", wi+1, r.Err())
 		}
@@ -152,11 +150,14 @@ func (l *link) FetchRound(round int) ([]core.RoundBatch, error) {
 	return out, nil
 }
 
-// EndBatch reads and checks each worker's DIGEST for the batch ending at
-// round. The checker calls it only at batch boundaries and at the pass
-// fixpoint (final), matching the workers' own send cadence. final means the
-// workers park after this digest, so they become DONE-deliverable.
-func (l *link) EndBatch(round int, d core.ShardDigest, final bool) error {
+// EndRound reads and checks each worker's DIGEST on the rounds the workers
+// send one — every batch-th round and the pass fixpoint (final) — and is a
+// no-op on the rounds in between. final means the workers park after this
+// digest, so they become DONE-deliverable.
+func (l *link) EndRound(round int, d core.ShardDigest, final bool) error {
+	if !digestDue(round, l.batch, final) {
+		return nil
+	}
 	for wi, w := range l.ws {
 		ft, r, err := w.conn.recv()
 		if err != nil {
@@ -168,7 +169,7 @@ func (l *link) EndBatch(round int, d core.ShardDigest, final bool) error {
 		if ft != ftDigest {
 			return fmt.Errorf("shard %d: expected DIGEST, got %s", wi+1, ft)
 		}
-		gotRound, wd := decodeDigest(r)
+		gotRound, wd := decodeFrameDigest(r)
 		if r.Err() != nil {
 			return fmt.Errorf("shard %d: bad DIGEST: %w", wi+1, r.Err())
 		}
@@ -184,6 +185,12 @@ func (l *link) EndBatch(round int, d core.ShardDigest, final bool) error {
 		}
 	}
 	return nil
+}
+
+// digestDue is the digest cadence both ends of the protocol follow: every
+// batch-th round of a pass, and its fixpoint round.
+func digestDue(round, batch int, final bool) bool {
+	return final || round%batch == 0
 }
 
 // Finish tears the fleet down. Parked workers get a best-effort DONE so

@@ -23,26 +23,27 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 		DupLimit: 2, LocalBound: 3, MaxPathDepth: 64}.encode(w)
 	f.Add(append([]byte(nil), w.Bytes()...))
 	w.Reset()
-	encodeRecords(w, []core.DeliveryRecord{
+	core.EncodeDeliveryRecords(w, []core.DeliveryRecord{
 		{Entry: 3, Parent: 0xdead, Succ: 0xbeef, Emitted: []codec.Fingerprint{1, 2}},
 		{Entry: 0, Parent: 7, Rejected: true},
 	})
 	f.Add(append([]byte(nil), w.Bytes()...))
 	w.Reset()
-	encodeActionRecords(w, []core.ActionRecord{
+	core.EncodeActionRecords(w, []core.ActionRecord{
 		{Node: 2, Parent: 0xdead, Action: 1, Succ: 0xbeef, Emitted: []codec.Fingerprint{3}},
 		{Node: 0, Parent: 7, Action: 0, Rejected: true},
 	})
 	f.Add(append([]byte(nil), w.Bytes()...))
 	w.Reset()
-	encodeAnchorReports(w, []core.AnchorReport{
+	core.EncodeAnchorReports(w, []core.AnchorReport{
 		{Node: 1, Seq: 4, Violated: true, Combos: 6, MaxDepth: 3},
 	})
 	f.Add(append([]byte(nil), w.Bytes()...))
 	w.Reset()
-	encodeDigest(w, 9, core.ShardDigest{NetLen: 4, Net: 42, States: 17, Spaces: 99})
+	encodeFrameDigest(w, 9, core.ShardDigest{NetLen: 4, Net: 42, States: 17, Spaces: 99})
 	f.Add(append([]byte(nil), w.Bytes()...))
 	codec.PutWriter(w)
+	f.Add(hostileEmittedRecords())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Frame layer: a written frame must read back byte-identical, and
@@ -76,11 +77,11 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 		}
 
 		r = codec.NewReader(data)
-		recs := decodeRecords(r)
+		recs := core.DecodeDeliveryRecords(r)
 		if r.Err() == nil {
 			w := codec.GetWriter()
-			encodeRecords(w, recs)
-			recs2 := decodeRecords(codec.NewReader(w.Bytes()))
+			core.EncodeDeliveryRecords(w, recs)
+			recs2 := core.DecodeDeliveryRecords(codec.NewReader(w.Bytes()))
 			if len(recs) != 0 && !reflect.DeepEqual(recs, recs2) {
 				t.Fatalf("records round trip diverged: %+v vs %+v", recs, recs2)
 			}
@@ -88,11 +89,11 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 		}
 
 		r = codec.NewReader(data)
-		acts := decodeActionRecords(r)
+		acts := core.DecodeActionRecords(r)
 		if r.Err() == nil {
 			w := codec.GetWriter()
-			encodeActionRecords(w, acts)
-			acts2 := decodeActionRecords(codec.NewReader(w.Bytes()))
+			core.EncodeActionRecords(w, acts)
+			acts2 := core.DecodeActionRecords(codec.NewReader(w.Bytes()))
 			if len(acts) != 0 && !reflect.DeepEqual(acts, acts2) {
 				t.Fatalf("action records round trip diverged: %+v vs %+v", acts, acts2)
 			}
@@ -100,23 +101,38 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 		}
 
 		r = codec.NewReader(data)
-		reps := decodeAnchorReports(r)
+		reps := core.DecodeAnchorReports(r)
 		if r.Err() == nil {
 			w := codec.GetWriter()
-			encodeAnchorReports(w, reps)
-			reps2 := decodeAnchorReports(codec.NewReader(w.Bytes()))
+			core.EncodeAnchorReports(w, reps)
+			reps2 := core.DecodeAnchorReports(codec.NewReader(w.Bytes()))
 			if len(reps) != 0 && !reflect.DeepEqual(reps, reps2) {
 				t.Fatalf("anchor reports round trip diverged: %+v vs %+v", reps, reps2)
 			}
 			codec.PutWriter(w)
 		}
 
+		// A whole RECORDS body: the three kinds back to back, so a decoder
+		// that stopped early without an error would misparse its successor.
 		r = codec.NewReader(data)
-		round, d := decodeDigest(r)
+		rround, rprog, rb := decodeFrameRecords(r)
 		if r.Err() == nil {
 			w := codec.GetWriter()
-			encodeDigest(w, round, d)
-			r2, d2 := decodeDigest(codec.NewReader(w.Bytes()))
+			encodeFrameRecords(w, rround, rprog, rb)
+			r2 := codec.NewReader(w.Bytes())
+			round2, prog2, rb2 := decodeFrameRecords(r2)
+			if r2.Err() != nil || round2 != rround || prog2 != rprog || !reflect.DeepEqual(rb, rb2) {
+				t.Fatalf("records frame round trip diverged: %+v vs %+v (%v)", rb, rb2, r2.Err())
+			}
+			codec.PutWriter(w)
+		}
+
+		r = codec.NewReader(data)
+		round, d := decodeFrameDigest(r)
+		if r.Err() == nil {
+			w := codec.GetWriter()
+			encodeFrameDigest(w, round, d)
+			r2, d2 := decodeFrameDigest(codec.NewReader(w.Bytes()))
 			if r2 != round || d2 != d {
 				t.Fatalf("digest round trip diverged")
 			}

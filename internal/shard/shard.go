@@ -11,7 +11,7 @@
 // coordinator's canonical walk — any subset yields the bit-for-bit
 // sequential result — so a dead or diverging worker degrades the run to
 // in-process exploration instead of corrupting or aborting it. See
-// internal/core/shard.go for the engine-side contract.
+// internal/core/roundlog.go for the engine-side contract.
 package shard
 
 import (
@@ -45,10 +45,6 @@ type Config struct {
 	// Every value yields identical results; larger batches trade later
 	// divergence detection for fewer synchronization stalls.
 	Batch int
-	// DisableActionRecords stops workers from capturing action-phase
-	// records, restoring the delivery-only record stream. Results are
-	// identical either way; this exists for measurement and debugging.
-	DisableActionRecords bool
 }
 
 // Check runs a sharded exploration: identical results to core.Check for any

@@ -117,6 +117,10 @@ func TestShardsParity(t *testing.T) {
 		bench  string // registry name; "" means the spec is test-local
 		shards []int
 		mutate func(*core.Options)
+		// composed also attaches a checkpoint sink to the sharded run and
+		// then resumes the stored log in-process: fleet, sink and resume
+		// are clients of one round log and must compose bit-for-bit.
+		composed bool
 	}
 	cases := []tcase{
 		{name: "paxos-gen", bench: "paxos", shards: []int{1, 2, 4}},
@@ -146,6 +150,7 @@ func TestShardsParity(t *testing.T) {
 				o.Reduce = core.Reductions{Symmetry: true, PartialOrder: true}
 			}},
 		{name: "actor-2pc-bug", bench: "actor-2pc-bug", shards: []int{2}},
+		{name: "paxos-gen-checkpointed-resumed", bench: "paxos", shards: []int{2}, composed: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,33 +179,69 @@ func TestShardsParity(t *testing.T) {
 			}
 			base := core.Check(m, start, opt)
 			for _, shards := range tc.shards {
-				got := shardedRun(t, m, start, opt, shard.Config{Shards: shards, Spec: spec})
+				runOpt := opt
+				log := memLog{}
+				if tc.composed {
+					runOpt.Checkpoint = log
+				}
+				got := shardedRun(t, m, start, runOpt, shard.Config{Shards: shards, Spec: spec})
 				assertSameResult(t, shards, base, got)
+				if !tc.composed {
+					continue
+				}
+				if len(log) == 0 {
+					t.Fatal("sharded run stored no rounds")
+				}
+				primed := 0
+				resOpt := opt
+				resOpt.Resume = log
+				resOpt.Observer = obs.FuncObserver(func(e obs.Event) {
+					if e.Kind == obs.KindResume && e.Detail == "" {
+						primed++
+					}
+				})
+				assertSameResult(t, shards, base, core.Check(m, start, resOpt))
+				if primed != len(log) {
+					t.Fatalf("resume primed %d rounds of %d stored", primed, len(log))
+				}
 			}
 		})
 	}
 }
 
-// TestShardsBatchAndActionRecordParity sweeps the two protocol knobs that
-// must never change results: the digest batch window and action-record
-// capture. Every combination must reproduce the sequential run bit-for-bit
-// — records are hints, and digests only detect divergence, so neither knob
-// may influence the walk.
+// memLog is an in-memory CheckpointSink and ResumeSource keyed by
+// (pass, round).
+type memLog map[[2]int]core.RoundCheckpoint
+
+func (l memLog) OnRoundCheckpoint(cp core.RoundCheckpoint) error {
+	// The engine reuses the record slice next round.
+	cp.Records = append([]core.DeliveryRecord(nil), cp.Records...)
+	l[[2]int{cp.Pass, cp.Round}] = cp
+	return nil
+}
+
+func (l memLog) RoundHints(pass, round int) (core.RoundCheckpoint, bool) {
+	cp, ok := l[[2]int{pass, round}]
+	return cp, ok
+}
+
+// TestShardsBatchAndActionRecordParity sweeps the one protocol knob left,
+// the digest batch window, with the workers capturing action records as
+// they always do. Every window must reproduce the sequential run
+// bit-for-bit — records are hints, and digests only detect divergence, so
+// the cadence may not influence the walk.
 func TestShardsBatchAndActionRecordParity(t *testing.T) {
 	m, start, opt := benchCase(t, "paxos")
 	base := core.Check(m, start, opt)
 	for _, batch := range []int{1, 2, 8} {
-		for _, noActs := range []bool{false, true} {
-			t.Run(fmt.Sprintf("batch=%d,acts=%v", batch, !noActs), func(t *testing.T) {
-				got := shardedRun(t, m, start, opt, shard.Config{
-					Shards:               2,
-					Spec:                 bench.ShardSpec("paxos"),
-					Batch:                batch,
-					DisableActionRecords: noActs,
-				})
-				assertSameResult(t, 2, base, got)
+		t.Run(fmt.Sprintf("batch=%d,acts=true", batch), func(t *testing.T) {
+			got := shardedRun(t, m, start, opt, shard.Config{
+				Shards: 2,
+				Spec:   bench.ShardSpec("paxos"),
+				Batch:  batch,
 			})
-		}
+			assertSameResult(t, 2, base, got)
+		})
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 
 // Version is the wire-protocol version. A worker refuses a HELLO carrying a
 // different version, so mixed-build coordinator/worker pairs fail fast at
-// the handshake instead of diverging mid-run. Version 2 is the streaming
-// protocol: workers run rounds autonomously after PASS, each round's
+// the handshake instead of diverging mid-run. Version 3 is the streaming
+// protocol — workers run rounds autonomously after PASS, each round's
 // action/delivery/anchor records travel in one RECORDS frame, and digests
-// are exchanged at batch boundaries instead of every round.
-const Version = 2
+// are exchanged at batch boundaries — and differs from 2 only in HELLO,
+// which no longer carries an action-records flag.
+const Version = 3
 
 // ErrVersionMismatch is the typed refusal a worker returns for a HELLO
 // whose protocol version differs from its own; the coordinator sees the
@@ -98,10 +99,8 @@ type hello struct {
 
 	// Batch is the digest cadence (rounds per digest exchange).
 	Batch int
-	// ActionRecords asks the worker to capture action-phase records;
-	// ShardInvariants asks it to sweep and report the system-state
+	// ShardInvariants asks the worker to sweep and report the system-state
 	// combinations of the anchors it owns.
-	ActionRecords   bool
 	ShardInvariants bool
 }
 
@@ -118,7 +117,6 @@ func (h hello) encode(w *codec.Writer) {
 	w.Int(h.MaxTransitions)
 	w.Int(h.MaxSystemDepth)
 	w.Int(h.Batch)
-	w.Bool(h.ActionRecords)
 	w.Bool(h.ShardInvariants)
 }
 
@@ -136,199 +134,28 @@ func decodeHello(r *codec.Reader) hello {
 		MaxTransitions:   r.Int(),
 		MaxSystemDepth:   r.Int(),
 		Batch:            r.Int(),
-		ActionRecords:    r.Bool(),
 		ShardInvariants:  r.Bool(),
 	}
 }
 
-// Minimum encoded sizes of the record kinds; decode guards element counts
-// against them so a corrupted count cannot force a giant allocation.
-const (
-	recordWireMin       = 17 // entry + parent + rejected flag
-	actionRecordWireMin = 25 // node + parent + action + rejected flag
-	anchorReportWireMin = 33 // node + seq + violated + combos + maxdepth
-)
-
-func encodeRecords(w *codec.Writer, recs []core.DeliveryRecord) {
-	w.Int(len(recs))
-	for i := range recs {
-		r := &recs[i]
-		w.Int(r.Entry)
-		w.Uint64(uint64(r.Parent))
-		w.Bool(r.Rejected)
-		if r.Rejected {
-			continue
-		}
-		w.Uint64(uint64(r.Succ))
-		w.Int(len(r.Emitted))
-		for _, fp := range r.Emitted {
-			w.Uint64(uint64(fp))
-		}
-	}
-}
-
-// decodeRecords reads a delivery-record batch. Malformed input never panics
-// or over-allocates: counts are clamped against the bytes actually
-// remaining, and truncation sticks an error on the reader (checked by the
-// caller).
-func decodeRecords(r *codec.Reader) []core.DeliveryRecord {
-	n := r.Int()
-	if n <= 0 || n > r.Remaining()/recordWireMin+1 {
-		if n != 0 {
-			// Either corrupt or truncated; draining the reader as records
-			// would error anyway, so just report none.
-			r.Int() // provoke a sticky error on short input
-		}
-		return nil
-	}
-	recs := make([]core.DeliveryRecord, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		rec := core.DeliveryRecord{
-			Entry:    r.Int(),
-			Parent:   codec.Fingerprint(r.Uint64()),
-			Rejected: r.Bool(),
-		}
-		if !rec.Rejected {
-			rec.Succ = codec.Fingerprint(r.Uint64())
-			ne := r.Int()
-			if ne < 0 || ne > r.Remaining()/8+1 {
-				return recs
-			}
-			if ne > 0 {
-				rec.Emitted = make([]codec.Fingerprint, 0, ne)
-				for j := 0; j < ne && r.Err() == nil; j++ {
-					rec.Emitted = append(rec.Emitted, codec.Fingerprint(r.Uint64()))
-				}
-			}
-		}
-		recs = append(recs, rec)
-	}
-	return recs
-}
-
-func encodeActionRecords(w *codec.Writer, recs []core.ActionRecord) {
-	w.Int(len(recs))
-	for i := range recs {
-		r := &recs[i]
-		w.Int(r.Node)
-		w.Uint64(uint64(r.Parent))
-		w.Int(r.Action)
-		w.Bool(r.Rejected)
-		if r.Rejected {
-			continue
-		}
-		w.Uint64(uint64(r.Succ))
-		w.Int(len(r.Emitted))
-		for _, fp := range r.Emitted {
-			w.Uint64(uint64(fp))
-		}
-	}
-}
-
-// decodeActionRecords mirrors decodeRecords' hostile-input hardening for
-// the action-record kind.
-func decodeActionRecords(r *codec.Reader) []core.ActionRecord {
-	n := r.Int()
-	if n <= 0 || n > r.Remaining()/actionRecordWireMin+1 {
-		if n != 0 {
-			r.Int() // provoke a sticky error on short input
-		}
-		return nil
-	}
-	recs := make([]core.ActionRecord, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		rec := core.ActionRecord{
-			Node:     r.Int(),
-			Parent:   codec.Fingerprint(r.Uint64()),
-			Action:   r.Int(),
-			Rejected: r.Bool(),
-		}
-		if !rec.Rejected {
-			rec.Succ = codec.Fingerprint(r.Uint64())
-			ne := r.Int()
-			if ne < 0 || ne > r.Remaining()/8+1 {
-				return recs
-			}
-			if ne > 0 {
-				rec.Emitted = make([]codec.Fingerprint, 0, ne)
-				for j := 0; j < ne && r.Err() == nil; j++ {
-					rec.Emitted = append(rec.Emitted, codec.Fingerprint(r.Uint64()))
-				}
-			}
-		}
-		recs = append(recs, rec)
-	}
-	return recs
-}
-
-func encodeAnchorReports(w *codec.Writer, reps []core.AnchorReport) {
-	w.Int(len(reps))
-	for i := range reps {
-		r := &reps[i]
-		w.Int(r.Node)
-		w.Int(r.Seq)
-		w.Bool(r.Violated)
-		w.Int(r.Combos)
-		w.Int(r.MaxDepth)
-	}
-}
-
-// decodeAnchorReports mirrors decodeRecords' hostile-input hardening for
-// the anchor-report kind.
-func decodeAnchorReports(r *codec.Reader) []core.AnchorReport {
-	n := r.Int()
-	if n <= 0 || n > r.Remaining()/anchorReportWireMin+1 {
-		if n != 0 {
-			r.Int() // provoke a sticky error on short input
-		}
-		return nil
-	}
-	reps := make([]core.AnchorReport, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		reps = append(reps, core.AnchorReport{
-			Node:     r.Int(),
-			Seq:      r.Int(),
-			Violated: r.Bool(),
-			Combos:   r.Int(),
-			MaxDepth: r.Int(),
-		})
-	}
-	return reps
-}
-
-// encodeRoundBatch is the RECORDS frame body: round, progress flag, then
-// the three record kinds.
-func encodeRoundBatch(w *codec.Writer, round int, progress bool, b core.RoundBatch) {
+// encodeFrameRecords is the RECORDS frame body: round, progress flag, then the
+// batch in core's canonical record encoding.
+func encodeFrameRecords(w *codec.Writer, round int, progress bool, b core.RoundBatch) {
 	w.Int(round)
 	w.Bool(progress)
-	encodeActionRecords(w, b.Acts)
-	encodeRecords(w, b.Dels)
-	encodeAnchorReports(w, b.Anchors)
+	b.Encode(w)
 }
 
-func decodeRoundBatch(r *codec.Reader) (round int, progress bool, b core.RoundBatch) {
-	round = r.Int()
-	progress = r.Bool()
-	b.Acts = decodeActionRecords(r)
-	b.Dels = decodeRecords(r)
-	b.Anchors = decodeAnchorReports(r)
-	return round, progress, b
+func decodeFrameRecords(r *codec.Reader) (round int, progress bool, b core.RoundBatch) {
+	return r.Int(), r.Bool(), core.DecodeRoundBatch(r)
 }
 
-func encodeDigest(w *codec.Writer, round int, d core.ShardDigest) {
+// encodeFrameDigest is the DIGEST frame body: round, then the digest.
+func encodeFrameDigest(w *codec.Writer, round int, d core.ShardDigest) {
 	w.Int(round)
-	w.Int(d.NetLen)
-	w.Uint64(uint64(d.Net))
-	w.Int(d.States)
-	w.Uint64(uint64(d.Spaces))
+	d.Encode(w)
 }
 
-func decodeDigest(r *codec.Reader) (int, core.ShardDigest) {
-	round := r.Int()
-	return round, core.ShardDigest{
-		NetLen: r.Int(),
-		Net:    codec.Fingerprint(r.Uint64()),
-		States: r.Int(),
-		Spaces: codec.Fingerprint(r.Uint64()),
-	}
+func decodeFrameDigest(r *codec.Reader) (int, core.ShardDigest) {
+	return r.Int(), core.DecodeShardDigest(r)
 }

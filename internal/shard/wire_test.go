@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		DupLimit: 1, LocalBound: 3, MaxPathDepth: 9,
 		MaxPredecessors: 64, RoundDeliveryCap: -1,
 		MaxTransitions: 500, MaxSystemDepth: 7,
-		Batch: 8, ActionRecords: true, ShardInvariants: true,
+		Batch: 8, ShardInvariants: true,
 	}
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
@@ -38,9 +39,9 @@ func TestRecordsRoundTrip(t *testing.T) {
 	}
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
-	encodeRecords(w, in)
+	core.EncodeDeliveryRecords(w, in)
 	r := codec.NewReader(w.Bytes())
-	out := decodeRecords(r)
+	out := core.DecodeDeliveryRecords(r)
 	if r.Err() != nil {
 		t.Fatalf("decode error: %v", r.Err())
 	}
@@ -58,9 +59,9 @@ func TestActionRecordsRoundTrip(t *testing.T) {
 	}
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
-	encodeActionRecords(w, in)
+	core.EncodeActionRecords(w, in)
 	r := codec.NewReader(w.Bytes())
-	out := decodeActionRecords(r)
+	out := core.DecodeActionRecords(r)
 	if r.Err() != nil {
 		t.Fatalf("decode error: %v", r.Err())
 	}
@@ -76,9 +77,9 @@ func TestAnchorReportsRoundTrip(t *testing.T) {
 	}
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
-	encodeAnchorReports(w, in)
+	core.EncodeAnchorReports(w, in)
 	r := codec.NewReader(w.Bytes())
-	out := decodeAnchorReports(r)
+	out := core.DecodeAnchorReports(r)
 	if r.Err() != nil {
 		t.Fatalf("decode error: %v", r.Err())
 	}
@@ -95,9 +96,9 @@ func TestRoundBatchRoundTrip(t *testing.T) {
 	}
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
-	encodeRoundBatch(w, 7, true, in)
+	encodeFrameRecords(w, 7, true, in)
 	r := codec.NewReader(w.Bytes())
-	round, progress, out := decodeRoundBatch(r)
+	round, progress, out := decodeFrameRecords(r)
 	if r.Err() != nil {
 		t.Fatalf("decode error: %v", r.Err())
 	}
@@ -116,7 +117,7 @@ func TestDecodeRecordsMalformed(t *testing.T) {
 	}
 	encodeInt(1 << 40)
 	r := codec.NewReader(w.Bytes())
-	if got := decodeRecords(r); got != nil {
+	if got := core.DecodeDeliveryRecords(r); got != nil {
 		t.Fatalf("hostile count decoded to %d records", len(got))
 	}
 	codec.PutWriter(w)
@@ -124,36 +125,74 @@ func TestDecodeRecordsMalformed(t *testing.T) {
 	// A truncated but plausible batch errors instead of fabricating data.
 	w2 := codec.GetWriter()
 	defer codec.PutWriter(w2)
-	encodeRecords(w2, []core.DeliveryRecord{{Entry: 1, Parent: 2, Succ: 3}})
+	core.EncodeDeliveryRecords(w2, []core.DeliveryRecord{{Entry: 1, Parent: 2, Succ: 3}})
 	whole := w2.Bytes()
 	for cut := 0; cut < len(whole); cut++ {
 		r := codec.NewReader(whole[:cut])
-		_ = decodeRecords(r)
+		_ = core.DecodeDeliveryRecords(r)
 		if r.Err() == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded cleanly", cut, len(whole))
 		}
 	}
+
+	// An emitted-count beyond the remaining bytes must stick an error, not
+	// end the batch early with the trailing bytes left for the next decoder.
+	r = codec.NewReader(hostileEmittedRecords())
+	if _, _, b := decodeFrameRecords(r); r.Err() == nil {
+		t.Fatalf("hostile emitted-count decoded cleanly to %+v", b)
+	}
+}
+
+// hostileEmittedRecords is a RECORDS body — round 3, no action records, one
+// delivery record {5, 42, accepted, 43} — whose emitted-count is 1<<40.
+func hostileEmittedRecords() []byte {
+	var w codec.Writer
+	w.Int(3)
+	w.Bool(true)
+	w.Int(0)
+	w.Int(1)
+	w.Int(5)
+	w.Uint64(42)
+	w.Bool(false)
+	w.Uint64(43)
+	w.Int(1 << 40)
+	return append([]byte(nil), w.Bytes()...)
 }
 
 func TestDecodeActionRecordsMalformed(t *testing.T) {
 	w := codec.GetWriter()
 	w.Int(1 << 40)
 	r := codec.NewReader(w.Bytes())
-	if got := decodeActionRecords(r); got != nil {
+	if got := core.DecodeActionRecords(r); got != nil {
 		t.Fatalf("hostile count decoded to %d records", len(got))
 	}
 	codec.PutWriter(w)
 
 	w2 := codec.GetWriter()
 	defer codec.PutWriter(w2)
-	encodeActionRecords(w2, []core.ActionRecord{{Node: 1, Parent: 2, Action: 0, Succ: 3}})
+	core.EncodeActionRecords(w2, []core.ActionRecord{{Node: 1, Parent: 2, Action: 0, Succ: 3}})
 	whole := w2.Bytes()
 	for cut := 0; cut < len(whole); cut++ {
 		r := codec.NewReader(whole[:cut])
-		_ = decodeActionRecords(r)
+		_ = core.DecodeActionRecords(r)
 		if r.Err() == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded cleanly", cut, len(whole))
 		}
+	}
+
+	// One accepted action record {node 1, parent 2, action 0, succ 3} with
+	// an emitted-count of 1<<40.
+	var w3 codec.Writer
+	w3.Int(1)
+	w3.Int(1)
+	w3.Uint64(2)
+	w3.Int(0)
+	w3.Bool(false)
+	w3.Uint64(3)
+	w3.Int(1 << 40)
+	r = codec.NewReader(w3.Bytes())
+	if got := core.DecodeActionRecords(r); r.Err() == nil {
+		t.Fatalf("hostile emitted-count decoded cleanly to %+v", got)
 	}
 }
 
@@ -161,18 +200,18 @@ func TestDecodeAnchorReportsMalformed(t *testing.T) {
 	w := codec.GetWriter()
 	w.Int(1 << 40)
 	r := codec.NewReader(w.Bytes())
-	if got := decodeAnchorReports(r); got != nil {
+	if got := core.DecodeAnchorReports(r); got != nil {
 		t.Fatalf("hostile count decoded to %d reports", len(got))
 	}
 	codec.PutWriter(w)
 
 	w2 := codec.GetWriter()
 	defer codec.PutWriter(w2)
-	encodeAnchorReports(w2, []core.AnchorReport{{Node: 1, Seq: 2, Combos: 3, MaxDepth: 4}})
+	core.EncodeAnchorReports(w2, []core.AnchorReport{{Node: 1, Seq: 2, Combos: 3, MaxDepth: 4}})
 	whole := w2.Bytes()
 	for cut := 0; cut < len(whole); cut++ {
 		r := codec.NewReader(whole[:cut])
-		_ = decodeAnchorReports(r)
+		_ = core.DecodeAnchorReports(r)
 		if r.Err() == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded cleanly", cut, len(whole))
 		}
@@ -183,13 +222,64 @@ func TestDigestRoundTrip(t *testing.T) {
 	in := core.ShardDigest{NetLen: 12, Net: 0xabc, States: 99, Spaces: 0xdef}
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
-	encodeDigest(w, 5, in)
+	encodeFrameDigest(w, 5, in)
 	r := codec.NewReader(w.Bytes())
-	round, out := decodeDigest(r)
+	round, out := decodeFrameDigest(r)
 	if r.Err() != nil {
 		t.Fatalf("decode error: %v", r.Err())
 	}
 	if round != 5 || out != in {
 		t.Fatalf("round trip mismatch: round=%d digest=%+v", round, out)
+	}
+}
+
+// goldenBatch and the two hex strings below were produced by the v2 codec
+// (internal/shard/wire.go before the record codec moved to core): the RECORDS
+// and DIGEST bodies are pinned byte for byte across the move. Version 3
+// changed only HELLO.
+var goldenBatch = core.RoundBatch{
+	Acts: []core.ActionRecord{
+		{Node: 1, Parent: 0x1111, Action: 2, Succ: 0x2222, Emitted: []codec.Fingerprint{0xa1, 0xa2}},
+		{Node: 0, Parent: 0x3333, Action: 0, Rejected: true},
+	},
+	Dels: []core.DeliveryRecord{
+		{Entry: 4, Parent: 0x4444, Succ: 0x5555, Emitted: []codec.Fingerprint{0xb1}},
+		{Entry: 7, Parent: 0x6666, Rejected: true},
+		{Entry: 9, Parent: 0x7777, Succ: 0x8888},
+	},
+	Anchors: []core.AnchorReport{
+		{Node: 2, Seq: 5, Violated: true, Combos: 12, MaxDepth: 6},
+		{Node: 0, Seq: 1, Combos: 99, MaxDepth: 7},
+	},
+}
+
+const (
+	goldenRecordsHex = "0000000000000003010000000000000002000000000000000100000000000011110000000000000002000000000000002222000000000000000200000000000000a100000000000000a200000000000000000000000000003333000000000000000001000000000000000300000000000000040000000000004444000000000000005555000000000000000100000000000000b1000000000000000700000000000066660100000000000000090000000000007777000000000000008888000000000000000000000000000000020000000000000002000000000000000501000000000000000c0000000000000006000000000000000000000000000000010000000000000000630000000000000007"
+	goldenDigestHex  = "0000000000000008000000000000000c0000000000000abc00000000000000630000000000000def"
+)
+
+func TestGoldenFrameBodies(t *testing.T) {
+	var w codec.Writer
+	encodeFrameRecords(&w, 3, true, goldenBatch)
+	if got := hex.EncodeToString(w.Bytes()); got != goldenRecordsHex {
+		t.Fatalf("RECORDS body drifted from the pinned encoding:\n got %s\nwant %s", got, goldenRecordsHex)
+	}
+	raw, _ := hex.DecodeString(goldenRecordsHex)
+	r := codec.NewReader(raw)
+	round, progress, b := decodeFrameRecords(r)
+	if r.Err() != nil || r.Remaining() != 0 || round != 3 || !progress || !reflect.DeepEqual(b, goldenBatch) {
+		t.Fatalf("pinned RECORDS body decoded to round=%d progress=%v err=%v batch=%+v", round, progress, r.Err(), b)
+	}
+
+	w.Reset()
+	d := core.ShardDigest{NetLen: 12, Net: 0xabc, States: 99, Spaces: 0xdef}
+	encodeFrameDigest(&w, 8, d)
+	if got := hex.EncodeToString(w.Bytes()); got != goldenDigestHex {
+		t.Fatalf("DIGEST body drifted from the pinned encoding:\n got %s\nwant %s", got, goldenDigestHex)
+	}
+	raw, _ = hex.DecodeString(goldenDigestHex)
+	r = codec.NewReader(raw)
+	if round, got := decodeFrameDigest(r); r.Err() != nil || round != 8 || got != d {
+		t.Fatalf("pinned DIGEST body decoded to round=%d digest=%+v err=%v", round, got, r.Err())
 	}
 }

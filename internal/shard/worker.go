@@ -92,6 +92,7 @@ func ServeConn(rw io.ReadWriter, resolve Resolver, dieAfterRound int) error {
 	if err != nil {
 		return refuse(c, fmt.Sprintf("resolving workload %q: %v", h.Spec, err))
 	}
+	sink := &frameSink{c: c, batch: batch, dieAfterRound: dieAfterRound}
 	w := core.NewShardWorker(wl.Machine, wl.Start, core.Options{
 		DupLimit:         h.DupLimit,
 		LocalBound:       h.LocalBound,
@@ -102,10 +103,7 @@ func ServeConn(rw io.ReadWriter, resolve Resolver, dieAfterRound int) error {
 		MaxSystemDepth:   h.MaxSystemDepth,
 		InitialMessages:  wl.InitialMessages,
 		Invariant:        wl.Invariant,
-	}, h.Idx, h.Count, h.ShardInvariants)
-	if !h.ActionRecords {
-		w.DisableActionRecords()
-	}
+	}, h.Idx, h.Count, h.ShardInvariants, sink)
 	invOK := h.ShardInvariants && wl.Invariant != nil
 	if err := c.send(ftReady, func(cw *codec.Writer) { cw.Bool(invOK) }); err != nil {
 		return fmt.Errorf("shard worker: sending READY: %w", err)
@@ -128,44 +126,48 @@ func ServeConn(rw io.ReadWriter, resolve Resolver, dieAfterRound int) error {
 			if r.Err() != nil {
 				return fmt.Errorf("shard worker: bad PASS: %w", r.Err())
 			}
-			w.BeginPass(bound)
 			// Stream the pass's rounds on our own clock; the coordinator
 			// reads RECORDS(r) at its round r and DIGEST(r) at each batch
-			// boundary, in exactly this order.
-			for round := 1; ; round++ {
-				if dieAfterRound > 0 && round > dieAfterRound {
-					return fmt.Errorf("shard worker: dying before round %d (test hook)", round)
-				}
-				rb, progress := w.RunRound()
-				err := c.send(ftRecords, func(cw *codec.Writer) {
-					encodeRoundBatch(cw, round, progress, rb)
-				})
-				if err != nil {
-					return nil // coordinator gone: clean shutdown
-				}
-				if w.Stopped() {
-					// The transition budget ran out mid-round; the
-					// coordinator hits the same budget at the same
-					// transition and stops without a digest exchange.
-					break
-				}
-				if round%batch == 0 || !progress {
-					digest := w.Digest()
-					err := c.send(ftDigest, func(cw *codec.Writer) {
-						encodeDigest(cw, round, digest)
-					})
-					if err != nil {
-						return nil // coordinator gone: clean shutdown
-					}
-				}
-				if !progress {
-					break // pass fixpoint: park for the next PASS or DONE
-				}
+			// boundary, in exactly the order the sink writes them.
+			if err := w.RunPass(bound); errors.Is(err, errCoordinatorGone) {
+				return nil
+			} else if err != nil {
+				return err
 			}
+			// Pass fixpoint or replicated stop: park for the next PASS or
+			// DONE.
 		default:
 			return fmt.Errorf("shard worker: unexpected %s", ft)
 		}
 	}
+}
+
+// errCoordinatorGone marks a send failure after the handshake.
+var errCoordinatorGone = errors.New("shard worker: coordinator stopped reading")
+
+// frameSink is the worker replica's round sink: every round becomes one
+// RECORDS frame, and — on completed rounds at the digest cadence — one
+// DIGEST frame. A round cut short by the transition budget sends no digest:
+// the coordinator hits the same budget at the same transition and stops
+// without a digest exchange.
+type frameSink struct {
+	c             *conn
+	batch         int
+	dieAfterRound int
+}
+
+func (s *frameSink) EndRound(round int, progress, complete bool, b core.RoundBatch, d core.ShardDigest) error {
+	err := s.c.send(ftRecords, func(cw *codec.Writer) { encodeFrameRecords(cw, round, progress, b) })
+	if err == nil && complete && digestDue(round, s.batch, !progress) {
+		err = s.c.send(ftDigest, func(cw *codec.Writer) { encodeFrameDigest(cw, round, d) })
+	}
+	if err != nil {
+		return errCoordinatorGone
+	}
+	if round == s.dieAfterRound && progress && complete {
+		return fmt.Errorf("shard worker: dying before round %d (test hook)", round+1)
+	}
+	return nil
 }
 
 // refuse reports a worker-side failure to the coordinator (best-effort) and

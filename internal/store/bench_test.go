@@ -19,10 +19,10 @@ func (nullSink) OnRoundCheckpoint(core.RoundCheckpoint) error { return nil }
 
 // BenchmarkCheckpointOverhead decomposes the cost of per-round
 // checkpointing on the sequential Paxos GEN run: plain (no sink) vs
-// null-sink (capture, gather, sort — the engine's share) vs store-sink
-// (plus deep copy, encode, frame write — the store's share). benchjson's
-// -storegate enforces the end-to-end budget; this benchmark says which
-// layer to blame when it trips.
+// null-sink (derive the discovery records, cut the new-state segments — the
+// engine's share) vs store-sink (plus encode, frame write — the store's
+// share). The repo benchmark's serve-resume workload measures the end-to-end
+// cost; this benchmark says which layer to blame when it moves.
 func BenchmarkCheckpointOverhead(b *testing.B) {
 	run := func(b *testing.B, sink func(i int) core.CheckpointSink) {
 		for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
@@ -50,104 +51,21 @@ func decodeRunMeta(r *codec.Reader) RunMeta {
 	}
 }
 
-// recordMin is the minimum encoded size of one DeliveryRecord (entry +
-// parent + rejected flag); element counts are guarded against it so a
-// corrupted count cannot force a giant allocation.
-const recordMin = 17
-
-func encodeRecords(w *codec.Writer, recs []core.DeliveryRecord) {
-	w.Int(len(recs))
-	for i := range recs {
-		rec := &recs[i]
-		w.Int(rec.Entry)
-		w.Uint64(uint64(rec.Parent))
-		w.Bool(rec.Rejected)
-		if rec.Rejected {
-			continue
-		}
-		w.Uint64(uint64(rec.Succ))
-		w.Int(len(rec.Emitted))
-		for _, fp := range rec.Emitted {
-			w.Uint64(uint64(fp))
-		}
-	}
-}
-
-// drainFail consumes the rest of the encoding and overruns it by one read,
-// sticking ErrShortBuffer on the reader. Decoders call it when a count
-// prefix disagrees with the bytes left — the segment is corrupt, and a
-// partial decode must not pass for a clean one.
-func drainFail(r *codec.Reader) {
-	for r.Err() == nil && r.Remaining() > 0 {
-		r.Byte()
-	}
-	r.Int()
-}
-
-func decodeRecords(r *codec.Reader) []core.DeliveryRecord {
-	n := r.Int()
-	if n == 0 {
-		return nil
-	}
-	if n < 0 || n > r.Remaining()/recordMin+1 {
-		drainFail(r)
-		return nil
-	}
-	recs := make([]core.DeliveryRecord, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		rec := core.DeliveryRecord{
-			Entry:    r.Int(),
-			Parent:   codec.Fingerprint(r.Uint64()),
-			Rejected: r.Bool(),
-		}
-		if !rec.Rejected {
-			rec.Succ = codec.Fingerprint(r.Uint64())
-			rec.Emitted = decodeFingerprints(r)
-		}
-		recs = append(recs, rec)
-	}
-	return recs
-}
-
-func encodeFingerprints(w *codec.Writer, fps []codec.Fingerprint) {
-	w.Int(len(fps))
-	for _, fp := range fps {
-		w.Uint64(uint64(fp))
-	}
-}
-
-func decodeFingerprints(r *codec.Reader) []codec.Fingerprint {
-	n := r.Int()
-	if n == 0 {
-		return nil
-	}
-	if n < 0 || n > r.Remaining()/8+1 {
-		drainFail(r)
-		return nil
-	}
-	fps := make([]codec.Fingerprint, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		fps = append(fps, codec.Fingerprint(r.Uint64()))
-	}
-	return fps
-}
-
 // encodeCheckpoint writes one RoundCheckpoint body (the run-ID tag is the
-// caller's). decodeCheckpoint is its inverse; the pair is the fuzz target
+// caller's): the records, fingerprint lists and digest in core's canonical
+// record encoding — the one the shard wire frames too — plus the counter
+// snapshot. decodeCheckpoint is its inverse; the pair is the fuzz target
 // FuzzCheckpointRoundTrip.
 func encodeCheckpoint(w *codec.Writer, cp core.RoundCheckpoint) {
 	w.Int(cp.Pass)
 	w.Int(cp.Round)
 	w.Int(cp.LocalBound)
-	encodeRecords(w, cp.Records)
+	core.EncodeDeliveryRecords(w, cp.Records)
 	w.Int(len(cp.NewStates))
 	for _, fps := range cp.NewStates {
-		encodeFingerprints(w, fps)
+		core.EncodeFingerprints(w, fps)
 	}
-	w.Int(cp.Digest.NetLen)
-	w.Uint64(uint64(cp.Digest.Net))
-	w.Int(cp.Digest.States)
-	w.Uint64(uint64(cp.Digest.Spaces))
+	cp.Digest.Encode(w)
 	encodeCounters(w, cp.Counters)
 }
 
@@ -156,23 +74,15 @@ func decodeCheckpoint(r *codec.Reader) core.RoundCheckpoint {
 		Pass:       r.Int(),
 		Round:      r.Int(),
 		LocalBound: r.Int(),
-		Records:    decodeRecords(r),
+		Records:    core.DecodeDeliveryRecords(r),
 	}
-	n := r.Int()
-	if n < 0 || n > r.Remaining()/8+1 {
-		drainFail(r)
-		return cp
-	}
-	if n > 0 {
+	if n := r.Count(8); n > 0 {
 		cp.NewStates = make([][]codec.Fingerprint, 0, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			cp.NewStates = append(cp.NewStates, decodeFingerprints(r))
+			cp.NewStates = append(cp.NewStates, core.DecodeFingerprints(r))
 		}
 	}
-	cp.Digest.NetLen = r.Int()
-	cp.Digest.Net = codec.Fingerprint(r.Uint64())
-	cp.Digest.States = r.Int()
-	cp.Digest.Spaces = codec.Fingerprint(r.Uint64())
+	cp.Digest = core.DecodeShardDigest(r)
 	cp.Counters = decodeCounters(r)
 	return cp
 }
@@ -212,8 +122,7 @@ func encodeCounters(w *codec.Writer, c stats.Counters) {
 
 func decodeCounters(r *codec.Reader) stats.Counters {
 	if n := r.Int(); n != countersFields {
-		// The snapshot came from a different Counters layout.
-		drainFail(r)
+		r.Fail(fmt.Errorf("store: counter snapshot has %d fields, this binary's has %d", n, countersFields))
 		return stats.Counters{}
 	}
 	return stats.Counters{

@@ -12,7 +12,7 @@
 // lost to power failure simply re-runs from scratch.
 //
 // Checkpoints are fingerprint-only hints, never authority (see
-// internal/core/checkpoint.go): resuming replays exploration with the
+// internal/core/roundlog.go): resuming replays exploration with the
 // stored records primed into the canonical delivery walk, which makes a
 // resumed run bit-for-bit identical to an uninterrupted one. Stale
 // checkpoints — a rebuilt binary, changed options — are caught twice: by

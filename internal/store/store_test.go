@@ -237,3 +237,89 @@ func TestCodeHash(t *testing.T) {
 		t.Fatal("CodeHash not stable")
 	}
 }
+
+// goldenRounds are the two rounds of the run stored in testdata/v1.lmcstore,
+// a file written by the store before the record codec moved to internal/core.
+func goldenRounds() []core.RoundCheckpoint {
+	return []core.RoundCheckpoint{
+		{
+			Pass: 1, Round: 1, LocalBound: 1,
+			Records: []core.DeliveryRecord{
+				{Entry: 0, Parent: 0x1111, Succ: 0x2222, Emitted: []codec.Fingerprint{0xa1, 0xa2}},
+				{Entry: 2, Parent: 0x3333, Succ: 0x4444},
+			},
+			NewStates: [][]codec.Fingerprint{{0x2222}, nil, {0x4444, 0x4445}},
+			Digest:    core.ShardDigest{NetLen: 5, Net: 0xabc, States: 6, Spaces: 0xdef},
+			Counters:  stats.Counters{Transitions: 9, NodeStates: 6, SystemStates: 14, InvariantChecks: 14, MaxDepth: 2, Elapsed: 1234},
+		},
+		{
+			Pass: 1, Round: 2, LocalBound: 1,
+			Records: []core.DeliveryRecord{
+				{Entry: 3, Parent: 0x2222, Rejected: true},
+				{Entry: 5, Parent: 0x4444, Succ: 0x5555, Emitted: []codec.Fingerprint{0xb1}},
+			},
+			NewStates: [][]codec.Fingerprint{nil, {0x5555}, nil},
+			Digest:    core.ShardDigest{NetLen: 6, Net: 0x123, States: 7, Spaces: 0x456},
+			Counters:  stats.Counters{Transitions: 21, NodeStates: 7, SystemStates: 30, InvariantChecks: 30, Rejections: 1, DuplicatesDropped: 3, MaxDepth: 3, Elapsed: 5678},
+		},
+	}
+}
+
+// TestStoreFormatV1Pinned holds the on-disk format at storeVersion 1: the
+// committed file must open and resume to exactly the rounds it was written
+// from, and appending those rounds to a fresh store must produce the same
+// round segments byte for byte.
+func TestStoreFormatV1Pinned(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "v1.lmcstore"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Open may truncate a file it finds damaged; work on a copy.
+	path := filepath.Join(t.TempDir(), "v1.lmcstore")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	meta, ok := s.Run("golden-run")
+	if !ok || meta.Rounds != 2 || meta.CodeHash != 0xc0de || meta.OptionsSig != 0x5167 {
+		t.Fatalf("pinned run reopened as %+v (found %v)", meta, ok)
+	}
+	src := s.Resume("golden-run")
+	if src == nil {
+		t.Fatal("no resume source for the pinned run")
+	}
+	for _, want := range goldenRounds() {
+		got, ok := src.RoundHints(want.Pass, want.Round)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d/%d resumed as (found %v)\n got %+v\nwant %+v", want.Pass, want.Round, ok, got, want)
+		}
+	}
+
+	fresh, err := Open(filepath.Join(t.TempDir(), "fresh.lmcstore"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.CreateRun("golden-run", meta.Spec, meta.CodeHash, meta.OptionsSig); err != nil {
+		t.Fatal(err)
+	}
+	// Header and run segment differ only in the creation time; everything
+	// after them is round segments.
+	roundsFrom := fresh.size
+	for _, cp := range goldenRounds() {
+		if err := fresh.AppendRound("golden-run", cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	written, err := os.ReadFile(fresh.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(written[roundsFrom:], golden[roundsFrom:]) {
+		t.Fatalf("round segments drifted from the pinned v1 encoding:\n got %x\nwant %x", written[roundsFrom:], golden[roundsFrom:])
+	}
+}

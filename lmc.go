@@ -24,37 +24,35 @@
 //
 // # Checking
 //
-// Submit is the entry point: one job-oriented API over all three checkers
-// (local, global baseline, online session), with cancellation, polling and
-// checkpoint progress on the returned Handle.
+// Check runs the local checker from a start system state; CheckContext is
+// the same with an error return for invalid options and a context:
 //
-//	h, err := lmc.Submit(ctx, lmc.JobSpec{
-//	    Machine: machine,
-//	    Options: lmc.NewOptions(lmc.WithInvariant(myInvariant)),
-//	})
+//	res, err := lmc.CheckContext(ctx, machine, lmc.InitialSystem(machine),
+//	    lmc.Options{Invariant: myInvariant})
 //	if err != nil { ... }
-//	res, err := h.Wait(ctx)
-//	for _, bug := range res.Local.Bugs {
+//	for _, bug := range res.Bugs {
 //	    fmt.Println(bug.Violation, bug.Schedule)
 //	}
 //
-// Supplying a Reduction turns on LMC-OPT, the invariant-specific
-// system-state creation of the paper's §4.2. JobGlobal runs the classic
-// bounded-DFS baseline for comparison. NewSim and JobOnline reproduce the
-// paper's online checking scheme: a live (simulated, lossy) deployment
-// snapshotted periodically, with the checker restarted from each snapshot.
-// The older per-checker entry points (Check, Global, Online and their
-// Context forms) remain as thin wrappers.
+// Supplying Options.Reduction turns on LMC-OPT, the invariant-specific
+// system-state creation of the paper's §4.2. Global/GlobalContext run the
+// classic bounded-DFS baseline for comparison. NewSim and
+// Online/OnlineContext reproduce the paper's online checking scheme: a live
+// (simulated, lossy) deployment snapshotted periodically, with the checker
+// restarted from each snapshot.
 //
-// # Options: fields and functional options
+// Cancellation is the context: it is honored at round barriers, and a
+// cancelled run returns its partial Result with StopReason=StopCancelled,
+// not an error. Progress is the event stream: Options.Observer receives
+// round, heartbeat and — with Options.Checkpoint set — one KindCheckpoint
+// event per stored round.
 //
-// Options is a plain struct; NewOptions builds one from functional
-// options. The two styles are exactly equivalent — every WithX helper sets
-// the Options field of the same name (WithInvariant ↔ Options.Invariant,
-// WithWorkers ↔ Options.Workers, WithReduce ↔ Options.Reduce, WithShards ↔
-// Options.Shards, WithObserver ↔ Options.Observer, and so on) — so a
-// NewOptions result can be further adjusted by field assignment and a
-// struct literal can be passed anywhere an Opt-built value can.
+// # Options
+//
+// Options is a plain struct and the zero value of every field is its
+// default; set what the run needs in a literal. Validate reports
+// configurations that cannot produce a meaningful run (the Context entry
+// points call it; the plain ones panic on what it rejects).
 //
 // # Durability
 //
@@ -142,7 +140,7 @@ type (
 	Schedule = trace.Schedule
 )
 
-// Checkpoint/resume vocabulary (see internal/core/checkpoint.go and
+// Checkpoint/resume vocabulary (see internal/core/roundlog.go and
 // internal/store). A run with Options.Checkpoint set hands one
 // RoundCheckpoint to the sink per completed round barrier; a run with
 // Options.Resume set replays a previous run's rounds bit-for-bit.
@@ -258,9 +256,6 @@ const (
 // Check runs the local model checker (LMC) on machine m from the given
 // start system state. Set Options.Reduction for LMC-OPT. It is
 // CheckContext with a background context, panicking on invalid options.
-//
-// Deprecated: use Submit with a JobLocal JobSpec (or CheckContext when an
-// error return is preferred over a panic).
 func Check(m Machine, start SystemState, opt Options) *Result {
 	res, err := CheckContext(context.Background(), m, start, opt)
 	if err != nil {
@@ -275,8 +270,6 @@ func Check(m Machine, start SystemState, opt Options) *Result {
 // from an Observer hook stops at the same round for every Workers setting.
 // A cancelled run is not an error: it returns the partial Result with
 // Complete=false and StopReason=StopCancelled.
-//
-// Deprecated: use Submit with a JobLocal JobSpec.
 func CheckContext(ctx context.Context, m Machine, start SystemState, opt Options) (*Result, error) {
 	return core.CheckContext(ctx, m, start, opt)
 }
@@ -284,9 +277,6 @@ func CheckContext(ctx context.Context, m Machine, start SystemState, opt Options
 // Global runs the classic global-state model checker (B-DFS by default),
 // the baseline the paper compares against. It is GlobalContext with a
 // background context, panicking on invalid options.
-//
-// Deprecated: use Submit with a JobGlobal JobSpec (or GlobalContext when
-// an error return is preferred over a panic).
 func Global(m Machine, start SystemState, opt GlobalOptions) *GlobalResult {
 	res, err := GlobalContext(context.Background(), m, start, opt)
 	if err != nil {
@@ -299,8 +289,6 @@ func Global(m Machine, start SystemState, opt GlobalOptions) *GlobalResult {
 // cooperative cancellation, polled once per worklist iteration. A
 // cancelled search returns the partial GlobalResult with Complete=false
 // and StopReason=StopCancelled.
-//
-// Deprecated: use Submit with a JobGlobal JobSpec.
 func GlobalContext(ctx context.Context, m Machine, start SystemState, opt GlobalOptions) (*GlobalResult, error) {
 	return global.CheckContext(ctx, m, start, opt)
 }
@@ -310,7 +298,7 @@ func InitialSystem(m Machine) SystemState { return model.InitialSystem(m) }
 
 // ParseReductions parses a CLI-style reduction spec — a comma-separated
 // subset of "sym" and "por", or "all" / "none" / "" — into a Reductions
-// value, mirroring the -reduce flag of cmd/lmc and cmd/benchjson.
+// value, mirroring the -reduce flag of cmd/lmc.
 func ParseReductions(spec string) (Reductions, error) {
 	return core.ParseReductions(spec)
 }
@@ -329,9 +317,6 @@ func NewSim(cfg SimConfig) *Sim { return sim.New(cfg) }
 // from each snapshot (the paper's online model checking scheme, §3.3). It
 // is OnlineContext with a background context, panicking on an invalid
 // config.
-//
-// Deprecated: use Submit with a JobOnline JobSpec (or OnlineContext when
-// an error return is preferred over a panic).
 func Online(live *Sim, cfg OnlineConfig) *OnlineReport {
 	rep, err := OnlineContext(context.Background(), live, cfg)
 	if err != nil {
@@ -345,8 +330,6 @@ func Online(live *Sim, cfg OnlineConfig) *OnlineReport {
 // current checker restart off at its next round barrier and stops the
 // session. Each restart is announced to cfg.Checker.Observer with a
 // KindSnapshot event.
-//
-// Deprecated: use Submit with a JobOnline JobSpec.
 func OnlineContext(ctx context.Context, live *Sim, cfg OnlineConfig) (*OnlineReport, error) {
 	return online.RunContext(ctx, live, cfg)
 }

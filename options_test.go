@@ -1,7 +1,6 @@
 package lmc_test
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -9,70 +8,6 @@ import (
 	"lmc/internal/protocols/paxos"
 	"lmc/internal/protocols/randtree"
 )
-
-// comparableInvariant and comparableLocal are DeepEqual-friendly doubles:
-// the InvariantFunc adapters carry func values, which reflect.DeepEqual
-// always reports unequal.
-type comparableInvariant struct{ name string }
-
-func (c comparableInvariant) Name() string                         { return c.name }
-func (c comparableInvariant) Check(lmc.SystemState) *lmc.Violation { return nil }
-
-type comparableLocal struct{ name string }
-
-func (c comparableLocal) Name() string                           { return c.name }
-func (c comparableLocal) CheckNode(lmc.NodeID, lmc.State) string { return "" }
-
-// TestNewOptionsFieldEquivalence pins the documented contract: every Opt
-// helper sets exactly the Options field of the same name, so the
-// functional-options style and a struct literal are interchangeable.
-func TestNewOptionsFieldEquivalence(t *testing.T) {
-	inv := comparableInvariant{"inv"}
-	locals := []lmc.LocalInvariant{comparableLocal{"local"}}
-	red := lmc.Reductions{Symmetry: true, PartialOrder: true}
-	ob := &lmc.EventRecorder{}
-	sink := &recordingSink{}
-
-	got := lmc.NewOptions(
-		lmc.WithInvariant(inv),
-		lmc.WithLocalInvariants(locals...),
-		lmc.WithReduce(red),
-		lmc.WithWorkers(4),
-		lmc.WithShards(3),
-		lmc.WithObserver(ob),
-		lmc.WithBudget(2*time.Second),
-		lmc.WithMaxTransitions(100),
-		lmc.WithStopAtFirstBug(),
-		lmc.WithCheckpoint(sink),
-	)
-	want := lmc.Options{
-		Invariant:       inv,
-		LocalInvariants: locals,
-		Reduce:          red,
-		Workers:         4,
-		Shards:          3,
-		Observer:        ob,
-		Budget:          2 * time.Second,
-		MaxTransitions:  100,
-		StopAtFirstBug:  true,
-		Checkpoint:      sink,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("NewOptions diverged from the equivalent literal:\n got %+v\nwant %+v", got, want)
-	}
-	if !reflect.DeepEqual(lmc.NewOptions(), lmc.Options{}) {
-		t.Fatal("NewOptions() is not the zero Options")
-	}
-}
-
-func TestNewOptionsRuns(t *testing.T) {
-	m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
-	lit := lmc.Check(m, lmc.InitialSystem(m), lmc.Options{Invariant: paxos.Agreement()})
-	fn := lmc.Check(m, lmc.InitialSystem(m), lmc.NewOptions(lmc.WithInvariant(paxos.Agreement())))
-	if lit.Stats.Transitions != fn.Stats.Transitions || lit.Stats.SystemStates != fn.Stats.SystemStates {
-		t.Fatalf("literal and functional options ran differently: %+v vs %+v", lit.Stats, fn.Stats)
-	}
-}
 
 // TestValidateRejections covers each rejection case of the uniform
 // Validate contract across the three option surfaces.
