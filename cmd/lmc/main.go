@@ -55,10 +55,9 @@ type checkConfig struct {
 	first    bool
 	deepen   int
 	maxBound int
-	workers    int
-	shards     int
-	shardBatch int
-	verbose    bool
+	workers  int
+	shards   int
+	verbose  bool
 }
 
 func (c *checkConfig) registerFlags() {
@@ -75,8 +74,6 @@ func (c *checkConfig) registerFlags() {
 		"in-process worker pool per job (0 = one per CPU, negative = sequential)")
 	flag.IntVar(&c.shards, "shards", 0,
 		"split exploration across N processes (coordinator included) by fingerprint range (LMC checkers; <=1 = in-process)")
-	flag.IntVar(&c.shardBatch, "shard-batch", 0,
-		"sharded runs: rounds per replica-digest exchange (<=0 = default; never changes results)")
 	flag.BoolVar(&c.verbose, "v", false, "print witness schedules (run mode)")
 }
 
@@ -87,11 +84,10 @@ func (c *checkConfig) jobSpec() service.JobSpec {
 		Workload: c.workload,
 		Checker:  c.checker,
 		Reduce:   c.reduce,
-		Workers:    c.workers,
-		Shards:     c.shards,
-		ShardBatch: c.shardBatch,
-		Depth:      c.depth,
-		First:      c.first,
+		Workers:  c.workers,
+		Shards:   c.shards,
+		Depth:    c.depth,
+		First:    c.first,
 	}
 	if c.budget > 0 {
 		spec.Budget = c.budget.String()
@@ -218,7 +214,6 @@ func runOnce(cfg checkConfig) error {
 				Shards:  cfg.shards,
 				Spawner: shard.SelfExec{Args: []string{"-shard-worker"}},
 				Spec:    bench.ShardSpec(w.Name),
-				Batch:   cfg.shardBatch,
 			})
 			if err != nil {
 				return err

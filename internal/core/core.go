@@ -96,29 +96,15 @@ type Options struct {
 	// StopAtFirstBug ends the search at the first confirmed violation.
 	StopAtFirstBug bool
 
-	// CreateSystemStates gates system-state materialization and invariant
-	// checking; disabling it yields the "LMC-explore" configuration of
-	// Figure 13. Enabled by default (the zero Options value flips it on
-	// via Check).
+	// DisableSystemStates turns off system-state materialization and the
+	// checking of Invariant on them (LocalInvariants are still checked),
+	// yielding the "LMC-explore" configuration of Figure 13.
 	DisableSystemStates bool
 	// DisableSoundness skips the a-posteriori soundness verification,
 	// yielding the "LMC-system-state" configuration of Figure 13.
-	// Preliminary violations are then counted but never confirmed.
+	// Preliminary violations, of Invariant and of LocalInvariants alike,
+	// are then counted but never confirmed or reported.
 	DisableSoundness bool
-	// DisableReplay skips the final schedule replay that double-checks a
-	// sound violation against the real handlers before reporting.
-	DisableReplay bool
-
-	// MaxPathsPerNode caps the predecessor paths enumerated per node during
-	// soundness verification (the combinatorial cost the paper identifies
-	// in §5.2). Zero means DefaultMaxPathsPerNode.
-	MaxPathsPerNode int
-	// MaxSequencesPerCheck caps the path combinations examined per
-	// soundness call. Zero means DefaultMaxSequencesPerCheck.
-	MaxSequencesPerCheck int
-	// MaxPredecessors caps predecessor edges recorded per node state; 0
-	// means DefaultMaxPredecessors.
-	MaxPredecessors int
 
 	// SoundnessShare bounds the fraction of elapsed wall time spent in
 	// witness searches while exploration is still making progress; searches
@@ -142,32 +128,8 @@ type Options struct {
 	// run truncates at the same transition regardless of Workers.
 	Workers int
 
-	// ParallelThreshold is the Cartesian-product size above which
-	// system-state invariant checking fans out across the worker pool;
-	// below it the dispatch overhead dominates any gain. Zero means the
-	// default of 64.
-	ParallelThreshold int
-
-	// RoundDeliveryCap bounds the message-handler executions each node
-	// performs per exploration round. Late rounds can deliver thousands of
-	// I+ entries across a six-figure visited list; uncapped, one such round
-	// monopolizes the whole wall-clock budget while every deferred
-	// invariant check waits at the round barrier — and a budget-bounded run
-	// then stops having explored much and checked nothing. The cap splits
-	// giant rounds into bounded slices (each entry resumes from its Applied
-	// prefix next round), so checks run at bounded intervals just as they
-	// do in the inline sequential formulation. The boundary is structural —
-	// a fixed execution count, never wall time — so results stay identical
-	// for every worker count. Zero means the default of 8192; negative
-	// disables the cap.
-	RoundDeliveryCap int
-
 	// RecordSeries collects per-round progress samples (Figures 10–13).
 	RecordSeries bool
-
-	// AssertionPolicy selects how handler rejections are treated; both
-	// policies discard the successor state (§4.2, "Local assertions").
-	AssertionPolicy spec.AssertionPolicy
 
 	// Checkpoint, when non-nil, receives a RoundCheckpoint at every
 	// completed round merge barrier: the round's delivery records (the same
@@ -222,38 +184,49 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// Defaults for the soundness-verification caps. The caps trade completeness
-// of the a-posteriori check for bounded cost; the paper accepts the same
-// kind of incompleteness ("the search in the limited time budget is
-// incomplete anyway", §4.2).
+// The soundness-verification caps trade completeness of the a-posteriori
+// check for bounded cost; the paper accepts the same kind of incompleteness
+// ("the search in the limited time budget is incomplete anyway", §4.2).
 const (
-	DefaultMaxPathsPerNode      = 512
-	DefaultMaxSequencesPerCheck = 1 << 14
-	DefaultMaxPredecessors      = 64
-
-	// DefaultParallelThreshold is the Options.ParallelThreshold default: the
-	// combination count above which system-state checking fans out.
-	DefaultParallelThreshold = 64
-
-	// DefaultRoundDeliveryCap is the Options.RoundDeliveryCap default:
-	// per-node message deliveries per round before the round barrier (and
-	// its deferred checks) must run.
-	DefaultRoundDeliveryCap = 8192
-
-	// witnessPairPathCap bounds the alternate paths tried per member of the
-	// conflicting pair during a witness search; witnessCompletionPathCap
-	// does the same for completion nodes. A state can be reachable by
+	// maxPathsPerNode caps the predecessor paths enumerated per node when a
+	// combination is confirmed as a soundness call of its own (the
+	// combinatorial cost the paper identifies in §5.2).
+	maxPathsPerNode = 512
+	// witnessPathCap is the same cap inside a witness search, whose budget
+	// is shared by many candidate combinations. A state can be reachable by
 	// several routes (its predecessor DAG), and a witness may need a route
 	// other than the discovery one — e.g. one that includes the handler
 	// execution that generated a message the pair consumed.
-	witnessPairPathCap       = 8
-	witnessCompletionPathCap = 8
+	witnessPathCap = 8
+	// maxSequencesPerCheck caps the path combinations examined per
+	// soundness call.
+	maxSequencesPerCheck = 1 << 14
+	// maxPredecessors caps the predecessor edges recorded per node state.
+	maxPredecessors = 64
+
+	// parallelThreshold is the Cartesian-product size above which
+	// system-state invariant checking fans out across the worker pool; below
+	// it the dispatch overhead dominates any gain.
+	parallelThreshold = 64
+
+	// roundDeliveryCap bounds the message-handler executions each node
+	// performs per exploration round. Late rounds can deliver thousands of
+	// I+ entries across a six-figure visited list; uncapped, one such round
+	// monopolizes the whole wall-clock budget while every deferred
+	// invariant check waits at the round barrier — and a budget-bounded run
+	// then stops having explored much and checked nothing. The cap splits
+	// giant rounds into bounded slices (each entry resumes from its Applied
+	// prefix next round), so checks run at bounded intervals just as they
+	// do in the inline sequential formulation. The boundary is structural —
+	// a fixed execution count, never wall time — so results stay identical
+	// for every worker count.
+	roundDeliveryCap = 8192
 )
 
 // Bug is a violation confirmed by soundness verification. Schedule is a
 // realizable total order of events from the start system state whose final
 // state violates the invariant; it has been validated by isSequenceValid
-// and (unless DisableReplay) replayed against the real handlers.
+// and replayed against the real handlers.
 type Bug struct {
 	Violation *spec.Violation
 	Schedule  trace.Schedule

@@ -43,12 +43,8 @@ type checker struct {
 	deadline   time.Time
 	localBound int
 
-	// workers is the resolved worker-pool size (>= 1); parThreshold the
-	// resolved Options.ParallelThreshold; roundCap the resolved
-	// Options.RoundDeliveryCap (0 = uncapped).
-	workers      int
-	parThreshold int
-	roundCap     int
+	// workers is the resolved worker-pool size (>= 1).
+	workers int
 
 	// keyer is non-nil when the reduction supports canonical interest keys
 	// (the grouped LMC-OPT path).
@@ -76,10 +72,9 @@ type checker struct {
 
 	// verdicts caches soundness outcomes per system-state fingerprint so a
 	// combination is never verified twice (§4.2 discusses caching violated
-	// system states).
+	// system states). A sound verdict is reported the moment it is cached,
+	// so true also means "already in Result.Bugs". Only confirm.go touches it.
 	verdicts map[codec.Fingerprint]bool
-	// reported guards against duplicate bug reports for one system state.
-	reported map[codec.Fingerprint]bool
 	// witnessed marks (state, node, group) witness searches already run;
 	// like the paper's predecessor-update simplification, completed
 	// searches are not redone when later states extend the completion
@@ -163,14 +158,10 @@ func newChecker(ctx context.Context, m model.Machine, start model.SystemState, o
 	if opt.LocalBound <= 0 {
 		opt.LocalBound = 1
 	}
-	if opt.MaxPathsPerNode <= 0 {
-		opt.MaxPathsPerNode = DefaultMaxPathsPerNode
-	}
-	if opt.MaxSequencesPerCheck <= 0 {
-		opt.MaxSequencesPerCheck = DefaultMaxSequencesPerCheck
-	}
-	if opt.MaxPredecessors <= 0 {
-		opt.MaxPredecessors = DefaultMaxPredecessors
+	if opt.DisableSystemStates {
+		// Figure 13's "LMC-explore": with no invariant, nothing materializes
+		// a system state.
+		opt.Invariant = nil
 	}
 	c := &checker{
 		m:         m,
@@ -178,20 +169,9 @@ func newChecker(ctx context.Context, m model.Machine, start model.SystemState, o
 		start:     start.Clone(),
 		res:       &Result{},
 		verdicts:  make(map[codec.Fingerprint]bool),
-		reported:  make(map[codec.Fingerprint]bool),
 		witnessed: make(map[witnessKey]struct{}),
 	}
 	c.workers = resolveWorkers(opt.Workers)
-	c.parThreshold = opt.ParallelThreshold
-	if c.parThreshold <= 0 {
-		c.parThreshold = DefaultParallelThreshold
-	}
-	switch {
-	case opt.RoundDeliveryCap > 0:
-		c.roundCap = opt.RoundDeliveryCap
-	case opt.RoundDeliveryCap == 0:
-		c.roundCap = DefaultRoundDeliveryCap
-	}
 	if k, ok := opt.Reduction.(spec.Keyer); ok {
 		c.keyer = k
 	}
@@ -271,10 +251,9 @@ func (c *checker) stop(reason obs.StopReason) {
 	}
 }
 
-// pollCancel checks the run context at a round barrier. A nil context (a
-// checker built directly by tests, bypassing run) never cancels.
+// pollCancel checks the run context at a round barrier.
 func (c *checker) pollCancel() {
-	if c.ctx != nil && c.ctx.Err() != nil {
+	if c.ctx.Err() != nil {
 		c.stop(obs.StopCancelled)
 	}
 }
@@ -305,11 +284,7 @@ func (c *checker) pollDeadline(tick *int) bool {
 // under the label inherit it). Labels nest lexically: soundness work
 // reached from inside a sysstate-labeled barrier reports as soundness.
 func (c *checker) underPhase(phase string, f func()) {
-	ctx := c.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pprof.Do(ctx, pprof.Labels("phase", phase), func(context.Context) { f() })
+	pprof.Do(c.ctx, pprof.Labels("phase", phase), func(context.Context) { f() })
 }
 
 // pass explores to a fixpoint under the current local bound, starting from
@@ -482,7 +457,7 @@ func (c *checker) soundnessShareExceeded() bool {
 // addPred appends a predecessor edge unless it duplicates an existing one
 // or the cap is reached.
 func (c *checker) addPred(ns *nodeState, edge pred) {
-	if len(ns.preds) >= c.opt.MaxPredecessors {
+	if len(ns.preds) >= maxPredecessors {
 		return
 	}
 	for _, p := range ns.preds {

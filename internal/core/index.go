@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the incremental index layer under the witness search. The
-// sequential formulation of the search (sysstate.go) re-derived three kinds
+// sequential formulation of the search (witness.go) re-derived three kinds
 // of facts from scratch on every call:
 //
 //   - whether ANY visited state of a completion node generates a message
@@ -73,6 +73,14 @@ func (c *checker) viewLimit(n int, view []int) int {
 		return len(c.spaces[n].states)
 	}
 	return view[n]
+}
+
+// viewStates is the visited-state list of node n as seen at a discovery's
+// virtual time. Deferred witness searches pass a nil view and see everything
+// visited by the time they run, matching the sequential algorithm's deferral
+// semantics.
+func (c *checker) viewStates(n int, view []int) []*nodeState {
+	return c.spaces[n].states[:c.viewLimit(n, view)]
 }
 
 // coveredByAny answers one coverage query through the producer index: can
@@ -330,12 +338,6 @@ func (oc *pairOutcome) addRefuted(limits []int) {
 		oc.refuted = oc.refuted[:len(oc.refuted)-1]
 	}
 	oc.refuted = append(oc.refuted, limits)
-}
-
-// outcomeOf looks up the recorded outcome for key; nil-map tolerant for
-// checkers built directly by tests.
-func (c *checker) outcomeOf(key pairKey) *pairOutcome {
-	return c.pairOutcomes[key]
 }
 
 // ensureOutcome returns the outcome record for key, creating it (and the

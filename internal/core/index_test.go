@@ -349,14 +349,14 @@ func TestOutcomeCacheKeysAndNilTolerance(t *testing.T) {
 
 	c := &checker{} // no pairOutcomes map, as tests build it
 	key := pairKeyOf(a, b, miss)
-	if c.outcomeOf(key) != nil {
-		t.Fatal("outcomeOf invented an outcome")
+	if c.pairOutcomes[key] != nil {
+		t.Fatal("empty cache holds an outcome")
 	}
 	oc := c.ensureOutcome(key)
 	if oc == nil {
 		t.Fatal("ensureOutcome failed on empty cache")
 	}
-	if c.ensureOutcome(key) != oc || c.outcomeOf(key) != oc {
+	if c.ensureOutcome(key) != oc || c.pairOutcomes[key] != oc {
 		t.Fatal("outcome identity not stable")
 	}
 }

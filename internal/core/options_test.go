@@ -7,8 +7,10 @@ import (
 	"lmc/internal/actordemo"
 	"lmc/internal/model"
 	"lmc/internal/protocols/paxos"
+	"lmc/internal/protocols/randtree"
 	"lmc/internal/protocols/tree"
 	"lmc/internal/protocols/twophase"
+	"lmc/internal/spec"
 )
 
 func paxosSpace() (*paxos.Machine, model.SystemState) {
@@ -129,6 +131,7 @@ func TestWorkersParity(t *testing.T) {
 				return Check(tc.m, start, o)
 			}
 			base := run(-1) // forced sequential reference
+			assertBugsWellFormed(t, tc.m, start, tc.opt, base)
 			for _, w := range []int{0, 1, 4, 8} {
 				got := run(w)
 				assertSameResult(t, w, base, got)
@@ -247,28 +250,50 @@ func TestDisableSystemStates(t *testing.T) {
 }
 
 // TestDisableSoundness: the LMC-system-state configuration counts
-// preliminary violations but confirms nothing.
+// preliminary violations but confirms nothing, whatever found them — the
+// OPT witness leaf (paxos-bug) or a node-local invariant (randtree-bug).
 func TestDisableSoundness(t *testing.T) {
-	m := paxos.New(3, paxos.LastResponseBug, paxos.ActiveIndex{MaxPerNode: 1})
-	live, err := paxos.PaperLiveState(m)
+	pm := paxos.New(3, paxos.LastResponseBug, paxos.ActiveIndex{MaxPerNode: 1})
+	live, err := paxos.PaperLiveState(pm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Check(m, live, Options{
-		Invariant:            paxos.Agreement(),
-		Reduction:            paxos.Reduction{},
-		DisableSoundness:     true,
-		Budget:               2 * time.Second,
-		MaxSequencesPerCheck: 256, // bound per-search enumeration
-	})
-	if res.Stats.ConfirmedBugs != 0 || len(res.Bugs) != 0 {
-		t.Fatal("bugs confirmed with soundness disabled")
+	rt := randtree.New(5, 2, randtree.SelfSiblingBug)
+	cases := []struct {
+		name  string
+		m     model.Machine
+		start model.SystemState
+		opt   Options
+		// exact is set when the run is deterministic (no wall-clock budget),
+		// so the counters can be pinned.
+		exact bool
+	}{
+		{"paxos-bug-opt", pm, live, Options{
+			Invariant: paxos.Agreement(), Reduction: paxos.Reduction{},
+			Budget: 2 * time.Second}, false},
+		{"randtree-bug-local", rt, model.InitialSystem(rt), Options{
+			LocalInvariants: []spec.LocalInvariant{randtree.Structure()}}, true},
 	}
-	if res.Stats.PreliminaryViolations == 0 {
-		// Under heavy machine load exploration may not reach a conflicting
-		// state within the budget; the property under test (no confirmed
-		// bugs with soundness disabled) has been checked either way.
-		t.Skip("no conflicting states materialized within the budget")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opt.DisableSoundness = true
+			res := Check(tc.m, tc.start, tc.opt)
+			if res.Stats.ConfirmedBugs != 0 || len(res.Bugs) != 0 {
+				t.Fatalf("bugs confirmed with soundness disabled: %s", res.Stats.String())
+			}
+			if tc.exact {
+				if res.Stats.PreliminaryViolations == 0 || res.Stats.SoundnessCalls != 0 ||
+					res.Stats.SequencesChecked != 0 {
+					t.Fatalf("want violations counted and no soundness work: %s", res.Stats.String())
+				}
+			} else if res.Stats.PreliminaryViolations == 0 {
+				// Under heavy machine load exploration may not reach a
+				// conflicting state within the budget; the property under test
+				// (no confirmed bugs with soundness disabled) has been checked
+				// either way.
+				t.Skip("no conflicting states materialized within the budget")
+			}
+		})
 	}
 }
 

@@ -48,7 +48,7 @@ type nodeRun struct {
 	suppressed bool // the local bound suppressed an action
 
 	// delivered counts this node's message-handler executions this round,
-	// against the checker's round delivery cap.
+	// against roundDeliveryCap.
 	delivered int
 
 	deadlineTick int
@@ -57,7 +57,7 @@ type nodeRun struct {
 // capped reports whether this node has exhausted its per-round delivery
 // budget; the sweep pauses and resumes from the Applied prefixes next round.
 func (r *nodeRun) capped() bool {
-	return r.c.roundCap > 0 && r.delivered >= r.c.roundCap
+	return r.delivered >= roundDeliveryCap
 }
 
 // emitBatch is one handler execution's emitted messages, with their

@@ -190,10 +190,9 @@ func (c *checker) orbitNontrivial(fps []codec.Fingerprint) bool {
 // verdicts here, so a reduced run reports every arrangement-specific bug the
 // unreduced run reports.
 func (c *checker) sweepOrbits() {
+	// No orbit is recorded unless an invariant found a violation, so
+	// c.opt.Invariant is set whenever there is one to sweep.
 	if c.canon == nil || len(c.orbits) == 0 || c.stopped {
-		return
-	}
-	if c.opt.Invariant == nil || c.opt.DisableSystemStates {
 		return
 	}
 	n := len(c.spaces)
@@ -202,7 +201,6 @@ func (c *checker) sweepOrbits() {
 	ss := make(model.SystemState, n)
 	seen := make(map[codec.Fingerprint]bool)
 	var prelims []prelim
-	idx := 0
 	c.underPhase("sysstate", func() {
 		for _, od := range c.orbits {
 			if c.stopped {
@@ -250,29 +248,14 @@ func (c *checker) sweepOrbits() {
 				if depth > c.res.Stats.MaxDepth {
 					c.res.Stats.MaxDepth = depth
 				}
-				v := c.opt.Invariant.Check(ss)
-				if v == nil {
-					return
+				if v := c.opt.Invariant.Check(ss); v != nil {
+					prelims = append(prelims, newPrelim(len(prelims), combo, ss, v))
 				}
-				cp := make([]*nodeState, n)
-				copy(cp, combo)
-				// Repoint a violation retaining the scratch system state at a
-				// stable copy, as the enumeration leaves do.
-				sys := make(model.SystemState, n)
-				copy(sys, ss)
-				if len(v.System) == len(ss) && len(ss) > 0 && &v.System[0] == &ss[0] {
-					v.System = sys
-				}
-				prelims = append(prelims, prelim{idx: idx, combo: cp, v: v})
-				idx++
 			})
 		}
 	})
-	if len(prelims) == 0 {
-		return
-	}
 	c.res.Stats.PreliminaryViolations += len(prelims)
-	c.underPhase("soundness", func() { c.confirmBatch(prelims) })
+	c.confirmBatch(prelims)
 }
 
 // forEachArrangement enumerates every arrangement of the orbit of base:
@@ -427,57 +410,16 @@ func porPartition(paths [][][]pred) (core, det []int) {
 	return core, det
 }
 
-// searchSequences searches the per-member path-choice space for a valid
-// total order, with the partial-order reduction applied when enabled. It is
-// the shared back half of isStateSoundBudget and witnessSequences.
-func (c *checker) searchSequences(paths [][][]pred, budget *int, tally *soundTally) (bool, trace.Schedule) {
-	if c.opt.Reduce.PartialOrder {
-		for k := range paths {
-			paths[k] = dedupFlowPaths(paths[k], &tally.porPathsDropped)
-		}
-		return c.porSearch(paths, budget, tally)
-	}
-	return c.odometerSearch(paths, budget, tally)
-}
-
-// odometerSearch is the unreduced search: the full Cartesian product of the
+// searchSequences is the back half of isStateSound: an odometer over the
 // per-member path choices, each combination handed to the greedy validator,
 // capped by the sequence budget (the exponential cost §5.2 identifies).
-func (c *checker) odometerSearch(paths [][][]pred, budget *int, tally *soundTally) (bool, trace.Schedule) {
-	idx := make([]int, len(paths))
-	cand := make([][]pred, len(paths))
-	for {
-		for k := range paths {
-			cand[k] = paths[k][idx[k]]
-		}
-		*budget--
-		tally.seqs++
-		if ok, sched := c.isSequenceValid(cand); ok {
-			return true, sched
-		}
-		if *budget <= 0 {
-			return false, nil
-		}
-		k := 0
-		for ; k < len(idx); k++ {
-			idx[k]++
-			if idx[k] < len(paths[k]) {
-				break
-			}
-			idx[k] = 0
-		}
-		if k == len(idx) {
-			return false, nil
-		}
-	}
-}
-
-// porSearch is the reduced search: the odometer ranges over the core members
-// only, and each valid core interleaving is extended by appending, for every
-// detachable member, the first of its paths that validates against the
-// core's final message pool.
 //
-// This is exact, both directions. Completeness: in any valid full
+// Unreduced, the odometer ranges over every member. With the partial-order
+// reduction it ranges over the core members only, and each valid core
+// interleaving is extended by appending, for every detachable member, the
+// first of its paths that validates against the core's final message pool.
+//
+// The reduction is exact, both directions. Completeness: in any valid full
 // interleaving, core events never consume detached-generated messages (the
 // detachability condition), so the core projection is itself valid and the
 // core odometer finds it; a detachable member's path then appends validly
@@ -490,14 +432,22 @@ func (c *checker) odometerSearch(paths [][][]pred, budget *int, tally *soundTall
 // Budget: only core combinations charge the shared sequence budget. Append
 // attempts are linear in a single path and budget-exempt, which makes the
 // reduced search dominate the unreduced one under any shared budget — the
-// odometer reaches a given full combination no earlier (in charges) than
-// porSearch reaches its core projection, so every witness the unreduced
+// full odometer reaches a given combination no earlier (in charges) than the
+// core odometer reaches its projection, so every witness the unreduced
 // search can afford, the reduced search can too. They still count into the
 // sequence tally as examined work.
-func (c *checker) porSearch(paths [][][]pred, budget *int, tally *soundTally) (bool, trace.Schedule) {
-	core, det := porPartition(paths)
-	if len(det) == 0 {
-		return c.odometerSearch(paths, budget, tally)
+func (c *checker) searchSequences(paths [][][]pred, budget *int, tally *soundTally) (bool, trace.Schedule) {
+	var core, det []int
+	if c.opt.Reduce.PartialOrder {
+		for k := range paths {
+			paths[k] = dedupFlowPaths(paths[k], &tally.porPathsDropped)
+		}
+		core, det = porPartition(paths)
+	} else {
+		core = make([]int, len(paths))
+		for k := range core {
+			core[k] = k
+		}
 	}
 	idx := make([]int, len(core))
 	cand := make([][]pred, len(core))
@@ -507,8 +457,7 @@ func (c *checker) porSearch(paths [][][]pred, budget *int, tally *soundTally) (b
 		}
 		*budget--
 		tally.seqs++
-		if ok, sched, net := c.sequenceValidNet(cand); ok {
-			full := sched
+		if ok, sched, net := c.isSequenceValid(cand); ok {
 			good := true
 			for _, k := range det {
 				found := false
@@ -516,7 +465,7 @@ func (c *checker) porSearch(paths [][][]pred, budget *int, tally *soundTally) (b
 					tally.seqs++
 					if ok2, sub := appendValid(net, p); ok2 {
 						tally.porDetached++
-						full = append(full, sub...)
+						sched = append(sched, sub...)
 						found = true
 						break
 					}
@@ -527,7 +476,7 @@ func (c *checker) porSearch(paths [][][]pred, budget *int, tally *soundTally) (b
 				}
 			}
 			if good {
-				return true, full
+				return true, sched
 			}
 		}
 		if *budget <= 0 {
@@ -578,7 +527,3 @@ func appendValid(net map[codec.Fingerprint]int, p []pred) (bool, trace.Schedule)
 	}
 	return true, sched
 }
-
-// symmetryActive reports whether the checker resolved a canonicalizer for
-// this run (a test seam).
-func (c *checker) symmetryActive() bool { return c.canon != nil }

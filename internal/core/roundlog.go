@@ -477,23 +477,21 @@ type ShardWorker struct {
 // NewShardWorker builds a worker replica for shard idx of count processes
 // (idx ≥ 1; index 0 is the coordinator). The options must carry the
 // exploration-shaping knobs of the coordinator's run (DupLimit,
-// LocalBound, MaxPathDepth, MaxPredecessors, RoundDeliveryCap,
-// MaxTransitions, MaxSystemDepth, InitialMessages). Reductions, soundness,
-// budgets and observers are stripped — they are coordinator work. The
+// LocalBound, MaxPathDepth, MaxTransitions, MaxSystemDepth,
+// InitialMessages). Reductions, soundness, budgets and observers are
+// stripped — they are coordinator work. The
 // invariant is kept only when shardInvariants is set (and opt.Invariant is
 // non-nil): the worker then sweeps the system-state combinations of the
 // anchors it owns and reports them, instead of exploring without checking.
 func NewShardWorker(m model.Machine, start model.SystemState, opt Options,
 	idx, count int, shardInvariants bool, sink ShardSink) *ShardWorker {
 
-	shardInv := shardInvariants && opt.Invariant != nil
-	if !shardInv {
+	if !shardInvariants {
 		opt.Invariant = nil
 	}
 	opt.LocalInvariants = nil
 	opt.Reduction = nil
 	opt.Reduce = Reductions{}
-	opt.DisableSystemStates = !shardInv
 	opt.DisableSoundness = true
 	opt.Budget = 0
 	opt.StopAtFirstBug = false

@@ -8,37 +8,30 @@ import (
 
 // isStateSound is Procedure isStateSound of Figure 9: given the node states
 // of a preliminarily violating system state, enumerate the event sequences
-// that could lead to each node state (by following predecessor pointers),
-// and search the Cartesian product of the per-node sequences for one
-// combination that admits a valid total order. The system state is valid
-// iff such a combination exists; the realizing schedule is returned as the
+// that could lead to each node state (by following predecessor pointers, at
+// most pathCap per node — the combinatorial cost §5.2 identifies), and search
+// the Cartesian product of the per-node sequences for one combination that
+// admits a valid total order. The system state is valid iff such a
+// combination exists; the realizing schedule is returned as the
 // counterexample witness.
-func (c *checker) isStateSound(combo []*nodeState) (bool, trace.Schedule) {
-	budget := c.opt.MaxSequencesPerCheck
-	var tally soundTally
-	ok, sched := c.isStateSoundBudget(combo, &budget, &tally)
-	c.addTally(&tally)
-	return ok, sched
-}
-
-// isStateSoundBudget is isStateSound with an externally shared sequence
-// budget, so one witness search can spread its allowance across many
-// candidate combinations. Checked sequences are counted into the tally
-// rather than the result stats directly, so speculative confirmations can
-// run on worker goroutines and merge their counts at the canonical point.
-func (c *checker) isStateSoundBudget(combo []*nodeState, budget *int, tally *soundTally) (bool, trace.Schedule) {
+//
+// The sequence budget is the caller's, so one witness search can spread its
+// allowance across many candidate combinations. Checked sequences are counted
+// into the tally rather than the result stats directly, so speculative
+// confirmations can run on worker goroutines and merge their counts at the
+// canonical point.
+func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget *int, tally *soundTally) (bool, trace.Schedule) {
 	paths := make([][][]pred, len(combo))
 	for k, ns := range combo {
-		paths[k] = c.enumeratePaths(ns)
+		paths[k] = c.enumeratePathsCapped(ns, pathCap)
 		if len(paths[k]) == 0 {
 			// No acyclic predecessor path within caps: cannot validate.
 			return false, nil
 		}
 	}
 	// The odometer over the per-node path choices — capped by the sequence
-	// budget (the exponential cost §5.2 identifies) — lives in reduce.go's
-	// searchSequences, which applies the partial-order reduction when
-	// enabled.
+	// budget — lives in reduce.go's searchSequences, which applies the
+	// partial-order reduction when enabled.
 	return c.searchSequences(paths, budget, tally)
 }
 
@@ -69,15 +62,11 @@ func creationPath(ns *nodeState) []pred {
 	return path
 }
 
-// enumeratePaths lists event sequences (as predecessor-edge slices ordered
-// start→state) that lead from the node's start state to ns. Following the
-// paper's simplification, self-referencing edges are ignored and, more
+// enumeratePathsCapped lists event sequences (as predecessor-edge slices
+// ordered start→state) that lead from the node's start state to ns. Following
+// the paper's simplification, self-referencing edges are ignored and, more
 // generally, a backward walk never revisits a state already on its stack;
-// the enumeration is capped at max paths.
-func (c *checker) enumeratePaths(ns *nodeState) [][]pred {
-	return c.enumeratePathsCapped(ns, c.opt.MaxPathsPerNode)
-}
-
+// the enumeration is capped at maxPaths paths.
 func (c *checker) enumeratePathsCapped(ns *nodeState, maxPaths int) [][]pred {
 	var out [][]pred
 	var rev []pred // edges from ns backward
@@ -125,26 +114,6 @@ func (c *checker) enumeratePathsCapped(ns *nodeState, maxPaths int) [][]pred {
 	return out
 }
 
-// witnessSequences validates one candidate witness combination: the two
-// conflicting pair members (indices pairA, pairB) contribute a capped set
-// of alternate paths; every completion node contributes only its creation
-// path. The shared budget caps the total sequence combinations tried;
-// checked sequences are counted into the tally.
-func (c *checker) witnessSequences(combo []*nodeState, pairA, pairB int, budget *int, tally *soundTally) (bool, trace.Schedule) {
-	paths := make([][][]pred, len(combo))
-	for k, ns := range combo {
-		if k == pairA || k == pairB {
-			paths[k] = c.enumeratePathsCapped(ns, witnessPairPathCap)
-		} else {
-			paths[k] = c.enumeratePathsCapped(ns, witnessCompletionPathCap)
-		}
-		if len(paths[k]) == 0 {
-			return false, nil
-		}
-	}
-	return c.searchSequences(paths, budget, tally)
-}
-
 // isSequenceValid is Procedure isSequenceValid of Figure 9, in the
 // efficient formulation of §4.2: rather than loading a simulator, events
 // are validated by integer comparisons over message fingerprints. A local
@@ -155,16 +124,12 @@ func (c *checker) witnessSequences(combo []*nodeState, pairA, pairB int, budget 
 // The greedy strategy is complete: it does not matter which enabled event
 // runs next, since the order demanded by the per-node sequences is enforced
 // by only ever consuming messages that were already generated.
-func (c *checker) isSequenceValid(seqs [][]pred) (bool, trace.Schedule) {
-	ok, sched, _ := c.sequenceValidNet(seqs)
-	return ok, sched
-}
-
-// sequenceValidNet is isSequenceValid exposing the final message pool (the
-// generated-and-unconsumed fingerprint counts after the whole schedule ran).
-// The partial-order reduction appends detachable members' paths against this
-// pool (appendValid in reduce.go).
-func (c *checker) sequenceValidNet(seqs [][]pred) (bool, trace.Schedule, map[codec.Fingerprint]int) {
+//
+// Besides the verdict and the schedule it returns the final message pool
+// (the generated-and-unconsumed fingerprint counts after the whole schedule
+// ran); the partial-order reduction appends detachable members' paths
+// against it (appendValid in reduce.go).
+func (c *checker) isSequenceValid(seqs [][]pred) (bool, trace.Schedule, map[codec.Fingerprint]int) {
 	net := make(map[codec.Fingerprint]int, len(c.initialNet)+8)
 	for _, fp := range c.initialNet {
 		net[fp]++

@@ -42,8 +42,8 @@ func TestEnumeratePathsCyclicGraph(t *testing.T) {
 	// Self-referencing edge, which the paper's simplification ignores.
 	s2.preds = append(s2.preds, pred{prev: s2, kind: model.InternalEvent})
 
-	c := &checker{opt: Options{MaxPathsPerNode: DefaultMaxPathsPerNode}}
-	paths := c.enumeratePaths(s2)
+	c := &checker{}
+	paths := c.enumeratePathsCapped(s2, maxPathsPerNode)
 	if len(paths) != 1 {
 		t.Fatalf("expected exactly the creation path, got %d paths", len(paths))
 	}
@@ -54,7 +54,7 @@ func TestEnumeratePathsCyclicGraph(t *testing.T) {
 	// And from the middle of the cycle: s1's back edge leads to s2, whose
 	// only non-cyclic predecessor is s1 itself (on stack) or its self edge —
 	// so only the direct creation path survives.
-	paths = c.enumeratePaths(s1)
+	paths = c.enumeratePathsCapped(s1, maxPathsPerNode)
 	if len(paths) != 1 || len(paths[0]) != 1 || paths[0][0].prev != s0 {
 		t.Fatalf("cycle leaked into s1's paths: %+v", paths)
 	}
@@ -87,8 +87,8 @@ func ladder(depth, width int) *nodeState {
 // path cap on a DAG with more paths than the cap.
 func TestEnumeratePathsCap(t *testing.T) {
 	tip := ladder(6, 2) // 64 distinct paths
-	c := &checker{opt: Options{MaxPathsPerNode: 16}}
-	if got := len(c.enumeratePaths(tip)); got != 16 {
+	c := &checker{}
+	if got := len(c.enumeratePathsCapped(tip, 16)); got != 16 {
 		t.Fatalf("path cap 16 returned %d paths", got)
 	}
 	if got := len(c.enumeratePathsCapped(tip, 10)); got != 10 {

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"context"
 	"testing"
-	"time"
 
-	"lmc/internal/codec"
 	"lmc/internal/model"
 	"lmc/internal/protocols/paxos"
 )
@@ -74,25 +73,12 @@ func TestProbeWitnessDirect(t *testing.T) {
 	live := PaperLiveState(t, m)
 	finals, _ := buildBugRun(t, m, live)
 
-	c := &checker{
-		m: m,
-		opt: Options{
-			Invariant:            paxos.Agreement(),
-			MaxPathDepth:         8,
-			DisableSystemStates:  true,
-			MaxPathsPerNode:      DefaultMaxPathsPerNode,
-			MaxSequencesPerCheck: DefaultMaxSequencesPerCheck,
-			MaxPredecessors:      DefaultMaxPredecessors,
-			MaxTransitions:       20000,
-		},
-		start:     live.Clone(),
-		res:       &Result{},
-		verdicts:  map[codec.Fingerprint]bool{},
-		reported:  map[codec.Fingerprint]bool{},
-		witnessed: map[witnessKey]struct{}{},
-	}
-	c.localBound = 1
-	c.begin = time.Now()
+	c := newChecker(context.Background(), m, live, Options{
+		MaxPathDepth:        8,
+		DisableSystemStates: true,
+		MaxTransitions:      20000,
+		Workers:             -1,
+	})
 	c.pass()
 	t.Logf("spaces: %d/%d/%d transitions=%d", len(c.spaces[0].states),
 		len(c.spaces[1].states), len(c.spaces[2].states), c.res.Stats.Transitions)
@@ -110,8 +96,8 @@ func TestProbeWitnessDirect(t *testing.T) {
 
 	budget := 1 << 20
 	var tally soundTally
-	ok, sched := c.witnessSequences(combo, 0, 2, &budget, &tally)
-	t.Logf("witnessSequences: ok=%v budgetUsed=%d", ok, 1<<20-budget)
+	ok, sched := c.isStateSound(combo, witnessPathCap, &budget, &tally)
+	t.Logf("isStateSound: ok=%v budgetUsed=%d", ok, 1<<20-budget)
 	if !ok {
 		for n, ns := range combo {
 			t.Logf("node %d creation path:", n)

@@ -115,6 +115,37 @@ func (s *SharedNet) Contains(fp codec.Fingerprint) bool {
 	return s.sh.Contains(fp)
 }
 
+// Digest is an order-sensitive fingerprint of the whole network — every
+// entry's (fingerprint, copy) in append order. Two replicas that ran the
+// same rounds agree on it; the shard protocol compares digests at round
+// ends to detect divergence.
+func (s *SharedNet) Digest() codec.Fingerprint {
+	view := *s.view.Load()
+	h := codec.NewHasher()
+	h.Add(codec.Fingerprint(len(view)))
+	for _, e := range view {
+		h.Add(e.FP)
+		h.Add(codec.Fingerprint(e.Copy))
+	}
+	return h.Sum()
+}
+
+// AnyAdmissible reports whether at least one of the fingerprints would be
+// admitted by the duplicate limit right now. The sharded merge uses it to
+// decide whether a fingerprint-only emission batch needs its messages
+// materialized: when every copy budget is exhausted the whole batch drops
+// without re-executing the producing handler.
+func (s *SharedNet) AnyAdmissible(fps []codec.Fingerprint) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, fp := range fps {
+		if s.sh.index[fp] < 1+s.sh.DupLimit {
+			return true
+		}
+	}
+	return false
+}
+
 // Epoch is an immutable snapshot of the shared network taken at a round
 // boundary. Exploration workers of one round all iterate the same epoch, so
 // the set of deliverable messages is identical for every worker count.

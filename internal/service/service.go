@@ -51,10 +51,6 @@ type JobSpec struct {
 	// Shards requests sharded multi-process exploration: the total process
 	// count, coordinator included (<=1 = in-process).
 	Shards int `json:"shards,omitempty"`
-	// ShardBatch is the sharded run's digest cadence in rounds (<=0 =
-	// default). Like Shards it never changes results, only synchronization
-	// frequency, so it is excluded from Sig.
-	ShardBatch int `json:"shard_batch,omitempty"`
 	// Budget is a Go duration string bounding wall time ("30s"; empty =
 	// unbounded).
 	Budget string `json:"budget,omitempty"`
@@ -579,7 +575,6 @@ func (s *Service) runLocal(ctx context.Context, spec JobSpec, w bench.Workload,
 			Shards:  spec.Shards,
 			Spawner: s.spawner,
 			Spec:    bench.ShardSpec(w.Name),
-			Batch:   spec.ShardBatch,
 		})
 		return res, false, err
 	}

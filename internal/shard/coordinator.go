@@ -54,18 +54,16 @@ func dial(cfg Config, opt core.Options) (*link, error) {
 		l.ws = append(l.ws, &remoteWorker{conn: newConn(rwc), rwc: rwc})
 	}
 	h := hello{
-		Version:          Version,
-		Spec:             cfg.Spec,
-		Count:            cfg.Shards,
-		DupLimit:         opt.DupLimit,
-		LocalBound:       opt.LocalBound,
-		MaxPathDepth:     opt.MaxPathDepth,
-		MaxPredecessors:  opt.MaxPredecessors,
-		RoundDeliveryCap: opt.RoundDeliveryCap,
-		MaxTransitions:   opt.MaxTransitions,
-		MaxSystemDepth:   opt.MaxSystemDepth,
-		Batch:            batch,
-		ShardInvariants:  core.ShardInvariantsEligible(opt),
+		Version:         Version,
+		Spec:            cfg.Spec,
+		Count:           cfg.Shards,
+		DupLimit:        opt.DupLimit,
+		LocalBound:      opt.LocalBound,
+		MaxPathDepth:    opt.MaxPathDepth,
+		MaxTransitions:  opt.MaxTransitions,
+		MaxSystemDepth:  opt.MaxSystemDepth,
+		Batch:           batch,
+		ShardInvariants: core.ShardInvariantsEligible(opt),
 	}
 	for wi, w := range l.ws {
 		hi := h

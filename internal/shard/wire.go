@@ -10,12 +10,13 @@ import (
 
 // Version is the wire-protocol version. A worker refuses a HELLO carrying a
 // different version, so mixed-build coordinator/worker pairs fail fast at
-// the handshake instead of diverging mid-run. Version 3 is the streaming
+// the handshake instead of diverging mid-run. Version 4 is the streaming
 // protocol — workers run rounds autonomously after PASS, each round's
 // action/delivery/anchor records travel in one RECORDS frame, and digests
-// are exchanged at batch boundaries — and differs from 2 only in HELLO,
-// which no longer carries an action-records flag.
-const Version = 3
+// are exchanged at batch boundaries — and differs from 3 only in HELLO,
+// which no longer carries the predecessor and round-delivery caps (both are
+// constants of the engine now).
+const Version = 4
 
 // ErrVersionMismatch is the typed refusal a worker returns for a HELLO
 // whose protocol version differs from its own; the coordinator sees the
@@ -85,11 +86,9 @@ type hello struct {
 	Idx     int // 1..Count-1; shard 0 is the coordinator
 	Count   int // total process count, coordinator included
 
-	DupLimit         int
-	LocalBound       int
-	MaxPathDepth     int
-	MaxPredecessors  int
-	RoundDeliveryCap int
+	DupLimit     int
+	LocalBound   int
+	MaxPathDepth int
 	// MaxTransitions travels because it is a replicated stop criterion:
 	// charged in the canonical order, it cuts every replica off at the
 	// same transition. MaxSystemDepth travels because it filters the
@@ -112,8 +111,6 @@ func (h hello) encode(w *codec.Writer) {
 	w.Int(h.DupLimit)
 	w.Int(h.LocalBound)
 	w.Int(h.MaxPathDepth)
-	w.Int(h.MaxPredecessors)
-	w.Int(h.RoundDeliveryCap)
 	w.Int(h.MaxTransitions)
 	w.Int(h.MaxSystemDepth)
 	w.Int(h.Batch)
@@ -122,19 +119,17 @@ func (h hello) encode(w *codec.Writer) {
 
 func decodeHello(r *codec.Reader) hello {
 	return hello{
-		Version:          r.Int(),
-		Spec:             r.String(),
-		Idx:              r.Int(),
-		Count:            r.Int(),
-		DupLimit:         r.Int(),
-		LocalBound:       r.Int(),
-		MaxPathDepth:     r.Int(),
-		MaxPredecessors:  r.Int(),
-		RoundDeliveryCap: r.Int(),
-		MaxTransitions:   r.Int(),
-		MaxSystemDepth:   r.Int(),
-		Batch:            r.Int(),
-		ShardInvariants:  r.Bool(),
+		Version:         r.Int(),
+		Spec:            r.String(),
+		Idx:             r.Int(),
+		Count:           r.Int(),
+		DupLimit:        r.Int(),
+		LocalBound:      r.Int(),
+		MaxPathDepth:    r.Int(),
+		MaxTransitions:  r.Int(),
+		MaxSystemDepth:  r.Int(),
+		Batch:           r.Int(),
+		ShardInvariants: r.Bool(),
 	}
 }
 

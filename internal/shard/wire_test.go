@@ -13,7 +13,6 @@ func TestHelloRoundTrip(t *testing.T) {
 	in := hello{
 		Version: Version, Spec: "bench:paxos", Idx: 2, Count: 4,
 		DupLimit: 1, LocalBound: 3, MaxPathDepth: 9,
-		MaxPredecessors: 64, RoundDeliveryCap: -1,
 		MaxTransitions: 500, MaxSystemDepth: 7,
 		Batch: 8, ShardInvariants: true,
 	}
@@ -235,8 +234,8 @@ func TestDigestRoundTrip(t *testing.T) {
 
 // goldenBatch and the two hex strings below were produced by the v2 codec
 // (internal/shard/wire.go before the record codec moved to core): the RECORDS
-// and DIGEST bodies are pinned byte for byte across the move. Version 3
-// changed only HELLO.
+// and DIGEST bodies are pinned byte for byte across the move. Versions 3
+// and 4 changed only HELLO.
 var goldenBatch = core.RoundBatch{
 	Acts: []core.ActionRecord{
 		{Node: 1, Parent: 0x1111, Action: 2, Succ: 0x2222, Emitted: []codec.Fingerprint{0xa1, 0xa2}},

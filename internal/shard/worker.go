@@ -94,15 +94,13 @@ func ServeConn(rw io.ReadWriter, resolve Resolver, dieAfterRound int) error {
 	}
 	sink := &frameSink{c: c, batch: batch, dieAfterRound: dieAfterRound}
 	w := core.NewShardWorker(wl.Machine, wl.Start, core.Options{
-		DupLimit:         h.DupLimit,
-		LocalBound:       h.LocalBound,
-		MaxPathDepth:     h.MaxPathDepth,
-		MaxPredecessors:  h.MaxPredecessors,
-		RoundDeliveryCap: h.RoundDeliveryCap,
-		MaxTransitions:   h.MaxTransitions,
-		MaxSystemDepth:   h.MaxSystemDepth,
-		InitialMessages:  wl.InitialMessages,
-		Invariant:        wl.Invariant,
+		DupLimit:        h.DupLimit,
+		LocalBound:      h.LocalBound,
+		MaxPathDepth:    h.MaxPathDepth,
+		MaxTransitions:  h.MaxTransitions,
+		MaxSystemDepth:  h.MaxSystemDepth,
+		InitialMessages: wl.InitialMessages,
+		Invariant:       wl.Invariant,
 	}, h.Idx, h.Count, h.ShardInvariants, sink)
 	invOK := h.ShardInvariants && wl.Invariant != nil
 	if err := c.send(ftReady, func(cw *codec.Writer) { cw.Bool(invOK) }); err != nil {

@@ -144,30 +144,3 @@ type Keyer interface {
 	// Conflict) must map to equal keys.
 	InterestKey(i Interest) string
 }
-
-// AssertionPolicy says what LMC does when a handler rejects a message
-// (returns a nil state), per the discussion of local assertions in §4.2.
-type AssertionPolicy int
-
-const (
-	// DiscardState drops the rejecting successor: the assertion is taken to
-	// mean the node state was invalid (the paper's choice — the shared
-	// network's conservative delivery routinely provokes such rejections).
-	DiscardState AssertionPolicy = iota
-	// IgnoreAssertion also drops the successor but counts the rejection
-	// separately, for protocols whose assertions may flag real bugs that
-	// will anyway eventually surface as a system-invariant violation.
-	IgnoreAssertion
-)
-
-// String names the policy.
-func (p AssertionPolicy) String() string {
-	switch p {
-	case DiscardState:
-		return "discard-state"
-	case IgnoreAssertion:
-		return "ignore-assertion"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}

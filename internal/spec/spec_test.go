@@ -66,11 +66,3 @@ func TestLift(t *testing.T) {
 		t.Fatalf("violating node not attributed: %s", v.Detail)
 	}
 }
-
-// TestAssertionPolicyString names both policies.
-func TestAssertionPolicyString(t *testing.T) {
-	if spec.DiscardState.String() != "discard-state" ||
-		spec.IgnoreAssertion.String() != "ignore-assertion" {
-		t.Fatal("policy names changed")
-	}
-}
