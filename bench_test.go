@@ -204,9 +204,8 @@ func BenchmarkPaxosGEN(b *testing.B) {
 			m, start := oneProposal()
 			for i := 0; i < b.N; i++ {
 				res := lmc.Check(m, start, lmc.Options{
-					Invariant:      paxos.Agreement(),
-					SoundnessShare: -1,
-					Observer:       tc.obs,
+					Invariant: paxos.Agreement(),
+					Observer:  tc.obs,
 				})
 				if !res.Complete || len(res.Bugs) != 0 {
 					b.Fatalf("unexpected result: %+v", res.Stats)
@@ -235,7 +234,7 @@ func BenchmarkActor2PC(b *testing.B) {
 		start := lmc.InitialSystem(m)
 		for i := 0; i < b.N; i++ {
 			res := lmc.Check(m, start, lmc.Options{
-				Invariant: twophase.Atomicity(), SoundnessShare: -1})
+				Invariant: twophase.Atomicity()})
 			if !res.Complete || len(res.Bugs) != 0 {
 				b.Fatalf("unexpected result: %+v", res.Stats)
 			}
@@ -246,7 +245,7 @@ func BenchmarkActor2PC(b *testing.B) {
 		start := lmc.InitialSystem(ad)
 		for i := 0; i < b.N; i++ {
 			res := lmc.Check(ad, start, lmc.Options{
-				Invariant: actordemo.Atomicity(ad), SoundnessShare: -1})
+				Invariant: actordemo.Atomicity(ad)})
 			if !res.Complete || len(res.Bugs) != 0 {
 				b.Fatalf("unexpected result: %+v", res.Stats)
 			}

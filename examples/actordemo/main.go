@@ -32,12 +32,12 @@ func main() {
 	fmt.Println("commits on a majority anyway.")
 	fmt.Println()
 
-	gen := lmc.Check(ad, start, lmc.Options{Invariant: inv, SoundnessShare: -1})
+	gen := lmc.Check(ad, start, lmc.Options{Invariant: inv})
 	fmt.Printf("LMC-GEN: %d node states, %d transitions, %d confirmed bug(s)\n",
 		gen.Stats.NodeStates, gen.Stats.Transitions, gen.Stats.ConfirmedBugs)
 
 	opt := lmc.Check(ad, start, lmc.Options{
-		Invariant: inv, Reduction: actordemo.Reduction{Ad: ad}, SoundnessShare: -1})
+		Invariant: inv, Reduction: actordemo.Reduction{Ad: ad}})
 	fmt.Printf("LMC-OPT: %d node states, %d transitions, %d confirmed bug(s)\n",
 		opt.Stats.NodeStates, opt.Stats.Transitions, opt.Stats.ConfirmedBugs)
 

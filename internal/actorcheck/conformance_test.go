@@ -57,12 +57,10 @@ func TestConformanceSuite(t *testing.T) {
 
 			// Fingerprint stability across worker counts: the same space,
 			// bugs and state fingerprints whichever way the pool runs.
-			// (SoundnessShare off — wall-clock deferral is the one knob
-			// allowed to vary.)
 			run := func(workers int) *core.Result {
 				a := tc.build()
 				return core.Check(a, model.InitialSystem(a), core.Options{
-					Invariant: tc.inv(a), Workers: workers, SoundnessShare: -1})
+					Invariant: tc.inv(a), Workers: workers})
 			}
 			base := run(-1)
 			for _, w := range []int{0, 2, 4} {

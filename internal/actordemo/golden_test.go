@@ -30,7 +30,7 @@ const goldenPath = "testdata/witness_majority.json"
 func TestGoldenWitness(t *testing.T) {
 	ad := buggy()
 	start := model.InitialSystem(ad)
-	res := core.Check(ad, start, core.Options{Invariant: actordemo.Atomicity(ad), SoundnessShare: -1})
+	res := core.Check(ad, start, core.Options{Invariant: actordemo.Atomicity(ad)})
 	if len(res.Bugs) == 0 {
 		t.Fatal("seeded bug not found")
 	}

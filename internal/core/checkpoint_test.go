@@ -101,13 +101,13 @@ func TestCheckpointParity(t *testing.T) {
 		{
 			name:  "paxos-gen",
 			m:     paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7}),
-			opt:   Options{Invariant: paxos.Agreement(), SoundnessShare: -1},
+			opt:   Options{Invariant: paxos.Agreement()},
 			kills: []int{1, 2, 3},
 		},
 		{
 			name:  "twophase-bug",
 			m:     twophase.New(3, twophase.MajorityBug),
-			opt:   Options{Invariant: twophase.Atomicity(), SoundnessShare: -1},
+			opt:   Options{Invariant: twophase.Atomicity()},
 			kills: []int{1, 2, 3},
 		},
 	}
@@ -147,12 +147,12 @@ func TestCheckpointParity(t *testing.T) {
 func TestCheckpointKillAtBarrier(t *testing.T) {
 	m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
 	start := model.InitialSystem(m)
-	base := Check(m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1})
+	base := Check(m, start, Options{Invariant: paxos.Agreement()})
 
 	for _, k := range []int{1, 2, 3} {
 		st := newMemStore()
 		ctx, cancel := context.WithCancel(context.Background())
-		opt := Options{Invariant: paxos.Agreement(), SoundnessShare: -1,
+		opt := Options{Invariant: paxos.Agreement(),
 			Checkpoint: st, HeartbeatEvery: -1,
 			Observer: obs.FuncObserver(func(e obs.Event) {
 				if e.Kind == obs.KindRoundEnd && e.Round == k {
@@ -175,7 +175,7 @@ func TestCheckpointKillAtBarrier(t *testing.T) {
 		if _, ok := st.rounds[[2]int{1, k}]; !ok {
 			t.Fatalf("kill@%d: round %d missing from the store", k, k)
 		}
-		res := Check(m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1, Resume: st})
+		res := Check(m, start, Options{Invariant: paxos.Agreement(), Resume: st})
 		assertBitForBit(t, "kill-resume", base, res)
 	}
 }
@@ -188,7 +188,7 @@ func TestResumeDigestDivergence(t *testing.T) {
 	start := model.InitialSystem(m)
 
 	st := newMemStore()
-	Check(m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1, Checkpoint: st})
+	Check(m, start, Options{Invariant: paxos.Agreement(), Checkpoint: st})
 
 	// Corrupt round 2: claim a recorded delivery was rejected. The record
 	// must be one whose successor the round actually discovered (a
@@ -229,7 +229,7 @@ func TestResumeDigestDivergence(t *testing.T) {
 	st.rounds[[2]int{1, 2}] = cp
 
 	var diverged bool
-	res := Check(m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1,
+	res := Check(m, start, Options{Invariant: paxos.Agreement(),
 		Resume: st, HeartbeatEvery: -1,
 		Observer: obs.FuncObserver(func(e obs.Event) {
 			if e.Kind == obs.KindResume && e.Detail != "" {
@@ -254,12 +254,12 @@ func TestResumeDigestDivergence(t *testing.T) {
 func TestCheckpointSinkFailure(t *testing.T) {
 	m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
 	start := model.InitialSystem(m)
-	base := Check(m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1})
+	base := Check(m, start, Options{Invariant: paxos.Agreement()})
 
 	st := newMemStore()
 	st.err = errors.New("disk full")
 	var failures int
-	res := Check(m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1,
+	res := Check(m, start, Options{Invariant: paxos.Agreement(),
 		Checkpoint: st, HeartbeatEvery: -1,
 		Observer: obs.FuncObserver(func(e obs.Event) {
 			if e.Kind == obs.KindCheckpoint && e.Detail != "" {
@@ -281,9 +281,9 @@ func TestCheckpointWorkersParity(t *testing.T) {
 	start := model.InitialSystem(m)
 
 	seq := newMemStore()
-	Check(m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1, Workers: -1, Checkpoint: seq})
+	Check(m, start, Options{Invariant: paxos.Agreement(), Workers: -1, Checkpoint: seq})
 	par := newMemStore()
-	Check(m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1, Workers: 4, Checkpoint: par})
+	Check(m, start, Options{Invariant: paxos.Agreement(), Workers: 4, Checkpoint: par})
 
 	if len(seq.rounds) != len(par.rounds) {
 		t.Fatalf("round counts diverged: seq=%d par=%d", len(seq.rounds), len(par.rounds))
@@ -325,7 +325,7 @@ func TestCheckpointOverheadSmoke(t *testing.T) {
 	}
 	m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
 	start := model.InitialSystem(m)
-	opt := Options{Invariant: paxos.Agreement(), SoundnessShare: -1}
+	opt := Options{Invariant: paxos.Agreement()}
 
 	best := func(o Options) time.Duration {
 		min := time.Duration(1<<62 - 1)

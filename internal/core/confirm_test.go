@@ -99,7 +99,6 @@ func TestVerdictPathOrigins(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				opt := tc.opt
 				opt.StopAtFirstBug = first
-				opt.SoundnessShare = -1
 				opt.Workers = -1
 				res := Check(tc.m, tc.start, opt)
 				if len(res.Bugs) == 0 {

@@ -106,16 +106,6 @@ type Options struct {
 	// are then counted but never confirmed or reported.
 	DisableSoundness bool
 
-	// SoundnessShare bounds the fraction of elapsed wall time spent in
-	// witness searches while exploration is still making progress; searches
-	// beyond the share are queued and drained between rounds and at the
-	// exploration fixpoint. §4.3 observes that "the cost of soundness
-	// verification dominates" when preliminary violations are plentiful —
-	// the share keeps the checker exploring toward the states that make
-	// witnesses valid instead of exhaustively refuting early junk. Zero
-	// means the default of 0.5; negative disables deferral.
-	SoundnessShare float64
-
 	// Workers sets the size of the worker pool used for exploration rounds,
 	// system-state invariant checking, and speculative soundness
 	// confirmation ("the model checking process can be embarrassingly
@@ -177,9 +167,6 @@ type Options struct {
 func (o *Options) Validate() error {
 	if o.Invariant == nil && len(o.LocalInvariants) == 0 && !o.DisableSystemStates {
 		return errors.New("core: Options.Invariant is required (or supply LocalInvariants, or set DisableSystemStates for a pure exploration run)")
-	}
-	if o.SoundnessShare > 1 {
-		return errors.New("core: Options.SoundnessShare is a fraction of elapsed wall time and must be <= 1 (negative disables deferral)")
 	}
 	return nil
 }
@@ -386,31 +373,6 @@ type witnessKey struct {
 	fp    codec.Fingerprint
 	node  int
 	group string
-}
-
-// pendingSearch is a witness search deferred by the soundness share.
-type pendingSearch struct {
-	ns    *nodeState
-	node  int
-	group string
-}
-
-// searchQueue is a min-heap of deferred witness searches ordered by the
-// depth of the triggering node state: shallow states are more likely to be
-// valid (junk combinations accumulate with depth), so their searches run
-// first when the soundness share frees up.
-type searchQueue []pendingSearch
-
-func (q searchQueue) Len() int           { return len(q) }
-func (q searchQueue) Less(i, j int) bool { return q[i].ns.depth < q[j].ns.depth }
-func (q searchQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *searchQueue) Push(x any)        { *q = append(*q, x.(pendingSearch)) }
-func (q *searchQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }
 
 // interestGroup is the bucket of node states sharing one interest key.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"runtime"
 	"runtime/pprof"
@@ -80,9 +79,6 @@ type checker struct {
 	// searches are not redone when later states extend the completion
 	// space — new states trigger their own searches instead.
 	witnessed map[witnessKey]struct{}
-	// pending queues witness searches deferred by the soundness share,
-	// prioritized by the triggering state's depth.
-	pending searchQueue
 	// pairOutcomes is the epoch-gated witness outcome cache (index.go). Its
 	// evidence is positional in the current pass's visited lists, so pass()
 	// resets it along with the LS sets.
@@ -98,6 +94,9 @@ type checker struct {
 	// stopped is set.
 	reason         obs.StopReason
 	passSuppressed bool // the local bound suppressed an action this pass
+	// deadlineTick is the canonical-mode poll cadence (chargeTransition);
+	// parallel runs and witness searches keep ticks of their own.
+	deadlineTick int
 	// localExecuted counts internal-action handler executions per node in
 	// the current pass, charged against localBound. During a parallel phase
 	// each slot is owned by its node's worker.
@@ -259,10 +258,11 @@ func (c *checker) pollCancel() {
 }
 
 // deadlinePollInterval is the number of charged work units (handler
-// executions during exploration, combinations during the system-state and
-// witness walks) between wall-clock deadline checks. One shared cadence
+// executions during exploration, in either mode, and combinations during
+// the witness walks) between wall-clock deadline checks. One shared cadence
 // keeps budget cutoffs comparably prompt in every loop while keeping
-// time.Now off the per-unit hot path.
+// time.Now off the per-unit hot path; only the GEN sweep's leaf loop
+// (forEachCombo) keeps a coarser tick of its own.
 const deadlinePollInterval = 256
 
 // pollDeadline charges one unit against the poll cadence and reports
@@ -287,19 +287,6 @@ func (c *checker) underPhase(phase string, f func()) {
 	pprof.Do(c.ctx, pprof.Labels("phase", phase), func(context.Context) { f() })
 }
 
-// pass explores to a fixpoint under the current local bound, starting from
-// scratch (fresh LS sets and fresh I+). It reports whether the fixpoint was
-// reached (as opposed to a stop criterion firing).
-//
-// Each round runs in two phases — internal events, then network events —
-// and each phase fans every node's share out to its own worker goroutine
-// (the per-node exploration is independent: a worker touches only its own
-// LS set and, in the delivery phase, the Applied counters of its own
-// inbound entries, reading the network through an immutable epoch
-// snapshot). Workers buffer emissions and discoveries; the round barrier
-// merges them into I+ in the canonical sequential order and then runs the
-// deferred invariant checks against virtual-time prefix views, so results
-// are bit-for-bit identical for every worker count.
 // beginPass resets the per-pass state: fresh LS sets seeded with the start
 // states, a fresh shared network seeded with the captured in-flight
 // messages, and fresh per-pass caches.
@@ -351,53 +338,58 @@ func (c *checker) beginPass() {
 	}
 }
 
+// pass explores to a fixpoint under the current local bound, starting from
+// scratch (fresh LS sets and fresh I+). It reports whether the fixpoint was
+// reached (as opposed to a stop criterion firing).
+//
+// A round is the two sweeps of Figure 9 — internal events, then network
+// events over an epoch snapshot of I+ — and each sweep ends at the same
+// barrier. A sweep gives every node its own run (runPhase): a run touches
+// only its node's LS set and, for deliveries, the Applied counters of its
+// own inbound entries, and buffers what must interleave deterministically.
+// The barrier (mergePhase) appends the buffered emissions to I+ and runs
+// the deferred invariant checks — witness searches included, right where
+// the order raises them — in the canonical sequential order against
+// virtual-time prefix views, so results are bit-for-bit identical for every
+// worker count and never read the clock unless a Budget is set.
 func (c *checker) pass() bool {
 	c.beginPass()
 	// The start system state itself is checked once, before exploration.
 	c.checkStartState()
 
-	// Exploration phases fan out only when the transition budget is
-	// unbounded: a MaxTransitions cap must be charged in the canonical
-	// sequential order so a bounded run cuts off at the same transition for
-	// every worker count.
+	// Sweeps fan out only when the transition budget is unbounded: a
+	// MaxTransitions cap must be charged in the canonical sequential order so
+	// a bounded run cuts off at the same transition for every worker count.
 	parallel := c.workers >= 2 && c.m.NumNodes() >= 2 && c.opt.MaxTransitions <= 0
 
+	// The sweeps and the barrier's deferred checks run under distinct pprof
+	// phase labels.
+	sweep := func(label string, deliveries bool) (progress bool) {
+		var runs []*nodeRun
+		c.underPhase(label, func() { runs = c.runPhase(parallel, deliveries) })
+		c.underPhase("sysstate", func() { progress = c.mergePhase(runs) })
+		return progress
+	}
+
 	for round := 1; !c.stopped; round++ {
-		progress := false
 		c.em.roundStart()
 		// Round log, first half: the attached sources (a shard fleet, a
-		// stored checkpoint) load this round's records so both phases
-		// below consult them as hints.
+		// stored checkpoint) load this round's records so both sweeps below
+		// consult them as hints.
 		c.beginRound(round)
 
-		// Internal events: execute the enabled actions of every node state
-		// that has not been processed yet (new states from the previous
-		// round included). The phase sweeps and the barrier's deferred
-		// system-state checks run under distinct pprof phase labels.
-		var runsA []*nodeRun
-		c.underPhase("actions", func() { runsA = c.runActionPhase(parallel) })
-		c.underPhase("sysstate", func() {
-			if c.mergeActionPhase(runsA) {
-				progress = true
-			}
-		})
-
-		// Network events (lines 6 and 8 of Figure 9): each message in I+ is
-		// executed on every visited state of its destination node; the
-		// Applied counter skips states already covered in earlier rounds.
-		// Messages appended during this round are picked up next round (the
-		// epoch snapshot), matching the paper's rounds.
-		var runsB []*nodeRun
+		// Internal events execute the enabled actions of every node state
+		// not processed yet (new states from the previous round included).
+		// Network events (lines 6 and 8 of Figure 9) execute each message in
+		// I+ on every visited state of its destination node; the Applied
+		// counter skips states covered in earlier rounds, and messages
+		// appended during this round are picked up next round (the epoch
+		// snapshot), matching the paper's rounds.
+		progress := sweep("actions", false)
 		if !c.stopped {
-			c.underPhase("delivery", func() { runsB = c.runDeliveryPhase(parallel) })
-			c.underPhase("sysstate", func() {
-				if c.mergeDeliveryPhase(runsB) {
-					progress = true
-				}
-			})
+			progress = sweep("delivery", true) || progress
 		}
 
-		c.underPhase("soundness", func() { c.drainPending(false) })
 		c.recordRound()
 		// Round log, second half: the sources verify the round's digest and
 		// the sink stores the round's capture.
@@ -412,46 +404,14 @@ func (c *checker) pass() bool {
 			break
 		}
 		if !progress {
-			// Exploration fixpoint: run every deferred witness search, then
-			// re-expand the recorded violating orbits so every arrangement
-			// the symmetry skip covered gets its own soundness verdict.
-			c.underPhase("soundness", func() { c.drainPending(true) })
+			// Exploration fixpoint: re-expand the recorded violating orbits
+			// so every arrangement the symmetry skip covered gets its own
+			// soundness verdict.
 			c.sweepOrbits()
 			return true
 		}
 	}
 	return false
-}
-
-// drainPending runs deferred witness searches: all of them when force is
-// set (the exploration fixpoint), otherwise only while the soundness share
-// allows. Deferred searches resolve their candidate lists at run time (nil
-// view), so they see everything visited by then.
-func (c *checker) drainPending(force bool) {
-	for c.pending.Len() > 0 && !c.stopped {
-		if !force && c.soundnessShareExceeded() {
-			return
-		}
-		p := heap.Pop(&c.pending).(pendingSearch)
-		c.searchWitness(p.ns, p.node, p.group, true, nil)
-	}
-}
-
-// soundnessShareExceeded reports whether witness searching has consumed its
-// configured share of the elapsed wall time.
-func (c *checker) soundnessShareExceeded() bool {
-	share := c.opt.SoundnessShare
-	if share < 0 {
-		return false
-	}
-	if share == 0 {
-		share = 0.5
-	}
-	spent := c.res.Stats.SoundnessTime
-	if spent < 10*time.Millisecond {
-		return false
-	}
-	return float64(spent) > share*float64(time.Since(c.begin))
 }
 
 // addPred appends a predecessor edge unless it duplicates an existing one
@@ -487,7 +447,7 @@ func (c *checker) chargeTransition() bool {
 		c.stop(obs.StopTransitions)
 		return false
 	}
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
+	if c.pollDeadline(&c.deadlineTick) {
 		c.stop(obs.StopBudget)
 		return false
 	}

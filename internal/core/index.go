@@ -66,21 +66,10 @@ func (sp *space) producerBefore(fp codec.Fingerprint, lim int) bool {
 	return ok && seq < lim
 }
 
-// viewLimit is the number of node n's states visible under view (all of
-// them for the nil view of a deferred search).
-func (c *checker) viewLimit(n int, view []int) int {
-	if view == nil {
-		return len(c.spaces[n].states)
-	}
-	return view[n]
-}
-
 // viewStates is the visited-state list of node n as seen at a discovery's
-// virtual time. Deferred witness searches pass a nil view and see everything
-// visited by the time they run, matching the sequential algorithm's deferral
-// semantics.
+// virtual time: view[n] is the number of its states visible then.
 func (c *checker) viewStates(n int, view []int) []*nodeState {
-	return c.spaces[n].states[:c.viewLimit(n, view)]
+	return c.spaces[n].states[:view[n]]
 }
 
 // coveredByAny answers one coverage query through the producer index: can
@@ -89,7 +78,7 @@ func (c *checker) viewStates(n int, view []int) []*nodeState {
 // every worker count.
 func (c *checker) coveredByAny(completionNodes []int, fp codec.Fingerprint, view []int) bool {
 	for _, n := range completionNodes {
-		if c.spaces[n].producerBefore(fp, c.viewLimit(n, view)) {
+		if c.spaces[n].producerBefore(fp, view[n]) {
 			c.res.Stats.CoverIndexHits++
 			return true
 		}

@@ -118,8 +118,7 @@ func TestProducerIndexIgnoresAddPredEdges(t *testing.T) {
 }
 
 // TestCoveredByAnyMatchesScan checks the full coverage query — several
-// completion nodes, partial views, the nil view of a deferred search —
-// against the scan it replaced.
+// completion nodes, partial and full views — against the scan it replaced.
 func TestCoveredByAnyMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	universe := testUniverse(10)
@@ -130,17 +129,17 @@ func TestCoveredByAnyMatchesScan(t *testing.T) {
 	completion := []int{0, 2}
 	for trial := 0; trial < 300; trial++ {
 		fp := universe[rng.Intn(len(universe))]
-		var view []int
-		if rng.Intn(4) > 0 {
-			view = make([]int, len(c.spaces))
-			for n := range view {
-				view[n] = rng.Intn(len(c.spaces[n].states) + 1)
+		full := rng.Intn(4) == 0
+		view := make([]int, len(c.spaces))
+		for n := range view {
+			view[n] = len(c.spaces[n].states)
+			if !full {
+				view[n] = rng.Intn(view[n] + 1)
 			}
 		}
 		want := false
 		for _, n := range completion {
-			lim := c.viewLimit(n, view)
-			for _, s := range c.spaces[n].states[:lim] {
+			for _, s := range c.viewStates(n, view) {
 				if s.gen.contains(fp) {
 					want = true
 					break

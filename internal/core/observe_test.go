@@ -24,7 +24,6 @@ func TestValidate(t *testing.T) {
 		{"system invariant", Options{Invariant: paxos.Agreement()}, false},
 		{"local invariants only", Options{LocalInvariants: []spec.LocalInvariant{randtree.Structure()}}, false},
 		{"pure exploration", Options{DisableSystemStates: true}, false},
-		{"soundness share above 1", Options{Invariant: paxos.Agreement(), SoundnessShare: 1.5}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -53,7 +52,7 @@ func TestCheckContextValidates(t *testing.T) {
 func TestStopReasons(t *testing.T) {
 	m, start := paxosSpace()
 
-	full := Check(m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1})
+	full := Check(m, start, Options{Invariant: paxos.Agreement()})
 	if !full.Complete || full.StopReason != StopFixpoint {
 		t.Fatalf("fixpoint run: complete=%v reason=%v", full.Complete, full.StopReason)
 	}
@@ -64,7 +63,7 @@ func TestStopReasons(t *testing.T) {
 	}
 
 	bugged := Check(twophase.New(4, twophase.MajorityBug, 2), model.InitialSystem(twophase.New(4, twophase.MajorityBug, 2)),
-		Options{Invariant: twophase.Atomicity(), SoundnessShare: -1, StopAtFirstBug: true})
+		Options{Invariant: twophase.Atomicity(), StopAtFirstBug: true})
 	if len(bugged.Bugs) == 0 {
 		t.Fatal("majority-bug space produced no bug")
 	}
@@ -91,7 +90,7 @@ func TestCancelledContext(t *testing.T) {
 	m, start := paxosSpace()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := CheckContext(ctx, m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1})
+	res, err := CheckContext(ctx, m, start, Options{Invariant: paxos.Agreement()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +125,12 @@ func TestCancelDeterminism(t *testing.T) {
 		{
 			name: "paxos-gen",
 			m:    paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7}),
-			opt:  Options{Invariant: paxos.Agreement(), SoundnessShare: -1},
+			opt:  Options{Invariant: paxos.Agreement()},
 		},
 		{
 			name: "twophase-majority",
 			m:    twophase.New(4, twophase.MajorityBug, 2),
-			opt:  Options{Invariant: twophase.Atomicity(), SoundnessShare: -1},
+			opt:  Options{Invariant: twophase.Atomicity()},
 		},
 	}
 	for _, tc := range cases {
@@ -179,7 +178,7 @@ func TestCancelDeterminism(t *testing.T) {
 func TestWorkersParityWithObserver(t *testing.T) {
 	m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
 	start := model.InitialSystem(m)
-	base := Check(m, start, Options{Invariant: paxos.Agreement(), SoundnessShare: -1, Workers: -1})
+	base := Check(m, start, Options{Invariant: paxos.Agreement(), Workers: -1})
 
 	type runOut struct {
 		res    *Result
@@ -189,7 +188,6 @@ func TestWorkersParityWithObserver(t *testing.T) {
 		rec := &obs.Recorder{}
 		res := Check(m, start, Options{
 			Invariant:      paxos.Agreement(),
-			SoundnessShare: -1,
 			Workers:        workers,
 			Observer:       rec,
 			HeartbeatEvery: -1,
@@ -228,7 +226,6 @@ func TestObserverSeesViolations(t *testing.T) {
 	rec := &obs.Recorder{}
 	res := Check(m, model.InitialSystem(m), Options{
 		Invariant:      twophase.Atomicity(),
-		SoundnessShare: -1,
 		Observer:       rec,
 		HeartbeatEvery: -1,
 	})

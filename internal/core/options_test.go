@@ -6,6 +6,7 @@ import (
 
 	"lmc/internal/actordemo"
 	"lmc/internal/model"
+	"lmc/internal/protocols/onepaxos"
 	"lmc/internal/protocols/paxos"
 	"lmc/internal/protocols/randtree"
 	"lmc/internal/protocols/tree"
@@ -39,33 +40,40 @@ func TestGenOptExploreSameNodeStates(t *testing.T) {
 // TestWorkersParity: the worker pool is an implementation detail — every
 // worker count must produce bit-for-bit identical results: the same bugs,
 // in the same order, with the same system states, and identical
-// deterministic counters. SoundnessShare is disabled in every case because
-// time-based deferral is the one intentionally wall-clock-dependent knob.
+// deterministic counters. No option is set to make that so: a run without a
+// Budget never reads the clock, so the sequential reference must first agree
+// with itself.
 func TestWorkersParity(t *testing.T) {
 	treeInflight := tree.NewPaperTree()
 	actorBug := actordemo.NewAdapter(4, actordemo.MajorityBug, 2)
+	onepaxosBug := onepaxos.New(3, onepaxos.PlusPlusBug, onepaxos.Driver{})
+	onepaxosLive, err := onepaxos.PaperLiveState(onepaxosBug)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		m    model.Machine
-		opt  Options
+		// start is the start system state; nil means the initial one.
+		start model.SystemState
+		opt   Options
 	}{
 		{
 			name: "paxos-gen",
 			m:    paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7}),
-			opt:  Options{Invariant: paxos.Agreement(), SoundnessShare: -1},
+			opt:  Options{Invariant: paxos.Agreement()},
 		},
 		{
 			name: "paxos-opt",
 			m:    paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7}),
-			opt: Options{Invariant: paxos.Agreement(), Reduction: paxos.Reduction{},
-				SoundnessShare: -1},
+			opt:  Options{Invariant: paxos.Agreement(), Reduction: paxos.Reduction{}},
 		},
 		{
 			// A bug-bearing space: exercises preliminary violations, the
 			// speculative confirmation batch, and Bug ordering.
 			name: "twophase-majority",
 			m:    twophase.New(4, twophase.MajorityBug, 2),
-			opt:  Options{Invariant: twophase.Atomicity(), SoundnessShare: -1},
+			opt:  Options{Invariant: twophase.Atomicity()},
 		},
 		{
 			// Local invariants + seeded in-flight messages: exercises the
@@ -78,7 +86,6 @@ func TestWorkersParity(t *testing.T) {
 					tree.Forward{From: 0, To: 1},
 					tree.Forward{From: 0, To: 2},
 				},
-				SoundnessShare: -1,
 			},
 		},
 		{
@@ -88,13 +95,13 @@ func TestWorkersParity(t *testing.T) {
 			// workers.
 			name: "actordemo-majority",
 			m:    actorBug,
-			opt:  Options{Invariant: actordemo.Atomicity(actorBug), SoundnessShare: -1},
+			opt:  Options{Invariant: actordemo.Atomicity(actorBug)},
 		},
 		{
 			name: "actordemo-majority-opt",
 			m:    actorBug,
 			opt: Options{Invariant: actordemo.Atomicity(actorBug),
-				Reduction: actordemo.Reduction{Ad: actorBug}, SoundnessShare: -1},
+				Reduction: actordemo.Reduction{Ad: actorBug}},
 		},
 		{
 			// Reductions on: the symmetry skip predicate, the fixpoint orbit
@@ -102,7 +109,7 @@ func TestWorkersParity(t *testing.T) {
 			// bit-for-bit across worker counts.
 			name: "paxos-gen-reduced",
 			m:    paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7}),
-			opt: Options{Invariant: paxos.Agreement(), SoundnessShare: -1,
+			opt: Options{Invariant: paxos.Agreement(),
 				Reduce: Reductions{Symmetry: true, PartialOrder: true}},
 		},
 		{
@@ -110,7 +117,7 @@ func TestWorkersParity(t *testing.T) {
 			// clean-twin caching interact with speculative confirmation.
 			name: "twophase-majority-reduced",
 			m:    twophase.New(4, twophase.MajorityBug, 2),
-			opt: Options{Invariant: twophase.Atomicity(), SoundnessShare: -1,
+			opt: Options{Invariant: twophase.Atomicity(),
 				Reduce: Reductions{Symmetry: true, PartialOrder: true}},
 		},
 		{
@@ -118,19 +125,34 @@ func TestWorkersParity(t *testing.T) {
 			// still agree bit-for-bit at the cutoff.
 			name: "paxos-gen-capped",
 			m:    paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7}),
-			opt: Options{Invariant: paxos.Agreement(), MaxTransitions: 500,
-				SoundnessShare: -1},
+			opt:  Options{Invariant: paxos.Agreement(), MaxTransitions: 500},
+		},
+		{
+			// Hundreds of witness searches and local-invariant confirmations
+			// cut off by a transition cap, at the default options: every
+			// search runs where the canonical order raises it, so the cap
+			// lands on the same set of searched violations every time.
+			name:  "1paxos-bug",
+			m:     onepaxosBug,
+			start: onepaxosLive,
+			opt: Options{Invariant: onepaxos.Agreement(),
+				LocalInvariants: []spec.LocalInvariant{onepaxos.Separation()},
+				Reduction:       onepaxos.Reduction{}, MaxTransitions: 300},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			start := model.InitialSystem(tc.m)
+			start := tc.start
+			if start == nil {
+				start = model.InitialSystem(tc.m)
+			}
 			run := func(workers int) *Result {
 				o := tc.opt
 				o.Workers = workers
 				return Check(tc.m, start, o)
 			}
 			base := run(-1) // forced sequential reference
+			assertSameResult(t, -1, base, run(-1))
 			assertBugsWellFormed(t, tc.m, start, tc.opt, base)
 			for _, w := range []int{0, 1, 4, 8} {
 				got := run(w)

@@ -434,50 +434,15 @@ func (r *nodeRun) addNext(prev *nodeState, ev model.Event, evFP, historyFP codec
 	return fp, generated
 }
 
-// runActionPhase executes the internal-events half of a round. In parallel
-// mode every node sweeps on its own worker; in canonical mode the sweeps
-// run inline in node order, exactly like the sequential algorithm.
-func (c *checker) runActionPhase(parallel bool) []*nodeRun {
-	runs := c.newRuns(parallel)
-	if !parallel {
-		for _, r := range runs {
-			if c.stopped {
-				break
-			}
-			r.sweepActions()
-		}
-		return runs
-	}
-	c.eachRunParallel(runs, func(r *nodeRun) { r.sweepActions() })
-	return runs
-}
-
-// runDeliveryPhase executes the network-events half of a round against one
-// epoch snapshot. Parallel mode partitions entries by destination across
-// node workers; canonical mode interleaves entries in index order — the
-// exact sequential charging order, which matters when MaxTransitions
-// truncates mid-phase.
-func (c *checker) runDeliveryPhase(parallel bool) []*nodeRun {
-	ep := c.net.Epoch()
-	runs := c.newRuns(parallel)
-	if !parallel {
-		for i := 0; i < ep.Len() && !c.stopped; i++ {
-			e := ep.Entry(i)
-			dst := int(e.Msg.Dst())
-			if dst < 0 || dst >= len(runs) || runs[dst].capped() {
-				continue
-			}
-			runs[dst].deliverEntry(e, i, c.spaces[dst])
-		}
-		return runs
-	}
-	c.eachRunParallel(runs, func(r *nodeRun) { r.sweepDeliveries(ep) })
-	return runs
-}
-
-// newRuns allocates the per-node runs for one phase; parallel runs share a
-// halt flag.
-func (c *checker) newRuns(parallel bool) []*nodeRun {
+// runPhase executes one sweep of a round on fresh per-node runs and returns
+// them for the barrier: the internal events, or — with deliveries set — the
+// network events of one epoch snapshot. In parallel mode every node sweeps
+// its own share on the worker pool (entries partition by destination) under
+// a shared halt flag. Canonical mode runs inline in the sequential
+// algorithm's order: actions node by node, deliveries interleaved in entry
+// order — the exact charging order, which is what makes a MaxTransitions
+// cut-off land on the same transition for every worker count.
+func (c *checker) runPhase(parallel, deliveries bool) []*nodeRun {
 	var halt *atomic.Bool
 	if parallel {
 		halt = new(atomic.Bool)
@@ -486,80 +451,100 @@ func (c *checker) newRuns(parallel bool) []*nodeRun {
 	for n := range runs {
 		runs[n] = &nodeRun{c: c, node: n, halt: halt}
 	}
+	ep := c.net.Epoch()
+	sweep := func(n int) { runs[n].sweepActions() }
+	if deliveries {
+		sweep = func(n int) { runs[n].sweepDeliveries(ep) }
+	}
+	switch {
+	case parallel:
+		c.runParallel(len(runs), sweep)
+		if halt.Load() {
+			// Only the wall-clock deadline raises the flag mid-phase.
+			c.stop(obs.StopBudget)
+		}
+	case deliveries:
+		for i := 0; i < ep.Len() && !c.stopped; i++ {
+			e := ep.Entry(i)
+			dst := int(e.Msg.Dst())
+			if dst < 0 || dst >= len(runs) || runs[dst].capped() {
+				continue
+			}
+			runs[dst].deliverEntry(e, i, c.spaces[dst])
+		}
+	default:
+		for n := range runs {
+			sweep(n)
+		}
+	}
 	return runs
 }
 
-// eachRunParallel fans the per-node work out across the worker pool and
-// waits for the phase barrier. A deadline halt raised by any worker stops
-// the whole run.
-func (c *checker) eachRunParallel(runs []*nodeRun, work func(*nodeRun)) {
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.workers)
-	for _, r := range runs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(r *nodeRun) {
-			defer wg.Done()
-			work(r)
-			<-sem
-		}(r)
-	}
-	wg.Wait()
-	if len(runs) > 0 && runs[0].halt != nil && runs[0].halt.Load() {
-		c.stop(obs.StopBudget)
-	}
-}
-
-// absorbRun folds one run's stats deltas into the result.
-func (c *checker) absorbRun(r *nodeRun) {
-	c.res.Stats.Transitions += r.transitions
-	c.res.Stats.Rejections += r.rejections
-	c.res.Stats.NodeStates += len(r.news)
-	if r.maxDepth > c.res.Stats.MaxDepth {
-		c.res.Stats.MaxDepth = r.maxDepth
-	}
-	if r.suppressed {
-		c.passSuppressed = true
-	}
-}
-
-// mergeActionPhase is the barrier after the internal-events phase:
-// emissions enter I+ in node order — the order the sequential sweep
-// produces them, so entry indexes and duplicate drops are identical for
-// every worker count — and the deferred checks run in the same canonical
-// order. A discovery by node n is checked against the prefix view in which
-// nodes k < n have finished their sweeps and nodes k > n have not, which is
-// exactly what the sequential interleaving exposes at that moment.
-func (c *checker) mergeActionPhase(runs []*nodeRun) bool {
+// mergePhase is the round barrier, the same after either sweep: the per-node
+// buffers enter I+ and the deferred checks run in the order the sequential
+// algorithm would have produced them, so entry indexes, duplicate drops,
+// counters and bugs are identical for every worker count. That order is
+// ascending by producing entry, then by node: the delivery sweep interleaves
+// nodes entry by entry (an entry has one destination, and within it the
+// node's execution order is already right), and internal events all carry
+// entry -1, which leaves them in node order — the order of the sequential
+// action sweep. A discovery is checked against the prefix view the
+// sequential interleaving exposes at that moment: every node's discoveries
+// from earlier (entry, node) groups and nothing later. It reports whether
+// the sweep made progress.
+func (c *checker) mergePhase(runs []*nodeRun) bool {
 	progress := false
+	var emits []emitBatch
+	var news []discovery
 	for _, r := range runs {
-		for _, b := range r.emits {
-			c.mergeEmit(b)
+		c.res.Stats.Transitions += r.transitions
+		c.res.Stats.Rejections += r.rejections
+		c.res.Stats.NodeStates += len(r.news)
+		if r.maxDepth > c.res.Stats.MaxDepth {
+			c.res.Stats.MaxDepth = r.maxDepth
 		}
-		c.absorbRun(r)
-		if r.ran {
+		if r.suppressed {
+			c.passSuppressed = true
+		}
+		if r.ran || r.advanced {
 			progress = true
 		}
+		emits = append(emits, r.emits...)
+		news = append(news, r.news...)
 	}
-
-	pre := c.phaseStarts(runs)
-	defer c.suspendStop()()
-	for n, r := range runs {
-		if len(r.news) == 0 {
-			continue
-		}
-		view := make([]int, len(runs))
-		for k := range view {
-			view[k] = pre[k]
-			if k <= n {
-				view[k] += len(runs[k].news)
+	sort.SliceStable(emits, func(i, j int) bool { return emits[i].entry < emits[j].entry })
+	for _, b := range emits {
+		c.mergeEmit(b)
+	}
+	sort.SliceStable(news, func(i, j int) bool { return news[i].entry < news[j].entry })
+	if c.log.discoveries {
+		// A checkpointed run stores the deliveries that discovered a state;
+		// internal events re-derive inline.
+		for _, d := range news {
+			if d.entry >= 0 {
+				c.log.captureDiscovery(d.entry, d.ns)
 			}
 		}
-		for _, d := range r.news {
+	}
+
+	// The running view starts at the phase-start list lengths and grows by
+	// one (entry, node) group at a time.
+	view := c.phaseStarts(runs)
+	defer c.suspendStop()()
+	for i := 0; i < len(news); {
+		entry, node := news[i].entry, news[i].ns.node
+		j := i
+		for j < len(news) && news[j].entry == entry && news[j].ns.node == node {
+			j++
+		}
+		// The group's own node never participates in its own checks; expose
+		// the group fully for uniformity.
+		view[node] += j - i
+		for ; i < j; i++ {
 			if c.stopped {
 				return progress
 			}
-			c.checkDiscovery(d.ns, view)
+			c.checkDiscovery(news[i].ns, view)
 		}
 	}
 	return progress
@@ -586,79 +571,6 @@ func (c *checker) suspendStop() func() {
 			c.reason = explorationReason
 		}
 	}
-}
-
-// mergeDeliveryPhase is the barrier after the network-events phase. The
-// sequential sweep interleaves nodes entry by entry, so both the emissions
-// and the deferred checks are replayed in ascending entry order (within an
-// entry, per-node execution order is already correct; entries have a single
-// destination, so cross-node ties cannot occur). The prefix view of a
-// discovery from entry i exposes every node's discoveries from entries
-// before i and nothing later.
-func (c *checker) mergeDeliveryPhase(runs []*nodeRun) bool {
-	progress := false
-	for _, r := range runs {
-		c.absorbRun(r)
-		if r.advanced {
-			progress = true
-		}
-	}
-
-	// Emissions, ascending by producing entry.
-	var emits []emitBatch
-	for _, r := range runs {
-		emits = append(emits, r.emits...)
-	}
-	sort.SliceStable(emits, func(i, j int) bool { return emits[i].entry < emits[j].entry })
-	for _, b := range emits {
-		c.mergeEmit(b)
-	}
-
-	// Discoveries, ascending by producing entry, checked group-by-group
-	// with running per-node counts: a check for a discovery from entry i
-	// sees all discoveries from entries i' < i.
-	type tagged struct {
-		discovery
-		node int
-	}
-	var all []tagged
-	for n, r := range runs {
-		for _, d := range r.news {
-			all = append(all, tagged{discovery: d, node: n})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].entry < all[j].entry })
-	if c.log.discoveries {
-		for _, d := range all {
-			c.log.captureDiscovery(d.entry, d.ns)
-		}
-	}
-
-	pre := c.phaseStarts(runs)
-	counts := make([]int, len(runs))
-	defer c.suspendStop()()
-	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].entry == all[i].entry {
-			j++
-		}
-		view := make([]int, len(runs))
-		for k := range view {
-			view[k] = pre[k] + counts[k]
-		}
-		// The group's own discoveries are all on one node, whose list never
-		// participates in its own checks; expose it fully for uniformity.
-		view[all[i].node] += j - i
-		for g := i; g < j; g++ {
-			if c.stopped {
-				return progress
-			}
-			c.checkDiscovery(all[g].ns, view)
-		}
-		counts[all[i].node] += j - i
-		i = j
-	}
-	return progress
 }
 
 // mergeEmit appends one emission batch to I+. A materialized batch adds its

@@ -98,7 +98,7 @@ func assertSameBugSet(t *testing.T, base, got *Result) {
 func TestSymmetryReductionParity(t *testing.T) {
 	m := paxos.New(4, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
 	start := model.InitialSystem(m)
-	opt := Options{Invariant: paxos.Agreement(), SoundnessShare: -1}
+	opt := Options{Invariant: paxos.Agreement()}
 	base := Check(m, start, opt)
 	ropt := opt
 	ropt.Reduce = Reductions{Symmetry: true}
@@ -132,7 +132,7 @@ func TestSymmetryReductionParity(t *testing.T) {
 func TestSymmetryOrbitSweep(t *testing.T) {
 	m := twophase.New(4, twophase.MajorityBug, 2)
 	start := model.InitialSystem(m)
-	opt := Options{Invariant: twophase.Atomicity(), SoundnessShare: -1}
+	opt := Options{Invariant: twophase.Atomicity()}
 	base := Check(m, start, opt)
 	if len(base.Bugs) == 0 {
 		t.Fatal("seed scenario found no bugs; test is vacuous")
@@ -170,7 +170,6 @@ func TestPartialOrderParity(t *testing.T) {
 	opt := Options{
 		Invariant:       m.CausalityInvariant(),
 		InitialMessages: inflight,
-		SoundnessShare:  -1,
 	}
 	base := Check(m, start, opt)
 	if len(base.Bugs) == 0 {
@@ -202,7 +201,7 @@ func TestPartialOrderParity(t *testing.T) {
 func TestCombinedReductions(t *testing.T) {
 	m := twophase.New(4, twophase.MajorityBug, 2)
 	start := model.InitialSystem(m)
-	opt := Options{Invariant: twophase.Atomicity(), SoundnessShare: -1}
+	opt := Options{Invariant: twophase.Atomicity()}
 	base := Check(m, start, opt)
 	ropt := opt
 	ropt.Reduce = Reductions{Symmetry: true, PartialOrder: true}

@@ -200,8 +200,8 @@ func (lg *roundLog) owns(fp codec.Fingerprint) bool {
 }
 
 // captureDiscovery records the delivery that first visited ns: the creation
-// edge carries exactly the record's fields. mergeDeliveryPhase calls it over
-// the round's discoveries in canonical merge order (ascending by entry).
+// edge carries exactly the record's fields. mergePhase calls it over the
+// delivery sweep's discoveries in canonical merge order (ascending by entry).
 func (lg *roundLog) captureDiscovery(entry int, ns *nodeState) {
 	edge := &ns.preds[0]
 	lg.batch.Dels = append(lg.batch.Dels, DeliveryRecord{

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -298,19 +297,7 @@ func (c *checker) forEachCombo(lists [][]*nodeState) {
 		rec(0, 0)
 	}
 
-	if nchunks == 1 {
-		runChunk(0)
-	} else {
-		var wg sync.WaitGroup
-		for ci := 0; ci < nchunks; ci++ {
-			wg.Add(1)
-			go func(ci int) {
-				defer wg.Done()
-				runChunk(ci)
-			}(ci)
-		}
-		wg.Wait()
-	}
+	c.runParallel(nchunks, runChunk)
 	if halt.Load() && !c.deadline.IsZero() && time.Now().After(c.deadline) {
 		c.stop(obs.StopBudget)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"sort"
 
 	"lmc/internal/codec"
@@ -20,9 +19,6 @@ import (
 // Members join in discovery order, so their seq numbers are ascending and
 // the visible prefix is found by binary search.
 func (c *checker) visibleMembers(g *interestGroup, n int, view []int) []*nodeState {
-	if view == nil {
-		return g.members
-	}
 	lim := view[n]
 	i := sort.Search(len(g.members), func(i int) bool { return g.members[i].seq >= lim })
 	return g.members[:i]
@@ -70,14 +66,14 @@ func (c *checker) checkNewStateOpt(ns *nodeState, view []int) {
 				if !c.opt.Reduction.Conflict(ns.interest, g.interest) {
 					continue
 				}
-				c.searchWitness(ns, k, "g:"+key, false, view)
+				c.searchWitness(ns, k, "g:"+key, view)
 				if c.stopped {
 					return
 				}
 			}
 			continue
 		}
-		c.searchWitness(ns, k, "all", false, view)
+		c.searchWitness(ns, k, "all", view)
 		if c.stopped {
 			return
 		}
@@ -85,9 +81,7 @@ func (c *checker) checkNewStateOpt(ns *nodeState, view []int) {
 }
 
 // resolveCandidates returns the conflicting candidate states of node k for
-// a witness search, restricted to the search's view. Deferred searches
-// resolve with a nil view at run time, so they see members that joined in
-// the meantime.
+// a witness search, restricted to the search's view.
 func (c *checker) resolveCandidates(ns *nodeState, k int, groupKey string, view []int) []*nodeState {
 	sp := c.spaces[k]
 	if g, ok := c.keyerGroup(sp, groupKey); ok {
@@ -125,9 +119,6 @@ const witnessPrepFanout = 16
 // search counts as one soundness-verification invocation, with the sequence
 // budget shared across candidates.
 //
-// Unless force is set, the search defers to the pending queue when the
-// soundness share is exhausted, so exploration keeps progressing.
-//
 // The search runs on the incremental index layer (index.go): missing sets
 // come from the pair's flow memos, coverage questions go to the producer
 // index, and candidate pairs whose refutation evidence still stands are
@@ -136,13 +127,9 @@ const witnessPrepFanout = 16
 // pure functions of immutable memos — and committed in candidate order, so
 // the sequential walk below consumes them with the exact sequential budget
 // charges.
-func (c *checker) searchWitness(ns *nodeState, k int, groupKey string, force bool, view []int) {
+func (c *checker) searchWitness(ns *nodeState, k int, groupKey string, view []int) {
 	cacheKey := witnessKey{fp: ns.fp, node: k, group: groupKey}
 	if _, done := c.witnessed[cacheKey]; done {
-		return
-	}
-	if !force && c.soundnessShareExceeded() {
-		heap.Push(&c.pending, pendingSearch{ns: ns, node: k, group: groupKey})
 		return
 	}
 	c.witnessed[cacheKey] = struct{}{}
@@ -167,7 +154,7 @@ func (c *checker) witnessSearch(ns *nodeState, k int, groupKey string, view []in
 	// completed-walk refutation.
 	curLimits := make([]int, len(completionNodes))
 	for i, n := range completionNodes {
-		curLimits[i] = c.viewLimit(n, view)
+		curLimits[i] = view[n]
 	}
 
 	combo := make([]*nodeState, len(c.spaces))

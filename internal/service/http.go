@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"lmc/internal/bench"
@@ -10,7 +11,8 @@ import (
 // Handler returns the service's HTTP API, mounted by cmd/lmc on the same
 // listener as expvar and pprof:
 //
-//	POST /jobs              submit a JobSpec, returns its JobStatus (202)
+//	POST /jobs              submit a JobSpec, returns its JobStatus (202;
+//	                        503 while maxQueued jobs are already waiting)
 //	GET  /jobs              list all jobs
 //	GET  /jobs/{id}         one job's status (includes result when done)
 //	POST /jobs/{id}/cancel  stop at the next round barrier / drop if queued
@@ -21,13 +23,24 @@ func (s *Service) Handler() http.Handler {
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
+		// A JobSpec is under 1 KB; refuse to buffer anything past 1 MiB.
+		r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, "bad job spec: "+err.Error(), http.StatusBadRequest)
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad job spec: "+err.Error(), code)
 			return
 		}
 		st, err := s.Submit(spec)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			code := http.StatusBadRequest
+			if errors.Is(err, errQueueFull) {
+				code = http.StatusServiceUnavailable
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, st)

@@ -114,3 +114,42 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("finished cancel: %d", code)
 	}
 }
+
+// TestHTTPRefusals: a full queue answers 503 without wedging the status
+// routes, and an oversized body is cut off rather than buffered.
+func TestHTTPRefusals(t *testing.T) {
+	s := service.New(service.Config{Store: openStore(t)}) // no Run: nothing drains
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	huge := `{"workload":"` + strings.Repeat("a", 2<<20) + `"}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: %d", code)
+	}
+
+	for i := 0; i < 1024; i++ {
+		if _, err := s.Submit(service.JobSpec{Workload: "tree"}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if code := post(`{"workload":"tree"}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit to a full queue: %d", code)
+	}
+	resp, err := http.Get(srv.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("list with a full queue: %d", resp.StatusCode)
+	}
+}

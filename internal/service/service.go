@@ -186,12 +186,21 @@ type Service struct {
 	observer obs.Observer
 	logf     func(string, ...any)
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string
-	queue  chan string
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []string
+	// queue is the FIFO of job ids waiting for Run; wake (one slot) tells Run
+	// it became non-empty. Nothing blocks while holding mu.
+	queue  []string
+	wake   chan struct{}
 	nextID int
 }
+
+// maxQueued bounds the jobs Submit lets wait for Run; recovered jobs are
+// always admitted.
+const maxQueued = 1024
+
+var errQueueFull = fmt.Errorf("service: %d jobs already queued", maxQueued)
 
 // New builds a Service over the given store.
 func New(cfg Config) *Service {
@@ -210,7 +219,7 @@ func New(cfg Config) *Service {
 		observer: cfg.Observer,
 		logf:     logf,
 		jobs:     make(map[string]*job),
-		queue:    make(chan string, 1024),
+		wake:     make(chan struct{}, 1),
 	}
 }
 
@@ -302,11 +311,21 @@ func (s *Service) enqueueRecovered(spec JobSpec, id string, resume bool, invalid
 	// Error doubles as the invalidation note until the run finishes.
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.queue <- id
+	s.enqueue(id)
+}
+
+// enqueue appends id to the FIFO and wakes Run. Callers hold s.mu.
+func (s *Service) enqueue(id string) {
+	s.queue = append(s.queue, id)
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Submit validates and enqueues a job, filling unset spec fields from the
-// service defaults first.
+// service defaults first. It never blocks: beyond maxQueued waiting jobs it
+// refuses (the HTTP layer answers 503).
 func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	s.applyDefaults(&spec)
 	if err := spec.validate(); err != nil {
@@ -314,6 +333,9 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.queue) >= maxQueued {
+		return JobStatus{}, errQueueFull
+	}
 	if spec.ID == "" {
 		for {
 			s.nextID++
@@ -331,7 +353,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	s.jobs[spec.ID] = j
 	s.order = append(s.order, spec.ID)
-	s.queue <- spec.ID
+	s.enqueue(spec.ID)
 	return j.status, nil
 }
 
@@ -380,49 +402,54 @@ func (s *Service) Cancel(id string) bool {
 // Run executes queued jobs sequentially until ctx is cancelled. It is the
 // daemon's main loop; run it on one goroutine.
 func (s *Service) Run(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case id := <-s.queue:
-			s.mu.Lock()
-			j, ok := s.jobs[id]
-			if !ok || j.status.State != StateQueued {
-				s.mu.Unlock()
-				continue
-			}
-			jctx, cancel := context.WithCancel(ctx)
-			j.cancel = cancel
-			j.status.State = StateRunning
-			status := j.status
-			resume := j.resume
+	for ctx.Err() == nil {
+		s.mu.Lock()
+		if len(s.queue) == 0 {
 			s.mu.Unlock()
-
-			res, err := s.execute(jctx, &status, resume)
-			cancel()
-
-			s.mu.Lock()
-			// The sink mirrored checkpoint progress into the live status
-			// while execute ran; keep it over the stale snapshot.
-			status.CheckpointRounds = j.status.CheckpointRounds
-			j.status = status
-			switch {
-			case err != nil:
-				j.status.State = StateFailed
-				j.status.Error = err.Error()
-				s.logf("job %s failed: %v", id, err)
-			case res.StopReason == obs.StopCancelled.String() && !res.Complete:
-				j.status.State = StateCancelled
-				j.status.Result = res
-				s.logf("job %s cancelled at round barrier", id)
-			default:
-				j.status.State = StateDone
-				j.status.Result = res
-				j.status.Error = ""
-				s.logf("job %s done: complete=%v bugs=%d", id, res.Complete, len(res.Bugs))
+			select {
+			case <-ctx.Done():
+			case <-s.wake:
 			}
-			s.mu.Unlock()
+			continue
 		}
+		id := s.queue[0]
+		s.queue = s.queue[1:]
+		j, ok := s.jobs[id]
+		if !ok || j.status.State != StateQueued {
+			s.mu.Unlock()
+			continue
+		}
+		jctx, cancel := context.WithCancel(ctx)
+		j.cancel = cancel
+		j.status.State = StateRunning
+		status := j.status
+		resume := j.resume
+		s.mu.Unlock()
+
+		res, err := s.execute(jctx, &status, resume)
+		cancel()
+
+		s.mu.Lock()
+		// The sink mirrored checkpoint progress into the live status
+		// while execute ran; keep it over the stale snapshot.
+		status.CheckpointRounds = j.status.CheckpointRounds
+		j.status = status
+		switch {
+		case err != nil:
+			j.status.State = StateFailed
+			j.status.Error = err.Error()
+			s.logf("job %s failed: %v", id, err)
+		case res.StopReason == obs.StopCancelled.String() && !res.Complete:
+			j.status.State = StateCancelled
+			j.status.Result = res
+			s.logf("job %s cancelled at round barrier", id)
+		default:
+			j.status.State = StateDone
+			j.status.Result = res
+			j.status.Error = ""
+			s.logf("job %s done: complete=%v bugs=%d", id, res.Complete, len(res.Bugs))
+		}
+		s.mu.Unlock()
 	}
 }
 

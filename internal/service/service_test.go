@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -429,5 +430,46 @@ func TestServiceResumedShardedSpecRunsInProcess(t *testing.T) {
 	got := waitJob(t, s, "j1")
 	if got.State != service.StateDone || !got.Result.Resumed || !got.Result.Complete {
 		t.Fatalf("sharded-spec resume: state=%s result=%+v err=%q", got.State, got.Result, got.Error)
+	}
+}
+
+// TestSubmitNeverBlocks: with no Run goroutine draining the queue, Submit
+// fills it to its bound and then refuses — it must not block while holding
+// the service lock, which would hang every status read with it.
+func TestSubmitNeverBlocks(t *testing.T) {
+	s := service.New(service.Config{Store: openStore(t)})
+	for i := 0; i < 1024; i++ {
+		if _, err := s.Submit(service.JobSpec{Workload: "tree"}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if _, err := s.Submit(service.JobSpec{Workload: "tree"}); err == nil {
+		t.Fatal("submit beyond the queue bound accepted")
+	}
+	if n := len(s.Jobs()); n != 1024 {
+		t.Fatalf("Jobs() lists %d jobs, want 1024", n)
+	}
+}
+
+// TestRecoverBeyondQueueBound: Recover runs before Run, so a store holding
+// more unfinished runs than Submit's bound must still re-enqueue them all
+// without blocking.
+func TestRecoverBeyondQueueBound(t *testing.T) {
+	st := openStore(t)
+	const runs = 1030
+	for i := 0; i < runs; i++ {
+		spec := service.JobSpec{ID: fmt.Sprintf("r%d", i), Workload: "tree", Checker: "lmc-opt"}
+		specJSON, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CreateRun(spec.ID, string(specJSON), 1, spec.Sig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := service.New(service.Config{Store: st, CodeHash: 1})
+	s.Recover()
+	if n := len(s.Jobs()); n != runs {
+		t.Fatalf("recovered %d jobs, want %d", n, runs)
 	}
 }

@@ -66,7 +66,6 @@ func benchCase(t *testing.T, name string) (model.Machine, model.SystemState, cor
 	return w.Machine, start, core.Options{
 		Invariant:       w.Invariant,
 		LocalInvariants: w.Locals,
-		SoundnessShare:  -1,
 	}
 }
 
@@ -171,7 +170,6 @@ func TestShardsParity(t *testing.T) {
 				opt = core.Options{
 					Invariant:       treeM.CausalityInvariant(),
 					InitialMessages: wl.InitialMessages,
-					SoundnessShare:  -1,
 				}
 			}
 			if tc.mutate != nil {

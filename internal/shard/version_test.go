@@ -87,7 +87,7 @@ func (skewSpawner) Spawn(idx, count int) (io.ReadWriteCloser, error) {
 func TestVersionSkewDegrades(t *testing.T) {
 	m := tree.NewPaperTree()
 	start := model.InitialSystem(m)
-	opt := core.Options{Invariant: m.CausalityInvariant(), SoundnessShare: -1}
+	opt := core.Options{Invariant: m.CausalityInvariant()}
 	base := core.Check(m, start, opt)
 
 	var degraded int

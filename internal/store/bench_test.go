@@ -28,8 +28,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
 			opt := core.Options{
-				Invariant:      paxos.Agreement(),
-				SoundnessShare: -1,
+				Invariant: paxos.Agreement(),
 			}
 			if sink != nil {
 				opt.Checkpoint = sink(i)

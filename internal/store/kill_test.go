@@ -55,10 +55,10 @@ func killCase(proto string) (model.Machine, core.Options, error) {
 	switch proto {
 	case "paxos":
 		m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
-		return m, core.Options{Invariant: paxos.Agreement(), SoundnessShare: -1}, nil
+		return m, core.Options{Invariant: paxos.Agreement()}, nil
 	case "actor-2pc":
 		ad := actordemo.NewAdapter(4, actordemo.MajorityBug, 2)
-		return ad, core.Options{Invariant: actordemo.Atomicity(ad), SoundnessShare: -1}, nil
+		return ad, core.Options{Invariant: actordemo.Atomicity(ad)}, nil
 	}
 	return nil, core.Options{}, fmt.Errorf("unknown kill-case proto %q", proto)
 }

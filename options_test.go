@@ -17,8 +17,7 @@ func TestValidateRejections(t *testing.T) {
 
 	t.Run("core", func(t *testing.T) {
 		cases := []lmc.Options{
-			{},                                  // nothing to check
-			{Invariant: inv, SoundnessShare: 2}, // share > 1
+			{}, // nothing to check
 		}
 		for i, opt := range cases {
 			if err := opt.Validate(); err == nil {
