@@ -67,7 +67,8 @@ func (c *checkConfig) registerFlags() {
 		"state-space reductions for the LMC checkers: comma-separated subset of sym,por (or all/none; default off)")
 	flag.DurationVar(&c.budget, "budget", 30*time.Second, "wall-clock budget per job")
 	flag.IntVar(&c.depth, "depth", 0, "depth bound (0 = unbounded)")
-	flag.BoolVar(&c.first, "first", true, "stop at the first confirmed bug")
+	flag.BoolVar(&c.first, "first", true,
+		"stop at the first confirmed bug (run mode only: a served job sets \"first\" itself)")
 	flag.IntVar(&c.deepen, "deepen", 0, "iterative local-event bound deepening step (LMC; run mode only)")
 	flag.IntVar(&c.maxBound, "maxbound", 4, "maximum local-event bound when deepening (LMC; run mode only)")
 	flag.IntVar(&c.workers, "workers", 0,
@@ -77,8 +78,10 @@ func (c *checkConfig) registerFlags() {
 	flag.BoolVar(&c.verbose, "v", false, "print witness schedules (run mode)")
 }
 
-// jobSpec maps the shared config onto a service job spec (the fields both
-// modes understand; deepen/maxbound/verbose stay run-mode extras).
+// jobSpec maps the shared config onto a service job spec: the job run mode
+// executes, and serve mode's defaults for submitted jobs. First is left out
+// because a bool has no "unset" for a default to fill; run mode sets it on
+// top, as it does deepen/maxbound.
 func (c *checkConfig) jobSpec() service.JobSpec {
 	spec := service.JobSpec{
 		Workload: c.workload,
@@ -87,35 +90,11 @@ func (c *checkConfig) jobSpec() service.JobSpec {
 		Workers:  c.workers,
 		Shards:   c.shards,
 		Depth:    c.depth,
-		First:    c.first,
 	}
 	if c.budget > 0 {
 		spec.Budget = c.budget.String()
 	}
 	return spec
-}
-
-// coreOptions maps the shared config onto engine options for run mode.
-func (c *checkConfig) coreOptions(w bench.Workload) (core.Options, error) {
-	reductions, err := core.ParseReductions(c.reduce)
-	if err != nil {
-		return core.Options{}, err
-	}
-	opt := core.Options{
-		Invariant:       w.Invariant,
-		LocalInvariants: w.Locals,
-		MaxPathDepth:    c.depth,
-		Budget:          c.budget,
-		StopAtFirstBug:  c.first,
-		LocalBoundStep:  c.deepen,
-		MaxLocalBound:   c.maxBound,
-		Workers:         c.workers,
-		Reduce:          reductions,
-	}
-	if c.checker == "lmc-opt" {
-		opt.Reduction = w.Reduction
-	}
-	return opt, nil
 }
 
 func main() {
@@ -173,22 +152,15 @@ func runOnce(cfg checkConfig) error {
 
 	fmt.Printf("workload %s (%s), checker %s\n", w.Name, w.Machine.Name(), cfg.checker)
 
+	spec := cfg.jobSpec()
+	spec.First = cfg.first
 	switch cfg.checker {
 	case "global", "bfs":
-		if w.Invariant == nil {
-			return fmt.Errorf("the global checker needs a system invariant; this workload has only local invariants")
+		gopt, err := spec.GlobalOptions(w)
+		if err != nil {
+			return err
 		}
-		strat := global.DFS
-		if cfg.checker == "bfs" {
-			strat = global.BFS
-		}
-		res := global.Check(w.Machine, start, global.Options{
-			Invariant:      w.Invariant,
-			Strategy:       strat,
-			MaxDepth:       cfg.depth,
-			Budget:         cfg.budget,
-			StopAtFirstBug: cfg.first,
-		})
+		res := global.Check(w.Machine, start, gopt)
 		fmt.Println(res.Stats.String())
 		fmt.Printf("complete=%v bugs=%d\n", res.Complete, len(res.Bugs))
 		for _, b := range res.Bugs {
@@ -198,10 +170,11 @@ func runOnce(cfg checkConfig) error {
 			}
 		}
 	case "lmc", "lmc-opt":
-		opt, err := cfg.coreOptions(w)
+		opt, err := spec.CoreOptions(w)
 		if err != nil {
 			return err
 		}
+		opt.LocalBoundStep, opt.MaxLocalBound = cfg.deepen, cfg.maxBound
 		var res *core.Result
 		if cfg.shards > 1 {
 			opt.Observer = obs.FuncObserver(func(e obs.Event) {

@@ -75,9 +75,6 @@ type NodeState struct {
 	blob []byte
 }
 
-// Blob returns the snapshot bytes. Callers must not mutate them.
-func (s *NodeState) Blob() []byte { return s.blob }
-
 // Encode implements codec.Encoder.
 func (s *NodeState) Encode(w *codec.Writer) { w.Bytes32(s.blob) }
 

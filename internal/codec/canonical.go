@@ -70,9 +70,6 @@ func NewCanonicalizer(n int, classes [][]int) (*Canonicalizer, error) {
 	return c, nil
 }
 
-// NumSlots is the vector width the Canonicalizer was built for.
-func (c *Canonicalizer) NumSlots() int { return c.n }
-
 // NumClasses is the number of (non-trivial) symmetry classes.
 func (c *Canonicalizer) NumClasses() int { return len(c.classes) }
 
@@ -104,7 +101,7 @@ func (c *Canonicalizer) IsCanonical(fps []Fingerprint) bool {
 // by their sorted arrangement. It is invariant under any permutation of
 // slot values within one class and equals Combine(fps...) exactly when
 // IsCanonical(fps) holds (the arrangements coincide). len(fps) must equal
-// NumSlots.
+// the slot count the Canonicalizer was built for.
 func (c *Canonicalizer) Canonical(fps []Fingerprint) Fingerprint {
 	if len(fps) != c.n {
 		panic(fmt.Sprintf("codec: Canonical on %d slots, want %d", len(fps), c.n))

@@ -228,6 +228,13 @@ func TestResumeDigestDivergence(t *testing.T) {
 	cp.Records = recs
 	st.rounds[[2]int{1, 2}] = cp
 
+	assertResumeDiverges(t, m, start, st)
+}
+
+// assertResumeDiverges resumes the paxos space from a corrupted store and
+// requires the run to stop, incomplete, with a detailed KindResume event.
+func assertResumeDiverges(t *testing.T, m model.Machine, start model.SystemState, st *memStore) {
+	t.Helper()
 	var diverged bool
 	res := Check(m, start, Options{Invariant: paxos.Agreement(),
 		Resume: st, HeartbeatEvery: -1,
@@ -246,6 +253,37 @@ func TestResumeDigestDivergence(t *testing.T) {
 	if !diverged {
 		t.Fatal("no KindResume divergence event emitted")
 	}
+}
+
+// TestResumeLyingSuccessor: stored records that lie about a successor — the
+// handler accepts, but lands somewhere else — must stop the resume exactly
+// like records that lie about an emission. The walk's own execution is used
+// either way, so the post-round digest still matches; only the contradicted
+// hint gives the checkpoint away.
+func TestResumeLyingSuccessor(t *testing.T) {
+	m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
+	start := model.InitialSystem(m)
+
+	st := newMemStore()
+	Check(m, start, Options{Invariant: paxos.Agreement(), Checkpoint: st})
+
+	cp := st.rounds[[2]int{1, 2}]
+	recs := make([]DeliveryRecord, len(cp.Records))
+	copy(recs, cp.Records)
+	flipped := 0
+	for i := range recs {
+		if !recs[i].Rejected {
+			recs[i].Succ ^= 1
+			flipped++
+		}
+	}
+	if flipped == 0 {
+		t.Fatal("round 2 carries no accepted record to corrupt")
+	}
+	cp.Records = recs
+	st.rounds[[2]int{1, 2}] = cp
+
+	assertResumeDiverges(t, m, start, st)
 }
 
 // TestCheckpointSinkFailure: a sink error disables checkpointing, surfaces

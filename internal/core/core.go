@@ -154,9 +154,7 @@ type Options struct {
 }
 
 // Validate checks the options for configurations that cannot produce a
-// meaningful run. It is called by CheckContext (and by the facade's
-// context APIs); the legacy Check entry point deliberately skips it for
-// backward compatibility.
+// meaningful run. CheckContext returns its error; Check panics with it.
 //
 // A nil Invariant is legal in two documented configurations: when
 // LocalInvariants are supplied (node-local properties are checked directly

@@ -127,11 +127,14 @@ func resolveWorkers(w int) int {
 
 // Check runs the local model checker on machine m from the given start
 // system state — the live state in online use, or model.InitialSystem(m)
-// for offline checking — under opt. It is a thin wrapper over CheckContext
-// with a background context and, for backward compatibility, no option
-// validation.
+// for offline checking — under opt. It is CheckContext with a background
+// context, panicking on options Validate rejects.
 func Check(m model.Machine, start model.SystemState, opt Options) *Result {
-	return run(context.Background(), m, start, opt)
+	res, err := CheckContext(context.Background(), m, start, opt)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // CheckContext is Check with option validation and cooperative
@@ -189,9 +192,6 @@ func newChecker(ctx context.Context, m model.Machine, start model.SystemState, o
 	c.begin = time.Now()
 	if opt.Budget > 0 {
 		c.deadline = c.begin.Add(opt.Budget)
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	c.ctx = ctx
 	c.em = newEmitter(opt.Observer, opt.HeartbeatEvery, c.begin)

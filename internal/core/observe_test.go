@@ -48,6 +48,19 @@ func TestCheckContextValidates(t *testing.T) {
 	}
 }
 
+// TestCheckPanicsOnInvalidOptions: the plain entry point follows the same
+// rule as global.Check and lmc.Check — what Validate rejects is a panic, not
+// a run that checks nothing.
+func TestCheckPanicsOnInvalidOptions(t *testing.T) {
+	m, start := paxosSpace()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Check ran options without any invariant")
+		}
+	}()
+	Check(m, start, Options{})
+}
+
 // TestStopReasons: every way a run can end is named correctly.
 func TestStopReasons(t *testing.T) {
 	m, start := paxosSpace()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,6 +52,10 @@ type nodeRun struct {
 	// against roundDeliveryCap.
 	delivered int
 
+	// taint is the first round-log hint this run's own execution
+	// contradicted; the barrier latches it on the log.
+	taint error
+
 	deadlineTick int
 }
 
@@ -73,16 +78,12 @@ type emitBatch struct {
 	lazy  *lazyEmit
 }
 
-// lazyEmit is the deferred re-execution closure of a fingerprint-only
-// emission batch: the parent state and the message (or internal action,
-// when isAct is set) whose handler produced it. Node states are immutable
-// once visited, so holding the state is safe.
+// lazyEmit is the deferred re-execution of a fingerprint-only emission
+// batch: the parent state and the event whose handler produced it. Node
+// states are immutable once visited, so holding the state is safe.
 type lazyEmit struct {
-	node  model.NodeID
 	state model.State
-	msg   model.Message
-	act   model.Action
-	isAct bool
+	ev    model.Event
 }
 
 // discovery is one newly visited node state awaiting its deferred
@@ -143,19 +144,12 @@ func (r *nodeRun) sweepActions() {
 
 // runActions executes the internal actions enabled at s, subject to the
 // per-node, per-pass local-event budget of §4.2. It reports whether any
-// handler ran. An ActionRecord in the round log's hint table stands in for
-// the execution (after the canonical charge): a recorded rejection or
-// duplicate successor costs no handler call at all. On a worker replica the
-// execution additionally captures a record when this replica owns the
-// parent's fingerprint range.
+// handler ran. A worker replica captures a record of every execution whose
+// parent falls in its fingerprint range.
 func (r *nodeRun) runActions(s *nodeState) bool {
 	c := r.c
-	acts := c.m.Actions(s.node, s.state)
-	if len(acts) == 0 {
-		return false
-	}
 	ran := false
-	for ai, a := range acts {
+	for ai, a := range c.m.Actions(s.node, s.state) {
 		if r.halted() {
 			break
 		}
@@ -168,50 +162,11 @@ func (r *nodeRun) runActions(s *nodeState) bool {
 			break
 		}
 		c.localExecuted[s.node]++
-		if rec := c.log.action(int(s.node), s.fp, ai); rec != nil {
-			ran = true
-			if rec.Rejected {
-				r.rejections++
-				continue
-			}
-			if existing := c.spaces[s.node].lookup(rec.Succ); existing != nil {
-				// Sequential addNext buffers the emissions before the
-				// duplicate lookup, so the record's emission fingerprints
-				// must enter the merge even though the successor is known;
-				// they materialize lazily only if the network would admit
-				// one (mergeEmit).
-				ev := model.ActEvent(a)
-				if len(rec.Emitted) > 0 {
-					r.emits = append(r.emits, emitBatch{entry: -1, fps: rec.Emitted,
-						lazy: &lazyEmit{node: s.node, state: s.state, act: a, isAct: true}})
-				}
-				c.addPred(existing, pred{
-					prev:      s,
-					kind:      ev.Kind,
-					event:     ev,
-					eventFP:   ev.Fingerprint(),
-					generated: rec.Emitted,
-				})
-				continue
-			}
-			// New successor: the walk needs the real objects — one inline
-			// execution, exactly what a run without hints pays.
-		}
-		next, emitted := c.m.HandleAction(s.node, s.state.Clone(), a)
 		ran = true
-		if next == nil {
-			r.rejections++
-			if c.log.owns(s.fp) {
-				c.log.batch.Acts = append(c.log.batch.Acts, ActionRecord{
-					Node: int(s.node), Parent: s.fp, Action: ai, Rejected: true})
-			}
-			continue
-		}
-		ev := model.ActEvent(a)
-		fp, generated := r.addNext(s, ev, ev.Fingerprint(), 0, next, emitted, 0, -1)
+		out := r.step(s, model.ActEvent(a), nil, ai)
 		if c.log.owns(s.fp) {
-			c.log.batch.Acts = append(c.log.batch.Acts, ActionRecord{
-				Node: int(s.node), Parent: s.fp, Action: ai, Succ: fp, Emitted: generated})
+			c.log.batch.Acts = append(c.log.batch.Acts, ActionRecord{Node: int(s.node), Parent: s.fp,
+				Action: ai, Rejected: out.Rejected, Succ: out.Succ, Emitted: out.Emitted})
 		}
 	}
 	return ran
@@ -262,159 +217,143 @@ func (r *nodeRun) deliverEntry(e *netstate.Entry, i int, sp *space) {
 	}
 }
 
-// deliver executes message entry e's handler on node state s, unless the
-// message is already in s's history.
+// deliver executes message entry e on node state s, unless the path-depth
+// bound or s's history (the message was already delivered on the way to s)
+// rules the pair out. A worker replica captures every owned pair, rejections
+// and duplicate successors included: ~85% of deliveries land on visited
+// successors, and those records are the ones that let the coordinator skip
+// the handler call entirely. (A checkpointed run needs only the discoveries,
+// which the delivery barrier derives from their creation edges.)
 func (r *nodeRun) deliver(e *netstate.Entry, s *nodeState, entry int) {
 	c := r.c
 	if c.opt.MaxPathDepth > 0 && s.depth >= c.opt.MaxPathDepth {
 		return
 	}
-	evfp := e.EventFingerprint()
-	if s.history.contains(evfp) {
+	if s.history.contains(e.EventFingerprint()) {
 		return
 	}
 	if !r.charge() {
 		return
 	}
 	r.delivered++
-	if rec := c.log.delivery(entry, s.fp); rec != nil {
-		r.deliverRecorded(e, s, entry, rec, evfp)
-		return
-	}
-	next, emitted := c.m.HandleMessage(s.node, s.state.Clone(), e.Msg)
-	if next == nil {
-		r.rejections++
-		// A worker replica records owned rejections too: the trusted
-		// rejection saves the coordinator the whole handler call.
-		if c.log.owns(s.fp) {
-			c.log.batch.Dels = append(c.log.batch.Dels, DeliveryRecord{Entry: entry, Parent: s.fp, Rejected: true})
-		}
-		return
-	}
-	ev := model.RecvEvent(e.Msg)
-	// The receive event is identical for every state this entry executes
-	// on; memoize its fingerprint on the entry (owned by this worker, like
-	// Applied) instead of re-hashing the message per execution.
-	if e.RecvEventFP == 0 {
-		e.RecvEventFP = ev.Fingerprint()
-	}
-	fp, generated := r.addNext(s, ev, e.RecvEventFP, evfp, next, emitted, e.FP, entry)
-	// A worker replica records every owned pair: ~85% of deliveries land on
-	// already-visited successors, and those records are exactly the ones
-	// that let the coordinator skip the handler call entirely. (A
-	// checkpointed run needs only the discoveries, which the delivery
-	// barrier derives from their creation edges — nothing to do here.)
+	out := r.step(s, model.RecvEvent(e.Msg), e, entry)
 	if c.log.owns(s.fp) {
-		c.log.batch.Dels = append(c.log.batch.Dels, DeliveryRecord{Entry: entry, Parent: s.fp, Succ: fp, Emitted: generated})
+		c.log.batch.Dels = append(c.log.batch.Dels, DeliveryRecord{Entry: entry, Parent: s.fp,
+			Rejected: out.Rejected, Succ: out.Succ, Emitted: out.Emitted})
 	}
 }
 
-// deliverRecorded resolves one delivery pair from its round-log record instead
-// of executing the handler. Three cases, in decreasing savings: a rejection
-// is trusted outright; a successor already in the visited set resolves to a
-// predecessor edge plus a fingerprint-only (lazy) emission batch, with no
-// execution at all; a new successor is materialized by one inline
-// re-execution — exactly what a run without hints pays for the pair. The
-// transition was already charged by deliver — exactly the sequential
-// charge for this pair — so counters match the plain run bit-for-bit.
-func (r *nodeRun) deliverRecorded(e *netstate.Entry, s *nodeState, entry int,
-	rec *DeliveryRecord, evfp codec.Fingerprint) {
-
+// step is the one transition step of exploration, lines 6 and 8 of Figure 9
+// alike: the already charged event ev runs on node state s, and the outcome
+// comes back for the caller's capture. For a delivery e is the network entry
+// and slot its index in I+; for an internal action e is nil and slot the
+// action's index in the machine's enumeration at s.
+//
+// A round-log hint stands in for the execution where it can: a recorded
+// rejection is trusted outright, and a recorded successor already in the
+// visited set resolves to a predecessor edge plus a fingerprint-only emission
+// batch (sequential addNext buffers the emissions before the duplicate
+// lookup, so they must enter the merge; mergeEmit materializes them only if
+// I+ would admit one). A recorded new successor needs the real objects, so
+// the handler runs — exactly what a run without hints pays. The transition is
+// charged before any of this, so counters match the plain run bit-for-bit
+// whatever the hints say. A hint the execution contradicts taints the round:
+// the local truth is used and the attached sources answer at the barrier.
+func (r *nodeRun) step(s *nodeState, ev model.Event, e *netstate.Entry, slot int) outcome {
 	c := r.c
-	if rec.Rejected {
-		r.rejections++
-		return
+	node, entry := int(s.node), -1
+	edge := pred{prev: s, kind: ev.Kind, event: ev}
+	if e != nil {
+		node, entry = -1, slot
+		edge.msgFP = e.FP
 	}
-	ev := model.RecvEvent(e.Msg)
+	hint, hinted := c.log.hint(node, slot, s.fp)
+	if hinted {
+		if hint.Rejected {
+			r.rejections++
+			return hint
+		}
+		if existing := c.spaces[s.node].lookup(hint.Succ); existing != nil {
+			if len(hint.Emitted) > 0 {
+				r.emits = append(r.emits, emitBatch{entry: entry, fps: hint.Emitted,
+					lazy: &lazyEmit{state: s.state, ev: ev}})
+			}
+			edge.eventFP, edge.generated = eventFP(ev, e), hint.Emitted
+			c.addPred(existing, edge)
+			return hint
+		}
+	}
+	next, emitted := ev.Apply(c.m, s.state)
+	if next == nil {
+		r.rejections++
+		if hinted && r.taint == nil {
+			r.taint = errors.New("record accepts an event the handler rejects")
+		}
+		return outcome{Rejected: true}
+	}
+	edge.eventFP = eventFP(ev, e)
+	out := r.addNext(edge, next, emitted, e, entry)
+	if hinted && out.Succ != hint.Succ && r.taint == nil {
+		r.taint = errors.New("record successor diverged from execution")
+	}
+	return out
+}
+
+// eventFP is ev's fingerprint. The receive event is identical for every
+// state its entry executes on, so a delivery memoizes it on the entry (owned
+// by this worker, like Applied) instead of re-hashing the message per pair.
+func eventFP(ev model.Event, e *netstate.Entry) codec.Fingerprint {
+	if e == nil {
+		return ev.Fingerprint()
+	}
 	if e.RecvEventFP == 0 {
 		e.RecvEventFP = ev.Fingerprint()
 	}
-	if existing := c.spaces[s.node].lookup(rec.Succ); existing != nil {
-		// Sequential addNext buffers the emissions before the duplicate
-		// lookup, so the record's emission fingerprints must enter the merge
-		// even though the successor is already known.
-		if len(rec.Emitted) > 0 {
-			r.emits = append(r.emits, emitBatch{entry: entry, fps: rec.Emitted,
-				lazy: &lazyEmit{node: s.node, state: s.state, msg: e.Msg}})
-		}
-		c.addPred(existing, pred{
-			prev:      s,
-			kind:      ev.Kind,
-			event:     ev,
-			eventFP:   e.RecvEventFP,
-			msgFP:     e.FP,
-			generated: rec.Emitted,
-		})
-		return
-	}
-	// New successor: the walk needs the real objects.
-	next, emitted := c.m.HandleMessage(s.node, s.state.Clone(), e.Msg)
-	if next == nil {
-		// Contradicts the record; trust the local execution (the digest
-		// exchange will catch a replica that trusted the record instead).
-		r.rejections++
-		return
-	}
-	r.addNext(s, ev, e.RecvEventFP, evfp, next, emitted, e.FP, entry)
+	return e.RecvEventFP
 }
 
 // addNext is Procedure addNextState of Figure 9, split around the round
 // barrier: the successor joins LSn (and records its predecessor edge)
 // immediately — the worker owns its node's space — while the generated
 // messages and the deferred invariant checks are buffered for the barrier.
-// evFP is ev's fingerprint (hashed once by the caller); historyFP the
-// delivery-event fingerprint for network events (zero for internal
-// events); msgFP the consumed message's content fingerprint; entry the
-// producing network-entry index (-1 for internal events). It returns the
-// successor's state fingerprint and the generated-message fingerprints —
-// both computed here anyway, so a worker replica's record capture never
-// re-hashes.
-func (r *nodeRun) addNext(prev *nodeState, ev model.Event, evFP, historyFP codec.Fingerprint,
-	next model.State, emitted []model.Message, msgFP codec.Fingerprint, entry int) (codec.Fingerprint, []codec.Fingerprint) {
+// edge arrives complete but for the generated-message fingerprints; e is the
+// delivered entry (nil for internal events) and entry its index (-1). It
+// returns the accepted outcome — successor and emission fingerprints, both
+// computed here anyway, so a worker replica's capture never re-hashes.
+func (r *nodeRun) addNext(edge pred, next model.State, emitted []model.Message,
+	e *netstate.Entry, entry int) outcome {
 
 	c := r.c
-	generated := make([]codec.Fingerprint, len(emitted))
-	for i, m := range emitted {
-		generated[i] = model.MessageFingerprint(m)
-	}
+	prev := edge.prev
+	edge.generated = fingerprintAll(emitted)
 	if len(emitted) > 0 {
-		r.emits = append(r.emits, emitBatch{entry: entry, msgs: emitted, fps: generated})
+		r.emits = append(r.emits, emitBatch{entry: entry, msgs: emitted, fps: edge.generated})
 	}
-
-	fp := model.StateFingerprint(next)
+	out := outcome{Succ: model.StateFingerprint(next), Emitted: edge.generated}
 	sp := c.spaces[prev.node]
-	edge := pred{
-		prev:      prev,
-		kind:      ev.Kind,
-		event:     ev,
-		eventFP:   evFP,
-		msgFP:     msgFP,
-		generated: generated,
-	}
-
-	if existing := sp.lookup(fp); existing != nil {
+	if existing := sp.lookup(out.Succ); existing != nil {
 		// The state exists: only a predecessor pointer is added (the paper
 		// keeps all immediate predecessors). The history rule (i) of §4.2
 		// is deliberately not applied to existing states, matching the
 		// paper's simplification.
 		c.addPred(existing, edge)
-		return fp, generated
+		return out
 	}
 
 	ns := &nodeState{
 		node:    prev.node,
 		state:   next,
-		fp:      fp,
+		fp:      out.Succ,
 		depth:   prev.depth + 1,
 		history: prev.history,
+		gen:     prev.gen,
 		preds:   []pred{edge},
 	}
-	if ev.Kind == model.NetworkEvent {
-		ns.history = &historyNode{parent: prev.history, fp: historyFP}
+	if e != nil {
+		ns.history = &historyNode{parent: prev.history, fp: e.EventFingerprint()}
 	}
-	ns.gen = prev.gen
-	if len(generated) > 0 {
-		ns.gen = &genNode{parent: prev.gen, fps: generated}
+	if len(emitted) > 0 {
+		ns.gen = &genNode{parent: prev.gen, fps: edge.generated}
 	}
 	// The flow memo extends the predecessor's by this edge's delta; prev is
 	// either a start state or an earlier discovery of this node, so its
@@ -431,7 +370,7 @@ func (r *nodeRun) addNext(prev *nodeState, ev model.Event, evFP, historyFP codec
 		r.maxDepth = ns.depth
 	}
 	r.news = append(r.news, discovery{ns: ns, entry: entry})
-	return fp, generated
+	return out
 }
 
 // runPhase executes one sweep of a round on fresh per-node runs and returns
@@ -508,6 +447,9 @@ func (c *checker) mergePhase(runs []*nodeRun) bool {
 		}
 		if r.ran || r.advanced {
 			progress = true
+		}
+		if r.taint != nil && c.log.taint == nil {
+			c.log.taint = r.taint
 		}
 		emits = append(emits, r.emits...)
 		news = append(news, r.news...)
@@ -588,14 +530,9 @@ func (c *checker) mergeEmit(b emitBatch) {
 			c.res.Stats.DuplicatesDropped += len(fps)
 			return
 		}
-		var emitted []model.Message
-		if b.lazy.isAct {
-			_, emitted = c.m.HandleAction(b.lazy.node, b.lazy.state.Clone(), b.lazy.act)
-		} else {
-			_, emitted = c.m.HandleMessage(b.lazy.node, b.lazy.state.Clone(), b.lazy.msg)
-		}
+		_, emitted := b.lazy.ev.Apply(c.m, b.lazy.state)
 		real := fingerprintAll(emitted)
-		if !fpsEqual(real, fps) && c.log.taint == nil {
+		if !slices.Equal(real, fps) && c.log.taint == nil {
 			c.log.taint = errors.New("record emissions diverged from re-execution")
 		}
 		msgs, fps = emitted, real
@@ -613,18 +550,6 @@ func fingerprintAll(msgs []model.Message) []codec.Fingerprint {
 		fps[i] = model.MessageFingerprint(m)
 	}
 	return fps
-}
-
-func fpsEqual(a, b []codec.Fingerprint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // phaseStarts recovers each node's visited-list length at phase start from

@@ -41,6 +41,16 @@ type ActionRecord struct {
 	Emitted  []codec.Fingerprint
 }
 
+// outcome is what one transition step did, the part delivery and action
+// records share: the handler rejected the event, or it produced the successor
+// with fingerprint Succ and emitted the messages fingerprinted in Emitted, in
+// emission order (both meaningless when Rejected).
+type outcome struct {
+	Rejected bool
+	Succ     codec.Fingerprint
+	Emitted  []codec.Fingerprint
+}
+
 // AnchorReport is one completed system-state sweep on a worker replica:
 // the invariant was evaluated on every combination anchored at the node
 // state identified by (Node, Seq) — seq numbers are discovery-ordered and

@@ -31,9 +31,6 @@ type Reductions struct {
 	PartialOrder bool
 }
 
-// Any reports whether at least one reduction is enabled.
-func (r Reductions) Any() bool { return r.Symmetry || r.PartialOrder }
-
 // String renders the enabled reductions in the -reduce flag syntax.
 func (r Reductions) String() string {
 	switch {

@@ -20,10 +20,12 @@ import (
 //     shard fleet with the records its workers streamed (fleetSource), a
 //     stored checkpoint with the records of a previous identical run
 //     (resumeSource) — and verifies the post-round digest.
-//   - The walks consult the tables: a record whose successor is already
-//     visited resolves to a predecessor edge with no handler execution at
-//     all; a clean anchor report replaces the whole invariant sweep of that
-//     anchor with a counter merge. Pairs with no record execute inline.
+//   - The transition step (nodeRun.step, the one place a handler executes)
+//     consults the step-hint table: a recorded rejection costs nothing, a
+//     record whose successor is already visited resolves to a predecessor
+//     edge with no handler execution at all. The invariant sweep consults
+//     the anchor table: a clean report replaces the whole sweep of that
+//     anchor with a counter merge. Events with no record execute inline.
 //   - The capture buffer collects the round's own records under one filter:
 //     a worker replica captures every execution whose parent fingerprint
 //     falls in its range (rejections and duplicate successors included —
@@ -49,12 +51,14 @@ import (
 //
 // Correctness of a trusted record rests on the model.Machine determinism
 // contract (equal state + message in, equal successor + emissions out) that
-// fingerprint dedup and witness replay already rely on. A record whose
-// emissions disagree with re-execution latches taint; sources treat it like
-// a digest mismatch.
+// fingerprint dedup and witness replay already rely on. A record the local
+// execution contradicts — it accepted what the handler rejects, names a
+// successor other than the executed one, or lists emissions other than the
+// re-executed ones — latches taint; sources treat it like a digest mismatch.
+// (A recorded rejection, and a record whose successor is visited and whose
+// emissions I+ would drop anyway, are never executed, so never contradicted.)
 type roundLog struct {
-	dels    map[delKey]*DeliveryRecord
-	acts    map[actKey]*ActionRecord
+	hints   map[hintKey]outcome
 	anchors map[anchorKey]*AnchorReport
 	taint   error
 
@@ -75,15 +79,13 @@ type roundLog struct {
 	sink    roundSink
 }
 
-type delKey struct {
-	entry  int
-	parent codec.Fingerprint
-}
-
-type actKey struct {
-	node   int
-	parent codec.Fingerprint
-	action int
+// hintKey identifies one transition step of a round: a delivery by node -1,
+// the network-entry index and the parent state's fingerprint (an entry has a
+// single destination); an internal action by its node, its index in the
+// machine's enumeration and the parent.
+type hintKey struct {
+	node, slot int
+	parent     codec.Fingerprint
 }
 
 type anchorKey struct{ node, seq int }
@@ -141,24 +143,23 @@ func (c *checker) endRound(round int, progress bool) {
 			lg.sink, lg.discoveries = nil, false
 		}
 	}
-	lg.dels, lg.acts, lg.anchors, lg.taint = nil, nil, nil, nil
+	lg.hints, lg.anchors, lg.taint = nil, nil, nil
 }
 
-// load indexes one batch of hints for the round's walks.
+// load indexes one batch of hints for the round's walks. The table holds
+// outcomes by value, their emission lists pointing into the loaded batch, so
+// a round that loads nearly every delivery allocates nothing per record.
 func (lg *roundLog) load(b RoundBatch) {
-	if lg.dels == nil && len(b.Dels) > 0 {
-		lg.dels = make(map[delKey]*DeliveryRecord, len(b.Dels))
+	if lg.hints == nil && len(b.Dels)+len(b.Acts) > 0 {
+		lg.hints = make(map[hintKey]outcome, len(b.Dels)+len(b.Acts))
 	}
 	for i := range b.Dels {
 		r := &b.Dels[i]
-		lg.dels[delKey{r.Entry, r.Parent}] = r
-	}
-	if lg.acts == nil && len(b.Acts) > 0 {
-		lg.acts = make(map[actKey]*ActionRecord, len(b.Acts))
+		lg.hints[hintKey{-1, r.Entry, r.Parent}] = outcome{r.Rejected, r.Succ, r.Emitted}
 	}
 	for i := range b.Acts {
 		r := &b.Acts[i]
-		lg.acts[actKey{r.Node, r.Parent, r.Action}] = r
+		lg.hints[hintKey{r.Node, r.Action, r.Parent}] = outcome{r.Rejected, r.Succ, r.Emitted}
 	}
 	if lg.anchors == nil && len(b.Anchors) > 0 {
 		lg.anchors = make(map[anchorKey]*AnchorReport, len(b.Anchors))
@@ -169,21 +170,15 @@ func (lg *roundLog) load(b RoundBatch) {
 	}
 }
 
-// delivery, action and anchor look up the round's hint for one execution;
-// nil on a miss. The explicit nil-table test is the whole cost on runs with
-// no source attached.
-func (lg *roundLog) delivery(entry int, parent codec.Fingerprint) *DeliveryRecord {
-	if lg.dels == nil {
-		return nil
+// hint and anchor look up the round's record for one transition step or one
+// anchor sweep. The explicit nil-table test is the whole cost on runs with no
+// source attached.
+func (lg *roundLog) hint(node, slot int, parent codec.Fingerprint) (outcome, bool) {
+	if lg.hints == nil {
+		return outcome{}, false
 	}
-	return lg.dels[delKey{entry, parent}]
-}
-
-func (lg *roundLog) action(node int, parent codec.Fingerprint, action int) *ActionRecord {
-	if lg.acts == nil {
-		return nil
-	}
-	return lg.acts[actKey{node, parent, action}]
+	out, ok := lg.hints[hintKey{node, slot, parent}]
+	return out, ok
 }
 
 func (lg *roundLog) anchor(node, seq int) *AnchorReport {
@@ -337,10 +332,10 @@ type ResumeSource interface {
 
 // resumeSource attaches a stored run. Its failure policy: a primed round
 // whose digest disagrees with the stored one (changed handler code, changed
-// options, corrupted store), or whose records lied about an emission, stops
-// the run with StopResumeDiverged so the caller can invalidate the
-// checkpoint and re-run fresh. A truncated checkpoint is no failure: the
-// source detaches and the later rounds execute inline.
+// options, corrupted store), or one of whose records the execution
+// contradicted (taint), stops the run with StopResumeDiverged so the caller
+// can invalidate the checkpoint and re-run fresh. A truncated checkpoint is
+// no failure: the source detaches and the later rounds execute inline.
 type resumeSource struct {
 	src  ResumeSource
 	want ShardDigest

@@ -317,13 +317,6 @@ type FuncObserver func(Event)
 // OnEvent implements Observer.
 func (f FuncObserver) OnEvent(e Event) { f(e) }
 
-// Nop is the no-op Observer; a nil Observer in checker options behaves the
-// same without any call at all.
-type Nop struct{}
-
-// OnEvent implements Observer.
-func (Nop) OnEvent(Event) {}
-
 // Multi fans every event out to several observers, in order.
 func Multi(os ...Observer) Observer {
 	list := make([]Observer, 0, len(os))

@@ -38,8 +38,8 @@ type Config struct {
 
 // Validate reports whether the config describes a runnable session: a
 // machine to model-check, non-negative timing (zero selects the defaults —
-// 60 s interval, 24 simulated hours), and runnable checker options. It is
-// called by RunContext; the legacy Run entry point deliberately skips it.
+// 60 s interval, 24 simulated hours), and runnable checker options.
+// RunContext returns its error; Run panics with it.
 func (c *Config) Validate() error {
 	if c.Machine == nil {
 		return errors.New("online: Config.Machine is required")
@@ -80,10 +80,14 @@ type Report struct {
 }
 
 // Run drives the live simulation, snapshotting every Interval simulated
-// seconds and restarting the local checker from the snapshot. It is the
-// legacy entry point: no option validation, no cancellation.
+// seconds and restarting the local checker from the snapshot. It is
+// RunContext with a background context, panicking on an invalid config.
 func Run(live *sim.Sim, cfg Config) *Report {
-	return run(context.Background(), live, cfg, false)
+	rep, err := RunContext(context.Background(), live, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return rep
 }
 
 // RunContext is Run with checker-option validation surfaced as an error
@@ -97,10 +101,10 @@ func RunContext(ctx context.Context, live *sim.Sim, cfg Config) (*Report, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return run(ctx, live, cfg, true), nil
+	return run(ctx, live, cfg), nil
 }
 
-func run(ctx context.Context, live *sim.Sim, cfg Config, validated bool) *Report {
+func run(ctx context.Context, live *sim.Sim, cfg Config) *Report {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 60
 	}
@@ -125,13 +129,8 @@ func run(ctx context.Context, live *sim.Sim, cfg Config, validated bool) *Report
 				SimTime: live.Now(),
 			})
 		}
-		var res *core.Result
-		if validated {
-			// Validation already passed, so CheckContext cannot error here.
-			res, _ = core.CheckContext(ctx, cfg.Machine, snap, cfg.Checker)
-		} else {
-			res = core.Check(cfg.Machine, snap, cfg.Checker)
-		}
+		// Validation already passed, so CheckContext cannot error here.
+		res, _ := core.CheckContext(ctx, cfg.Machine, snap, cfg.Checker)
 		wall += res.Stats.Elapsed
 		rep.Runs = append(rep.Runs, RunReport{
 			SimTime: live.Now(),

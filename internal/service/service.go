@@ -89,14 +89,68 @@ func (j *JobSpec) validate() error {
 		return err
 	}
 	if j.Budget != "" {
-		if _, err := time.ParseDuration(j.Budget); err != nil {
+		d, err := time.ParseDuration(j.Budget)
+		if err != nil {
 			return fmt.Errorf("service: bad budget: %w", err)
+		}
+		if d < 0 {
+			return fmt.Errorf("service: negative budget")
 		}
 	}
 	if j.Depth < 0 {
 		return fmt.Errorf("service: negative depth")
 	}
 	return nil
+}
+
+// budget is the spec's wall-clock bound (zero = unbounded). The string was
+// vetted by validate, or printed from a time.Duration by lmc's run mode.
+func (j JobSpec) budget() time.Duration {
+	d, _ := time.ParseDuration(j.Budget)
+	return d
+}
+
+// CoreOptions maps the job onto the LMC checkers' options for workload w. It
+// is the one job→options mapping: the service and lmc's run mode both call
+// it, and each sets only what is its own on top (the observer; the run-mode
+// deepening flags).
+func (j JobSpec) CoreOptions(w bench.Workload) (core.Options, error) {
+	reductions, err := core.ParseReductions(j.Reduce)
+	if err != nil {
+		return core.Options{}, err
+	}
+	opt := core.Options{
+		Invariant:       w.Invariant,
+		LocalInvariants: w.Locals,
+		Reduce:          reductions,
+		MaxPathDepth:    j.Depth,
+		Budget:          j.budget(),
+		StopAtFirstBug:  j.First,
+		Workers:         j.Workers,
+	}
+	if j.Checker == "lmc-opt" {
+		opt.Reduction = w.Reduction
+	}
+	return opt, nil
+}
+
+// GlobalOptions is CoreOptions' counterpart for the "global" and "bfs"
+// checkers.
+func (j JobSpec) GlobalOptions(w bench.Workload) (global.Options, error) {
+	if w.Invariant == nil {
+		return global.Options{}, fmt.Errorf("workload %s has no system invariant; the global checker needs one", w.Name)
+	}
+	opt := global.Options{
+		Invariant:      w.Invariant,
+		Strategy:       global.DFS,
+		MaxDepth:       j.Depth,
+		Budget:         j.budget(),
+		StopAtFirstBug: j.First,
+	}
+	if j.Checker == "bfs" {
+		opt.Strategy = global.BFS
+	}
+	return opt, nil
 }
 
 // BugSummary is one confirmed bug in a job result.
@@ -494,25 +548,11 @@ func (s *Service) execute(ctx context.Context, status *JobStatus, resume bool) (
 		return s.executeGlobal(ctx, spec, w, start)
 	}
 
-	reductions, err := core.ParseReductions(spec.Reduce)
+	opt, err := spec.CoreOptions(w)
 	if err != nil {
 		return nil, err
 	}
-	opt := core.Options{
-		Invariant:       w.Invariant,
-		LocalInvariants: w.Locals,
-		Reduce:          reductions,
-		MaxPathDepth:    spec.Depth,
-		StopAtFirstBug:  spec.First,
-		Workers:         spec.Workers,
-		Observer:        s.observer,
-	}
-	if spec.Checker == "lmc-opt" {
-		opt.Reduction = w.Reduction
-	}
-	if spec.Budget != "" {
-		opt.Budget, _ = time.ParseDuration(spec.Budget)
-	}
+	opt.Observer = s.observer
 
 	invalidated := status.Error // recovery stored the invalidation note here
 	runID := status.RunID
@@ -612,23 +652,11 @@ func (s *Service) runLocal(ctx context.Context, spec JobSpec, w bench.Workload,
 func (s *Service) executeGlobal(ctx context.Context, spec JobSpec, w bench.Workload,
 	start model.SystemState) (*JobResult, error) {
 
-	if w.Invariant == nil {
-		return nil, fmt.Errorf("service: workload %s has no system invariant; the global checker needs one", w.Name)
+	gopt, err := spec.GlobalOptions(w)
+	if err != nil {
+		return nil, err
 	}
-	strat := global.DFS
-	if spec.Checker == "bfs" {
-		strat = global.BFS
-	}
-	gopt := global.Options{
-		Invariant:      w.Invariant,
-		Strategy:       strat,
-		MaxDepth:       spec.Depth,
-		StopAtFirstBug: spec.First,
-		Observer:       s.observer,
-	}
-	if spec.Budget != "" {
-		gopt.Budget, _ = time.ParseDuration(spec.Budget)
-	}
+	gopt.Observer = s.observer
 	res, err := global.CheckContext(ctx, w.Machine, start, gopt)
 	if err != nil {
 		return nil, err

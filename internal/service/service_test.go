@@ -146,6 +146,7 @@ func TestServiceSubmitRejects(t *testing.T) {
 		{service.JobSpec{Workload: "no-such"}, "unknown workload"},
 		{service.JobSpec{Workload: "paxos", Checker: "tlc"}, "unknown checker"},
 		{service.JobSpec{Workload: "paxos", Budget: "fast"}, "budget"},
+		{service.JobSpec{Workload: "paxos", Budget: "-5s"}, "negative budget"},
 		{service.JobSpec{Workload: "paxos", Depth: -1}, "depth"},
 		{service.JobSpec{Workload: "paxos", Reduce: "magic"}, "magic"},
 	}
@@ -172,20 +173,20 @@ func TestServiceSubmitRejects(t *testing.T) {
 	}
 }
 
-// serviceOptions mirrors how the service builds core options for a default
-// lmc-opt job, so manually planted "previous daemon" buckets explore the
-// identical space.
+// serviceOptions builds core options for a default lmc-opt job through the
+// service's own mapping, so manually planted "previous daemon" buckets
+// explore the identical space.
 func serviceOptions(t *testing.T, workload string) (bench.Workload, core.Options) {
 	t.Helper()
 	w, err := bench.Lookup(workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, core.Options{
-		Invariant:       w.Invariant,
-		LocalInvariants: w.Locals,
-		Reduction:       w.Reduction,
+	opt, err := service.JobSpec{Workload: workload, Checker: "lmc-opt"}.CoreOptions(w)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return w, opt
 }
 
 // plantInterruptedRun simulates a daemon that died mid-job: it creates the
