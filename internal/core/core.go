@@ -288,6 +288,8 @@ type nodeState struct {
 	// suppressed marks that the local bound suppressed at least one action
 	// at this state, so a higher bound could reach more states.
 	suppressed bool
+	// universal caches a positive checker.universal answer (reduce.go).
+	universal bool
 }
 
 // pred is a predecessor edge: the event that produced a state from a prior

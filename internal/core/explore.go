@@ -84,6 +84,9 @@ type checker struct {
 	// resets it along with the LS sets.
 	pairOutcomes map[pairKey]*pairOutcome
 
+	// sw is the GEN sweep's reusable working memory (sweep.go).
+	sw sweepScratch
+
 	// log is the round log: the hint tables, the capture buffer and the
 	// attached sources and sink (roundlog.go). Shard fleets, shard-worker
 	// replicas, checkpoint sinks and resume all live behind it.
@@ -157,6 +160,10 @@ func CheckContext(ctx context.Context, m model.Machine, start model.SystemState,
 // passes. Shard workers build their replicas through it too, so coordinator
 // and worker resolve every exploration knob identically.
 func newChecker(ctx context.Context, m model.Machine, start model.SystemState, opt Options) *checker {
+	// The engine clock starts before anything the caller waits for — the
+	// probe's baseline below forces a collection — so Stats.Elapsed, event
+	// times and the Budget deadline cover the whole call.
+	begin := time.Now()
 	if opt.LocalBound <= 0 {
 		opt.LocalBound = 1
 	}
@@ -170,6 +177,7 @@ func newChecker(ctx context.Context, m model.Machine, start model.SystemState, o
 		opt:       opt,
 		start:     start.Clone(),
 		res:       &Result{},
+		begin:     begin,
 		verdicts:  make(map[codec.Fingerprint]bool),
 		witnessed: make(map[witnessKey]struct{}),
 	}
@@ -189,7 +197,6 @@ func newChecker(ctx context.Context, m model.Machine, start model.SystemState, o
 		c.res.Series = stats.NewSeries()
 	}
 	c.probe.Baseline()
-	c.begin = time.Now()
 	if opt.Budget > 0 {
 		c.deadline = c.begin.Add(opt.Budget)
 	}
@@ -261,8 +268,8 @@ func (c *checker) pollCancel() {
 // executions during exploration, in either mode, and combinations during
 // the witness walks) between wall-clock deadline checks. One shared cadence
 // keeps budget cutoffs comparably prompt in every loop while keeping
-// time.Now off the per-unit hot path; only the GEN sweep's leaf loop
-// (forEachCombo) keeps a coarser tick of its own.
+// time.Now off the per-unit hot path; only the GEN sweep (sweepWork.walk)
+// keeps a coarser tick of its own, counted in visits.
 const deadlinePollInterval = 256
 
 // pollDeadline charges one unit against the poll cadence and reports

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"lmc/internal/obs"
 	"lmc/internal/protocols/paxos"
 	"lmc/internal/protocols/randtree"
+	"lmc/internal/protocols/tree"
 	"lmc/internal/protocols/twophase"
 	"lmc/internal/spec"
 )
@@ -248,5 +250,31 @@ func TestObserverSeesViolations(t *testing.T) {
 	if rec.Count(obs.KindRunStart) != 1 || rec.Count(obs.KindRunEnd) != 1 {
 		t.Fatalf("run start/end not emitted exactly once: %d/%d",
 			rec.Count(obs.KindRunStart), rec.Count(obs.KindRunEnd))
+	}
+}
+
+// TestElapsedCoversTheWholeCall: the engine clock starts before the memory
+// probe's baseline collection, so Stats.Elapsed (and with it every event time
+// and the Budget deadline) accounts for all the time the caller waits. The
+// ballast makes that collection take milliseconds; the best of a few tries
+// keeps a descheduled test process from failing it.
+func TestElapsedCoversTheWholeCall(t *testing.T) {
+	ballast := make([]*[64]byte, 1<<18)
+	for i := range ballast {
+		ballast[i] = new([64]byte)
+	}
+	m := tree.NewPaperTree()
+	opt := Options{Invariant: m.CausalityInvariant(), Workers: -1}
+	best := time.Hour
+	for try := 0; try < 5; try++ {
+		t0 := time.Now()
+		res := Check(m, model.InitialSystem(m), opt)
+		if gap := time.Since(t0) - res.Stats.Elapsed; gap < best {
+			best = gap
+		}
+	}
+	runtime.KeepAlive(ballast)
+	if best >= time.Millisecond {
+		t.Fatalf("Check returned %v after Stats.Elapsed stopped counting", best)
 	}
 }

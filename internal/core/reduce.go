@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"lmc/internal/codec"
@@ -89,9 +91,87 @@ func buildCanonicalizer(numNodes int, decl [][]model.NodeID) *codec.Canonicalize
 	return canon
 }
 
-// symSkip is the GEN-side symmetry predicate, evaluated at every leaf of the
-// forEachCombo enumeration (scratch is a per-chunk buffer of len(combo)
-// fingerprints). A combination is skipped iff
+// universal reports whether ns, a visited state of slot d of class cl, has a
+// twin — a visited state of the same fingerprint and the same depth — in
+// every other slot of the class. Spaces only grow and a fingerprint keeps its
+// first state, so a positive answer stands for the rest of the pass and is
+// cached on the state; forEachCombo asks on the merge goroutine only.
+func (c *checker) universal(ns *nodeState, d int, cl []int) bool {
+	if ns.universal {
+		return true
+	}
+	for _, j := range cl {
+		if j == d {
+			continue
+		}
+		if twin := c.spaces[j].byFP[ns.fp]; twin == nil || twin.depth != ns.depth {
+			return false
+		}
+	}
+	ns.universal = true
+	return true
+}
+
+// symProducts splits the depth-ordered product of a sweep (sw.all) into the
+// products of the symmetry sweep, which together hold every combination
+// exactly once:
+//
+//   - pass A: every class member universal. Any arrangement of universal
+//     members has a representative that is realizable (each member has a twin
+//     in whichever slot the sort moves it to) at the same total depth, which
+//     are conditions 2 and 3 of symSkip — so it is skipped exactly when it is
+//     not canonical, and walk forms only the canonical ones: a class slot
+//     after its class's first is in fingerprint order and entered at the
+//     lower bound of the previous class slot's choice. No per-leaf test runs.
+//   - pass B: some class member not universal — its twin does not exist yet,
+//     or was first reached at another depth. One product per first such slot
+//     (in class order): class slots before it universal only, that slot
+//     non-universal only, every later slot whole; symSkip decides each leaf.
+func (c *checker) symProducts() {
+	s := &c.sw
+	n := len(s.all)
+	s.dims = grow(s.dims, (n+2)*n)
+	k := 0
+	clone := func(src [][]cand) [][]cand {
+		out := s.dims[k*n : (k+1)*n : (k+1)*n]
+		k++
+		copy(out, src)
+		return out
+	}
+	passA, earlier := clone(s.all), clone(s.all)
+	s.prev = grow(s.prev, n)
+	for d := range s.prev {
+		s.prev[d] = -1
+	}
+	for _, cl := range c.canon.Classes() {
+		for i, d := range cl {
+			uni, non := s.carve(len(s.all[d])), s.carve(len(s.all[d]))
+			for _, cd := range s.all[d] {
+				if c.universal(cd.ns, d, cl) {
+					uni = append(uni, cd)
+				} else {
+					non = append(non, cd)
+				}
+			}
+			if len(non) > 0 {
+				passB := clone(earlier)
+				passB[d] = non
+				s.prods = append(s.prods, product{dims: passB, filter: true})
+			}
+			earlier[d], passA[d] = uni, uni
+			if i > 0 {
+				s.prev[d] = cl[i-1]
+				passA[d] = append(s.carve(len(uni)), uni...)
+				slices.SortFunc(passA[d], func(a, b cand) int { return cmp.Compare(a.ns.fp, b.ns.fp) })
+			}
+		}
+	}
+	s.prods = append(s.prods, product{dims: passA, canonical: true})
+}
+
+// symSkip is the GEN-side symmetry predicate on one combination (scratch is
+// a per-chunk buffer of len(combo) fingerprints). A combination is skipped
+// iff
 //
 //  1. it is a non-canonical arrangement of its orbit (some class segment out
 //     of order), and
@@ -101,6 +181,9 @@ func buildCanonicalizer(numNodes int, decl [][]model.NodeID) *codec.Canonicalize
 //  3. when MaxSystemDepth caps materialization, the representative passes
 //     the same depth filter the skipped arrangement already passed.
 //
+// The sweep evaluates it per leaf only where it must (pass B of
+// symProducts); pass A generates exactly the combinations it would keep.
+//
 // Soundness: the representative, being canonical, is never skipped, and the
 // enumeration scheme visits every combination of visited states exactly once
 // (at the discovery of its last member), so a representative whose members
@@ -109,9 +192,9 @@ func buildCanonicalizer(numNodes int, decl [][]model.NodeID) *codec.Canonicalize
 // demands slot-symmetric invariants); if it violates, the recorded orbit is
 // re-expanded by sweepOrbits at the exploration fixpoint and the skipped
 // arrangement gets its own invariant check and soundness verification there.
-// The predicate reads only immutable per-leaf state (spaces are frozen while
-// forEachCombo runs on the merge goroutine), so chunk workers evaluate it
-// concurrently and every chunking produces the same skips.
+// The predicate reads only state that is frozen while a sweep runs (spaces
+// change on the merge goroutine, between sweeps), so chunk workers evaluate
+// it concurrently and every chunking produces the same skips.
 func (c *checker) symSkip(combo []*nodeState, scratch []codec.Fingerprint) bool {
 	for i, ns := range combo {
 		scratch[i] = ns.fp

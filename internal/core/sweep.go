@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -146,183 +147,328 @@ func (c *checker) forEachComboGEN(ns *nodeState, view []int) {
 			lists[n] = c.viewStates(n, view)
 		}
 	}
-	c.forEachCombo(lists)
-}
-
-// forEachCombo enumerates the Cartesian product of lists in the canonical
-// lexicographic order (last list fastest), materializes each combination
-// into a reused scratch system state, and checks the invariant. When the
-// product is large and Options.Workers allows, the widest dimension is
-// chunked across the worker pool (§1: "the model checking process can be
-// embarrassingly parallelized"); each chunk works on private scratch and
-// private counters, and preliminary violations are replayed for
-// confirmation in ascending enumeration index — so stats and reported bugs
-// are identical for every worker count.
-func (c *checker) forEachCombo(lists [][]*nodeState) {
-	if c.stopped {
-		return
-	}
-	total := 1
-	for _, l := range lists {
-		total *= len(l)
-		if total == 0 {
-			return
-		}
-	}
-
-	// Strides of the mixed-radix enumeration index.
-	strides := make([]int, len(lists))
-	s := 1
-	for d := len(lists) - 1; d >= 0; d-- {
-		strides[d] = s
-		s *= len(lists[d])
-	}
-
-	// Chunk the widest dimension for balance.
-	widest := 0
-	for d, l := range lists {
-		if len(l) > len(lists[widest]) {
-			widest = d
-		}
-	}
-	nchunks := c.workers
-	if nchunks > len(lists[widest]) {
-		nchunks = len(lists[widest])
-	}
-	if nchunks < 2 || total < parallelThreshold {
-		nchunks = 1
-	}
-	chunk := (len(lists[widest]) + nchunks - 1) / nchunks
-
-	type chunkOut struct {
-		systemStates int
-		invChecks    int
-		maxDepth     int
-		symSkips     int
-		prelims      []prelim
-	}
-	outs := make([]chunkOut, nchunks)
-	var halt atomic.Bool
-
-	runChunk := func(ci int) {
-		lo := ci * chunk
-		hi := lo + chunk
-		if hi > len(lists[widest]) {
-			hi = len(lists[widest])
-		}
-		if lo >= hi {
-			return
-		}
-		out := &outs[ci]
-		sub := make([][]*nodeState, len(lists))
-		copy(sub, lists)
-		sub[widest] = lists[widest][lo:hi]
-
-		// Scratch reused across the whole chunk: the combination, its
-		// materialized system state, and the enumeration position.
-		combo := make([]*nodeState, len(lists))
-		ss := make(model.SystemState, len(lists))
-		pos := make([]int, len(lists))
-		var symFPs []codec.Fingerprint
-		if c.canon != nil {
-			symFPs = make([]codec.Fingerprint, len(lists))
-		}
-		base := lo * strides[widest]
-		tick := 0
-		halted := false
-		last := len(lists) - 1
-
-		var rec func(d, depth int)
-		rec = func(d, depth int) {
-			if d == last {
-				for i, st := range sub[d] {
-					pos[d] = i
-					combo[d] = st
-					ss[d] = st.state
-					leafDepth := depth + st.depth
-
-					tick++
-					if tick&1023 == 0 {
-						// The system-state phase can dominate a run
-						// (Figure 13), so the wall-clock budget must be
-						// enforced here too, not only between handler
-						// executions.
-						if halt.Load() {
-							halted = true
-							return
-						}
-						if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-							halt.Store(true)
-							halted = true
-							return
-						}
-					}
-					if c.opt.MaxSystemDepth > 0 && leafDepth > c.opt.MaxSystemDepth {
-						continue
-					}
-					if c.canon != nil && c.symSkip(combo, symFPs) {
-						// A non-canonical arrangement whose representative is
-						// covered: its verdict is decided at the
-						// representative's enumeration point (clean) or by
-						// the fixpoint orbit sweep (violating).
-						out.symSkips++
-						continue
-					}
-					out.systemStates++
-					out.invChecks++
-					if leafDepth > out.maxDepth {
-						out.maxDepth = leafDepth
-					}
-					if v := c.opt.Invariant.Check(ss); v != nil {
-						// pos[widest] is relative to the chunk; base covers lo.
-						gidx := base
-						for dd := range pos {
-							gidx += pos[dd] * strides[dd]
-						}
-						out.prelims = append(out.prelims, newPrelim(gidx, combo, ss, v))
-					}
-				}
-				return
-			}
-			for i, st := range sub[d] {
-				pos[d] = i
-				combo[d] = st
-				ss[d] = st.state
-				rec(d+1, depth+st.depth)
-				if halted {
-					return
-				}
-			}
-		}
-		rec(0, 0)
-	}
-
-	c.runParallel(nchunks, runChunk)
-	if halt.Load() && !c.deadline.IsZero() && time.Now().After(c.deadline) {
-		c.stop(obs.StopBudget)
-	}
-
-	var all []prelim
-	for i := range outs {
-		c.res.Stats.SystemStates += outs[i].systemStates
-		c.res.Stats.InvariantChecks += outs[i].invChecks
-		c.res.Stats.SymmetrySkips += outs[i].symSkips
-		if outs[i].maxDepth > c.res.Stats.MaxDepth {
-			c.res.Stats.MaxDepth = outs[i].maxDepth
-		}
-		all = append(all, outs[i].prelims...)
-	}
-	c.res.Stats.PreliminaryViolations += len(all)
-	if len(all) == 0 {
-		return
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].idx < all[j].idx })
+	all := c.forEachCombo(lists)
 	// Violating orbits feed the fixpoint sweep: skipped sibling arrangements
 	// of a violating combination get their own checks there.
 	for i := range all {
 		c.recordOrbit(all[i].combo)
 	}
 	c.confirmBatch(all)
+}
+
+// cand is one candidate of a sweep dimension. pos is its index in the
+// dimension's list: a combination's enumeration index is built from
+// positions, so candidates may be dropped and visited in any order.
+type cand struct {
+	ns    *nodeState
+	pos   int
+	depth int
+}
+
+// product is one Cartesian product of candidate arrays (one per dimension,
+// in slot order) for sweepWork.walk. Unmarked, every array is in ascending
+// depth and every leaf is kept.
+type product struct {
+	dims [][]cand
+	// canonical is pass A of the symmetry sweep: class slots hold universal
+	// members only, and a class slot after its class's first is in ascending
+	// fingerprint order, entered at the lower bound of the previous class
+	// slot's choice — so exactly the canonical arrangements are formed.
+	canonical bool
+	// filter is pass B: some class member is not universal, and symSkip
+	// decides each leaf.
+	filter bool
+}
+
+// sweepWork is one chunk of one product — the range [lo, hi) of dimension
+// split's array — with its private scratch (the combination, its
+// materialized system state, the members' positions) and private counters.
+type sweepWork struct {
+	c             *checker
+	p             *product
+	split, lo, hi int
+
+	combo []*nodeState
+	ss    model.SystemState
+	pos   []int
+	fps   []codec.Fingerprint // symSkip's scratch
+
+	tick                    int
+	states, skips, maxDepth int
+	prelims                 []prelim
+}
+
+// sweepScratch is the working memory of forEachCombo. It lives on the
+// checker and is reused by every anchor of a check, so a warm sweep
+// allocates next to nothing.
+type sweepScratch struct {
+	bound   int   // MaxSystemDepth, or math.MaxInt when unbounded
+	strides []int // of the mixed-radix enumeration index
+	minRest []int // minRest[d]: the least total depth dimensions d.. can add
+	prev    []int // prev[d]: the class slot before d in d's class, or -1
+
+	arena, free     []cand   // backs every candidate array; what carve has left
+	all             [][]cand // per dimension: the candidates in ascending depth
+	hist            [][]int  // per dimension: candidates per depth
+	offs, acc, next []int
+	dims            [][]cand // backs the symmetry products' dims
+	prods           []product
+	work            []sweepWork
+	halt            atomic.Bool // the deadline passed in some chunk
+}
+
+// grow returns s with length n, reallocating only when it is too small. The
+// contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// carve hands out an empty candidate array of capacity k from the sweep's
+// arena.
+func (s *sweepScratch) carve(k int) []cand {
+	out := s.free[:0:k]
+	s.free = s.free[k:]
+	return out
+}
+
+// forEachCombo enumerates the combinations of lists (one visited-state list
+// per node) within MaxSystemDepth, materializes each into a reused scratch
+// system state and checks the invariant. It returns the preliminary
+// violations in ascending enumeration index — the index of the plain
+// lexicographic product, last list fastest — whatever order it visited in.
+//
+// It generates what it keeps instead of filtering what it forms: every
+// dimension is put in ascending depth once, and left at the first candidate
+// that cannot fit under the bound even with the shallowest choice in every
+// remaining dimension; under the symmetry reduction symProducts replaces the
+// product by ones that hold canonical arrangements only, or few leaves.
+// SymmetrySkips is the depth-admissible product size minus what was
+// enumerated.
+//
+// When the product is large and Options.Workers allows, each product's
+// widest dimension is chunked across the worker pool (§1: "the model
+// checking process can be embarrassingly parallelized"); counters are sums
+// and a max, so stats and reported bugs are identical for every worker
+// count.
+func (c *checker) forEachCombo(lists [][]*nodeState) []prelim {
+	if c.stopped {
+		return nil
+	}
+	n, total, sum := len(lists), 1, 0
+	for _, l := range lists {
+		total *= len(l)
+		sum += len(l)
+	}
+	if total == 0 {
+		return nil
+	}
+	s := &c.sw
+	s.bound = c.opt.MaxSystemDepth
+	if s.bound <= 0 {
+		s.bound = math.MaxInt
+	}
+
+	// Depth-ordered candidates.
+	s.arena = grow(s.arena, 4*sum)
+	s.free = s.arena
+	s.strides, s.minRest = grow(s.strides, n), grow(s.minRest, n+1)
+	s.all, s.hist = grow(s.all, n), grow(s.hist, n)
+	s.minRest[n] = 0
+	for d, stride := n-1, 1; d >= 0; d-- {
+		s.strides[d] = stride
+		stride *= len(lists[d])
+		s.all[d] = s.byDepth(lists[d], d)
+		if len(s.all[d]) == 0 {
+			return nil
+		}
+		s.minRest[d] = s.minRest[d+1] + s.all[d][0].depth
+	}
+	s.prods = s.prods[:0]
+	if c.canon == nil {
+		s.prods = append(s.prods, product{dims: s.all})
+	} else {
+		c.symProducts()
+	}
+
+	// Chunk each product's widest dimension. Reslicing s.work keeps the
+	// scratch of earlier sweeps' chunks.
+	work := s.work[:0]
+	for pi := range s.prods {
+		p := &s.prods[pi]
+		widest := 0
+		for d := range p.dims {
+			if len(p.dims[d]) > len(p.dims[widest]) {
+				widest = d
+			}
+		}
+		width := len(p.dims[widest])
+		nchunks := min(c.workers, width)
+		if nchunks < 2 || total < parallelThreshold {
+			nchunks = 1
+		}
+		chunk := (width + nchunks - 1) / nchunks
+		for lo := 0; lo < width; lo += chunk {
+			if len(work) < cap(work) {
+				work = work[:len(work)+1]
+			} else {
+				work = append(work, sweepWork{})
+			}
+			w := &work[len(work)-1]
+			*w = sweepWork{c: c, p: p, split: widest, lo: lo, hi: min(lo+chunk, width),
+				combo: grow(w.combo, n), ss: grow(w.ss, n), pos: grow(w.pos, n), fps: grow(w.fps, n)}
+		}
+	}
+	s.work = work
+	s.halt.Store(false)
+	c.runParallel(len(work), func(i int) { work[i].walk(0, 0) })
+	halted := s.halt.Load()
+	if halted {
+		c.stop(obs.StopBudget)
+	}
+
+	var all []prelim
+	states, skips := 0, 0
+	for i := range work {
+		w := &work[i]
+		states += w.states
+		skips += w.skips
+		c.res.Stats.MaxDepth = max(c.res.Stats.MaxDepth, w.maxDepth)
+		all = append(all, w.prelims...)
+	}
+	if c.canon != nil && !halted {
+		// A sweep cut short by the budget counts only the skips it made.
+		skips = s.admissible() - states
+	}
+	c.res.Stats.SystemStates += states
+	c.res.Stats.InvariantChecks += states
+	c.res.Stats.SymmetrySkips += skips
+	c.res.Stats.PreliminaryViolations += len(all)
+	if len(all) > 1 {
+		sort.Slice(all, func(i, j int) bool { return all[i].idx < all[j].idx })
+	}
+	return all
+}
+
+// byDepth carves the candidates of dimension d that are no deeper than the
+// bound, in ascending depth, and leaves their per-depth counts in hist[d]. A
+// counting sort: linear, and ties keep list order.
+func (s *sweepScratch) byDepth(list []*nodeState, d int) []cand {
+	hist := s.hist[d][:0]
+	for _, ns := range list {
+		if ns.depth > s.bound {
+			continue
+		}
+		for len(hist) <= ns.depth {
+			hist = append(hist, 0)
+		}
+		hist[ns.depth]++
+	}
+	s.hist[d] = hist
+	s.offs = grow(s.offs, len(hist))
+	kept := 0
+	for depth, k := range hist {
+		s.offs[depth] = kept
+		kept += k
+	}
+	dst := s.carve(kept)[:kept]
+	for pos, ns := range list {
+		if ns.depth <= s.bound {
+			dst[s.offs[ns.depth]] = cand{ns: ns, pos: pos, depth: ns.depth}
+			s.offs[ns.depth]++
+		}
+	}
+	return dst
+}
+
+// admissible counts the combinations of the full product whose total depth
+// is within the bound: the convolution of the dimensions' depth histograms,
+// summed up to the bound.
+func (s *sweepScratch) admissible() int {
+	acc := append(s.acc[:0], 1)
+	next := s.next
+	for _, h := range s.hist {
+		next = grow(next, len(acc)+len(h)-1)
+		clear(next)
+		for i, a := range acc {
+			for j, b := range h {
+				next[i+j] += a * b
+			}
+		}
+		acc, next = next, acc
+	}
+	s.acc, s.next = acc, next
+	count := 0
+	for i, a := range acc {
+		if i <= s.bound {
+			count += a
+		}
+	}
+	return count
+}
+
+// walk enumerates dimensions d.. of the chunk's product under the prefix
+// chosen in combo[:d], whose total depth is depth.
+func (w *sweepWork) walk(d, depth int) {
+	c, s := w.c, &w.c.sw
+	cands := w.p.dims[d]
+	lo, hi := 0, len(cands)
+	if d == w.split {
+		lo, hi = w.lo, w.hi
+	}
+	byFP := w.p.canonical && s.prev[d] >= 0
+	if byFP {
+		fp := w.combo[s.prev[d]].fp
+		lo = max(lo, sort.Search(len(cands), func(i int) bool { return cands[i].ns.fp >= fp }))
+	}
+	room := s.bound - depth - s.minRest[d+1]
+	last := d == len(w.combo)-1
+	for i := lo; i < hi; i++ {
+		cd := &cands[i]
+		// The system-state phase can dominate a run (Figure 13), so the
+		// wall-clock budget is enforced here too, counted in visits: pruned
+		// iterations cost time as well.
+		if w.tick++; w.tick&1023 == 0 {
+			if !c.deadline.IsZero() && time.Now().After(c.deadline) {
+				s.halt.Store(true)
+			}
+			if s.halt.Load() {
+				return
+			}
+		}
+		if cd.depth > room {
+			if byFP {
+				continue
+			}
+			break // depth-ordered: no later candidate fits either
+		}
+		w.combo[d], w.ss[d], w.pos[d] = cd.ns, cd.ns.state, cd.pos
+		if !last {
+			w.walk(d+1, depth+cd.depth)
+			if s.halt.Load() {
+				return
+			}
+			continue
+		}
+		if w.p.filter && c.symSkip(w.combo, w.fps) {
+			// A non-canonical arrangement whose representative is covered:
+			// its verdict is decided at the representative's enumeration
+			// point (clean) or by the fixpoint orbit sweep (violating).
+			w.skips++
+			continue
+		}
+		w.states++
+		w.maxDepth = max(w.maxDepth, depth+cd.depth)
+		if v := c.opt.Invariant.Check(w.ss); v != nil {
+			gidx := 0
+			for dd, pos := range w.pos {
+				gidx += pos * s.strides[dd]
+			}
+			w.prelims = append(w.prelims, newPrelim(gidx, w.combo, w.ss, v))
+		}
+	}
 }
 
 // comboSystem materializes the temporary system state for a combination.

@@ -1,0 +1,347 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"lmc/internal/codec"
+	"lmc/internal/model"
+	"lmc/internal/protocols/paxos"
+	"lmc/internal/spec"
+)
+
+// Tests for the generated system-state sweep (sweep.go, symProducts in
+// reduce.go): it must enumerate exactly the combinations the leaf-filter
+// loop it replaced kept, and count what that loop counted.
+
+// refSweep is that loop, kept here as the reference: form every leaf of the
+// plain product in lexicographic order (last list fastest), drop it if it is
+// over MaxSystemDepth, ask symSkip, and visit what is left. It returns the
+// symmetry skips.
+func (c *checker) refSweep(lists [][]*nodeState, visit func(gidx, depth int, combo []*nodeState)) (skips int) {
+	n, total := len(lists), 1
+	for _, l := range lists {
+		total *= len(l)
+	}
+	combo := make([]*nodeState, n)
+	fps := make([]codec.Fingerprint, n)
+	for gidx := 0; gidx < total; gidx++ {
+		depth, rem := 0, gidx
+		for d := n - 1; d >= 0; d-- {
+			combo[d] = lists[d][rem%len(lists[d])]
+			rem /= len(lists[d])
+			depth += combo[d].depth
+		}
+		if c.opt.MaxSystemDepth > 0 && depth > c.opt.MaxSystemDepth {
+			continue
+		}
+		if c.canon != nil && c.symSkip(combo, fps) {
+			skips++
+			continue
+		}
+		visit(gidx, depth, combo)
+	}
+	return skips
+}
+
+// sweepState is a synthetic node state that knows its slot and its index in
+// the slot's visited list, so an invariant can name the combination it sees.
+type sweepState struct{ slot, seq int }
+
+func (s sweepState) Encode(w *codec.Writer) { w.Int(s.slot); w.Int(s.seq) }
+func (s sweepState) Clone() model.State     { return s }
+func (s sweepState) String() string         { return fmt.Sprintf("s%d.%d", s.slot, s.seq) }
+
+// comboKey names a combination by its members' list indexes.
+func comboKey(seqs func(d int) int, n int) int {
+	key := 0
+	for d := 0; d < n; d++ {
+		key = key*1000 + seqs(d)
+	}
+	return key
+}
+
+// violates picks the combinations the test invariant rejects.
+func violates(key int) bool { return key%5 == 0 }
+
+// recordingInvariant counts the visits of every combination it is shown and
+// rejects the ones violates picks. Chunk workers call it concurrently.
+type recordingInvariant struct {
+	mu     sync.Mutex
+	visits map[int]int
+}
+
+func (r *recordingInvariant) Name() string { return "recording" }
+
+func (r *recordingInvariant) Check(ss model.SystemState) *spec.Violation {
+	key := comboKey(func(d int) int { return ss[d].(sweepState).seq }, len(ss))
+	r.mu.Lock()
+	r.visits[key]++
+	r.mu.Unlock()
+	if violates(key) {
+		return spec.Violate("recording", ss, "picked")
+	}
+	return nil
+}
+
+// sweepShape is one row of the differential table.
+type sweepShape struct {
+	name    string
+	slots   int
+	classes [][]model.NodeID
+}
+
+var sweepShapes = []sweepShape{
+	{"no class", 3, nil},
+	{"one class of 2", 3, [][]model.NodeID{{1, 2}}},
+	{"one class of 3", 4, [][]model.NodeID{{1, 2, 3}}},
+	{"two classes", 4, [][]model.NodeID{{0, 1}, {2, 3}}},
+	{"non-contiguous class", 3, [][]model.NodeID{{0, 2}}},
+}
+
+// syntheticStates draws the states each slot will visit, in visiting order.
+// The slots of a class draw fingerprints from one small universe — so twins
+// exist, are missing, and meet in one arrangement — and a twin usually, not
+// always, has its fingerprint's usual depth. Fingerprints are unique within
+// a slot, as in a visited list.
+func syntheticStates(rng *rand.Rand, sh sweepShape, perSlot int) [][]*nodeState {
+	universe := make([]codec.Fingerprint, perSlot+2)
+	usual := make([]int, len(universe))
+	for i := range universe {
+		universe[i] = codec.Fingerprint(rng.Uint64())
+		usual[i] = rng.Intn(4)
+	}
+	inClass := make([]bool, sh.slots)
+	for _, cl := range sh.classes {
+		for _, d := range cl {
+			inClass[d] = true
+		}
+	}
+	out := make([][]*nodeState, sh.slots)
+	for d := range out {
+		for seq, u := range rng.Perm(len(universe))[:perSlot] {
+			ns := &nodeState{node: model.NodeID(d), state: sweepState{d, seq},
+				fp: universe[u], depth: usual[u]}
+			if !inClass[d] {
+				ns.fp = codec.Fingerprint(rng.Uint64())
+			}
+			if rng.Intn(4) == 0 {
+				ns.depth = rng.Intn(5)
+			}
+			out[d] = append(out[d], ns)
+		}
+	}
+	return out
+}
+
+// TestSweepMatchesLeafFilter grows synthetic spaces one state at a time, the
+// way a round barrier does, and after every addition sweeps the product
+// anchored at the new state twice — with refSweep and with forEachCombo — requiring
+// the same set of combinations, each visited once, and the same
+// SystemStates, SymmetrySkips, MaxDepth and preliminary violations in the
+// same order. Growing between sweeps is what exercises the cached universal
+// answers; the table must also reach pass B and both of its outcomes.
+func TestSweepMatchesLeafFilter(t *testing.T) {
+	const perSlot = 7
+	var passB, passBSkipped, passBKept, inside, outside int
+	for _, sh := range sweepShapes {
+		for _, bound := range []int{0, 5, 9} { // unbounded, tight, loose
+			for _, workers := range []int{-1, 2, 4} {
+				for seed := int64(0); seed < 4; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					inv := &recordingInvariant{}
+					c := &checker{
+						res: &Result{},
+						opt: Options{Invariant: inv, MaxSystemDepth: bound},
+						// Not resolveWorkers: the pool is as wide as asked
+						// even on a one-CPU host, so chunking is exercised.
+						workers: max(workers, 1),
+						canon:   buildCanonicalizer(sh.slots, sh.classes),
+					}
+					states := syntheticStates(rng, sh, perSlot)
+					for d := 0; d < sh.slots; d++ {
+						c.spaces = append(c.spaces, newSpace())
+						c.spaces[d].add(states[d][0])
+					}
+					for {
+						var open []int
+						for d, sp := range c.spaces {
+							if len(sp.states) < perSlot {
+								open = append(open, d)
+							}
+						}
+						if len(open) == 0 {
+							break
+						}
+						a := open[rng.Intn(len(open))]
+						anchor := states[a][len(c.spaces[a].states)]
+						c.spaces[a].add(anchor)
+						lists := make([][]*nodeState, sh.slots)
+						for d, sp := range c.spaces {
+							// The view may lag the space, as it does when a
+							// barrier merged several discoveries.
+							lists[d] = sp.states[:1+rng.Intn(len(sp.states))]
+						}
+						lists[a] = []*nodeState{anchor}
+						if c.canon != nil && c.canon.InClass(a) {
+							inside++
+						} else {
+							outside++
+						}
+
+						want := make(map[int]int)
+						var wantPrelims []int
+						wantMax := 0
+						wantSkips := c.refSweep(lists, func(gidx, depth int, combo []*nodeState) {
+							key := comboKey(func(d int) int { return combo[d].seq }, len(combo))
+							want[key]++
+							wantMax = max(wantMax, depth)
+							if violates(key) {
+								wantPrelims = append(wantPrelims, gidx)
+							}
+						})
+
+						inv.visits = make(map[int]int)
+						before := c.res.Stats
+						c.res.Stats.MaxDepth = 0
+						got := c.forEachCombo(lists)
+						at := fmt.Sprintf("%s bound=%d workers=%d seed=%d anchor=%s",
+							sh.name, bound, workers, seed, anchor.state)
+						if len(inv.visits) != len(want) {
+							t.Fatalf("%s: enumerated %d combinations, want %d", at, len(inv.visits), len(want))
+						}
+						for key, n := range inv.visits {
+							if n != 1 || want[key] != 1 {
+								t.Fatalf("%s: combination %d visited %d times, reference %d", at, key, n, want[key])
+							}
+						}
+						st := c.res.Stats
+						if n := st.SystemStates - before.SystemStates; n != len(want) {
+							t.Fatalf("%s: SystemStates +%d, want +%d", at, n, len(want))
+						}
+						if n := st.InvariantChecks - before.InvariantChecks; n != len(want) {
+							t.Fatalf("%s: InvariantChecks +%d, want +%d", at, n, len(want))
+						}
+						if n := st.SymmetrySkips - before.SymmetrySkips; n != wantSkips {
+							t.Fatalf("%s: SymmetrySkips +%d, want +%d", at, n, wantSkips)
+						}
+						if st.MaxDepth != wantMax {
+							t.Fatalf("%s: MaxDepth %d, want %d", at, st.MaxDepth, wantMax)
+						}
+						if n := st.PreliminaryViolations - before.PreliminaryViolations; n != len(wantPrelims) {
+							t.Fatalf("%s: PreliminaryViolations +%d, want +%d", at, n, len(wantPrelims))
+						}
+						for i, p := range got {
+							if p.idx != wantPrelims[i] {
+								t.Fatalf("%s: prelim %d has index %d, want %d", at, i, p.idx, wantPrelims[i])
+							}
+							if key := comboKey(func(d int) int { return p.combo[d].seq }, len(p.combo)); !violates(key) {
+								t.Fatalf("%s: prelim %d holds combination %d, which does not violate", at, i, key)
+							}
+						}
+
+						for pi := range c.sw.prods {
+							if !c.sw.prods[pi].filter {
+								continue
+							}
+							passB++
+							for wi := range c.sw.work { // this sweep's chunks
+								if w := &c.sw.work[wi]; w.p == &c.sw.prods[pi] {
+									passBSkipped += w.skips
+									passBKept += w.states
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if passB == 0 || passBSkipped == 0 || passBKept == 0 {
+		t.Fatalf("the table does not drive pass B: %d products, %d leaves skipped, %d kept",
+			passB, passBSkipped, passBKept)
+	}
+	if inside == 0 || outside == 0 {
+		t.Fatalf("anchors inside a class: %d, outside: %d", inside, outside)
+	}
+	t.Logf("pass B: %d products, %d leaves skipped, %d kept; anchors %d inside a class, %d outside",
+		passB, passBSkipped, passBKept, inside, outside)
+}
+
+// TestAdmissibleMatchesBruteForce checks the arithmetic behind
+// SymmetrySkips: the convolution of the depth histograms against counting
+// the depth-admissible combinations one by one.
+func TestAdmissibleMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(4)
+		lists := make([][]*nodeState, n)
+		for d := range lists {
+			for i := 1 + rng.Intn(6); i > 0; i-- {
+				lists[d] = append(lists[d], &nodeState{depth: rng.Intn(6)})
+			}
+		}
+		bound := rng.Intn(14) // 0 is unbounded
+		c := &checker{opt: Options{MaxSystemDepth: bound}}
+		want := 0
+		c.refSweep(lists, func(int, int, []*nodeState) { want++ })
+
+		s := &c.sw
+		s.bound = bound
+		if bound == 0 {
+			s.bound = math.MaxInt
+		}
+		sum := 0
+		for _, l := range lists {
+			sum += len(l)
+		}
+		s.arena = make([]cand, sum)
+		s.free, s.all, s.hist = s.arena, make([][]cand, n), make([][]int, n)
+		// forEachCombo returns before it counts when some dimension has no
+		// candidate within the bound.
+		empty := false
+		for d, l := range lists {
+			s.all[d] = s.byDepth(l, d)
+			empty = empty || len(s.all[d]) == 0
+			for i, cd := range s.all[d] {
+				if cd.ns != l[cd.pos] || cd.depth != cd.ns.depth || (i > 0 && cd.depth < s.all[d][i-1].depth) {
+					t.Fatalf("trial %d: byDepth misplaced candidate %d of dimension %d", trial, i, d)
+				}
+			}
+		}
+		if empty {
+			if want != 0 {
+				t.Fatalf("trial %d: a dimension has no candidate within the bound, yet %d combinations are", trial, want)
+			}
+			continue
+		}
+		if got := s.admissible(); got != want {
+			t.Fatalf("trial %d (bound %d): admissible=%d, brute force %d", trial, bound, got, want)
+		}
+	}
+}
+
+// TestGenSweepBenchmarkCounters runs the repository benchmark's two sweep
+// inputs (benchmark/workloads.go, buildGenSweep) and pins the counters its
+// oracle pins, so go test holds them too.
+func TestGenSweepBenchmarkCounters(t *testing.T) {
+	m := paxos.New(4, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 2})
+	start := model.InitialSystem(m)
+	opt := Options{Invariant: paxos.Agreement(), MaxSystemDepth: 12, Workers: -1}
+	if base := Check(m, start, opt); !base.Complete || base.Stats.SystemStates != 93_297_202 ||
+		base.Stats.SymmetrySkips != 0 || base.Stats.MaxDepth != 12 {
+		t.Fatalf("gen-sweep: %s", base.Stats.String())
+	}
+	opt.Reduce = Reductions{Symmetry: true, PartialOrder: true}
+	for _, workers := range []int{-1, 2} {
+		opt.Workers = workers
+		red := Check(m, start, opt)
+		if !red.Complete || red.Stats.SystemStates != 16_674_957 ||
+			red.Stats.SymmetrySkips != 76_622_245 || red.Stats.MaxDepth != 12 {
+			t.Fatalf("gen-sweep-sym, Workers=%d: %s", workers, red.Stats.String())
+		}
+	}
+}

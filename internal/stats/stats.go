@@ -60,8 +60,11 @@ type Counters struct {
 	WitnessSkips int
 	// SymmetrySkips counts system-state combinations skipped by the symmetry
 	// reduction: non-canonical arrangements whose canonical representative
-	// is covered (GEN enumeration) and witness-walk combinations whose
-	// canonical twin was already invariant-clean (OPT).
+	// is covered (GEN) and witness-walk combinations whose canonical twin
+	// was already invariant-clean (OPT). The GEN sweep never forms most of
+	// what it skips, so per sweep it adds the size of the product within
+	// MaxSystemDepth minus the combinations it enumerated; a sweep the
+	// Budget cut short adds only the skips it decided one by one.
 	SymmetrySkips int
 	// OrbitChecks counts the arrangements re-expanded and invariant-checked
 	// by the fixpoint orbit sweep (the completion half of the symmetry skip).
