@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"lmc/internal/core"
 )
 
 // TestTablePrinting checks alignment and notes.
@@ -102,5 +105,61 @@ func TestBugArtifacts(t *testing.T) {
 	}
 	if strings.Contains(ob.String(), "NOT FOUND") {
 		t.Fatalf("§5.6 bug not rediscovered:\n%s", ob)
+	}
+}
+
+// TestBughuntCountersAndAllocCeiling runs the repository benchmark's bughunt
+// input (benchmark/workloads.go, buildBughunt: registry paxos-bug, LMC-OPT,
+// first bug, sequential) and pins the counters its oracle pins, so go test
+// holds them too — and holds the check's heap traffic under a ceiling: the
+// witness search works out of reused scratch (core.witnessScratch), and a
+// per-candidate allocation coming back shows here before it shows as seconds.
+func TestBughuntCountersAndAllocCeiling(t *testing.T) {
+	w, err := Lookup("paxos-bug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := w.StartState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.Options{Invariant: w.Invariant, Reduction: w.Reduction, StopAtFirstBug: true, Workers: -1}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := core.Check(w.Machine, start, opt)
+	runtime.ReadMemStats(&after)
+
+	if res.StopReason != core.StopFirstBug || len(res.Bugs) != 1 {
+		t.Fatalf("bughunt: stop=%v bugs=%d", res.StopReason, len(res.Bugs))
+	}
+	s := res.Stats
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"transitions", s.Transitions, 25_120},
+		{"node_states", s.NodeStates, 24_119},
+		{"system_states", s.SystemStates, 1_135},
+		{"invariant_checks", s.InvariantChecks, 1_135},
+		{"prelim_violations", s.PreliminaryViolations, 1_135},
+		{"soundness_calls", s.SoundnessCalls, 1_085},
+		{"sequences_checked", s.SequencesChecked, 31_536},
+		{"confirmed_bugs", s.ConfirmedBugs, 1},
+		{"cover_index_hits", s.CoverIndexHits, 1_470_701},
+		{"cover_index_misses", s.CoverIndexMisses, 2_573_262},
+		{"witness_skips", s.WitnessSkips, 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("bughunt: %s=%d, want %d", c.name, c.got, c.want)
+		}
+	}
+
+	const maxBytes, maxMallocs = 100 << 20, 1_500_000
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("one check: %.1f MB in %d allocations", float64(bytes)/(1<<20), mallocs)
+	if bytes > maxBytes || mallocs > maxMallocs {
+		t.Fatalf("one check allocated %.1f MB in %d objects; the ceiling is %d MB in %d",
+			float64(bytes)/(1<<20), mallocs, maxBytes>>20, maxMallocs)
 	}
 }

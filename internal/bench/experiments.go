@@ -319,7 +319,6 @@ func Soundness(budget time.Duration) (*Table, error) {
 	t.Addf("confirmed bugs", res.Stats.ConfirmedBugs, 1)
 	t.Addf("cover-index hits", res.Stats.CoverIndexHits, "-")
 	t.Addf("cover-index misses", res.Stats.CoverIndexMisses, "-")
-	t.Addf("witness walks skipped (cache)", res.Stats.WitnessSkips, "-")
 	t.Addf("elapsed", res.Stats.Elapsed.Round(time.Millisecond), "11 s")
 	return t, nil
 }

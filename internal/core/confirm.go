@@ -62,11 +62,12 @@ func (c *checker) confirms() bool { return !c.opt.DisableSoundness }
 // realizing combo (fingerprint fp), then the replay of that schedule on the
 // real handlers. It is pure given the frozen exploration structures — c.m,
 // c.start and c.opt are only read — so confirmBatch precomputes it on the
-// worker pool and merges the counters it returns at the canonical point.
-func (c *checker) runConfirm(combo []*nodeState, fp codec.Fingerprint, pathCap int, budget *int) confirmResult {
+// worker pool, each job with a scratch of its own, and merges the counters
+// it returns at the canonical point.
+func (c *checker) runConfirm(combo []*nodeState, fp codec.Fingerprint, pathCap int, budget *int, sc *soundScratch) confirmResult {
 	var r confirmResult
 	t0 := time.Now()
-	r.sound, r.sched = c.isStateSound(combo, pathCap, budget, &r.tally)
+	r.sound, r.sched = c.isStateSound(combo, pathCap, budget, &r.tally, sc)
 	r.soundTime = time.Since(t0)
 	if r.sound {
 		r.sound = c.replayConfirms(r.sched, fp)
@@ -103,9 +104,9 @@ func (c *checker) replayConfirms(sched trace.Schedule, fp codec.Fingerprint) boo
 // decided keeps its verdict (a system state is verified, and reported, at
 // most once — §4.2 discusses caching violated system states). Otherwise the
 // verdict is pre when the caller precomputed the run step, or an inline run
-// under the caller's witness-search budget; its counters are charged, the
-// verdict is cached, and a sound one is reported — the only append to
-// Result.Bugs and the only latch of StopFirstBug.
+// under the calling witness search's budget and on its scratch; its counters
+// are charged, the verdict is cached, and a sound one is reported — the only
+// append to Result.Bugs and the only latch of StopFirstBug.
 func (c *checker) settle(combo []*nodeState, v *spec.Violation, pre *confirmResult, budget *int) bool {
 	if !c.confirms() {
 		return false
@@ -115,7 +116,7 @@ func (c *checker) settle(combo []*nodeState, v *spec.Violation, pre *confirmResu
 		return sound
 	}
 	if pre == nil {
-		r := c.runConfirm(combo, fp, witnessPathCap, budget)
+		r := c.runConfirm(combo, fp, witnessPathCap, budget, &c.wit.sound)
 		pre = &r
 	}
 	c.res.Stats.SoundnessCalls += pre.calls
@@ -173,7 +174,7 @@ func (c *checker) confirmBatch(prelims []prelim) {
 		results := make([]confirmResult, len(jobs))
 		c.runParallel(len(jobs), func(i int) {
 			budget := maxSequencesPerCheck
-			results[i] = c.runConfirm(jobs[i].combo, jobs[i].fp, maxPathsPerNode, &budget)
+			results[i] = c.runConfirm(jobs[i].combo, jobs[i].fp, maxPathsPerNode, &budget, new(soundScratch))
 			results[i].calls = 1
 		})
 		for i := range prelims {

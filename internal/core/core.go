@@ -363,7 +363,7 @@ type space struct {
 	// are what generated the messages the pair consumed, so restricting
 	// them would starve soundness verification of every valid witness.
 	groups     map[string]*interestGroup
-	groupOrder []string
+	groupOrder []*interestGroup // in order of first member
 	rest       []*nodeState
 }
 
@@ -377,9 +377,12 @@ type witnessKey struct {
 
 // interestGroup is the bucket of node states sharing one interest key.
 type interestGroup struct {
-	key      string
-	interest spec.Interest
-	members  []*nodeState
+	// searchKey names the group in witnessKey — by content, since witnessed
+	// outlives the pass and the group does not. Built once, here, not per
+	// search.
+	searchKey string
+	interest  spec.Interest
+	members   []*nodeState
 }
 
 func newSpace() *space {
@@ -409,9 +412,9 @@ func (sp *space) classify(ns *nodeState, keyer spec.Keyer) {
 	key := keyer.InterestKey(ns.interest)
 	g := sp.groups[key]
 	if g == nil {
-		g = &interestGroup{key: key, interest: ns.interest}
+		g = &interestGroup{searchKey: "g:" + key, interest: ns.interest}
 		sp.groups[key] = g
-		sp.groupOrder = append(sp.groupOrder, key)
+		sp.groupOrder = append(sp.groupOrder, g)
 	}
 	g.members = append(g.members, ns)
 }

@@ -79,13 +79,10 @@ type checker struct {
 	// searches are not redone when later states extend the completion
 	// space — new states trigger their own searches instead.
 	witnessed map[witnessKey]struct{}
-	// pairOutcomes is the epoch-gated witness outcome cache (index.go). Its
-	// evidence is positional in the current pass's visited lists, so pass()
-	// resets it along with the LS sets.
-	pairOutcomes map[pairKey]*pairOutcome
-
-	// sw is the GEN sweep's reusable working memory (sweep.go).
-	sw sweepScratch
+	// sw is the GEN sweep's reusable working memory (sweep.go), wit the
+	// witness search's (witness.go). Both belong to the merge goroutine.
+	sw  sweepScratch
+	wit witnessScratch
 
 	// log is the round log: the hint tables, the capture buffer and the
 	// attached sources and sink (roundlog.go). Shard fleets, shard-worker
@@ -321,7 +318,6 @@ func (c *checker) beginPass() {
 	for _, fp := range c.initialNet {
 		c.initNetCount[fp]++
 	}
-	c.pairOutcomes = make(map[pairKey]*pairOutcome)
 	if c.canon != nil {
 		c.orbits = nil
 		c.orbitSeen = make(map[codec.Fingerprint]struct{})

@@ -8,25 +8,22 @@ import (
 )
 
 // This file is the incremental index layer under the witness search. The
-// sequential formulation of the search (witness.go) re-derived three kinds
-// of facts from scratch on every call:
+// sequential formulation of the search (witness.go) re-derived two kinds of
+// facts from scratch on every call:
 //
 //   - whether ANY visited state of a completion node generates a message
 //     fingerprint (a scan of the node's whole visited list, walking each
 //     state's generated-message chain);
 //   - the missing-message set of a candidate pair (a walk of both members'
-//     creation paths, rebuilding need/supply multisets);
-//   - the verdict of a pair that an earlier search already refuted (the
-//     full Cartesian walk over the completion lists, re-materializing and
-//     re-checking every combination).
+//     creation paths, rebuilding need/supply multisets).
 //
-// All three are replaced here by structures maintained incrementally as
-// states are discovered: a per-node producer index, per-state flow memos,
-// and an epoch-gated outcome cache keyed by (pair, missing set). Each
-// replacement is exact — see the equivalence notes on the individual
-// pieces — so searches return the same verdicts the rescanning formulation
-// returned, only cheaper. DESIGN.md ("Indexed soundness engine") has the
-// full argument.
+// Both are replaced here by structures maintained incrementally as states
+// are discovered: a per-node producer index and per-state flow memos. Each
+// replacement is exact — see the equivalence notes on the individual pieces
+// — so searches return the same verdicts the rescanning formulation
+// returned, only cheaper. Nothing is remembered per candidate pair: a pair
+// is examined at most once per run. DESIGN.md ("Indexed soundness engine")
+// has the full argument.
 
 // ---------------------------------------------------------------------------
 // Producer index
@@ -161,8 +158,7 @@ func mergeFlows(a, b []flowEntry) []flowEntry {
 
 // flowOf returns ns's flow memo. States discovered by the exploration loop
 // carry it from addNext; the fallback derives it from the (memoized)
-// creation path and, like creationPath itself, writes only ns — safe under
-// the candidate-prep fanout, which hands each worker distinct states.
+// creation path and, like creationPath itself, writes only ns.
 func flowOf(ns *nodeState) []flowEntry {
 	if ns.flowDone {
 		return ns.flow
@@ -190,13 +186,15 @@ func flowOf(ns *nodeState) []flowEntry {
 
 // missingFromFlows lists the fingerprints whose combined demand across two
 // memos exceeds what the seeded network supplies, in ascending fingerprint
-// order. This is exactly the missing set of the old multiset walk — fp is
-// missing iff need(fp) > generated(fp) + initial(fp), i.e. flow(fp) >
-// initial(fp) — except for the order of the returned slice, which nothing
-// downstream is sensitive to: feasibility checks membership, the cache key
-// is an unordered combination, and orderByCoverage counts matches.
-func (c *checker) missingFromFlows(a, b []flowEntry) []codec.Fingerprint {
-	var missing []codec.Fingerprint
+// order, into dst's backing array (the witness search hands it the same
+// buffer for every candidate pair). This is exactly the missing set of the
+// old multiset walk — fp is missing iff need(fp) > generated(fp) +
+// initial(fp), i.e. flow(fp) > initial(fp) — except for the order of the
+// returned slice, which nothing downstream is sensitive to: feasibility
+// checks membership, the completion-order key is an unordered combination,
+// and orderByCoverage counts matches.
+func (c *checker) missingFromFlows(dst []codec.Fingerprint, a, b []flowEntry) []codec.Fingerprint {
+	missing := dst[:0]
 	emit := func(fe flowEntry) {
 		if fe.n > c.initNetCount[fe.fp] {
 			missing = append(missing, fe.fp)
@@ -218,130 +216,4 @@ func (c *checker) missingFromFlows(a, b []flowEntry) []codec.Fingerprint {
 		}
 	}
 	return missing
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-gated witness outcome cache
-//
-// The same candidate pair recurs across searches — most commonly as its own
-// mirror: when A's discovery searched (A, B), B's own search later examines
-// (B, A) with the identical unordered missing set — and the sequential
-// formulation re-ran the full Cartesian walk each time. The cache records
-// refutations with the evidence that produced them, and an encounter is
-// skipped only while that evidence still holds under the encounter's view:
-//
-//   - an infeasibility refutation records WHICH fingerprints had no
-//     producer; the pair is retried only after the producer index gains a
-//     covering state for every one of them (and then goes through the full
-//     feasibility check again, so fingerprints that were covered at
-//     refutation time are still re-validated against the new view);
-//   - a completed-walk refutation records the frontier of visible
-//     completion-list lengths it enumerated. Visited lists only grow, so an
-//     encounter whose frontier fits under a recorded one walks a subset of
-//     combinations whose verdicts are all deterministic repeats (invariant
-//     checks are pure; soundness verdicts are cached globally) — the walk
-//     would return refuted again without side effects on the bug list.
-//
-// Searches that found a witness, or walks cut short by the budget or a stop
-// criterion, are never cached: they re-run exactly as before.
-type pairKey struct {
-	// pair combines the two member state fingerprints in canonical node
-	// order (lower node first). Order sensitivity matters: combining
-	// unordered would alias the pair (X at the lower node, Y at the higher)
-	// with its swapped counterpart, which materializes different system
-	// states — while a mirror encounter of the same assignment still maps to
-	// the same key.
-	pair           codec.Fingerprint
-	nodeLo, nodeHi int
-	// miss identifies the pair's missing-message set (unordered).
-	miss codec.Fingerprint
-}
-
-// pairOutcome is the recorded refutation evidence for one (pair, missing
-// set).
-type pairOutcome struct {
-	// uncovered are the fingerprints that had no producer when the pair was
-	// refuted as infeasible; cleared when the index gains coverage.
-	uncovered []codec.Fingerprint
-	// refuted are completed-walk frontiers (visible completion-list lengths,
-	// aligned with the search's ascending completion-node order).
-	refuted [][]int
-}
-
-// maxPairOutcomes bounds the cache; beyond it, new refutations are simply
-// not recorded (searches stay correct, just uncached).
-const maxPairOutcomes = 1 << 20
-
-func pairKeyOf(a, b *nodeState, miss codec.Fingerprint) pairKey {
-	lo, hi := a, b
-	if lo.node > hi.node {
-		lo, hi = hi, lo
-	}
-	return pairKey{
-		pair:   codec.Combine(lo.fp, hi.fp),
-		nodeLo: int(lo.node),
-		nodeHi: int(hi.node),
-		miss:   miss,
-	}
-}
-
-// limitsUnder reports whether cur is elementwise ≤ rec.
-func limitsUnder(cur, rec []int) bool {
-	if len(cur) != len(rec) {
-		return false
-	}
-	for i := range cur {
-		if cur[i] > rec[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// refutedUnder reports whether some recorded frontier dominates cur.
-func (oc *pairOutcome) refutedUnder(cur []int) bool {
-	for _, rec := range oc.refuted {
-		if limitsUnder(cur, rec) {
-			return true
-		}
-	}
-	return false
-}
-
-// maxRefutedFrontiers caps the frontiers kept per outcome; incomparable
-// frontiers beyond the cap evict the oldest.
-const maxRefutedFrontiers = 4
-
-// addRefuted records a completed-walk refutation frontier, dropping
-// frontiers it dominates.
-func (oc *pairOutcome) addRefuted(limits []int) {
-	kept := oc.refuted[:0]
-	for _, rec := range oc.refuted {
-		if !limitsUnder(rec, limits) {
-			kept = append(kept, rec)
-		}
-	}
-	oc.refuted = kept
-	if len(oc.refuted) >= maxRefutedFrontiers {
-		copy(oc.refuted, oc.refuted[1:])
-		oc.refuted = oc.refuted[:len(oc.refuted)-1]
-	}
-	oc.refuted = append(oc.refuted, limits)
-}
-
-// ensureOutcome returns the outcome record for key, creating it (and the
-// cache) on demand; nil when the cache is full and key is new.
-func (c *checker) ensureOutcome(key pairKey) *pairOutcome {
-	if oc := c.pairOutcomes[key]; oc != nil {
-		return oc
-	}
-	if len(c.pairOutcomes) >= maxPairOutcomes {
-		return nil
-	}
-	if c.pairOutcomes == nil {
-		c.pairOutcomes = make(map[pairKey]*pairOutcome)
-	}
-	oc := &pairOutcome{}
-	c.pairOutcomes[key] = oc
-	return oc
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,8 +12,7 @@ import (
 
 // Tests for the incremental index layer (index.go): the producer index and
 // flow memos are differentially checked against the definitional scans they
-// replaced, over randomized synthetic predecessor graphs; the epoch-gated
-// outcome cache's frontier arithmetic is unit-tested directly.
+// replaced, over randomized synthetic predecessor graphs.
 
 // testUniverse is a small fingerprint universe; keeping it small forces
 // supply/demand collisions so the multiset arithmetic is actually exercised.
@@ -170,10 +170,16 @@ func sortedFPs(fps []codec.Fingerprint) []codec.Fingerprint {
 // missing set against missingOf, the retained reference implementation, over
 // randomized creation chains and seeded initial networks. Both discovery-time
 // memos and the lazy fallback feed pairMissing here (withFlows randomizes
-// which), so the incremental construction is validated too.
+// which), so the incremental construction is validated too. Every pair of a
+// seed is computed into the same buffer, as the witness search does. The
+// plain spaces generate far more than they consume and nearly every pair
+// misses nothing; the thirsty ones lose most of their emissions first, so
+// that sets of every size follow each other — shrinking, growing, and empty
+// over a stale tail, which must never show.
 func TestPairMissingMatchesMissingOf(t *testing.T) {
 	universe := testUniverse(6)
-	for seed := int64(0); seed < 6; seed++ {
+	for seed := int64(0); seed < 12; seed++ {
+		thirsty := seed >= 6
 		rng := rand.New(rand.NewSource(100 + seed))
 		var net []codec.Fingerprint
 		counts := make(map[codec.Fingerprint]int)
@@ -184,27 +190,45 @@ func TestPairMissingMatchesMissingOf(t *testing.T) {
 			}
 		}
 		c := &checker{initialNet: net, initNetCount: counts, res: &Result{}}
-		spA := buildRandomSpace(rng, 0, 30, universe, true)
-		spB := buildRandomSpace(rng, 1, 30, universe, true)
+		spA := buildRandomSpace(rng, 0, 30, universe, !thirsty)
+		spB := buildRandomSpace(rng, 1, 30, universe, !thirsty)
+		if thirsty {
+			for _, sp := range []*space{spA, spB} {
+				for _, ns := range sp.states[1:] {
+					if rng.Intn(5) > 0 {
+						ns.preds[0].generated = nil
+					}
+				}
+			}
+		}
+		var buf []codec.Fingerprint
+		sizes := make(map[int]int)
+		shrank, grew := false, false
 		for trial := 0; trial < 150; trial++ {
 			a := spA.states[rng.Intn(len(spA.states))]
 			b := spB.states[rng.Intn(len(spB.states))]
-			got := c.pairMissing(a, b)
-			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+			if trial%10 == 9 {
+				// Two start states miss nothing, whatever the pair before
+				// them left in the buffer.
+				a, b = spA.states[0], spB.states[0]
+			}
+			prev := len(buf)
+			buf = c.pairMissing(buf, a, b)
+			shrank, grew = shrank || len(buf) < prev, grew || len(buf) > prev
+			sizes[len(buf)]++
+			if !sort.SliceIsSorted(buf, func(i, j int) bool { return buf[i] < buf[j] }) {
 				t.Fatalf("seed %d trial %d: missingFromFlows output not ascending: %v",
-					seed, trial, got)
+					seed, trial, buf)
 			}
 			want := sortedFPs(c.missingOf(a, b))
-			if len(got) != len(want) {
-				t.Fatalf("seed %d trial %d: pairMissing=%v missingOf=%v",
-					seed, trial, got, want)
+			if fresh := c.pairMissing(nil, a, b); !slices.Equal(buf, want) || !slices.Equal(fresh, want) {
+				t.Fatalf("seed %d trial %d: pairMissing reused=%v fresh=%v missingOf=%v",
+					seed, trial, buf, fresh, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d trial %d: pairMissing=%v missingOf=%v",
-						seed, trial, got, want)
-				}
-			}
+		}
+		if thirsty && (sizes[0] == 0 || len(sizes) < 3 || !shrank || !grew) {
+			t.Fatalf("seed %d: buffer reuse not exercised: sizes %v shrank=%v grew=%v",
+				seed, sizes, shrank, grew)
 		}
 	}
 }
@@ -247,115 +271,5 @@ func TestFlowOfMatchesCreationPath(t *testing.T) {
 				t.Fatalf("seq %d: flow not strictly ascending", ns.seq)
 			}
 		}
-	}
-}
-
-func TestLimitsUnder(t *testing.T) {
-	cases := []struct {
-		cur, rec []int
-		want     bool
-	}{
-		{[]int{1, 2}, []int{1, 2}, true},
-		{[]int{0, 2}, []int{1, 2}, true},
-		{[]int{2, 2}, []int{1, 2}, false},
-		{[]int{1, 3}, []int{1, 2}, false},
-		{[]int{1}, []int{1, 2}, false}, // length mismatch is never under
-		{nil, nil, true},
-	}
-	for i, tc := range cases {
-		if got := limitsUnder(tc.cur, tc.rec); got != tc.want {
-			t.Errorf("case %d: limitsUnder(%v, %v)=%v want %v", i, tc.cur, tc.rec, got, tc.want)
-		}
-	}
-}
-
-// TestAddRefutedDominance: a new frontier drops recorded frontiers it
-// dominates, and refutedUnder answers from whatever survives.
-func TestAddRefutedDominance(t *testing.T) {
-	oc := &pairOutcome{}
-	if oc.refutedUnder([]int{0, 0}) {
-		t.Fatal("empty outcome refuted something")
-	}
-	oc.addRefuted([]int{2, 2})
-	if !oc.refutedUnder([]int{2, 2}) || !oc.refutedUnder([]int{1, 2}) {
-		t.Fatal("recorded frontier does not dominate itself / a smaller one")
-	}
-	if oc.refutedUnder([]int{2, 3}) || oc.refutedUnder([]int{2}) {
-		t.Fatal("refuted beyond the recorded frontier")
-	}
-	// [3,3] dominates [2,2]: the dominated frontier must be dropped.
-	oc.addRefuted([]int{3, 3})
-	if len(oc.refuted) != 1 || oc.refuted[0][0] != 3 || oc.refuted[0][1] != 3 {
-		t.Fatalf("dominated frontier not pruned: %v", oc.refuted)
-	}
-	// Incomparable frontiers accumulate.
-	oc.addRefuted([]int{9, 1})
-	if len(oc.refuted) != 2 {
-		t.Fatalf("incomparable frontier pruned: %v", oc.refuted)
-	}
-	if !oc.refutedUnder([]int{8, 1}) || !oc.refutedUnder([]int{3, 3}) {
-		t.Fatal("lost refutation coverage after accumulation")
-	}
-}
-
-// TestAddRefutedEvictsOldest: beyond maxRefutedFrontiers incomparable
-// frontiers, the oldest is evicted and its coverage is genuinely lost.
-func TestAddRefutedEvictsOldest(t *testing.T) {
-	oc := &pairOutcome{}
-	fronts := [][]int{{1, 9}, {2, 8}, {3, 7}, {4, 6}, {5, 5}} // pairwise incomparable
-	for _, f := range fronts[:maxRefutedFrontiers] {
-		oc.addRefuted(f)
-	}
-	if len(oc.refuted) != maxRefutedFrontiers {
-		t.Fatalf("expected %d frontiers, got %v", maxRefutedFrontiers, oc.refuted)
-	}
-	if !oc.refutedUnder([]int{1, 9}) {
-		t.Fatal("first frontier missing before eviction")
-	}
-	oc.addRefuted(fronts[4])
-	if len(oc.refuted) != maxRefutedFrontiers {
-		t.Fatalf("cap not enforced: %v", oc.refuted)
-	}
-	if oc.refutedUnder([]int{1, 9}) {
-		t.Fatalf("oldest frontier not evicted: %v", oc.refuted)
-	}
-	if !oc.refutedUnder([]int{5, 5}) || !oc.refutedUnder([]int{2, 8}) {
-		t.Fatalf("surviving frontiers lost: %v", oc.refuted)
-	}
-}
-
-// TestOutcomeCacheKeysAndNilTolerance: mirror encounters share a key, swapped
-// node assignments do not, and a test-built checker with no cache map is
-// handled.
-func TestOutcomeCacheKeysAndNilTolerance(t *testing.T) {
-	a := &nodeState{node: 0, fp: 0x111}
-	b := &nodeState{node: 1, fp: 0x222}
-	miss := codec.Fingerprint(0x9)
-
-	if pairKeyOf(a, b, miss) != pairKeyOf(b, a, miss) {
-		t.Fatal("mirror encounter produced a different key")
-	}
-	// Swapping WHICH node holds which state materializes different system
-	// states; the keys must not alias.
-	aSwap := &nodeState{node: 0, fp: 0x222}
-	bSwap := &nodeState{node: 1, fp: 0x111}
-	if pairKeyOf(a, b, miss) == pairKeyOf(aSwap, bSwap, miss) {
-		t.Fatal("swapped assignment aliased the original pair")
-	}
-	if pairKeyOf(a, b, miss) == pairKeyOf(a, b, codec.Fingerprint(0xa)) {
-		t.Fatal("missing-set fingerprint not part of the key")
-	}
-
-	c := &checker{} // no pairOutcomes map, as tests build it
-	key := pairKeyOf(a, b, miss)
-	if c.pairOutcomes[key] != nil {
-		t.Fatal("empty cache holds an outcome")
-	}
-	oc := c.ensureOutcome(key)
-	if oc == nil {
-		t.Fatal("ensureOutcome failed on empty cache")
-	}
-	if c.ensureOutcome(key) != oc || c.pairOutcomes[key] != oc {
-		t.Fatal("outcome identity not stable")
 	}
 }

@@ -516,7 +516,7 @@ func porPartition(paths [][][]pred) (core, det []int) {
 // core odometer reaches its projection, so every witness the unreduced
 // search can afford, the reduced search can too. They still count into the
 // sequence tally as examined work.
-func (c *checker) searchSequences(paths [][][]pred, budget *int, tally *soundTally) (bool, trace.Schedule) {
+func (c *checker) searchSequences(sc *soundScratch, paths [][][]pred, budget *int, tally *soundTally) (bool, trace.Schedule) {
 	var core, det []int
 	if c.opt.Reduce.PartialOrder {
 		for k := range paths {
@@ -524,20 +524,22 @@ func (c *checker) searchSequences(paths [][][]pred, budget *int, tally *soundTal
 		}
 		core, det = porPartition(paths)
 	} else {
-		core = make([]int, len(paths))
+		sc.core = grow(sc.core, len(paths))
+		core = sc.core
 		for k := range core {
 			core[k] = k
 		}
 	}
-	idx := make([]int, len(core))
-	cand := make([][]pred, len(core))
+	sc.idx, sc.cand = grow(sc.idx, len(core)), grow(sc.cand, len(core))
+	idx, cand := sc.idx, sc.cand
+	clear(idx)
 	for {
 		for i, k := range core {
 			cand[i] = paths[k][idx[i]]
 		}
 		*budget--
 		tally.seqs++
-		if ok, sched, net := c.isSequenceValid(cand); ok {
+		if ok, sched, net := c.isSequenceValid(sc, cand); ok {
 			good := true
 			for _, k := range det {
 				found := false

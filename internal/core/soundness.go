@@ -19,11 +19,13 @@ import (
 // allowance across many candidate combinations. Checked sequences are counted
 // into the tally rather than the result stats directly, so speculative
 // confirmations can run on worker goroutines and merge their counts at the
-// canonical point.
-func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget *int, tally *soundTally) (bool, trace.Schedule) {
-	paths := make([][][]pred, len(combo))
+// canonical point. The search works out of the caller's scratch.
+func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget *int, tally *soundTally, sc *soundScratch) (bool, trace.Schedule) {
+	sc.arena = sc.arena[:0]
+	sc.paths = grow(sc.paths, len(combo))
+	paths := sc.paths
 	for k, ns := range combo {
-		paths[k] = c.enumeratePathsCapped(ns, pathCap)
+		paths[k] = c.enumeratePathsCapped(sc, ns, pathCap, paths[k][:0])
 		if len(paths[k]) == 0 {
 			// No acyclic predecessor path within caps: cannot validate.
 			return false, nil
@@ -32,7 +34,43 @@ func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget *int, tal
 	// The odometer over the per-node path choices — capped by the sequence
 	// budget — lives in reduce.go's searchSequences, which applies the
 	// partial-order reduction when enabled.
-	return c.searchSequences(paths, budget, tally)
+	return c.searchSequences(sc, paths, budget, tally)
+}
+
+// soundScratch is the working memory of soundness searches: what
+// isStateSound would otherwise allocate per combination, per member and —
+// in isSequenceValid — per sequence, almost all of which fail. It is the
+// caller's and travels with the call: confirmBatch's workers search
+// concurrently, so it is never the checker's. A witness search passes the
+// one on its own scratch, a batch job a fresh one; the zero value is ready.
+// A schedule handed back is freshly allocated; enumerated paths and the
+// final message pool are the scratch's, good until the next call given it.
+type soundScratch struct {
+	// enumeratePathsCapped: the backward walk's stack, and the arena behind
+	// the paths of one isStateSound call (every member's are alive at once).
+	onStack map[*nodeState]bool
+	rev     []pred
+	arena   []pred
+	paths   [][][]pred
+	// searchSequences: the odometer.
+	core, idx []int
+	cand      [][]pred
+	// isSequenceValid: the message pool, each sequence's position, and which
+	// sequence ran each executed event — the schedule, not yet materialized.
+	net   map[codec.Fingerprint]int
+	pos   []int
+	order []int
+}
+
+// carve hands out a path of n edges from the arena. A full arena is replaced,
+// not grown in place: paths carved earlier keep the old one alive.
+func (sc *soundScratch) carve(n int) []pred {
+	if cap(sc.arena)-len(sc.arena) < n {
+		sc.arena = make([]pred, 0, max(2*cap(sc.arena), n, 256))
+	}
+	lo := len(sc.arena)
+	sc.arena = sc.arena[:lo+n]
+	return sc.arena[lo : lo+n : lo+n]
 }
 
 // creationPath returns (memoized) the chain of first predecessor edges from
@@ -41,10 +79,9 @@ func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget *int, tal
 // earlier-created state.
 //
 // Concurrency contract: the walk reads ancestors but memoizes ONLY ns
-// itself (ancestors' creation/creationDone are never touched), so parallel
-// precomputation stages — the witness prep fanout, speculative confirmBatch
-// jobs — may call it concurrently as long as each goroutine passes distinct
-// states. flowOf (index.go) follows the same contract.
+// itself (ancestors' creation/creationDone are never touched), so goroutines
+// may call it concurrently as long as each passes distinct states. flowOf
+// (index.go) follows the same contract.
 func creationPath(ns *nodeState) []pred {
 	if ns.creationDone {
 		return ns.creation
@@ -66,11 +103,17 @@ func creationPath(ns *nodeState) []pred {
 // ordered start→state) that lead from the node's start state to ns. Following
 // the paper's simplification, self-referencing edges are ignored and, more
 // generally, a backward walk never revisits a state already on its stack;
-// the enumeration is capped at maxPaths paths.
-func (c *checker) enumeratePathsCapped(ns *nodeState, maxPaths int) [][]pred {
-	var out [][]pred
-	var rev []pred // edges from ns backward
-	onStack := map[*nodeState]bool{ns: true}
+// the enumeration is capped at maxPaths paths. The paths are appended to out
+// and carved from sc's arena.
+func (c *checker) enumeratePathsCapped(sc *soundScratch, ns *nodeState, maxPaths int, out [][]pred) [][]pred {
+	if sc.onStack == nil {
+		sc.onStack = make(map[*nodeState]bool)
+	}
+	// A walk cut short by a cap returns from under its stack.
+	clear(sc.onStack)
+	onStack := sc.onStack
+	onStack[ns] = true
+	rev := sc.rev[:0] // edges from ns backward
 
 	// The backward walk is capped on visited edges, not only on completed
 	// paths: a dense predecessor DAG can wander exponentially between
@@ -88,7 +131,7 @@ func (c *checker) enumeratePathsCapped(ns *nodeState, maxPaths int) [][]pred {
 		if cur.seq == 0 {
 			// Reached the node's start state: materialize the path in
 			// forward order.
-			path := make([]pred, len(rev))
+			path := sc.carve(len(rev))
 			for i := range rev {
 				path[i] = rev[len(rev)-1-i]
 			}
@@ -111,6 +154,7 @@ func (c *checker) enumeratePathsCapped(ns *nodeState, maxPaths int) [][]pred {
 		}
 	}
 	walk(ns)
+	sc.rev = rev
 	return out
 }
 
@@ -128,20 +172,26 @@ func (c *checker) enumeratePathsCapped(ns *nodeState, maxPaths int) [][]pred {
 // Besides the verdict and the schedule it returns the final message pool
 // (the generated-and-unconsumed fingerprint counts after the whole schedule
 // ran); the partial-order reduction appends detachable members' paths
-// against it (appendValid in reduce.go).
-func (c *checker) isSequenceValid(seqs [][]pred) (bool, trace.Schedule, map[codec.Fingerprint]int) {
-	net := make(map[codec.Fingerprint]int, len(c.initialNet)+8)
+// against it (appendValid in reduce.go). The pool is sc's; the schedule is
+// built only for a sequence that validates — one in thousands.
+func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.Schedule, map[codec.Fingerprint]int) {
+	if sc.net == nil {
+		sc.net = make(map[codec.Fingerprint]int, len(c.initialNet)+8)
+	}
+	net := sc.net
+	clear(net)
 	for _, fp := range c.initialNet {
 		net[fp]++
 	}
-	idx := make([]int, len(seqs))
-	var order trace.Schedule
+	pos := grow(sc.pos, len(seqs))
+	clear(pos)
+	order := sc.order[:0]
 
 	for {
 		progressed := false
 		for k := range seqs {
-			for idx[k] < len(seqs[k]) {
-				e := seqs[k][idx[k]]
+			for pos[k] < len(seqs[k]) {
+				e := &seqs[k][pos[k]]
 				if e.kind == model.NetworkEvent {
 					if net[e.msgFP] <= 0 {
 						break
@@ -151,8 +201,8 @@ func (c *checker) isSequenceValid(seqs [][]pred) (bool, trace.Schedule, map[code
 				for _, g := range e.generated {
 					net[g]++
 				}
-				order = append(order, e.event)
-				idx[k]++
+				order = append(order, k)
+				pos[k]++
 				progressed = true
 			}
 		}
@@ -160,10 +210,17 @@ func (c *checker) isSequenceValid(seqs [][]pred) (bool, trace.Schedule, map[code
 			break
 		}
 	}
+	sc.pos, sc.order = pos, order
 	for k := range seqs {
-		if idx[k] != len(seqs[k]) {
+		if pos[k] != len(seqs[k]) {
 			return false, nil, nil
 		}
 	}
-	return true, order, net
+	sched := make(trace.Schedule, len(order))
+	clear(pos)
+	for i, k := range order {
+		sched[i] = seqs[k][pos[k]].event
+		pos[k]++
+	}
+	return true, sched, net
 }

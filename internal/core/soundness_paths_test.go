@@ -1,19 +1,24 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
+	"lmc/internal/trace"
 )
 
 // Tests for the predecessor-path enumeration (soundness.go) on the graph
 // shapes the exploration loop can actually produce: addPred back edges that
 // make the predecessor graph cyclic, self-referencing edges, dense DAGs that
-// exhaust the path and step caps, and the memoization contract of
-// creationPath/flowOf under concurrent witness searches.
+// exhaust the path and step caps, the memoization contract of
+// creationPath/flowOf under concurrent callers, and the soundness search's
+// reused scratch against a fresh one.
 
 // chainState extends sp with one state whose creation edge comes from parent.
 func chainState(sp *space, parent *nodeState, fp codec.Fingerprint) *nodeState {
@@ -43,7 +48,7 @@ func TestEnumeratePathsCyclicGraph(t *testing.T) {
 	s2.preds = append(s2.preds, pred{prev: s2, kind: model.InternalEvent})
 
 	c := &checker{}
-	paths := c.enumeratePathsCapped(s2, maxPathsPerNode)
+	paths := c.enumeratePathsCapped(new(soundScratch), s2, maxPathsPerNode, nil)
 	if len(paths) != 1 {
 		t.Fatalf("expected exactly the creation path, got %d paths", len(paths))
 	}
@@ -54,7 +59,7 @@ func TestEnumeratePathsCyclicGraph(t *testing.T) {
 	// And from the middle of the cycle: s1's back edge leads to s2, whose
 	// only non-cyclic predecessor is s1 itself (on stack) or its self edge —
 	// so only the direct creation path survives.
-	paths = c.enumeratePathsCapped(s1, maxPathsPerNode)
+	paths = c.enumeratePathsCapped(new(soundScratch), s1, maxPathsPerNode, nil)
 	if len(paths) != 1 || len(paths[0]) != 1 || paths[0][0].prev != s0 {
 		t.Fatalf("cycle leaked into s1's paths: %+v", paths)
 	}
@@ -88,13 +93,13 @@ func ladder(depth, width int) *nodeState {
 func TestEnumeratePathsCap(t *testing.T) {
 	tip := ladder(6, 2) // 64 distinct paths
 	c := &checker{}
-	if got := len(c.enumeratePathsCapped(tip, 16)); got != 16 {
+	if got := len(c.enumeratePathsCapped(new(soundScratch), tip, 16, nil)); got != 16 {
 		t.Fatalf("path cap 16 returned %d paths", got)
 	}
-	if got := len(c.enumeratePathsCapped(tip, 10)); got != 10 {
+	if got := len(c.enumeratePathsCapped(new(soundScratch), tip, 10, nil)); got != 10 {
 		t.Fatalf("explicit cap 10 returned %d paths", got)
 	}
-	if got := len(c.enumeratePathsCapped(tip, 100)); got != 64 {
+	if got := len(c.enumeratePathsCapped(new(soundScratch), tip, 100, nil)); got != 64 {
 		t.Fatalf("uncapped ladder should have 64 paths, got %d", got)
 	}
 }
@@ -105,7 +110,7 @@ func TestEnumeratePathsCap(t *testing.T) {
 func TestEnumeratePathsStepCap(t *testing.T) {
 	tip := ladder(16, 2) // 65536 distinct paths, far beyond maxSteps
 	c := &checker{}
-	paths := c.enumeratePathsCapped(tip, 1<<30)
+	paths := c.enumeratePathsCapped(new(soundScratch), tip, 1<<30, nil)
 	if len(paths) == 0 {
 		t.Fatal("step cap returned no paths at all")
 	}
@@ -121,8 +126,7 @@ func TestEnumeratePathsStepCap(t *testing.T) {
 
 // TestCreationPathMemoConcurrent exercises the documented concurrency
 // contract: concurrent creationPath/flowOf calls on DISTINCT states are safe
-// (each memoizes only its own state while reading shared ancestors). Run
-// under -race this is the regression test for the candidate-prep fanout.
+// (each memoizes only its own state while reading shared ancestors).
 func TestCreationPathMemoConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	universe := testUniverse(8)
@@ -168,4 +172,152 @@ func TestCreationPathMemoConcurrent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// samePaths compares two path lists edge by edge (identity of the
+// predecessor, kind, consumed message).
+func samePaths(a, b [][]pred) bool {
+	return slices.EqualFunc(a, b, func(p, q []pred) bool {
+		return slices.EqualFunc(p, q, func(e, f pred) bool {
+			return e.prev == f.prev && e.kind == f.kind && e.msgFP == f.msgFP
+		})
+	})
+}
+
+// TestEnumeratePathsScratchMatchesFresh drives one soundScratch through the
+// shapes above, back to back — a cap-truncated walk (which returns from
+// under its stack) before a complete one, small results after large — and
+// holds every result to a fresh scratch's. Paths carved before the arena was
+// replaced must stay intact: isStateSound holds every member's at once.
+func TestEnumeratePathsScratchMatchesFresh(t *testing.T) {
+	sp := newSpace()
+	s0 := &nodeState{fp: 1}
+	sp.add(s0)
+	s1 := chainState(sp, s0, 2)
+	s2 := chainState(sp, s1, 3)
+	s1.preds = append(s1.preds, pred{prev: s2, kind: model.InternalEvent})
+	s2.preds = append(s2.preds, pred{prev: s2, kind: model.InternalEvent})
+
+	shapes := []struct {
+		ns  *nodeState
+		cap int
+	}{
+		{s2, maxPathsPerNode}, {ladder(16, 2), 1 << 30}, {s1, maxPathsPerNode},
+		{ladder(6, 2), 10}, {ladder(6, 2), 100}, {ladder(16, 2), 3}, {s2, 1},
+	}
+	c := &checker{}
+	sc := new(soundScratch)
+	var held [][][]pred
+	for round := 0; round < 2; round++ {
+		for i, sh := range shapes {
+			got := c.enumeratePathsCapped(sc, sh.ns, sh.cap, nil)
+			want := c.enumeratePathsCapped(new(soundScratch), sh.ns, sh.cap, nil)
+			if !samePaths(got, want) {
+				t.Fatalf("round %d shape %d: reused scratch returned %d paths, fresh %d (or different edges)",
+					round, i, len(got), len(want))
+			}
+			held = append(held, got)
+		}
+		// Nothing reset the arena: every earlier result is still whole.
+		for i, sh := range shapes {
+			if want := c.enumeratePathsCapped(new(soundScratch), sh.ns, sh.cap, nil); !samePaths(held[i], want) {
+				t.Fatalf("round %d: shape %d's paths were overwritten by a later enumeration", round, i)
+			}
+		}
+		held = held[:0]
+		sc.arena = sc.arena[:0] // as isStateSound does per combination
+	}
+}
+
+// TestSoundScratchMatchesFresh holds the whole soundness search on a reused
+// scratch to the search on a fresh one — verdict, schedule, final pool,
+// budget and tally — over random combinations, most of which fail; a success
+// must also come out right immediately after a failure. The combinations are
+// then searched again from several goroutines at once, each with a scratch
+// of its own, the way confirmBatch's workers run: under -race this is the
+// check that a search writes nothing but its scratch.
+func TestSoundScratchMatchesFresh(t *testing.T) {
+	universe := testUniverse(5)
+	rng := rand.New(rand.NewSource(21))
+	c := &checker{res: &Result{}, initialNet: []codec.Fingerprint{universe[0], universe[0], universe[3]}}
+	spaces := make([]*space, 3)
+	for n := range spaces {
+		spaces[n] = buildRandomSpace(rng, model.NodeID(n), 25, universe, false)
+		for _, ns := range spaces[n].states {
+			for i := range ns.preds {
+				// The schedule must tell whose event ran when.
+				ns.preds[i].event = model.Event{Kind: ns.preds[i].kind, Node: ns.node}
+			}
+			// A second route to some states, so the odometer has something to turn.
+			if ns.seq > 1 && rng.Intn(3) == 0 {
+				ns.preds = append(ns.preds, pred{prev: spaces[n].states[rng.Intn(ns.seq)],
+					kind: model.InternalEvent, event: model.Event{Kind: model.InternalEvent, Node: ns.node}})
+			}
+		}
+	}
+
+	type outcome struct {
+		ok     bool
+		sched  trace.Schedule
+		budget int
+		tally  soundTally
+	}
+	search := func(sc *soundScratch, combo []*nodeState) outcome {
+		o := outcome{budget: 64}
+		o.ok, o.sched = c.isStateSound(combo, witnessPathCap, &o.budget, &o.tally, sc)
+		return o
+	}
+
+	var combos [][]*nodeState
+	var want []outcome
+	reused := new(soundScratch)
+	sound, afterFailure := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		combo := make([]*nodeState, len(spaces))
+		for n, sp := range spaces {
+			combo[n] = sp.states[rng.Intn(len(sp.states))]
+		}
+		got, fresh := search(reused, combo), search(new(soundScratch), combo)
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("trial %d: reused scratch %+v, fresh scratch %+v", trial, got, fresh)
+		}
+		if got.ok {
+			sound++
+			if trial > 0 && !want[trial-1].ok {
+				afterFailure++
+			}
+			// The pool the validating sequence left behind, once more on each.
+			seqs := make([][]pred, len(combo))
+			for n, ns := range combo {
+				seqs[n] = creationPath(ns)
+			}
+			ok1, sched1, net1 := c.isSequenceValid(reused, seqs)
+			ok2, sched2, net2 := c.isSequenceValid(new(soundScratch), seqs)
+			if ok1 != ok2 || !reflect.DeepEqual(sched1, sched2) || !maps.Equal(net1, net2) {
+				t.Fatalf("trial %d: isSequenceValid reused (%v, %v, %v), fresh (%v, %v, %v)",
+					trial, ok1, sched1, net1, ok2, sched2, net2)
+			}
+		}
+		combos, want = append(combos, combo), append(want, got)
+	}
+	if sound == 0 || sound == len(combos) || afterFailure == 0 {
+		t.Fatalf("%d of %d combinations sound, %d right after a failure: the mix is not exercised",
+			sound, len(combos), afterFailure)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := new(soundScratch)
+			for i, combo := range combos {
+				if got := search(sc, combo); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("concurrent search of combination %d: %+v, want %+v", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

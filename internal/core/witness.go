@@ -58,22 +58,21 @@ func (c *checker) checkNewStateOpt(ns *nodeState, view []int) {
 			continue
 		}
 		if c.keyer != nil {
-			for _, key := range sp.groupOrder {
-				g := sp.groups[key]
+			for _, g := range sp.groupOrder {
 				if len(c.visibleMembers(g, k, view)) == 0 {
 					continue
 				}
 				if !c.opt.Reduction.Conflict(ns.interest, g.interest) {
 					continue
 				}
-				c.searchWitness(ns, k, "g:"+key, view)
+				c.searchWitness(ns, k, g, view)
 				if c.stopped {
 					return
 				}
 			}
 			continue
 		}
-		c.searchWitness(ns, k, "all", view)
+		c.searchWitness(ns, k, nil, view)
 		if c.stopped {
 			return
 		}
@@ -81,107 +80,111 @@ func (c *checker) checkNewStateOpt(ns *nodeState, view []int) {
 }
 
 // resolveCandidates returns the conflicting candidate states of node k for
-// a witness search, restricted to the search's view.
-func (c *checker) resolveCandidates(ns *nodeState, k int, groupKey string, view []int) []*nodeState {
-	sp := c.spaces[k]
-	if g, ok := c.keyerGroup(sp, groupKey); ok {
+// a witness search, restricted to the search's view: the visible members of
+// group g, or — g is nil under a keyless reduction — every visible state
+// whose interest conflicts with ns's.
+func (c *checker) resolveCandidates(ns *nodeState, k int, g *interestGroup, view []int) []*nodeState {
+	if g != nil {
 		return c.visibleMembers(g, k, view)
 	}
-	var cands []*nodeState
+	cands := c.wit.cands[:0]
 	for _, b := range c.viewStates(k, view) {
 		if b.interesting && c.opt.Reduction.Conflict(ns.interest, b.interest) {
 			cands = append(cands, b)
 		}
 	}
+	c.wit.cands = cands
 	return cands
 }
 
-func (c *checker) keyerGroup(sp *space, groupKey string) (*interestGroup, bool) {
-	if len(groupKey) < 2 || groupKey[:2] != "g:" {
-		return nil, false
-	}
-	g := sp.groups[groupKey[2:]]
-	return g, g != nil
+// witnessScratch is the working memory of a witness search. Searches run one
+// at a time, on the merge goroutine, so it lives on the checker (like sw)
+// and every search reuses it: a warm search allocates only the completion
+// orderings it has to build, however many candidates it examines. Nothing in
+// it outlives the search that filled it, and missing not even the candidate
+// it was computed for.
+type witnessScratch struct {
+	// budget is the search's sequence allowance, shared by its candidates,
+	// walks and confirmations; tick is its deadline-poll cadence.
+	budget, tick int
+	nodes        []int          // the completion nodes: every node outside the pair, ascending
+	combo        []*nodeState   // the combination under construction
+	lists        [][]*nodeState // per completion node: its visible states, in walk order
+	cands        []*nodeState   // the candidates of a keyless search
+	missing      []codec.Fingerprint
+	// orders holds the completion orderings this search has built, by node
+	// and missing set: candidates that miss the same messages share a scan.
+	orders map[orderKey][]*nodeState
+	// sound is the scratch of the confirmations the search runs at its leaves.
+	sound soundScratch
 }
 
-// witnessPrepFanout is the candidate count above which a witness search
-// pre-resolves its per-candidate missing sets and coverage verdicts on the
-// worker pool.
-const witnessPrepFanout = 16
+type orderKey struct {
+	node int
+	miss codec.Fingerprint
+}
+
+// beginSearch resets the scratch for a search whose pair sits on nodes
+// ns.node and k (the same node for a node-local violation).
+func (c *checker) beginSearch(ns *nodeState, k int) *witnessScratch {
+	w := &c.wit
+	w.budget, w.tick = maxSequencesPerCheck, 0
+	w.nodes = w.nodes[:0]
+	for n := range c.spaces {
+		if n != int(ns.node) && n != k {
+			w.nodes = append(w.nodes, n)
+		}
+	}
+	w.lists = grow(w.lists, len(w.nodes))
+	w.combo = grow(w.combo, len(c.spaces))
+	w.combo[ns.node] = ns
+	if w.orders == nil {
+		w.orders = make(map[orderKey][]*nodeState)
+	}
+	clear(w.orders)
+	return w
+}
 
 // searchWitness looks for a real run in which ns coexists with one of the
-// conflicting candidate states of node k. Other nodes are completed with
-// any visited state (within the search's view), iterated lazily in
-// discovery order — their events are what generated the messages the pair
-// consumed. Each candidate system state is materialized and
-// invariant-checked; a violating one goes through soundness verification;
-// the first confirmed witness is reported and ends the search. The whole
-// search counts as one soundness-verification invocation, with the sequence
-// budget shared across candidates.
+// conflicting candidate states of node k (the members of group g; every
+// conflicting state when g is nil). Other nodes are completed with any
+// visited state (within the search's view), iterated lazily in discovery
+// order — their events are what generated the messages the pair consumed.
+// Each candidate system state is materialized and invariant-checked; a
+// violating one goes through soundness verification; the first confirmed
+// witness is reported and ends the search. The whole search counts as one
+// soundness-verification invocation, with the sequence budget shared across
+// candidates.
 //
 // The search runs on the incremental index layer (index.go): missing sets
-// come from the pair's flow memos, coverage questions go to the producer
-// index, and candidate pairs whose refutation evidence still stands are
-// skipped outright. When the candidate list is large and a worker pool is
-// available, the per-candidate missing sets are pre-resolved in parallel —
-// pure functions of immutable memos — and committed in candidate order, so
-// the sequential walk below consumes them with the exact sequential budget
-// charges.
-func (c *checker) searchWitness(ns *nodeState, k int, groupKey string, view []int) {
-	cacheKey := witnessKey{fp: ns.fp, node: k, group: groupKey}
+// come from the pair's flow memos and coverage questions go to the producer
+// index.
+func (c *checker) searchWitness(ns *nodeState, k int, g *interestGroup, view []int) {
+	cacheKey := witnessKey{fp: ns.fp, node: k, group: "all"}
+	if g != nil {
+		cacheKey.group = g.searchKey
+	}
 	if _, done := c.witnessed[cacheKey]; done {
 		return
 	}
 	c.witnessed[cacheKey] = struct{}{}
-	c.underPhase("soundness", func() { c.witnessSearch(ns, k, groupKey, view) })
+	c.underPhase("soundness", func() { c.witnessSearch(ns, k, g, view) })
 }
 
 // witnessSearch is the body of searchWitness, separated so the whole search
 // (including the path enumeration and replay it triggers) profiles under
 // the soundness phase label.
-func (c *checker) witnessSearch(ns *nodeState, k int, groupKey string, view []int) {
-	cands := c.resolveCandidates(ns, k, groupKey, view)
+func (c *checker) witnessSearch(ns *nodeState, k int, g *interestGroup, view []int) {
+	cands := c.resolveCandidates(ns, k, g, view)
 	if len(cands) == 0 {
 		return
 	}
 
 	c.res.Stats.SoundnessCalls++
-	budget := maxSequencesPerCheck
-	completionNodes := c.completionNodes(int(ns.node), k)
-	// The completion frontier visible to this search: how many states of
-	// each completion node the Cartesian walk below can range over. This is
-	// both the walk's input size and the evidence recorded by a
-	// completed-walk refutation.
-	curLimits := make([]int, len(completionNodes))
-	for i, n := range completionNodes {
-		curLimits[i] = view[n]
-	}
+	w := c.beginSearch(ns, k)
 
-	combo := make([]*nodeState, len(c.spaces))
-	combo[ns.node] = ns
-	deadlineTick := 0
-	leaf := func() bool { return c.witnessLeaf(combo, &budget) }
-
-	var preMissing [][]codec.Fingerprint
-	if c.workers >= 2 && len(cands) >= witnessPrepFanout {
-		// Memoize the shared pair member's memos before fanning out: flowOf
-		// (and the creationPath walk under it) writes only the state it is
-		// called on, so each parallel task touches a distinct candidate.
-		flowOf(ns)
-		preMissing = make([][]codec.Fingerprint, len(cands))
-		c.runParallel(len(cands), func(i int) {
-			preMissing[i] = c.pairMissing(ns, cands[i])
-		})
-	}
-
-	type orderKey struct {
-		node int
-		miss codec.Fingerprint
-	}
-	orderCache := make(map[orderKey][]*nodeState)
-
-	for ci, b := range cands {
-		if c.stopped || budget <= 0 {
+	for _, b := range cands {
+		if c.stopped || w.budget <= 0 {
 			return
 		}
 		// Examining a candidate costs budget even when the feasibility
@@ -190,12 +193,12 @@ func (c *checker) witnessSearch(ns *nodeState, k int, groupKey string, view []in
 		// within the per-search allowance. Ordering a node's completions by
 		// coverage scans that node's whole visited list, so it is charged
 		// proportionally below.
-		budget--
-		if c.pollDeadline(&deadlineTick) {
+		w.budget--
+		if c.pollDeadline(&w.tick) {
 			c.stop(obs.StopBudget)
 			return
 		}
-		combo[k] = b
+		w.combo[k] = b
 
 		// What must the completion nodes supply? Every message the pair's
 		// creation paths consume beyond what the pair itself (or the seeded
@@ -203,96 +206,40 @@ func (c *checker) witnessSearch(ns *nodeState, k int, groupKey string, view []in
 		// message are tried last; a message nobody can cover refutes this
 		// pair outright (modulo alternate-path generation, the same kind of
 		// incompleteness the paper's caps accept).
-		var missing []codec.Fingerprint
-		if preMissing != nil {
-			missing = preMissing[ci]
-		} else {
-			missing = c.pairMissing(ns, b)
-		}
-		missKey := codec.CombineUnordered(missing)
-		key := pairKeyOf(ns, b, missKey)
-		oc := c.pairOutcomes[key]
+		w.missing = c.pairMissing(w.missing, ns, b)
 
-		// Epoch gate 1: the pair was refuted as infeasible, and at least one
-		// of the fingerprints that had no producer then still has none — the
-		// verdict cannot have changed. Once the producer index gains covering
-		// states for all of them the evidence is void, and the pair goes back
-		// through the full feasibility check against the current view.
-		if oc != nil && len(oc.uncovered) > 0 {
-			still := false
-			for _, fp := range oc.uncovered {
-				if !c.coveredByAny(completionNodes, fp, view) {
-					still = true
-					break
-				}
-			}
-			if still {
-				c.res.Stats.WitnessSkips++
-				continue
-			}
-			oc.uncovered = nil
-		}
-
-		// Feasibility, via the producer index. All uncovered fingerprints are
-		// collected — not just the first — so a refutation records the full
-		// evidence the retry gate above must see disproven.
-		var uncovered []codec.Fingerprint
-		for _, fp := range missing {
-			if !c.coveredByAny(completionNodes, fp, view) {
-				uncovered = append(uncovered, fp)
+		// Feasibility, via the producer index. Every missing fingerprint is
+		// asked about, also past the first one nobody covers: the cover-index
+		// counters count a pair's whole missing set.
+		feasible := true
+		for _, fp := range w.missing {
+			if !c.coveredByAny(w.nodes, fp, view) {
+				feasible = false
 			}
 		}
-		if len(uncovered) > 0 {
-			if rec := c.ensureOutcome(key); rec != nil {
-				rec.uncovered = uncovered
-			}
+		if !feasible {
 			continue
 		}
 
-		// Epoch gate 2: a completed walk refuted this pair over a completion
-		// frontier at least as large. The current walk would enumerate a
-		// subset of those combinations, and their verdicts are deterministic
-		// repeats (invariant checks are pure; soundness verdicts are cached
-		// globally) — skip it.
-		if oc != nil && oc.refutedUnder(curLimits) {
-			c.res.Stats.WitnessSkips++
-			continue
-		}
-
-		lists := make([][]*nodeState, len(completionNodes))
-		for i, n := range completionNodes {
+		missKey := codec.CombineUnordered(w.missing)
+		for i, n := range w.nodes {
 			okey := orderKey{node: n, miss: missKey}
-			ordered, ok := orderCache[okey]
+			ordered, ok := w.orders[okey]
 			if !ok {
-				ordered = orderByCoverage(c.viewStates(n, view), missing)
-				orderCache[okey] = ordered
+				ordered = orderByCoverage(c.viewStates(n, view), w.missing)
+				w.orders[okey] = ordered
 				// A coverage scan touches every visited state of the node;
 				// short lists still cost at least one unit.
-				cost := len(ordered) / 64
-				if cost < 1 {
-					cost = 1
-				}
-				budget -= cost
+				w.budget -= max(len(ordered)/64, 1)
 			}
-			lists[i] = ordered
+			w.lists[i] = ordered
 		}
-		if budget <= 0 {
+		if w.budget <= 0 {
 			return
 		}
 
-		if c.completionWalk(combo, completionNodes, lists, &budget, &deadlineTick, leaf) {
+		if c.completionWalk(0, c.witnessLeaf) || c.stopped {
 			return
-		}
-		if c.stopped {
-			return
-		}
-		if budget > 0 {
-			// The walk ran to completion (not cut short by budget or a stop
-			// criterion) without finding a witness: record the refuted
-			// frontier so re-encounters under it are skipped.
-			if rec := c.ensureOutcome(key); rec != nil {
-				rec.addRefuted(curLimits)
-			}
 		}
 	}
 }
@@ -314,72 +261,50 @@ func (c *checker) confirmLocalViolation(ns *nodeState, v *spec.Violation, view [
 	// soundness-verification invocation.
 	c.underPhase("soundness", func() {
 		c.res.Stats.SoundnessCalls++
-		budget := maxSequencesPerCheck
-		completionNodes := c.completionNodes(int(ns.node), int(ns.node))
-		missing := c.missingFromFlows(flowOf(ns), nil)
-		lists := make([][]*nodeState, len(completionNodes))
-		for i, n := range completionNodes {
-			lists[i] = orderByCoverage(c.viewStates(n, view), missing)
+		w := c.beginSearch(ns, int(ns.node))
+		w.missing = c.missingFromFlows(w.missing, flowOf(ns), nil)
+		for i, n := range w.nodes {
+			w.lists[i] = orderByCoverage(c.viewStates(n, view), w.missing)
 		}
-		combo := make([]*nodeState, len(c.spaces))
-		combo[ns.node] = ns
-		deadlineTick := 0
-		c.completionWalk(combo, completionNodes, lists, &budget, &deadlineTick,
-			func() bool { return c.settle(combo, v, nil, &budget) })
+		c.completionWalk(0, func() bool { return c.settle(w.combo, v, nil, &w.budget) })
 	})
 }
 
-// completionNodes lists the nodes other than the pair (a, b) in ascending
-// order: the slots a witness search fills with completions.
-func (c *checker) completionNodes(a, b int) []int {
-	nodes := make([]int, 0, len(c.spaces)-1)
-	for n := range c.spaces {
-		if n != a && n != b {
-			nodes = append(nodes, n)
-		}
-	}
-	return nodes
-}
-
-// completionWalk is the lazy Cartesian walk every witness search runs: slot
-// nodes[i] of combo ranges over lists[i] in list order (last list fastest),
-// and leaf is called on each full combination until it reports a confirmed
-// witness, the sequence budget is spent or a stop criterion fires. It
-// reports whether a witness was found.
-func (c *checker) completionWalk(combo []*nodeState, nodes []int, lists [][]*nodeState,
-	budget, deadlineTick *int, leaf func() bool) bool {
-
-	var walk func(i int) bool
-	walk = func(i int) bool {
-		if c.stopped || *budget <= 0 {
-			return false
-		}
-		if i == len(lists) {
-			if c.pollDeadline(deadlineTick) {
-				c.stop(obs.StopBudget)
-				return false
-			}
-			return leaf()
-		}
-		for _, s := range lists[i] {
-			combo[nodes[i]] = s
-			if walk(i + 1) {
-				return true
-			}
-			if c.stopped || *budget <= 0 {
-				return false
-			}
-		}
+// completionWalk is the lazy Cartesian walk every witness search runs over
+// its scratch: slot nodes[j] of combo ranges over lists[j] in list order
+// (last list fastest) for every j ≥ i, and leaf is called on each full
+// combination until it reports a confirmed witness, the sequence budget is
+// spent or a stop criterion fires. It reports whether a witness was found.
+func (c *checker) completionWalk(i int, leaf func() bool) bool {
+	w := &c.wit
+	if c.stopped || w.budget <= 0 {
 		return false
 	}
-	return walk(0)
+	if i == len(w.lists) {
+		if c.pollDeadline(&w.tick) {
+			c.stop(obs.StopBudget)
+			return false
+		}
+		return leaf()
+	}
+	for _, s := range w.lists[i] {
+		w.combo[w.nodes[i]] = s
+		if c.completionWalk(i+1, leaf) {
+			return true
+		}
+		if c.stopped || w.budget <= 0 {
+			return false
+		}
+	}
+	return false
 }
 
-// witnessLeaf materializes one candidate combination of an OPT witness
-// search and checks the invariant; a preliminary violation goes to the
+// witnessLeaf materializes the combination an OPT witness search has just
+// completed and checks the invariant; a preliminary violation goes to the
 // verdict path against the search's shared sequence budget. It reports
 // whether a confirmed bug was found.
-func (c *checker) witnessLeaf(combo []*nodeState, budget *int) bool {
+func (c *checker) witnessLeaf() bool {
+	combo, budget := c.wit.combo, &c.wit.budget
 	// The OPT half of the symmetry reduction: a combination whose canonical
 	// twin was already invariant-clean is clean too (slot-symmetric
 	// invariants) and can never become a witness — skip it without charging
@@ -428,11 +353,12 @@ func (c *checker) witnessLeaf(combo []*nodeState, budget *int) bool {
 
 // pairMissing lists the message fingerprints the creation paths of the two
 // pair members consume but neither generates (and the seeded network does
-// not supply), counting multiplicities. It is a two-pointer merge of the
-// members' flow memos; missingOf below is the definitional multiset walk it
-// replaced, kept as the oracle the differential tests compare against.
-func (c *checker) pairMissing(a, b *nodeState) []codec.Fingerprint {
-	return c.missingFromFlows(flowOf(a), flowOf(b))
+// not supply), counting multiplicities, into dst's backing array. It is a
+// two-pointer merge of the members' flow memos; missingOf below is the
+// definitional multiset walk it replaced, kept as the oracle the
+// differential tests compare against.
+func (c *checker) pairMissing(dst []codec.Fingerprint, a, b *nodeState) []codec.Fingerprint {
+	return c.missingFromFlows(dst, flowOf(a), flowOf(b))
 }
 
 // missingOf computes the missing set of any member set directly from the

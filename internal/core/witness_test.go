@@ -96,7 +96,7 @@ func TestProbeWitnessDirect(t *testing.T) {
 
 	budget := 1 << 20
 	var tally soundTally
-	ok, sched := c.isStateSound(combo, witnessPathCap, &budget, &tally)
+	ok, sched := c.isStateSound(combo, witnessPathCap, &budget, &tally, new(soundScratch))
 	t.Logf("isStateSound: ok=%v budgetUsed=%d", ok, 1<<20-budget)
 	if !ok {
 		for n, ns := range combo {

@@ -55,8 +55,10 @@ type Counters struct {
 	// producer for the queried message fingerprint, a miss found none.
 	CoverIndexHits   int
 	CoverIndexMisses int
-	// WitnessSkips counts candidate-pair walks skipped by the epoch-gated
-	// witness outcome cache (their recorded refutation evidence still held).
+	// WitnessSkips is retired and always 0: it counted the hits of a
+	// per-pair witness outcome cache that never had one (a candidate pair is
+	// examined at most once per run) and is gone. The field stays because the
+	// v1 store segment layout and the parity dump carry it.
 	WitnessSkips int
 	// SymmetrySkips counts system-state combinations skipped by the symmetry
 	// reduction: non-canonical arrangements whose canonical representative
