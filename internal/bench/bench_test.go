@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lmc/internal/core"
+	"lmc/internal/testkit"
 )
 
 // TestTablePrinting checks alignment and notes.
@@ -161,5 +162,101 @@ func TestBughuntCountersAndAllocCeiling(t *testing.T) {
 	if bytes > maxBytes || mallocs > maxMallocs {
 		t.Fatalf("one check allocated %.1f MB in %d objects; the ceiling is %d MB in %d",
 			float64(bytes)/(1<<20), mallocs, maxBytes>>20, maxMallocs)
+	}
+}
+
+// TestExploreOptCountersAndAllocCeiling is the same for the benchmark's
+// explore-opt input (benchmark/workloads.go, buildExplore: registry 1paxos
+// from its live state, LMC-OPT, one million transitions, sequential). Nine in
+// ten of those transitions land on a visited state and close to half on the
+// parent itself, so what a check allocates is what a transition that goes
+// nowhere costs: a node state's Clone is a struct copy, a handler that wrote
+// nothing returns a successor that carries its fingerprint, and a self-edge
+// is kept as eight bytes. A deep Clone or a per-transition encode coming back
+// shows here first. The counters hold under the race detector too; the
+// ceiling is for plain builds (raceDetector).
+func TestExploreOptCountersAndAllocCeiling(t *testing.T) {
+	w, err := Lookup("1paxos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := w.StartState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.Options{Invariant: w.Invariant, LocalInvariants: w.Locals, Reduction: w.Reduction,
+		MaxTransitions: 1_000_000, Workers: -1}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := core.Check(w.Machine, start, opt)
+	runtime.ReadMemStats(&after)
+
+	if res.StopReason != core.StopTransitions || len(res.Bugs) != 0 {
+		t.Fatalf("explore-opt: stop=%v bugs=%d", res.StopReason, len(res.Bugs))
+	}
+	s := res.Stats
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"transitions", s.Transitions, 1_000_000},
+		{"node_states", s.NodeStates, 79_878},
+		{"rejections", s.Rejections, 0},
+		{"system_states", s.SystemStates, 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("explore-opt: %s=%d, want %d", c.name, c.got, c.want)
+		}
+	}
+
+	const maxBytes, maxMallocs = 900 << 20, 10_000_000
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("one check: %.1f MB in %d allocations", float64(bytes)/(1<<20), mallocs)
+	if !raceDetector && (bytes > maxBytes || mallocs > maxMallocs) {
+		t.Fatalf("one check allocated %.1f MB in %d objects; the ceiling is %d MB in %d",
+			float64(bytes)/(1<<20), mallocs, maxBytes>>20, maxMallocs)
+	}
+}
+
+// TestBenchmarkInputsHandlersAudited runs the two benchmark inputs the
+// ceilings above pin — explore-opt at the benchmark's -scale tiny cap, and
+// bughunt whole — with every handler execution audited (testkit.Audit: a
+// successor's carried fingerprint is the hash of its encoding, and a handler
+// writes to nothing but its own copy), sequentially and on the worker pool.
+// A transition cap keeps the sweeps off the pool, so the pool run of the
+// capped input is bounded by a budget instead; the audit needs no particular
+// stopping point.
+func TestBenchmarkInputsHandlersAudited(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		bound    func(o *core.Options, pool bool)
+	}{
+		{"1paxos", func(o *core.Options, pool bool) {
+			if pool {
+				o.Budget = 500 * time.Millisecond
+			} else {
+				o.MaxTransitions = 20_000
+			}
+		}},
+		{"paxos-bug", func(o *core.Options, _ bool) { o.StopAtFirstBug = true }},
+	} {
+		w, err := Lookup(tc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, err := w.StartState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := testkit.Audit(w.Machine, t)
+		for _, workers := range []int{-1, 4} {
+			opt := core.Options{Invariant: w.Invariant, LocalInvariants: w.Locals, Reduction: w.Reduction, Workers: workers}
+			tc.bound(&opt, workers > 0)
+			res := core.Check(m, start, opt)
+			if res.Stats.Transitions == 0 {
+				t.Errorf("%s workers=%d: no handler ran", tc.workload, workers)
+			}
+		}
 	}
 }

@@ -206,6 +206,14 @@ func Hash(b []byte) Fingerprint {
 	return Fingerprint(fnvBytes(fnvOffset64, b))
 }
 
+// HashAfter fingerprints the concatenation of some prefix and b, given only
+// the prefix's fingerprint: FNV-1a is a running hash, so Hash(prefix ++ b) ==
+// HashAfter(Hash(prefix), b). A layered state whose encoding starts with its
+// lower layer's uses it to carry on from the lower layer's fingerprint.
+func HashAfter(prefix Fingerprint, b []byte) Fingerprint {
+	return Fingerprint(fnvBytes(uint64(prefix), b))
+}
+
 // maxPooledWriter bounds the buffers retained by the writer pool; an
 // occasional huge encoding should not pin its buffer forever.
 const maxPooledWriter = 1 << 16

@@ -261,10 +261,17 @@ type nodeState struct {
 	// along the first path (§4.2, "Duplicate messages": a message is never
 	// re-executed on a state whose history already contains it).
 	history *historyNode
-	// preds records every immediate predecessor edge (Figure 9 line 14);
-	// soundness verification walks them backward to enumerate the event
-	// sequences that could lead here.
-	preds []pred
+	// preds records every immediate predecessor edge from another state
+	// (Figure 9 line 14); soundness verification walks them backward to
+	// enumerate the event sequences that could lead here. selfEdges holds
+	// the edges from the state to itself — the events that changed nothing,
+	// close to half of all transitions on a Paxos-shaped space — as event
+	// fingerprints only: no path enumeration ever follows one (a backward
+	// walk never revisits a state on its stack), so the fingerprint is kept
+	// for exactly what still reads it, addPred's duplicate rule and the
+	// maxPredecessors cap, which count both lists.
+	preds     []pred
+	selfEdges []codec.Fingerprint
 	// interest caches the Reduction projection (LMC-OPT).
 	interest    spec.Interest
 	interesting bool
@@ -297,14 +304,27 @@ type nodeState struct {
 // consumed message fingerprint (network events) and the fingerprints of
 // the generated messages (§4.2, "the input to Procedure isSequenceValid is
 // the set of sequenced events as well as the set of generated messages by
-// each event").
+// each event"). The event itself is not stored: its kind is here, its node
+// is prev's, and payload is the one of Msg and Act it carried; event()
+// puts them back together where a schedule is materialized.
 type pred struct {
-	prev      *nodeState // nil when the edge leaves the start state
+	prev      *nodeState
 	kind      model.EventKind
-	event     model.Event // retained for counterexample reporting
+	payload   codec.Encoder // the model.Message delivered or the model.Action performed
 	eventFP   codec.Fingerprint
 	msgFP     codec.Fingerprint // consumed message (network events)
 	generated []codec.Fingerprint
+}
+
+// event rebuilds the edge's event, for counterexample reporting.
+func (p *pred) event() model.Event {
+	ev := model.Event{Kind: p.kind, Node: p.prev.node}
+	if p.kind == model.NetworkEvent {
+		ev.Msg, _ = p.payload.(model.Message)
+	} else {
+		ev.Act, _ = p.payload.(model.Action)
+	}
+	return ev
 }
 
 // historyNode is a persistent (shared-tail) list of delivered message

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"lmc/internal/codec"
@@ -325,10 +326,14 @@ func (c *checker) beginPass() {
 
 	// Lines 3–4 of Figure 9: initialize each LSn with the live state.
 	for n := 0; n < c.m.NumNodes(); n++ {
+		// The visited copy is fingerprinted itself, here, before any worker
+		// can reach it: a state that carries its fingerprint
+		// (model.Fingerprinter) is only read from then on.
+		st := c.start[n].Clone()
 		ns := &nodeState{
 			node:  model.NodeID(n),
-			state: c.start[n].Clone(),
-			fp:    model.StateFingerprint(c.start[n]),
+			state: st,
+			fp:    model.StateFingerprint(st),
 			// The empty creation path consumes and generates nothing.
 			flowDone: true,
 		}
@@ -417,10 +422,17 @@ func (c *checker) pass() bool {
 	return false
 }
 
-// addPred appends a predecessor edge unless it duplicates an existing one
-// or the cap is reached.
+// addPred records a predecessor edge of ns unless it duplicates an existing
+// one or ns already has maxPredecessors of them, self-edges included. An
+// edge from ns itself keeps only its event fingerprint (nodeState.selfEdges).
 func (c *checker) addPred(ns *nodeState, edge pred) {
-	if len(ns.preds) >= maxPredecessors {
+	if len(ns.preds)+len(ns.selfEdges) >= maxPredecessors {
+		return
+	}
+	if edge.prev == ns {
+		if !slices.Contains(ns.selfEdges, edge.eventFP) {
+			ns.selfEdges = append(ns.selfEdges, edge.eventFP)
+		}
 		return
 	}
 	for _, p := range ns.preds {

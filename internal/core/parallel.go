@@ -262,10 +262,10 @@ func (r *nodeRun) deliver(e *netstate.Entry, s *nodeState, entry int) {
 func (r *nodeRun) step(s *nodeState, ev model.Event, e *netstate.Entry, slot int) outcome {
 	c := r.c
 	node, entry := int(s.node), -1
-	edge := pred{prev: s, kind: ev.Kind, event: ev}
+	edge := pred{prev: s, kind: ev.Kind, payload: ev.Act}
 	if e != nil {
 		node, entry = -1, slot
-		edge.msgFP = e.FP
+		edge.payload, edge.msgFP = e.Msg, e.FP
 	}
 	hint, hinted := c.log.hint(node, slot, s.fp)
 	if hinted {

@@ -605,7 +605,7 @@ func appendValid(net map[codec.Fingerprint]int, p []pred) (bool, trace.Schedule)
 	}
 	sched := make(trace.Schedule, len(p))
 	for i := range p {
-		sched[i] = p[i].event
+		sched[i] = p[i].event()
 	}
 	return true, sched
 }

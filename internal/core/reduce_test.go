@@ -259,13 +259,14 @@ func TestProtocolDeclarations(t *testing.T) {
 func TestAppendValidAccounting(t *testing.T) {
 	fpA, fpB := codec.Fingerprint(1), codec.Fingerprint(2)
 	net := map[codec.Fingerprint]int{fpA: 1}
+	from := &nodeState{node: 1} // the schedule's events name their edge's source node
 	p := []pred{
-		{kind: model.NetworkEvent, msgFP: fpA, generated: []codec.Fingerprint{fpB}},
-		{kind: model.NetworkEvent, msgFP: fpB},
+		{prev: from, kind: model.NetworkEvent, msgFP: fpA, generated: []codec.Fingerprint{fpB}},
+		{prev: from, kind: model.NetworkEvent, msgFP: fpB},
 	}
 	ok, sched := appendValid(net, p)
-	if !ok || len(sched) != 2 {
-		t.Fatalf("valid append rejected: ok=%v len=%d", ok, len(sched))
+	if !ok || len(sched) != 2 || sched[0].Node != 1 || sched[1].Kind != model.NetworkEvent {
+		t.Fatalf("valid append rejected: ok=%v, %d events", ok, len(sched))
 	}
 	if net[fpA] != 0 || net[fpB] != 0 {
 		t.Fatalf("pool after append: %v", net)

@@ -101,8 +101,9 @@ func creationPath(ns *nodeState) []pred {
 
 // enumeratePathsCapped lists event sequences (as predecessor-edge slices
 // ordered start→state) that lead from the node's start state to ns. Following
-// the paper's simplification, self-referencing edges are ignored and, more
-// generally, a backward walk never revisits a state already on its stack;
+// the paper's simplification, self-referencing edges are ignored (exploration
+// keeps them off preds, nodeState.selfEdges) and, more generally, a backward
+// walk never revisits a state already on its stack;
 // the enumeration is capped at maxPaths paths. The paths are appended to out
 // and carved from sc's arena.
 func (c *checker) enumeratePathsCapped(sc *soundScratch, ns *nodeState, maxPaths int, out [][]pred) [][]pred {
@@ -219,7 +220,7 @@ func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.
 	sched := make(trace.Schedule, len(order))
 	clear(pos)
 	for i, k := range order {
-		sched[i] = seqs[k][pos[k]].event
+		sched[i] = seqs[k][pos[k]].event()
 		pos[k]++
 	}
 	return true, sched, net

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"maps"
 	"math/rand"
 	"reflect"
@@ -243,15 +244,12 @@ func TestSoundScratchMatchesFresh(t *testing.T) {
 	spaces := make([]*space, 3)
 	for n := range spaces {
 		spaces[n] = buildRandomSpace(rng, model.NodeID(n), 25, universe, false)
+		// The schedule tells whose event ran when: pred.event takes the node
+		// from the edge's source state.
 		for _, ns := range spaces[n].states {
-			for i := range ns.preds {
-				// The schedule must tell whose event ran when.
-				ns.preds[i].event = model.Event{Kind: ns.preds[i].kind, Node: ns.node}
-			}
 			// A second route to some states, so the odometer has something to turn.
 			if ns.seq > 1 && rng.Intn(3) == 0 {
-				ns.preds = append(ns.preds, pred{prev: spaces[n].states[rng.Intn(ns.seq)],
-					kind: model.InternalEvent, event: model.Event{Kind: model.InternalEvent, Node: ns.node}})
+				ns.preds = append(ns.preds, pred{prev: spaces[n].states[rng.Intn(ns.seq)], kind: model.InternalEvent})
 			}
 		}
 	}
@@ -320,4 +318,100 @@ func TestSoundScratchMatchesFresh(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAddPredCountsSelfEdges: an edge from a state to itself is stored as its
+// event fingerprint only, and addPred's two rules still see it. A state given
+// 63 distinct self-edges and then two edges from another state admits exactly
+// one of them (maxPredecessors counts both lists), and a self-edge offered
+// again is not counted twice — neither when addPred is handed the same edge,
+// nor when exploration delivers a second copy of the same message (DupLimit 1)
+// to the same state.
+func TestAddPredCountsSelfEdges(t *testing.T) {
+	c := &checker{}
+	ns, other := &nodeState{fp: 1}, &nodeState{fp: 2}
+	for i := 1; i < maxPredecessors; i++ {
+		c.addPred(ns, pred{prev: ns, kind: model.NetworkEvent, eventFP: codec.Fingerprint(i)})
+		c.addPred(ns, pred{prev: ns, kind: model.NetworkEvent, eventFP: codec.Fingerprint(i)})
+	}
+	if len(ns.selfEdges) != maxPredecessors-1 || len(ns.preds) != 0 {
+		t.Fatalf("%d self-edges and %d predecessor edges after %d distinct self-edges offered twice",
+			len(ns.selfEdges), len(ns.preds), maxPredecessors-1)
+	}
+	// The same event fingerprint from another state is another edge.
+	c.addPred(ns, pred{prev: other, kind: model.NetworkEvent, eventFP: 1})
+	c.addPred(ns, pred{prev: other, kind: model.NetworkEvent, eventFP: 2})
+	c.addPred(ns, pred{prev: ns, kind: model.NetworkEvent, eventFP: 1000})
+	if len(ns.selfEdges) != maxPredecessors-1 || len(ns.preds) != 1 || ns.preds[0].eventFP != 1 {
+		t.Fatalf("at the cap: %d self-edges, predecessor edges %+v; want %d and the first real edge only",
+			len(ns.selfEdges), ns.preds, maxPredecessors-1)
+	}
+
+	calls := 0
+	m := stepMachine{kind: "idle", calls: &calls}
+	ck := newChecker(context.Background(), m, model.InitialSystem(m),
+		Options{DisableSystemStates: true, Workers: -1, DupLimit: 1})
+	ck.beginPass()
+	s := ck.spaces[0].states[0]
+	r := &nodeRun{c: ck, node: 0}
+	for dup := 0; dup < 2; dup++ {
+		e := ck.net.Add(stepEvent{Kind: "idle"})
+		if e == nil {
+			t.Fatalf("copy %d of the message was not admitted under DupLimit 1", dup)
+		}
+		r.deliver(e, s, dup)
+	}
+	want := model.RecvEvent(stepEvent{Kind: "idle"}).Fingerprint()
+	if calls != 2 || len(s.preds) != 0 || len(s.selfEdges) != 1 || s.selfEdges[0] != want {
+		t.Fatalf("two copies delivered (%d handler calls): self-edges %v, %d predecessor edges; want the one fingerprint %v",
+			calls, s.selfEdges, len(s.preds), want)
+	}
+}
+
+// TestEnumeratePathsIgnoresSelfEdges: the backward walk never followed an
+// edge from a state to itself (its source is on the stack by construction),
+// so keeping those edges off preds changes no enumeration: the graphs above
+// give the same paths with self-edges on every state and with none.
+func TestEnumeratePathsIgnoresSelfEdges(t *testing.T) {
+	c := &checker{}
+	build := func(self bool) []*nodeState {
+		sp := newSpace()
+		s0 := &nodeState{fp: 1}
+		sp.add(s0)
+		s1 := chainState(sp, s0, 2)
+		s2 := chainState(sp, s1, 3)
+		s3 := chainState(sp, s1, 4)
+		c.addPred(s1, pred{prev: s2, kind: model.InternalEvent, eventFP: 7}) // back edge
+		c.addPred(s3, pred{prev: s2, kind: model.NetworkEvent, eventFP: 8, msgFP: 9})
+		c.addPred(s2, pred{prev: s3, kind: model.InternalEvent, eventFP: 10})
+		if self {
+			for i, ns := range sp.states {
+				c.addPred(ns, pred{prev: ns, kind: model.InternalEvent, eventFP: codec.Fingerprint(100 + i)})
+				c.addPred(ns, pred{prev: ns, kind: model.NetworkEvent, eventFP: codec.Fingerprint(200 + i), msgFP: 5})
+			}
+		}
+		return sp.states
+	}
+	with, without := build(true), build(false)
+	// Edges of the two graphs differ in their prev pointers; compare by the
+	// source state's fingerprint.
+	render := func(paths [][]pred) [][]codec.Fingerprint {
+		out := make([][]codec.Fingerprint, len(paths))
+		for i, p := range paths {
+			for _, e := range p {
+				out[i] = append(out[i], e.prev.fp, e.eventFP, e.msgFP)
+			}
+		}
+		return out
+	}
+	for i := range with {
+		if len(with[i].selfEdges) != 2 || len(without[i].selfEdges) != 0 {
+			t.Fatalf("state %d: %d and %d self-edges", i, len(with[i].selfEdges), len(without[i].selfEdges))
+		}
+		a := render(c.enumeratePathsCapped(new(soundScratch), with[i], maxPathsPerNode, nil))
+		b := render(c.enumeratePathsCapped(new(soundScratch), without[i], maxPathsPerNode, nil))
+		if len(a) == 0 || !reflect.DeepEqual(a, b) {
+			t.Fatalf("state %d: paths with self-edges %v, without %v", i, a, b)
+		}
+	}
 }

@@ -13,7 +13,8 @@ import (
 // stepMachine is a one-node machine whose single handler does what the
 // event's kind says, for messages and actions alike: "inc" moves to a new
 // state and emits a note, "echo" stays (a visited successor) and emits,
-// "idle" stays silently, "reject" rejects. calls counts handler executions.
+// "idle" stays silently, "zero" goes back to the initial state and emits,
+// "reject" rejects. calls counts handler executions.
 type stepMachine struct {
 	kind  string // the action Actions offers
 	calls *int
@@ -52,6 +53,9 @@ func (m stepMachine) apply(s model.State, kind string) (model.State, []model.Mes
 		return st, []model.Message{stepNote(st.V)}
 	case "echo":
 		return st, []model.Message{stepNote(st.V)}
+	case "zero":
+		st.V = 0
+		return st, []model.Message{stepNote(0)}
 	case "idle":
 		return st, nil
 	}
@@ -85,7 +89,8 @@ func TestStep(t *testing.T) {
 		calls      int  // handler executions during the walk
 		rejections int  // Stats.Rejections
 		news       int  // node states discovered
-		preds      int  // predecessor edges added to the start state
+		back       bool // run on a second visited state, so the visited successor is not the parent
+		preds      int  // predecessor edges added to the successor: to selfEdges, or with back to preds
 		lazy       bool // a fingerprint-only batch was queued
 		real       bool // a materialized batch was queued
 		captured   outcome
@@ -102,6 +107,8 @@ func TestStep(t *testing.T) {
 			preds: 1, lazy: true, captured: outcome{Succ: s0, Emitted: note0}, mergeCalls: 1},
 		{name: "hint to visited successor without emissions", kind: "idle", hint: &outcome{Succ: s0},
 			preds: 1, captured: outcome{Succ: s0}},
+		{name: "hint to visited successor that is not the parent", kind: "zero", hint: &outcome{Succ: s0, Emitted: note0},
+			back: true, preds: 1, lazy: true, captured: outcome{Succ: s0, Emitted: note0}, mergeCalls: 1},
 		{name: "hint to new successor", kind: "inc", hint: &outcome{Succ: s1, Emitted: note1},
 			calls: 1, news: 1, real: true, captured: outcome{Succ: s1, Emitted: note1}},
 		{name: "hint lies about the successor", kind: "inc", hint: &outcome{Succ: s1 ^ 1, Emitted: note1},
@@ -124,14 +131,19 @@ func TestStep(t *testing.T) {
 					Options{DisableSystemStates: true, Workers: -1})
 				c.beginPass()
 				s := c.spaces[0].states[0]
+				succ := s // the visited successor of the hinted cases
+				if tc.back {
+					(&nodeRun{c: c, node: 0}).step(s, model.ActEvent(stepEvent{Kind: "inc"}), nil, 0)
+					s, calls = c.spaces[0].states[1], 0
+				}
 				c.log.owners, c.log.owner = 2, ShardOwner(s.fp, 2)
 
 				r := &nodeRun{c: c, node: 0}
-				wantKind, wantEntry := model.InternalEvent, -1
+				wantEv, wantEntry := model.ActEvent(stepEvent{Kind: tc.kind}), -1
 				var wantMsgFP codec.Fingerprint
 				if delivery {
 					e := c.net.Add(stepEvent{Kind: tc.kind})
-					wantKind, wantEntry, wantMsgFP = model.NetworkEvent, 0, e.FP
+					wantEv, wantEntry, wantMsgFP = model.RecvEvent(e.Msg), 0, e.FP
 					if tc.hint != nil {
 						c.log.load(RoundBatch{Dels: []DeliveryRecord{{Entry: 0, Parent: s.fp,
 							Rejected: tc.hint.Rejected, Succ: tc.hint.Succ, Emitted: tc.hint.Emitted}}})
@@ -148,13 +160,24 @@ func TestStep(t *testing.T) {
 				if calls != tc.calls {
 					t.Errorf("handler ran %d times during the walk, want %d", calls, tc.calls)
 				}
-				if len(s.preds) != tc.preds {
-					t.Fatalf("start state has %d predecessor edges, want %d", len(s.preds), tc.preds)
+				// An edge from the successor itself is kept as its event
+				// fingerprint; one from another state whole, and its event
+				// comes back out of it.
+				wantSelf, wantPreds := tc.preds, 0
+				if tc.back {
+					wantSelf, wantPreds = 0, tc.preds
 				}
-				if tc.preds == 1 {
-					p := s.preds[0]
-					if p.prev != s || p.kind != wantKind || p.msgFP != wantMsgFP ||
-						p.eventFP != p.event.Fingerprint() || !slices.Equal(p.generated, tc.hint.Emitted) {
+				if len(succ.selfEdges) != wantSelf || len(succ.preds) != wantPreds {
+					t.Fatalf("successor has %d self-edges and %d predecessor edges, want %d and %d",
+						len(succ.selfEdges), len(succ.preds), wantSelf, wantPreds)
+				}
+				if wantSelf == 1 && succ.selfEdges[0] != wantEv.Fingerprint() {
+					t.Errorf("self-edge %v, want the fingerprint of %v", succ.selfEdges[0], wantEv)
+				}
+				if wantPreds == 1 {
+					p := succ.preds[0]
+					if p.prev != s || p.kind != wantEv.Kind || p.msgFP != wantMsgFP || p.event() != wantEv ||
+						p.eventFP != wantEv.Fingerprint() || !slices.Equal(p.generated, tc.hint.Emitted) {
 						t.Errorf("predecessor edge %+v", p)
 					}
 				}
@@ -165,7 +188,7 @@ func TestStep(t *testing.T) {
 					}
 					if b.lazy != nil {
 						lazy = true
-						if b.msgs != nil || b.lazy.state != s.state || b.lazy.ev.Kind != wantKind {
+						if b.msgs != nil || b.lazy.state != s.state || b.lazy.ev != wantEv {
 							t.Errorf("lazy batch %+v", b)
 						}
 					} else {

@@ -102,7 +102,7 @@ func TestProbeWitnessDirect(t *testing.T) {
 		for n, ns := range combo {
 			t.Logf("node %d creation path:", n)
 			for _, e := range creationPath(ns) {
-				t.Logf("   %s gen=%d", e.event.String(), len(e.generated))
+				t.Logf("   %s gen=%d", e.event().String(), len(e.generated))
 			}
 		}
 		t.Fatal("known-valid combo rejected")

@@ -10,6 +10,7 @@ import (
 	"lmc/internal/core"
 	"lmc/internal/mc/global"
 	"lmc/internal/spec"
+	"lmc/internal/testkit"
 )
 
 // corpusSeed seeds the deterministic tier-1 corpus. Changing it changes
@@ -512,4 +513,51 @@ func TestReducedTwinSkippedWhenVacuous(t *testing.T) {
 	if !reducedTwinInformative(&core.Result{Bugs: []core.Bug{{}}}) {
 		t.Error("bug-confirming run should get a reduced twin")
 	}
+}
+
+// TestCorpusHandlersAudited runs the corpus's Paxos and 1Paxos scenarios —
+// the two protocols whose node states share their collections and carry
+// their fingerprint — with every handler execution audited (testkit.Audit:
+// the successor's carried fingerprint is the hash of its encoding, and the
+// handler wrote to nothing but its own copy), through the prefix script, the
+// global baseline and LMC-OPT, sequential and on the worker pool. Under
+// -race the pool run is also the check that a published state's fingerprint
+// is only ever read.
+func TestCorpusHandlersAudited(t *testing.T) {
+	tun := Tuning{Budget: 150 * time.Millisecond}.withDefaults()
+	audited := 0
+	for i, sc := range Corpus(*corpusSeed, corpusSize) {
+		if sc.Protocol != ProtoPaxos && sc.Protocol != ProtoOnePaxos {
+			continue
+		}
+		inst, err := sc.Build()
+		if err != nil {
+			t.Fatalf("scenario %d (%s): %v", i, sc.Name(), err)
+		}
+		inst.Machine = testkit.Audit(inst.Machine, t)
+		start, inflight, err := sc.Prepare(inst)
+		if err != nil {
+			t.Fatalf("scenario %d (%s): %v", i, sc.Name(), err)
+		}
+		global.Check(inst.Machine, start, global.Options{
+			Invariant: inst.GlobalInvariant(), Strategy: global.DFS, MaxDepth: sc.Depth,
+			MaxTransitions: tun.GlobalMaxTransitions, Budget: tun.Budget, InitialMessages: inflight,
+		})
+		for _, workers := range []int{-1, 4} {
+			opt := lmcOptions(sc, tun, inst, inflight, true)
+			opt.Workers = workers
+			if workers > 0 {
+				opt.MaxTransitions = 0 // a transition cap keeps the sweeps off the pool
+			}
+			core.Check(inst.Machine, start, opt)
+		}
+		audited++
+		if t.Failed() {
+			t.Fatalf("scenario %d (%s) failed the audit: %s", i, sc.Name(), mustJSON(sc))
+		}
+	}
+	if audited == 0 {
+		t.Fatal("the corpus holds no Paxos or 1Paxos scenario")
+	}
+	t.Logf("%d scenarios audited", audited)
 }

@@ -51,8 +51,10 @@ type Action interface {
 // checkers identify states by the fingerprint of their encoding.
 type State interface {
 	codec.Encoder
-	// Clone returns a deep copy. Checkers clone before invoking handlers so
-	// handler implementations are free to mutate the state they receive.
+	// Clone returns a copy a handler may write to without the original
+	// changing — checkers clone before invoking handlers. The copy may
+	// share anything with the original that neither side will ever write
+	// in place (see Fingerprinter for what a sharing state can carry).
 	Clone() State
 	// String renders the state compactly for traces.
 	String() string
@@ -92,6 +94,29 @@ type Machine interface {
 	Actions(n NodeID, s State) []Action
 	// HandleAction executes HA: node n in state s performs action a.
 	HandleAction(n NodeID, s State, a Action) (State, []Message)
+}
+
+// Fingerprinter is an optional State capability: a state that carries the
+// fingerprint of its own encoding, so that the successor of a handler that
+// wrote nothing is identified without encoding or hashing it. StateFingerprint
+// is its only consumer.
+//
+// Contract: Fingerprint returns exactly codec.HashOf of the state, memoized.
+// Clone copies the memo; every write to the state — the implementation's
+// own mutators, which handlers must go through — clears it. Clearing on a
+// write that stored an equal value is fine (the state is re-hashed to the
+// same fingerprint); keeping the memo across a write that changed the
+// encoding is the one unsound thing, because both checkers identify states
+// by this value.
+//
+// Publication: the first Fingerprint call on a state writes the memo, later
+// calls only read it. A checker therefore takes a state's fingerprint on the
+// goroutine that created the state, before any other goroutine can reach it
+// (LMC: addNext fingerprints a successor before space.add publishes it, and
+// a start state before the first sweep); from then on the state is
+// immutable and concurrent Fingerprint calls are reads.
+type Fingerprinter interface {
+	Fingerprint() codec.Fingerprint
 }
 
 // Symmetric is an optional Machine capability declaring role symmetry. The
@@ -248,7 +273,7 @@ func (e Event) String() string {
 	}
 }
 
-// Apply executes the event's handler on a clone of s via machine m,
+// Apply executes the event's handler on a Clone of s via machine m,
 // returning the successor (nil if the handler rejected) and emissions.
 func (e Event) Apply(m Machine, s State) (State, []Message) {
 	switch e.Kind {
@@ -264,5 +289,11 @@ func (e Event) Apply(m Machine, s State) (State, []Message) {
 // MessageFingerprint hashes a message's canonical encoding.
 func MessageFingerprint(m Message) codec.Fingerprint { return codec.HashOf(m) }
 
-// StateFingerprint hashes a state's canonical encoding.
-func StateFingerprint(s State) codec.Fingerprint { return codec.HashOf(s) }
+// StateFingerprint is the hash of a state's canonical encoding: the one the
+// state carries if it is a Fingerprinter, computed here otherwise.
+func StateFingerprint(s State) codec.Fingerprint {
+	if f, ok := s.(Fingerprinter); ok {
+		return f.Fingerprint()
+	}
+	return codec.HashOf(s)
+}

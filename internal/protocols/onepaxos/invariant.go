@@ -2,10 +2,10 @@ package onepaxos
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"lmc/internal/model"
+	"lmc/internal/protocols/paxos"
 	"lmc/internal/spec"
 )
 
@@ -24,13 +24,13 @@ func Agreement() spec.Invariant {
 				if !ok {
 					return nil
 				}
-				for idx, vi := range si.Chosen {
+				for _, pi := range si.Chosen {
 					for j := i + 1; j < len(ss); j++ {
 						sj := ss[j].(*State)
-						if vj, ok := sj.Chosen[idx]; ok && vj != vi {
+						if vj, ok := sj.HasChosen(pi.Index); ok && vj != pi.Value {
 							return spec.Violate(AgreementName, ss,
 								"index %d: %v chose %d but %v chose %d",
-								idx, model.NodeID(i), vi, model.NodeID(j), vj)
+								pi.Index, model.NodeID(i), pi.Value, model.NodeID(j), vj)
 						}
 					}
 				}
@@ -40,8 +40,10 @@ func Agreement() spec.Invariant {
 	}
 }
 
-// chosenInterest is the LMC-OPT projection: the node's chosen map.
-type chosenInterest map[int]int
+// chosenInterest is the LMC-OPT projection: the node's chosen values,
+// ascending by index (shared with the state, which never writes a stored
+// collection again).
+type chosenInterest []paxos.ChoicePair
 
 // Reduction is the invariant-specific system-state creation rule for the
 // 1Paxos agreement invariant, mirroring the Paxos one of §4.2.
@@ -53,7 +55,7 @@ func (Reduction) Interest(_ model.NodeID, s model.State) (spec.Interest, bool) {
 	if !ok || len(st.Chosen) == 0 {
 		return nil, false
 	}
-	return chosenInterest(st.ChosenSet()), true
+	return chosenInterest(st.Chosen), true
 }
 
 // Conflict implements spec.Reduction.
@@ -66,9 +68,11 @@ func (Reduction) Conflict(a, b spec.Interest) bool {
 	if !ok {
 		return false
 	}
-	for idx, va := range ca {
-		if vb, ok := cb[idx]; ok && va != vb {
-			return true
+	for _, pa := range ca {
+		for _, pb := range cb {
+			if pa.Index == pb.Index && pa.Value != pb.Value {
+				return true
+			}
 		}
 	}
 	return false
@@ -80,14 +84,9 @@ func (Reduction) InterestKey(i spec.Interest) string {
 	if !ok {
 		return ""
 	}
-	idxs := make([]int, 0, len(ci))
-	for idx := range ci {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
 	var b strings.Builder
-	for _, idx := range idxs {
-		fmt.Fprintf(&b, "%d=%d;", idx, ci[idx])
+	for _, p := range ci {
+		fmt.Fprintf(&b, "%d=%d;", p.Index, p.Value)
 	}
 	return b.String()
 }

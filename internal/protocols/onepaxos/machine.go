@@ -197,13 +197,7 @@ func (mc *Machine) NumNodes() int { return mc.N }
 // second — `*(++members.begin())` — but the buggy variant evaluates
 // `*(members.begin()++)`, which is the first member again.
 func (mc *Machine) Init(model.NodeID) model.State {
-	s := &State{
-		Util:     paxos.NewState(),
-		Leader:   0,
-		Acceptor: 1,
-		Accepted: make(map[int]acceptedVal),
-		Chosen:   make(map[int]int),
-	}
+	s := &State{Leader: 0, Acceptor: 1}
 	if mc.Bug == PlusPlusBug {
 		s.Acceptor = 0 // same node as the leader
 	}
@@ -214,7 +208,7 @@ func (mc *Machine) Init(model.NodeID) model.State {
 func (mc *Machine) HandleMessage(n model.NodeID, s model.State, m model.Message) (model.State, []model.Message) {
 	st := s.(*State)
 	// Lower layer first: PaxosUtility messages are tagged with UtilLayer.
-	if out, ok := paxos.Step(mc.util, n, st.Util, m); ok {
+	if out, ok := paxos.Step(mc.util, n, &st.Util, m); ok {
 		out = append(out, mc.applyUtil(n, st)...)
 		return st, out
 	}
@@ -222,8 +216,8 @@ func (mc *Machine) HandleMessage(n model.NodeID, s model.State, m model.Message)
 	case AcceptReq:
 		return mc.handleAcceptReq(n, st, msg)
 	case Learn1:
-		if _, done := st.Chosen[msg.Index]; !done {
-			st.Chosen[msg.Index] = msg.Value
+		if _, done := st.HasChosen(msg.Index); !done {
+			st.SetChosen(msg.Index, msg.Value)
 		}
 		return st, nil
 	default:
@@ -239,10 +233,10 @@ func (mc *Machine) handleAcceptReq(n model.NodeID, st *State, m AcceptReq) (mode
 	if m.Epoch < st.Epoch {
 		return st, nil // stale leader
 	}
-	if cur, ok := st.Accepted[m.Index]; ok && m.Epoch <= cur.Epoch {
+	if cur, ok := st.acceptedFor(m.Index); ok && m.Epoch <= cur.Epoch {
 		return st, nil // already accepted for this index in this epoch
 	}
-	st.Accepted[m.Index] = acceptedVal{Epoch: m.Epoch, Value: m.Value}
+	st.setAccepted(m.Index, acceptedVal{Epoch: m.Epoch, Value: m.Value})
 	out := make([]model.Message, 0, mc.N)
 	for to := 0; to < mc.N; to++ {
 		out = append(out, Learn1{From: n, To: model.NodeID(to),
@@ -265,21 +259,20 @@ func (mc *Machine) applyUtil(n model.NodeID, st *State) []model.Message {
 		if !ok {
 			return out
 		}
-		st.UtilApplied++
+		st.advanceUtil()
 		kind, who := DecodeEntry(v)
 		switch kind {
 		case entryLeader:
-			st.Epoch++
-			st.Leader = who
+			st.applyLeader(who)
 			if who == n {
-				st.Acceptor = mc.utilAcceptor(st)
+				st.setAcceptor(mc.utilAcceptor(st))
 				if st.Acceptor == who {
 					backup := mc.pickBackup(who, st.Acceptor)
 					out = append(out, mc.utilPropose(n, st, EncodeEntry(entryAcceptor, backup))...)
 				}
 			}
 		case entryAcceptor:
-			st.Acceptor = who
+			st.setAcceptor(who)
 		}
 	}
 }
@@ -322,7 +315,7 @@ func (mc *Machine) utilPropose(n model.NodeID, st *State, value int) []model.Mes
 		}
 		idx++
 	}
-	return paxos.DoPropose(mc.util, n, st.Util, idx, value)
+	return paxos.DoPropose(mc.util, n, &st.Util, idx, value)
 }
 
 // Actions implements model.Machine.
@@ -348,7 +341,7 @@ func (mc *Machine) Actions(n model.NodeID, s model.State) []model.Action {
 func (mc *Machine) nextIndex(st *State) (int, bool) {
 	best := -1
 	consider := func(i int) {
-		if _, chosen := st.Chosen[i]; chosen {
+		if _, chosen := st.HasChosen(i); chosen {
 			return
 		}
 		if best < 0 || i < best {
@@ -356,8 +349,8 @@ func (mc *Machine) nextIndex(st *State) (int, bool) {
 		}
 	}
 	consider(0)
-	for i := range st.Accepted {
-		consider(i)
+	for _, e := range st.Accepted {
+		consider(e.Index)
 	}
 	if best < 0 {
 		return 0, false
@@ -368,15 +361,11 @@ func (mc *Machine) nextIndex(st *State) (int, bool) {
 // freshIndex is the next log index beyond everything this node has seen.
 func (mc *Machine) freshIndex(st *State) int {
 	top := -1
-	for i := range st.Accepted {
-		if i > top {
-			top = i
-		}
+	if n := len(st.Accepted); n > 0 {
+		top = st.Accepted[n-1].Index
 	}
-	for i := range st.Chosen {
-		if i > top {
-			top = i
-		}
+	if n := len(st.Chosen); n > 0 {
+		top = max(top, st.Chosen[n-1].Index)
 	}
 	return top + 1
 }
@@ -389,7 +378,7 @@ func (mc *Machine) HandleAction(n model.NodeID, s model.State, a model.Action) (
 		if st.Leader != n {
 			return nil, nil
 		}
-		st.ProposalsMade++
+		st.countProposal()
 		return st, []model.Message{AcceptReq{
 			From:  n,
 			To:    st.Acceptor,
@@ -401,7 +390,7 @@ func (mc *Machine) HandleAction(n model.NodeID, s model.State, a model.Action) (
 		if st.Leader == n {
 			return nil, nil
 		}
-		st.LeaderAttempts++
+		st.countTakeover()
 		return st, mc.utilPropose(n, st, EncodeEntry(entryLeader, n))
 	default:
 		return nil, nil
@@ -412,7 +401,7 @@ func (mc *Machine) HandleAction(n model.NodeID, s model.State, a model.Action) (
 // initial leader and node 1 as the initial (or, under the ++ bug, shadowed)
 // acceptor, so those two are distinguished roles; the remaining nodes start
 // as interchangeable bystanders that may later attempt takeovers. The
-// Agreement invariant compares Chosen maps pairwise over all node pairs, so
+// Agreement invariant compares Chosen sets pairwise over all node pairs, so
 // it is slot-symmetric across any class.
 func (mc *Machine) SymmetryClasses() [][]model.NodeID {
 	var class []model.NodeID

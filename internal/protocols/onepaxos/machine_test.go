@@ -1,8 +1,10 @@
 package onepaxos
 
 import (
+	"bytes"
 	"testing"
 
+	"lmc/internal/codec"
 	"lmc/internal/model"
 	"lmc/internal/protocols/paxos"
 	"lmc/internal/testkit"
@@ -25,7 +27,8 @@ func TestEntryCodec(t *testing.T) {
 func TestEpochRefusesStaleLeader(t *testing.T) {
 	m := New(3, NoBug, Driver{})
 	st := m.Init(1).(*State)
-	st.Epoch = 2
+	st.applyLeader(0)
+	st.applyLeader(0) // epoch 2
 	next, out := m.HandleMessage(1, st.Clone(), AcceptReq{From: 0, To: 1, Index: 0, Epoch: 1, Value: 9})
 	if next == nil {
 		t.Fatal("stale request rejected as assertion (should be ignored)")
@@ -33,7 +36,7 @@ func TestEpochRefusesStaleLeader(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatal("stale request accepted")
 	}
-	if _, ok := next.(*State).Accepted[0]; ok {
+	if _, ok := next.(*State).acceptedFor(0); ok {
 		t.Fatal("stale request recorded")
 	}
 }
@@ -59,13 +62,13 @@ func TestReacceptOnlyHigherEpoch(t *testing.T) {
 	m := New(3, NoBug, Driver{})
 	st := m.Init(1).(*State)
 	m.HandleMessage(1, st, AcceptReq{From: 0, To: 1, Index: 0, Epoch: 0, Value: 9})
-	st.Accepted[0] = acceptedVal{Epoch: 0, Value: 9}
+	st.setAccepted(0, acceptedVal{Epoch: 0, Value: 9})
 	_, out := m.HandleMessage(1, st.Clone(), AcceptReq{From: 0, To: 1, Index: 0, Epoch: 0, Value: 5})
 	if len(out) != 0 {
 		t.Fatal("same-epoch re-accept")
 	}
 	next, out := m.HandleMessage(1, st.Clone(), AcceptReq{From: 2, To: 1, Index: 0, Epoch: 1, Value: 5})
-	if len(out) != 3 || next.(*State).Accepted[0].Value != 5 {
+	if acc, _ := next.(*State).acceptedFor(0); len(out) != 3 || acc.Value != 5 {
 		t.Fatal("higher-epoch re-accept refused")
 	}
 }
@@ -75,9 +78,9 @@ func TestLearnKeepsFirstChoice(t *testing.T) {
 	m := New(3, NoBug, Driver{})
 	st := m.Init(0).(*State)
 	m.HandleMessage(0, st, Learn1{From: 1, To: 0, Index: 0, Epoch: 0, Value: 9})
-	st.Chosen[0] = 9
+	st.SetChosen(0, 9)
 	next, _ := m.HandleMessage(0, st.Clone(), Learn1{From: 1, To: 0, Index: 0, Epoch: 1, Value: 4})
-	if next.(*State).Chosen[0] != 9 {
+	if v, _ := next.(*State).HasChosen(0); v != 9 {
 		t.Fatal("choice overwritten")
 	}
 }
@@ -170,11 +173,11 @@ func TestNextIndexSkipsChosen(t *testing.T) {
 	if idx, ok := m.nextIndex(st); !ok || idx != 0 {
 		t.Fatalf("fresh leader should start the log: %d %v", idx, ok)
 	}
-	st.Chosen[0] = 3
+	st.SetChosen(0, 3)
 	if _, ok := m.nextIndex(st); ok {
 		t.Fatal("no unfinished business should yield no proposal")
 	}
-	st.Accepted[1] = acceptedVal{Epoch: 0, Value: 2}
+	st.setAccepted(1, acceptedVal{Epoch: 0, Value: 2})
 	if idx, ok := m.nextIndex(st); !ok || idx != 1 {
 		t.Fatalf("accepted-but-unchosen index not targeted: %d %v", idx, ok)
 	}
@@ -189,21 +192,46 @@ func TestUnknownMessageAsserted(t *testing.T) {
 	}
 }
 
-// TestStateCloneEncodeAgree: clones encode identically and independently.
+// TestStateCloneEncodeAgree: clones encode identically and independently —
+// a clone shares its collections with the original and carries its
+// fingerprint; a write through any mutator, this layer's or the embedded
+// utility's, leaves the original's bytes alone and the clone carrying the
+// hash of what it now encodes.
 func TestStateCloneEncodeAgree(t *testing.T) {
 	m := New(3, NoBug, Driver{})
 	live, err := PaperLiveState(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mutations := map[string]func(*State){
+		"SetChosen":     func(c *State) { c.SetChosen(77, 1) },
+		"setAccepted":   func(c *State) { c.setAccepted(0, acceptedVal{Epoch: 9, Value: 9}) },
+		"applyLeader":   func(c *State) { c.applyLeader(1) },
+		"setAcceptor":   func(c *State) { c.setAcceptor(c.Acceptor + 1) },
+		"advanceUtil":   func(c *State) { c.advanceUtil() },
+		"countProposal": func(c *State) { c.countProposal() },
+		"countTakeover": func(c *State) { c.countTakeover() },
+		"utility": func(c *State) {
+			paxos.DoPropose(m.util, 0, &c.Util, 5, 1)
+		},
+	}
 	for n, s := range live {
-		c := s.Clone()
-		if model.StateFingerprint(c) != model.StateFingerprint(s) {
-			t.Fatalf("node %d clone fingerprint differs", n)
-		}
-		c.(*State).Chosen[77] = 1
-		if model.StateFingerprint(c) == model.StateFingerprint(s) {
-			t.Fatalf("node %d clone aliases original", n)
+		for name, mutate := range mutations {
+			fp, before := model.StateFingerprint(s), testkit.Encoding(s)
+			c := s.Clone()
+			if model.StateFingerprint(c) != fp {
+				t.Fatalf("node %d clone fingerprint differs", n)
+			}
+			mutate(c.(*State))
+			if model.StateFingerprint(c) == model.StateFingerprint(s) {
+				t.Fatalf("node %d %s: clone aliases original", n, name)
+			}
+			if !bytes.Equal(testkit.Encoding(s), before) || model.StateFingerprint(s) != fp {
+				t.Fatalf("node %d %s: the write reached the original", n, name)
+			}
+			if got, want := model.StateFingerprint(c), codec.Hash(testkit.Encoding(c)); got != want {
+				t.Fatalf("node %d %s: clone carries fingerprint %v, its encoding hashes to %v", n, name, got, want)
+			}
 		}
 	}
 }

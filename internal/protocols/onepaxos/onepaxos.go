@@ -16,8 +16,9 @@
 package onepaxos
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
@@ -64,11 +65,23 @@ type acceptedVal struct {
 	Value int
 }
 
+// acceptedAt is the acceptor role's record keyed by its index.
+type acceptedAt struct {
+	Index int
+	A     acceptedVal
+}
+
 // State is one 1Paxos node's local state, including its embedded
 // PaxosUtility (lower-layer Paxos) state.
+//
+// It follows the sharing rule of paxos.State: Clone copies the struct —
+// the utility's included — and shares the collections, which are sorted
+// slices never written once stored; the mutators below are the only writers,
+// and each clears the carried fingerprint. Handlers, scenario builders and
+// tests write through them.
 type State struct {
 	// Util is the PaxosUtility lower layer.
-	Util *paxos.State
+	Util paxos.State
 	// UtilApplied is the next utility log index to apply.
 	UtilApplied int
 
@@ -81,59 +94,119 @@ type State struct {
 	// stale epochs are refused.
 	Epoch int
 
-	// Accepted is the acceptor role's per-index record.
-	Accepted map[int]acceptedVal
-	// Chosen is the learner role's decisions.
-	Chosen map[int]int
+	// Accepted is the acceptor role's per-index record, ascending by index.
+	Accepted []acceptedAt
+	// Chosen is the learner role's decisions, ascending by index.
+	Chosen []paxos.ChoicePair
 	// ProposalsMade counts this node's value propositions (driver budget).
 	ProposalsMade int
 	// LeaderAttempts counts this node's leadership takeovers (driver
 	// budget).
 	LeaderAttempts int
+
+	// memo is the carried fingerprint (model.Fingerprinter), zero when not
+	// known, and memoUtil the utility fingerprint it was computed from: a
+	// write to the lower layer clears the utility's own memo, not this one,
+	// and shows as a different utility fingerprint.
+	memo, memoUtil codec.Fingerprint
 }
 
-// Clone implements model.State.
+// applyLeader applies one LeaderChange entry: a new epoch under leader who.
+func (s *State) applyLeader(who model.NodeID) {
+	s.Epoch++
+	s.Leader = who
+	s.memo = 0
+}
+
+func (s *State) setAcceptor(who model.NodeID) {
+	s.Acceptor = who
+	s.memo = 0
+}
+
+// advanceUtil moves past one applied utility log entry.
+func (s *State) advanceUtil() {
+	s.UtilApplied++
+	s.memo = 0
+}
+
+// countProposal and countTakeover charge the driver budgets.
+func (s *State) countProposal() {
+	s.ProposalsMade++
+	s.memo = 0
+}
+
+func (s *State) countTakeover() {
+	s.LeaderAttempts++
+	s.memo = 0
+}
+
+func (s *State) acceptedFor(i int) (acceptedVal, bool) {
+	for _, e := range s.Accepted {
+		if e.Index == i {
+			return e.A, true
+		}
+	}
+	return acceptedVal{}, false
+}
+
+func (s *State) setAccepted(i int, a acceptedVal) {
+	at, found := slices.BinarySearchFunc(s.Accepted, i, func(e acceptedAt, i int) int { return cmp.Compare(e.Index, i) })
+	s.Accepted = paxos.WithEntry(s.Accepted, at, found, acceptedAt{Index: i, A: a})
+	s.memo = 0
+}
+
+// SetChosen records (or overwrites) the chosen value for an index. The
+// protocol only ever records a first choice; tests build states with it.
+func (s *State) SetChosen(index, value int) {
+	at, found := slices.BinarySearchFunc(s.Chosen, index, func(e paxos.ChoicePair, i int) int { return cmp.Compare(e.Index, i) })
+	s.Chosen = paxos.WithEntry(s.Chosen, at, found, paxos.ChoicePair{Index: index, Value: value})
+	s.memo = 0
+}
+
+// Clone implements model.State: a struct copy (see State).
 func (s *State) Clone() model.State {
-	c := &State{
-		Util:           s.Util.Clone().(*paxos.State),
-		UtilApplied:    s.UtilApplied,
-		Leader:         s.Leader,
-		Acceptor:       s.Acceptor,
-		Epoch:          s.Epoch,
-		Accepted:       make(map[int]acceptedVal, len(s.Accepted)),
-		Chosen:         make(map[int]int, len(s.Chosen)),
-		ProposalsMade:  s.ProposalsMade,
-		LeaderAttempts: s.LeaderAttempts,
-	}
-	for i, a := range s.Accepted {
-		c.Accepted[i] = a
-	}
-	for i, v := range s.Chosen {
-		c.Chosen[i] = v
-	}
-	return c
+	c := *s
+	return &c
 }
 
-// Encode implements codec.Encoder.
+// Fingerprint implements model.Fingerprinter. The encoding starts with the
+// utility's, so the hash carries on from the utility's own carried
+// fingerprint over the few bytes this layer adds: a transition that left the
+// utility alone never re-hashes it.
+func (s *State) Fingerprint() codec.Fingerprint {
+	util := s.Util.Fingerprint()
+	if s.memo == 0 || s.memoUtil != util {
+		w := codec.GetWriter()
+		s.encodeOwn(w)
+		s.memo, s.memoUtil = codec.HashAfter(util, w.Bytes()), util
+		codec.PutWriter(w)
+	}
+	return s.memo
+}
+
+// Encode implements codec.Encoder: the utility's encoding, then this
+// layer's.
 func (s *State) Encode(w *codec.Writer) {
 	s.Util.Encode(w)
+	s.encodeOwn(w)
+}
+
+func (s *State) encodeOwn(w *codec.Writer) {
 	w.Int(s.UtilApplied)
 	w.Int(int(s.Leader))
 	w.Int(int(s.Acceptor))
 	w.Int(s.Epoch)
-	idxs := make([]int, 0, len(s.Accepted))
-	for i := range s.Accepted {
-		idxs = append(idxs, i)
+	w.Uint32(uint32(len(s.Accepted)))
+	for _, e := range s.Accepted {
+		w.Int(e.Index)
+		w.Int(e.A.Epoch)
+		w.Int(e.A.Value)
 	}
-	sort.Ints(idxs)
-	w.Uint32(uint32(len(idxs)))
-	for _, i := range idxs {
-		a := s.Accepted[i]
-		w.Int(i)
-		w.Int(a.Epoch)
-		w.Int(a.Value)
+	w.Uint32(uint32(len(s.Chosen)))
+	for _, p := range s.Chosen {
+		w.Int(p.Index)
+		w.Int(p.Value)
 	}
-	w.IntMap(s.Chosen)
 	w.Int(s.ProposalsMade)
 	w.Int(s.LeaderAttempts)
 }
@@ -141,28 +214,18 @@ func (s *State) Encode(w *codec.Writer) {
 // String implements model.State.
 func (s *State) String() string {
 	out := fmt.Sprintf("{L=%v A=%v e=%d", s.Leader, s.Acceptor, s.Epoch)
-	idxs := make([]int, 0, len(s.Chosen))
-	for i := range s.Chosen {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		out += fmt.Sprintf(" chosen[%d]=%d", i, s.Chosen[i])
+	for _, p := range s.Chosen {
+		out += fmt.Sprintf(" chosen[%d]=%d", p.Index, p.Value)
 	}
 	return out + "}"
 }
 
 // HasChosen reports the chosen value for an index, if any.
 func (s *State) HasChosen(index int) (int, bool) {
-	v, ok := s.Chosen[index]
-	return v, ok
-}
-
-// ChosenSet returns a copy of the chosen map.
-func (s *State) ChosenSet() map[int]int {
-	out := make(map[int]int, len(s.Chosen))
-	for k, v := range s.Chosen {
-		out[k] = v
+	for _, p := range s.Chosen {
+		if p.Index == index {
+			return p.Value, true
+		}
 	}
-	return out
+	return 0, false
 }

@@ -84,9 +84,9 @@ func (Reduction) Interest(_ model.NodeID, s model.State) (spec.Interest, bool) {
 	if !ok || len(st.Chosen) == 0 {
 		return nil, false
 	}
-	// Copy: the interest outlives this call and the state's slice may be
-	// edited in place by a later choice.
-	return chosenInterest(append([]ChoicePair(nil), st.Chosen...)), true
+	// Shared, not copied: a stored collection is never written again (the
+	// sharing rule on State).
+	return chosenInterest(st.Chosen), true
 }
 
 // Conflict implements spec.Reduction: two interests conflict when they

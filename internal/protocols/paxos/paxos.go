@@ -19,7 +19,9 @@
 package paxos
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
@@ -82,7 +84,9 @@ type accepted struct {
 	Value  int
 }
 
-// proposal is a proposer's in-flight proposition for one index.
+// proposal is a proposer's in-flight proposition for one index. It is a
+// value: a handler that changes one takes a copy, changes the copy and
+// stores it back through setProposal.
 type proposal struct {
 	Ballot Ballot
 	Value  int // the proposer's own submitted value
@@ -106,14 +110,8 @@ type promiseInfo struct {
 	Value     int    // accepted value, or the echoed submitted value
 }
 
-func (p *proposal) clone() *proposal {
-	c := *p
-	c.Promises = append([]promiseFrom(nil), p.Promises...)
-	return &c
-}
-
 // promiseOf looks up the remembered response from one node.
-func (p *proposal) promiseOf(n model.NodeID) (promiseInfo, bool) {
+func (p proposal) promiseOf(n model.NodeID) (promiseInfo, bool) {
 	for _, e := range p.Promises {
 		if e.Node == n {
 			return e.Info, true
@@ -122,67 +120,68 @@ func (p *proposal) promiseOf(n model.NodeID) (promiseInfo, bool) {
 	return promiseInfo{}, false
 }
 
-// setPromise records (or overwrites) one responder's promise, keeping the
-// ascending-by-node order.
-func (p *proposal) setPromise(n model.NodeID, pi promiseInfo) {
-	at := len(p.Promises)
-	for i, e := range p.Promises {
-		if e.Node == n {
-			p.Promises[i].Info = pi
-			return
-		}
-		if n < e.Node {
-			at = i
-			break
-		}
-	}
-	p.Promises = append(p.Promises, promiseFrom{})
-	copy(p.Promises[at+1:], p.Promises[at:])
-	p.Promises[at] = promiseFrom{Node: n, Info: pi}
+// withPromise returns the proposal with one responder's promise recorded
+// (or overwritten), keeping the ascending-by-node order.
+func (p proposal) withPromise(n model.NodeID, pi promiseInfo) proposal {
+	at, found := slices.BinarySearchFunc(p.Promises, n, func(e promiseFrom, n model.NodeID) int { return cmp.Compare(e.Node, n) })
+	p.Promises = WithEntry(p.Promises, at, found, promiseFrom{Node: n, Info: pi})
+	return p
 }
 
 // learnRecord tracks Learn messages received for one (index, ballot, value)
-// from distinct acceptors.
+// from distinct acceptors. Like proposal, it is a value.
 type learnRecord struct {
 	Ballot    Ballot
 	Value     int
 	Acceptors []model.NodeID // announcing acceptors, ascending, distinct
 }
 
-func (lr *learnRecord) clone() *learnRecord {
-	c := *lr
-	c.Acceptors = append([]model.NodeID(nil), lr.Acceptors...)
-	return &c
+// withAcceptor returns the record with one announcing acceptor added,
+// keeping the set distinct and ascending; ok is false, and the record
+// returned as it came, when the acceptor was already there.
+func (lr learnRecord) withAcceptor(n model.NodeID) (_ learnRecord, ok bool) {
+	at, found := slices.BinarySearch(lr.Acceptors, n)
+	if found {
+		return lr, false
+	}
+	lr.Acceptors = WithEntry(lr.Acceptors, at, false, n)
+	return lr, true
 }
 
-// addAcceptor records one announcing acceptor, keeping the set distinct and
-// ascending.
-func (lr *learnRecord) addAcceptor(n model.NodeID) {
-	at := len(lr.Acceptors)
-	for i, a := range lr.Acceptors {
-		if a == n {
-			return
-		}
-		if n < a {
-			at = i
-			break
-		}
+// WithEntry returns a copy of s with e at position at: in place of the entry
+// there when replace is set, inserted before it otherwise. It is the one way
+// a collection of a State changes (and of a layered service's state kept
+// under the same sharing rule): s's backing array is never written, so every
+// state sharing it keeps what it had.
+func WithEntry[E any](s []E, at int, replace bool, e E) []E {
+	if replace {
+		out := slices.Clone(s)
+		out[at] = e
+		return out
 	}
-	lr.Acceptors = append(lr.Acceptors, 0)
-	copy(lr.Acceptors[at+1:], lr.Acceptors[at:])
-	lr.Acceptors[at] = n
+	out := make([]E, len(s)+1)
+	copy(out, s[:at])
+	out[at] = e
+	copy(out[at+1:], s[at:])
+	return out
 }
 
 // State is one Paxos node's local state (all three roles).
 //
 // Every per-index collection is a slice sorted ascending by index rather
-// than a map: node states are cloned once per handler execution and
-// fingerprint-encoded once per discovered state — the exploration's two
-// hottest operations — and at the handful of indexes a checker run touches,
-// sorted slices turn both into short linear copies/scans where maps paid
-// for hashing, randomized iteration and per-entry allocation. Lookups go
-// through the *For accessors; mutations through the set* helpers, which
-// maintain the order the canonical encoding relies on.
+// than a map: at the handful of indexes a checker run touches, sorted
+// slices make the fingerprint encoding a short linear scan where maps paid
+// for hashing, randomized iteration and per-entry allocation.
+//
+// Sharing rule: a collection's backing array is immutable from the moment
+// it is stored in a State. Clone copies the struct and shares every
+// collection with the original; a mutator (set*, SetChosen, countProposal)
+// builds the one collection it changes afresh (WithEntry) and leaves the
+// rest shared. So a transition costs what it changes — most change nothing
+// — and no sequence of Clone and mutator calls, on either side, can make
+// one state's write visible in another. Code outside the mutators only
+// reads the fields: a direct write would also leave a stale carried
+// fingerprint behind.
 type State struct {
 	// Proposer role: in-flight propositions, ascending by index.
 	Proposals     []proposalAt
@@ -197,12 +196,18 @@ type State struct {
 	// choice kept), each ascending by index.
 	Learns []learnsAt
 	Chosen []ChoicePair
+
+	// memo is the carried fingerprint (model.Fingerprinter): the hash of
+	// the state's encoding, or zero when not known. Clone copies it and
+	// every mutator clears it, so the successor a handler wrote nothing to
+	// arrives with its fingerprint.
+	memo codec.Fingerprint
 }
 
 // proposalAt is one in-flight proposition keyed by its index.
 type proposalAt struct {
 	Index int
-	P     *proposal
+	P     proposal
 }
 
 // promisedAt is the highest promised ballot for one index.
@@ -221,36 +226,31 @@ type acceptedAt struct {
 // (ballot, value).
 type learnsAt struct {
 	Index int
-	Recs  []*learnRecord
+	Recs  []learnRecord
 }
 
 // ChoicePair is one (index, value) choice, in ascending index order.
 type ChoicePair struct{ Index, Value int }
 
-func (s *State) proposalFor(i int) *proposal {
+func (s *State) proposalFor(i int) (proposal, bool) {
 	for _, e := range s.Proposals {
 		if e.Index == i {
-			return e.P
+			return e.P, true
 		}
 	}
-	return nil
+	return proposal{}, false
 }
 
-func (s *State) setProposal(i int, p *proposal) {
-	at := len(s.Proposals)
-	for j, e := range s.Proposals {
-		if e.Index == i {
-			s.Proposals[j].P = p
-			return
-		}
-		if i < e.Index {
-			at = j
-			break
-		}
-	}
-	s.Proposals = append(s.Proposals, proposalAt{})
-	copy(s.Proposals[at+1:], s.Proposals[at:])
-	s.Proposals[at] = proposalAt{Index: i, P: p}
+func (s *State) setProposal(i int, p proposal) {
+	at, found := slices.BinarySearchFunc(s.Proposals, i, func(e proposalAt, i int) int { return cmp.Compare(e.Index, i) })
+	s.Proposals = WithEntry(s.Proposals, at, found, proposalAt{Index: i, P: p})
+	s.memo = 0
+}
+
+// countProposal charges one proposition against the test-driver budget.
+func (s *State) countProposal() {
+	s.ProposalsMade++
+	s.memo = 0
 }
 
 func (s *State) promisedFor(i int) (Ballot, bool) {
@@ -262,21 +262,17 @@ func (s *State) promisedFor(i int) (Ballot, bool) {
 	return Ballot{}, false
 }
 
+// setPromised, setAccepted and SetChosen write nothing — and keep the
+// carried fingerprint — when the index already holds the value: a repeated
+// Prepare or Accept at the promised ballot leaves the state as it was.
 func (s *State) setPromised(i int, b Ballot) {
-	at := len(s.Promised)
-	for j, e := range s.Promised {
-		if e.Index == i {
-			s.Promised[j].Ballot = b
-			return
-		}
-		if i < e.Index {
-			at = j
-			break
-		}
+	at, found := slices.BinarySearchFunc(s.Promised, i, func(e promisedAt, i int) int { return cmp.Compare(e.Index, i) })
+	e := promisedAt{Index: i, Ballot: b}
+	if found && s.Promised[at] == e {
+		return
 	}
-	s.Promised = append(s.Promised, promisedAt{})
-	copy(s.Promised[at+1:], s.Promised[at:])
-	s.Promised[at] = promisedAt{Index: i, Ballot: b}
+	s.Promised = WithEntry(s.Promised, at, found, e)
+	s.memo = 0
 }
 
 func (s *State) acceptedFor(i int) (accepted, bool) {
@@ -289,23 +285,16 @@ func (s *State) acceptedFor(i int) (accepted, bool) {
 }
 
 func (s *State) setAccepted(i int, a accepted) {
-	at := len(s.Accepted)
-	for j, e := range s.Accepted {
-		if e.Index == i {
-			s.Accepted[j].A = a
-			return
-		}
-		if i < e.Index {
-			at = j
-			break
-		}
+	at, found := slices.BinarySearchFunc(s.Accepted, i, func(e acceptedAt, i int) int { return cmp.Compare(e.Index, i) })
+	e := acceptedAt{Index: i, A: a}
+	if found && s.Accepted[at] == e {
+		return
 	}
-	s.Accepted = append(s.Accepted, acceptedAt{})
-	copy(s.Accepted[at+1:], s.Accepted[at:])
-	s.Accepted[at] = acceptedAt{Index: i, A: a}
+	s.Accepted = WithEntry(s.Accepted, at, found, e)
+	s.memo = 0
 }
 
-func (s *State) learnsFor(i int) []*learnRecord {
+func (s *State) learnsFor(i int) []learnRecord {
 	for _, e := range s.Learns {
 		if e.Index == i {
 			return e.Recs
@@ -314,21 +303,13 @@ func (s *State) learnsFor(i int) []*learnRecord {
 	return nil
 }
 
-func (s *State) setLearns(i int, recs []*learnRecord) {
-	at := len(s.Learns)
-	for j, e := range s.Learns {
-		if e.Index == i {
-			s.Learns[j].Recs = recs
-			return
-		}
-		if i < e.Index {
-			at = j
-			break
-		}
-	}
-	s.Learns = append(s.Learns, learnsAt{})
-	copy(s.Learns[at+1:], s.Learns[at:])
-	s.Learns[at] = learnsAt{Index: i, Recs: recs}
+// setLearns stores the learn records of one index; recs must not share a
+// backing array that anything will write again (insertRecord and WithEntry
+// build theirs afresh).
+func (s *State) setLearns(i int, recs []learnRecord) {
+	at, found := slices.BinarySearchFunc(s.Learns, i, func(e learnsAt, i int) int { return cmp.Compare(e.Index, i) })
+	s.Learns = WithEntry(s.Learns, at, found, learnsAt{Index: i, Recs: recs})
+	s.memo = 0
 }
 
 // SetChosen records (or overwrites) the chosen value for an index, keeping
@@ -336,57 +317,33 @@ func (s *State) setLearns(i int, recs []*learnRecord) {
 // (stepLearn checks HasChosen); tests and harnesses use SetChosen to build
 // states by hand.
 func (s *State) SetChosen(index, value int) {
-	at := len(s.Chosen)
-	for i, p := range s.Chosen {
-		if p.Index == index {
-			s.Chosen[i].Value = value
-			return
-		}
-		if index < p.Index {
-			at = i
-			break
-		}
+	at, found := slices.BinarySearchFunc(s.Chosen, index, func(e ChoicePair, i int) int { return cmp.Compare(e.Index, i) })
+	e := ChoicePair{Index: index, Value: value}
+	if found && s.Chosen[at] == e {
+		return
 	}
-	s.Chosen = append(s.Chosen, ChoicePair{})
-	copy(s.Chosen[at+1:], s.Chosen[at:])
-	s.Chosen[at] = ChoicePair{Index: index, Value: value}
+	s.Chosen = WithEntry(s.Chosen, at, found, e)
+	s.memo = 0
 }
-
-// addChoice records a choice; the caller has already checked the index is
-// new.
-func (s *State) addChoice(index, value int) { s.SetChosen(index, value) }
 
 // NewState returns an empty node state. All collections start nil — a
 // pristine node allocates nothing until its first handler runs.
 func NewState() *State { return &State{} }
 
-// Clone implements model.State. Value-typed collections are flat copies;
-// only proposals and learn records (mutated in place by later handlers)
-// are deep-cloned.
+// Clone implements model.State: a struct copy that shares every collection
+// and carries the fingerprint (see the sharing rule on State).
 func (s *State) Clone() model.State {
-	c := &State{
-		ProposalsMade: s.ProposalsMade,
-		Promised:      append([]promisedAt(nil), s.Promised...),
-		Accepted:      append([]acceptedAt(nil), s.Accepted...),
-		Chosen:        append([]ChoicePair(nil), s.Chosen...),
+	c := *s
+	return &c
+}
+
+// Fingerprint implements model.Fingerprinter: the hash of the state's
+// encoding, computed at most once between two writes.
+func (s *State) Fingerprint() codec.Fingerprint {
+	if s.memo == 0 {
+		s.memo = codec.HashOf(s)
 	}
-	if len(s.Proposals) > 0 {
-		c.Proposals = make([]proposalAt, len(s.Proposals))
-		for i, e := range s.Proposals {
-			c.Proposals[i] = proposalAt{Index: e.Index, P: e.P.clone()}
-		}
-	}
-	if len(s.Learns) > 0 {
-		c.Learns = make([]learnsAt, len(s.Learns))
-		for i, e := range s.Learns {
-			recs := make([]*learnRecord, len(e.Recs))
-			for j, lr := range e.Recs {
-				recs[j] = lr.clone()
-			}
-			c.Learns[i] = learnsAt{Index: e.Index, Recs: recs}
-		}
-	}
-	return c
+	return s.memo
 }
 
 // Encode implements codec.Encoder. Every collection is written ascending by
@@ -400,7 +357,7 @@ func (s *State) Encode(w *codec.Writer) {
 
 	w.Uint32(uint32(len(s.Proposals)))
 	for _, e := range s.Proposals {
-		p := e.P
+		p := &e.P
 		w.Int(e.Index)
 		p.Ballot.Encode(w)
 		w.Int(p.Value)
@@ -504,7 +461,7 @@ func (s *State) MaxBallotSeen(index int) int {
 	if a, ok := s.acceptedFor(index); ok && a.Ballot.N > max {
 		max = a.Ballot.N
 	}
-	if p := s.proposalFor(index); p != nil && p.Ballot.N > max {
+	if p, ok := s.proposalFor(index); ok && p.Ballot.N > max {
 		max = p.Ballot.N
 	}
 	for _, lr := range s.learnsFor(index) {

@@ -1,6 +1,7 @@
 package paxos
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -115,7 +116,7 @@ func TestValueSelectionCorrectVsBuggy(t *testing.T) {
 	run := func(bug BugKind) int {
 		p := Params{N: 3, Bug: bug}
 		st := NewState()
-		st.setProposal(0, &proposal{
+		st.setProposal(0, proposal{
 			Ballot: Ballot{N: 2, Node: 1},
 			Value:  2,
 		})
@@ -147,7 +148,7 @@ func TestValueSelectionCorrectVsBuggy(t *testing.T) {
 func TestDuplicateResponseIgnored(t *testing.T) {
 	p := params()
 	st := NewState()
-	st.setProposal(0, &proposal{
+	st.setProposal(0, proposal{
 		Ballot: Ballot{N: 1, Node: 0},
 		Value:  7,
 	})
@@ -160,7 +161,7 @@ func TestDuplicateResponseIgnored(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatal("duplicate response triggered the majority")
 	}
-	if len(st.proposalFor(0).Promises) != 1 {
+	if prop, _ := st.proposalFor(0); len(prop.Promises) != 1 {
 		t.Fatal("duplicate recorded")
 	}
 }
@@ -207,18 +208,34 @@ func TestLearnerKeepsFirstChoice(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence: mutating a clone never leaks into the original —
-// property-based over random mutation sequences.
+// TestCloneIndependence: a clone shares its collections with the original
+// and carries its fingerprint, yet mutating it — through the mutators, the
+// only writers — never leaks into the original: the original's encoded bytes
+// and fingerprint stay, and the clone's carried fingerprint is the hash of
+// what it now encodes. Property-based over random mutation sequences.
 func TestCloneIndependence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomState(rng)
-		fpBefore := model.StateFingerprint(st)
+		fpBefore, bytesBefore := model.StateFingerprint(st), testkit.Encoding(st)
 		c := st.Clone().(*State)
-		mutate(rng, c)
-		return model.StateFingerprint(st) == fpBefore
+		if model.StateFingerprint(c) != fpBefore {
+			return false
+		}
+		for i := rng.Intn(3); i >= 0; i-- {
+			mutate(rng, c)
+		}
+		if model.StateFingerprint(st) != fpBefore || !bytes.Equal(testkit.Encoding(st), bytesBefore) ||
+			model.StateFingerprint(c) != codec.Hash(testkit.Encoding(c)) || model.StateFingerprint(c) == fpBefore {
+			return false
+		}
+		// And the other way round: the original written after the clone was
+		// taken does not show in the clone.
+		cloneBytes := testkit.Encoding(c)
+		mutate(rng, st)
+		return bytes.Equal(testkit.Encoding(c), cloneBytes) && model.StateFingerprint(st) == codec.Hash(testkit.Encoding(st))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -249,7 +266,7 @@ func TestEncodeDeterministic(t *testing.T) {
 func referenceEncode(st *State, w *codec.Writer) {
 	w.Int(st.ProposalsMade)
 
-	props := map[int]*proposal{}
+	props := map[int]proposal{}
 	for _, e := range st.Proposals {
 		props[e.Index] = e.P
 	}
@@ -315,7 +332,7 @@ func referenceEncode(st *State, w *codec.Writer) {
 		w.Int(a.Value)
 	}
 
-	learns := map[int][]*learnRecord{}
+	learns := map[int][]learnRecord{}
 	for _, e := range st.Learns {
 		learns[e.Index] = e.Recs
 	}
@@ -386,7 +403,7 @@ func randomState(rng *rand.Rand) *State {
 	return st
 }
 
-// mutate applies one random mutation to a state.
+// mutate applies one random mutation to a state, through its mutators.
 func mutate(rng *rand.Rand, st *State) {
 	switch rng.Intn(4) {
 	case 0:
@@ -396,10 +413,10 @@ func mutate(rng *rand.Rand, st *State) {
 	case 2:
 		st.setAccepted(rng.Intn(3), accepted{Ballot: Ballot{N: 99}, Value: 1})
 	case 3:
-		if p := st.proposalFor(0); p != nil {
-			p.setPromise(2, promiseInfo{Value: 123})
+		if p, ok := st.proposalFor(0); ok {
+			st.setProposal(0, p.withPromise(2, promiseInfo{Value: 123}))
 		} else {
-			st.ProposalsMade++
+			st.countProposal()
 		}
 	}
 }

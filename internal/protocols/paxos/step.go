@@ -1,6 +1,8 @@
 package paxos
 
 import (
+	"slices"
+
 	"lmc/internal/model"
 )
 
@@ -24,11 +26,8 @@ func (p Params) Majority() int { return p.N/2 + 1 }
 // The returned messages are the broadcast.
 func DoPropose(p Params, n model.NodeID, st *State, index, value int) []model.Message {
 	b := Ballot{N: st.MaxBallotSeen(index) + 1, Node: n}
-	st.setProposal(index, &proposal{
-		Ballot: b,
-		Value:  value,
-	})
-	st.ProposalsMade++
+	st.setProposal(index, proposal{Ballot: b, Value: value})
+	st.countProposal()
 	out := make([]model.Message, 0, p.N)
 	for to := 0; to < p.N; to++ {
 		out = append(out, Prepare{
@@ -100,15 +99,16 @@ func stepPrepare(p Params, n model.NodeID, st *State, m Prepare) []model.Message
 // promises, pick the value and broadcast Accept. This is where the §5.5
 // bug lives.
 func stepPrepareResponse(p Params, n model.NodeID, st *State, m PrepareResponse) []model.Message {
-	prop := st.proposalFor(m.Index)
-	if prop == nil || prop.Accepting || m.Ballot != prop.Ballot {
+	prop, ok := st.proposalFor(m.Index)
+	if !ok || prop.Accepting || m.Ballot != prop.Ballot {
 		return nil // stale or duplicate response
 	}
 	if _, dup := prop.promiseOf(m.From); dup {
 		return nil
 	}
-	prop.setPromise(m.From, promiseInfo{AccBallot: m.AccBallot, Value: m.Value})
+	prop = prop.withPromise(m.From, promiseInfo{AccBallot: m.AccBallot, Value: m.Value})
 	if len(prop.Promises) < p.Majority() {
+		st.setProposal(m.Index, prop)
 		return nil
 	}
 
@@ -134,6 +134,7 @@ func stepPrepareResponse(p Params, n model.NodeID, st *State, m PrepareResponse)
 	}
 	prop.Accepting = true
 	prop.Value = value
+	st.setProposal(m.Index, prop)
 	out := make([]model.Message, 0, p.N)
 	for to := 0; to < p.N; to++ {
 		out = append(out, Accept{
@@ -166,31 +167,33 @@ func stepAccept(p Params, n model.NodeID, st *State, m Accept) []model.Message {
 
 // stepLearn is the learner: record the announcement and choose once a
 // majority of acceptors announced the same ballot. The first choice for an
-// index is kept.
+// index is kept. An announcement already recorded writes nothing.
 func stepLearn(p Params, n model.NodeID, st *State, m Learn) {
 	recs := st.learnsFor(m.Index)
-	var rec *learnRecord
-	for _, r := range recs {
-		if r.Ballot == m.Ballot && r.Value == m.Value {
-			rec = r
-			break
+	at := slices.IndexFunc(recs, func(r learnRecord) bool {
+		return r.Ballot == m.Ballot && r.Value == m.Value
+	})
+	var rec learnRecord
+	if at < 0 {
+		rec = learnRecord{Ballot: m.Ballot, Value: m.Value, Acceptors: []model.NodeID{m.From}}
+		st.setLearns(m.Index, insertRecord(recs, rec))
+	} else {
+		var added bool
+		if rec, added = recs[at].withAcceptor(m.From); added {
+			st.setLearns(m.Index, WithEntry(recs, at, true, rec))
 		}
 	}
-	if rec == nil {
-		rec = &learnRecord{Ballot: m.Ballot, Value: m.Value}
-		st.setLearns(m.Index, insertRecord(recs, rec))
-	}
-	rec.addAcceptor(m.From)
 	if len(rec.Acceptors) >= p.Majority() {
 		if _, done := st.HasChosen(m.Index); !done {
-			st.addChoice(m.Index, m.Value)
+			st.SetChosen(m.Index, m.Value)
 		}
 	}
 }
 
-// insertRecord keeps the per-index learn records canonically ordered by
-// (ballot, value) so state encoding stays deterministic.
-func insertRecord(recs []*learnRecord, rec *learnRecord) []*learnRecord {
+// insertRecord returns the per-index learn records with rec added, keeping
+// them canonically ordered by (ballot, value) so state encoding stays
+// deterministic.
+func insertRecord(recs []learnRecord, rec learnRecord) []learnRecord {
 	at := len(recs)
 	for i, r := range recs {
 		if rec.Ballot.Less(r.Ballot) || (rec.Ballot == r.Ballot && rec.Value < r.Value) {
@@ -198,8 +201,5 @@ func insertRecord(recs []*learnRecord, rec *learnRecord) []*learnRecord {
 			break
 		}
 	}
-	recs = append(recs, nil)
-	copy(recs[at+1:], recs[at:])
-	recs[at] = rec
-	return recs
+	return WithEntry(recs, at, false, rec)
 }

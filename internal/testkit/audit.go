@@ -1,0 +1,78 @@
+package testkit
+
+import (
+	"bytes"
+	"fmt"
+
+	"lmc/internal/codec"
+	"lmc/internal/model"
+)
+
+// Reporter is the part of testing.TB the audit reports through; Errorf must
+// be safe for concurrent use (testing.T's is), since checkers run handlers
+// on worker goroutines.
+type Reporter interface {
+	Errorf(format string, args ...any)
+}
+
+// Audit wraps m so that every handler execution is held to what a node
+// state that shares its collections and carries its fingerprint
+// (model.State.Clone, model.Fingerprinter) promises the checkers:
+//
+//   - the successor's fingerprint, as model.StateFingerprint reports it, is
+//     the hash of a fresh encoding of the successor — a mutator that forgot
+//     to clear the carried fingerprint fails here;
+//   - the handler wrote only to the state it was given: a second clone taken
+//     before the call, which shares with the handler's state exactly what
+//     the visited state it was cloned from shares, encodes to the same bytes
+//     afterwards — a write into a shared backing array fails here.
+//
+// The wrapper declares none of m's optional capabilities (model.Symmetric,
+// model.RawReplayer); an audited run is an unreduced one.
+func Audit(m model.Machine, t Reporter) model.Machine { return auditMachine{m, t} }
+
+type auditMachine struct {
+	model.Machine
+	t Reporter
+}
+
+func (a auditMachine) HandleMessage(n model.NodeID, s model.State, m model.Message) (model.State, []model.Message) {
+	done := a.begin(s, m)
+	next, out := a.Machine.HandleMessage(n, s, m)
+	done(next)
+	return next, out
+}
+
+func (a auditMachine) HandleAction(n model.NodeID, s model.State, act model.Action) (model.State, []model.Message) {
+	done := a.begin(s, act)
+	next, out := a.Machine.HandleAction(n, s, act)
+	done(next)
+	return next, out
+}
+
+// begin takes the witness clone of the handler's input; the returned func
+// checks it, and the successor, once the handler has run.
+func (a auditMachine) begin(s model.State, event fmt.Stringer) func(next model.State) {
+	witness := s.Clone()
+	before := Encoding(witness)
+	return func(next model.State) {
+		if !bytes.Equal(Encoding(witness), before) {
+			a.t.Errorf("%s: %v on %s wrote through to a state that shares its collections", a.Name(), event, witness)
+		}
+		if next == nil {
+			return
+		}
+		if got, want := model.StateFingerprint(next), codec.Hash(Encoding(next)); got != want {
+			a.t.Errorf("%s: %v on %s: the successor %s carries fingerprint %v, its encoding hashes to %v",
+				a.Name(), event, witness, next, got, want)
+		}
+	}
+}
+
+// Encoding is a fresh canonical encoding of s, whatever fingerprint s
+// carries.
+func Encoding(s model.State) []byte {
+	var w codec.Writer
+	s.Encode(&w)
+	return w.Bytes()
+}
