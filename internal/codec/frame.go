@@ -31,10 +31,10 @@ var (
 	ErrFrameChecksum = errors.New("codec: frame checksum mismatch")
 )
 
-// AppendFrame appends payload's frame encoding — byte-identical to what
-// WriteFrame emits — to dst and returns the extended slice. Callers that
-// write frames to an unbuffered file use it to pay one write syscall per
-// frame instead of three.
+// AppendFrame appends payload's frame encoding to dst and returns the
+// extended slice: the one place the frame layout is written. Callers that
+// send many frames keep dst across calls and pay one write per frame from a
+// buffer they reuse.
 func AppendFrame(dst, payload []byte) []byte {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -45,35 +45,32 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, sum[:]...)
 }
 
-// WriteFrame writes payload as one frame. The caller flushes any buffering.
+// WriteFrame writes payload as one frame, in one Write. The caller flushes
+// any buffering.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [8]byte
-	binary.BigEndian.PutUint64(sum[:], fnvBytes(fnvOffset64, payload))
-	_, err := w.Write(sum[:])
+	_, err := w.Write(AppendFrame(make([]byte, 0, len(payload)+12), payload))
 	return err
 }
 
-// ReadFrameInto is ReadFrame with a caller-owned reusable buffer: the
+// ReadFrameInto reads one frame into a caller-owned reusable buffer: the
 // payload is read into *buf (grown and written back when too small) and
 // the returned slice aliases it, valid until the next call with the same
 // buffer. Long-lived frame consumers (the shard protocol reads thousands
 // of frames per run) use it to amortize the per-frame payload allocation
 // away; it is safe whenever every decoded value is consumed — or copied,
 // as codec.Reader's String and Bytes32 do — before the next read.
+//
+// max bounds the payload length accepted (<= 0 means DefaultMaxFrame); an
+// over-limit length prefix fails with ErrFrameTooLarge before allocating. A
+// truncated stream fails with io.ErrUnexpectedEOF unless the stream ends
+// exactly on a frame boundary, which surfaces as io.EOF.
 func ReadFrameInto(r io.Reader, buf *[]byte, max int) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		// A clean EOF before any header byte is a frame-boundary EOF.
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
@@ -103,40 +100,9 @@ func ReadFrameInto(r io.Reader, buf *[]byte, max int) ([]byte, error) {
 	return payload, nil
 }
 
-// ReadFrame reads one frame and returns its payload. max bounds the payload
-// length accepted (<= 0 means DefaultMaxFrame); an over-limit length prefix
-// fails with ErrFrameTooLarge before allocating. A truncated stream fails
-// with io.ErrUnexpectedEOF unless the stream ends exactly on a frame
-// boundary, which surfaces as io.EOF.
+// ReadFrame is ReadFrameInto with a buffer of the frame's own: the payload
+// returned is the caller's to keep.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	if max <= 0 {
-		max = DefaultMaxFrame
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		// A clean EOF before any header byte is a frame-boundary EOF.
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > uint32(max) {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	var sum [8]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	if binary.BigEndian.Uint64(sum[:]) != fnvBytes(fnvOffset64, payload) {
-		return nil, ErrFrameChecksum
-	}
-	return payload, nil
+	var buf []byte
+	return ReadFrameInto(r, &buf, max)
 }

@@ -145,11 +145,16 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 	})
 }
 
+// TestFrameWriteError: a frame goes out in one Write, and that Write's error
+// is WriteFrame's.
 func TestFrameWriteError(t *testing.T) {
-	w := &failWriter{failAt: 2}
+	w := &failWriter{failAt: 1}
 	err := WriteFrame(w, []byte("x"))
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("write error not propagated: %v", err)
+	}
+	if ok := (&failWriter{failAt: 2}); WriteFrame(ok, []byte("x")) != nil || ok.n != 1 {
+		t.Fatalf("a frame took %d writes", ok.n)
 	}
 }
 

@@ -162,9 +162,19 @@ type Options struct {
 // case), and when DisableSystemStates is set (the pure-exploration
 // "LMC-explore" configuration of Figure 13). With neither, the run would
 // explore and materialize system states but check nothing on them.
+//
+// Negative bounds are rejected rather than read as "unbounded": a negative
+// DupLimit would have I+ refuse every message, and the run would report a
+// clean fixpoint having delivered nothing.
 func (o *Options) Validate() error {
 	if o.Invariant == nil && len(o.LocalInvariants) == 0 && !o.DisableSystemStates {
 		return errors.New("core: Options.Invariant is required (or supply LocalInvariants, or set DisableSystemStates for a pure exploration run)")
+	}
+	if o.DupLimit < 0 {
+		return errors.New("core: Options.DupLimit must be >= 0 (a negative limit admits no message to I+, not even a first copy)")
+	}
+	if o.MaxPathDepth < 0 || o.MaxSystemDepth < 0 || o.MaxTransitions < 0 || o.Budget < 0 {
+		return errors.New("core: Options.MaxPathDepth, MaxSystemDepth, MaxTransitions and Budget must be >= 0 (0 means unbounded)")
 	}
 	return nil
 }
@@ -263,7 +273,10 @@ type nodeState struct {
 	history *historyNode
 	// preds records every immediate predecessor edge from another state
 	// (Figure 9 line 14); soundness verification walks them backward to
-	// enumerate the event sequences that could lead here. selfEdges holds
+	// enumerate the event sequences that could lead here. preds[0] is the
+	// creation edge, the one that discovered the state; following it from
+	// state to state back to seq 0 is the creation chain, the only record of
+	// the first path (creationEmits reads it, flowOf sums it). selfEdges holds
 	// the edges from the state to itself — the events that changed nothing,
 	// close to half of all transitions on a Paxos-shaped space — as event
 	// fingerprints only: no path enumeration ever follows one (a backward
@@ -275,20 +288,11 @@ type nodeState struct {
 	// interest caches the Reduction projection (LMC-OPT).
 	interest    spec.Interest
 	interesting bool
-	// creation memoizes the state's creation path (the chain of first
-	// predecessor edges back to the node's start state).
-	creation     []pred
-	creationDone bool
-	// gen is the persistent chain of message fingerprints generated along
-	// the creation path; witness searches use it to rank and prune
-	// completion candidates by what they can supply.
-	gen *genNode
 	// flow is the state's flow memo: net consumed-minus-generated counts per
-	// message fingerprint along the creation path, sorted by fingerprint
-	// (index.go). Built at discovery from the predecessor's memo; flowDone
-	// guards the lazy fallback for states added outside the exploration loop.
-	flow     []flowEntry
-	flowDone bool
+	// message fingerprint along the creation chain, sorted by fingerprint.
+	// flowOf (index.go) builds it the first time a witness search asks; nil
+	// means nobody has.
+	flow []flowEntry
 	// actionsDone marks that this state's enabled internal actions have
 	// been executed (subject to the local bound).
 	actionsDone bool
@@ -334,25 +338,6 @@ type historyNode struct {
 	fp     codec.Fingerprint
 }
 
-// genNode is a persistent (shared-tail) list of the message fingerprints
-// one creation-path event generated.
-type genNode struct {
-	parent *genNode
-	fps    []codec.Fingerprint
-}
-
-// contains walks the chain looking for fp.
-func (g *genNode) contains(fp codec.Fingerprint) bool {
-	for n := g; n != nil; n = n.parent {
-		for _, f := range n.fps {
-			if f == fp {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 func (h *historyNode) contains(fp codec.Fingerprint) bool {
 	for n := h; n != nil; n = n.parent {
 		if n.fp == fp {
@@ -377,14 +362,13 @@ type space struct {
 	minProducer map[codec.Fingerprint]int
 
 	// groups buckets interesting states by their canonical interest key
-	// (LMC-OPT with a spec.Keyer reduction); rest holds the non-interesting
-	// states. A conflicting pair must come from two groups, but the other
-	// nodes of the combination range over all their states — their events
-	// are what generated the messages the pair consumed, so restricting
-	// them would starve soundness verification of every valid witness.
+	// (LMC-OPT with a spec.Keyer reduction). A conflicting pair must come
+	// from two groups, but the other nodes of the combination range over all
+	// their states — their events are what generated the messages the pair
+	// consumed, so restricting them would starve soundness verification of
+	// every valid witness.
 	groups     map[string]*interestGroup
 	groupOrder []*interestGroup // in order of first member
-	rest       []*nodeState
 }
 
 // witnessKey identifies one witness search: the new node state, the peer
@@ -422,11 +406,10 @@ func (sp *space) add(ns *nodeState) {
 	sp.indexProducers(ns)
 }
 
-// classify registers ns in its interest group (or among the non-interesting
-// rest) under a Keyer reduction.
+// classify registers an interesting ns in its interest group under a Keyer
+// reduction.
 func (sp *space) classify(ns *nodeState, keyer spec.Keyer) {
 	if !ns.interesting {
-		sp.rest = append(sp.rest, ns)
 		return
 	}
 	key := keyer.InterestKey(ns.interest)

@@ -30,11 +30,10 @@ type checker struct {
 	spaces []*space
 	net    *netstate.SharedNet
 
-	// initialNet lists message fingerprints available before any event
-	// executes (Options.InitialMessages); soundness verification seeds its
-	// generated-message set with them. initNetCount is the same multiset in
-	// counted form, the supply baseline of the flow memos (index.go).
-	initialNet   []codec.Fingerprint
+	// initNetCount counts the message fingerprints available before any
+	// event executes (Options.InitialMessages): soundness verification seeds
+	// its generated-message pool with them, and they are the supply baseline
+	// of the flow memos (index.go).
 	initNetCount map[codec.Fingerprint]int
 
 	res        *Result
@@ -307,17 +306,13 @@ func (c *checker) beginPass() {
 	// Seed the shared network with any captured in-flight messages. Their
 	// fingerprints count as available from the start during soundness
 	// verification.
-	c.initialNet = nil
+	c.initNetCount = make(map[codec.Fingerprint]int, len(c.opt.InitialMessages))
 	for _, msg := range c.opt.InitialMessages {
 		if e := c.net.Add(msg); e != nil {
-			c.initialNet = append(c.initialNet, e.FP)
+			c.initNetCount[e.FP]++
 		} else {
 			c.res.Stats.DuplicatesDropped++
 		}
-	}
-	c.initNetCount = make(map[codec.Fingerprint]int, len(c.initialNet))
-	for _, fp := range c.initialNet {
-		c.initNetCount[fp]++
 	}
 	if c.canon != nil {
 		c.orbits = nil
@@ -334,8 +329,6 @@ func (c *checker) beginPass() {
 			node:  model.NodeID(n),
 			state: st,
 			fp:    model.StateFingerprint(st),
-			// The empty creation path consumes and generates nothing.
-			flowDone: true,
 		}
 		c.project(ns)
 		c.spaces[n].add(ns)

@@ -1,29 +1,28 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
 )
 
-// This file is the incremental index layer under the witness search. The
-// sequential formulation of the search (witness.go) re-derived two kinds of
-// facts from scratch on every call:
+// This file is the index layer under the witness search (witness.go). A
+// search asks two kinds of questions about creation chains — a state's
+// chain is its creation edge preds[0], then preds[0].prev's, and so on back
+// to seq 0 — and neither is answered by walking them per candidate pair:
 //
 //   - whether ANY visited state of a completion node generates a message
-//     fingerprint (a scan of the node's whole visited list, walking each
-//     state's generated-message chain);
-//   - the missing-message set of a candidate pair (a walk of both members'
-//     creation paths, rebuilding need/supply multisets).
+//     fingerprint along its chain: the per-node producer index, maintained
+//     as states are discovered;
+//   - the missing-message set of a candidate pair: a merge of the members'
+//     flow memos, each built from its chain once, the first time a search
+//     reads it (flowOf), so a run that raises no search builds none.
 //
-// Both are replaced here by structures maintained incrementally as states
-// are discovered: a per-node producer index and per-state flow memos. Each
-// replacement is exact — see the equivalence notes on the individual pieces
-// — so searches return the same verdicts the rescanning formulation
-// returned, only cheaper. Nothing is remembered per candidate pair: a pair
-// is examined at most once per run. DESIGN.md ("Indexed soundness engine")
-// has the full argument.
+// Both are exact — see the equivalence notes on the individual pieces.
+// Nothing is remembered per candidate pair: a pair is examined at most once
+// per run. DESIGN.md ("Indexed soundness engine") has the full argument.
 
 // ---------------------------------------------------------------------------
 // Producer index
@@ -31,16 +30,28 @@ import (
 // minProducer (on space) maps a message fingerprint to the seq of the first
 // state whose creation edge generated it. The index answers the coverage
 // question "does any state of node n visible under the view generate fp on
-// its creation path" in O(1):
+// its creation chain" in O(1):
 //
-//   ∃ s ∈ states[:lim] with s.gen.contains(fp)  ⇔  minProducer[fp] < lim
+//   ∃ s ∈ states[:lim] with s.creationEmits(fp)  ⇔  minProducer[fp] < lim
 //
-// (⇐) the producing state's own gen chain contains fp. (⇒) if s.gen
-// contains fp, some ancestor t on s's creation path has fp on its creation
-// edge; ancestors are discovered before their descendants, so t.seq ≤ s.seq
-// < lim and minProducer[fp] ≤ t.seq. Edges later added to existing states by
-// addPred never enter any gen chain (gen is fixed at discovery), so indexing
-// only the creation edge is not an approximation.
+// (⇐) the producing state's own chain starts with the emitting edge. (⇒) if
+// s's chain emits fp, some state t on it (s or an ancestor) has fp on its
+// creation edge; ancestors are discovered before their descendants, so
+// t.seq ≤ s.seq < lim and minProducer[fp] ≤ t.seq. Edges later added to
+// existing states by addPred are on no creation chain (preds[0] is fixed at
+// discovery), so indexing only the creation edge is not an approximation.
+
+// creationEmits reports whether an edge of ns's creation chain generated fp:
+// the per-state scan the producer index summarizes, still asked directly
+// where states are ranked one by one (orderByCoverage).
+func (ns *nodeState) creationEmits(fp codec.Fingerprint) bool {
+	for cur := ns; cur.seq != 0; cur = cur.preds[0].prev {
+		if slices.Contains(cur.preds[0].generated, fp) {
+			return true
+		}
+	}
+	return false
+}
 
 // indexProducers records ns's creation-edge emissions; called by space.add,
 // so the index is maintained as a cheap delta at discovery time by the
@@ -57,7 +68,7 @@ func (sp *space) indexProducers(ns *nodeState) {
 }
 
 // producerBefore reports whether some state with seq < lim generates fp
-// along its creation path.
+// along its creation chain.
 func (sp *space) producerBefore(fp codec.Fingerprint, lim int) bool {
 	seq, ok := sp.minProducer[fp]
 	return ok && seq < lim
@@ -87,27 +98,13 @@ func (c *checker) coveredByAny(completionNodes []int, fp codec.Fingerprint, view
 // ---------------------------------------------------------------------------
 // Flow memos
 //
-// flowEntry records the creation path's net demand for one message
+// flowEntry records the creation chain's net demand for one message
 // fingerprint: consumed count minus generated count. Positive entries are
-// messages the path needs beyond what it produces itself; negative entries
-// are surplus production that can offset the other pair member's demand. A
-// state's memo is the multiset difference the old missingOf walk rebuilt on
-// every call, computed once — from the predecessor's memo plus the creation
-// edge's delta at discovery, or from the memoized creation path on first use
-// for states added outside the exploration loop (tests).
+// messages the chain needs beyond what it produces itself; negative entries
+// are surplus production that can offset the other pair member's demand.
 type flowEntry struct {
 	fp codec.Fingerprint
 	n  int
-}
-
-// sortFlows is an allocation-free insertion sort; edge deltas hold a
-// handful of entries.
-func sortFlows(fs []flowEntry) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].fp < fs[j-1].fp; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
 }
 
 // edgeFlow is the flow delta of one predecessor edge: +1 for the consumed
@@ -120,7 +117,7 @@ func edgeFlow(e *pred, scratch []flowEntry) []flowEntry {
 	for _, g := range e.generated {
 		d = append(d, flowEntry{fp: g, n: -1})
 	}
-	sortFlows(d)
+	slices.SortFunc(d, func(a, b flowEntry) int { return cmp.Compare(a.fp, b.fp) })
 	out := d[:0]
 	for _, fe := range d {
 		if len(out) > 0 && out[len(out)-1].fp == fe.fp {
@@ -156,43 +153,29 @@ func mergeFlows(a, b []flowEntry) []flowEntry {
 	return out
 }
 
-// flowOf returns ns's flow memo. States discovered by the exploration loop
-// carry it from addNext; the fallback derives it from the (memoized)
-// creation path and, like creationPath itself, writes only ns.
+// flowOf returns ns's flow memo — the predecessor's memo plus the creation
+// edge's delta — building it, and every ancestor's still missing, on first
+// use. It is the only builder, and it writes the states it walks: witness
+// searches, its callers, run one at a time on the merge goroutine. A built
+// memo is never nil (mergeFlows); a start state's chain is empty and its
+// memo stays nil.
 func flowOf(ns *nodeState) []flowEntry {
-	if ns.flowDone {
-		return ns.flow
+	if ns.flow == nil && ns.seq != 0 {
+		var scratch [8]flowEntry
+		e := &ns.preds[0]
+		ns.flow = mergeFlows(flowOf(e.prev), edgeFlow(e, scratch[:]))
 	}
-	m := make(map[codec.Fingerprint]int)
-	for _, e := range creationPath(ns) {
-		if e.kind == model.NetworkEvent {
-			m[e.msgFP]++
-		}
-		for _, g := range e.generated {
-			m[g]--
-		}
-	}
-	out := make([]flowEntry, 0, len(m))
-	for fp, n := range m {
-		if n != 0 {
-			out = append(out, flowEntry{fp: fp, n: n})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].fp < out[j].fp })
-	ns.flow = out
-	ns.flowDone = true
-	return out
+	return ns.flow
 }
 
 // missingFromFlows lists the fingerprints whose combined demand across two
 // memos exceeds what the seeded network supplies, in ascending fingerprint
 // order, into dst's backing array (the witness search hands it the same
-// buffer for every candidate pair). This is exactly the missing set of the
-// old multiset walk — fp is missing iff need(fp) > generated(fp) +
-// initial(fp), i.e. flow(fp) > initial(fp) — except for the order of the
-// returned slice, which nothing downstream is sensitive to: feasibility
-// checks membership, the completion-order key is an unordered combination,
-// and orderByCoverage counts matches.
+// buffer for every candidate pair): fp is missing iff need(fp) >
+// generated(fp) + initial(fp) over both chains, i.e. flow(fp) > initial(fp).
+// Nothing downstream is sensitive to the order: feasibility checks
+// membership, the completion-order key is an unordered combination, and
+// orderByCoverage counts matches.
 func (c *checker) missingFromFlows(dst []codec.Fingerprint, a, b []flowEntry) []codec.Fingerprint {
 	missing := dst[:0]
 	emit := func(fe flowEntry) {

@@ -1,18 +1,93 @@
 package core
 
 import (
+	"context"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
+	"lmc/internal/protocols/paxos"
 )
 
-// Tests for the incremental index layer (index.go): the producer index and
-// flow memos are differentially checked against the definitional scans they
-// replaced, over randomized synthetic predecessor graphs.
+// Tests for the index layer (index.go): the producer index and the flow
+// memos are differentially checked against the definitional walks of the
+// creation chain (creationPath, missingOf — the oracles, below), over
+// randomized synthetic predecessor graphs.
+
+// creationPath is ns's creation chain as a slice, start state first: the
+// definitional walk every derived structure is held to.
+func creationPath(ns *nodeState) []pred {
+	var path []pred
+	for cur := ns; cur.seq != 0; cur = cur.preds[0].prev {
+		path = append(path, cur.preds[0])
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// missingOf computes the missing set of any member set directly from the
+// creation paths: the reference the flow-memo merge is compared against.
+func (c *checker) missingOf(states ...*nodeState) []codec.Fingerprint {
+	supply := maps.Clone(c.initNetCount)
+	if supply == nil {
+		supply = make(map[codec.Fingerprint]int)
+	}
+	var need []codec.Fingerprint
+	for _, ns := range states {
+		for _, e := range creationPath(ns) {
+			if e.kind == model.NetworkEvent {
+				need = append(need, e.msgFP)
+			}
+			for _, g := range e.generated {
+				supply[g]++
+			}
+		}
+	}
+	var missing []codec.Fingerprint
+	seen := make(map[codec.Fingerprint]bool)
+	for _, fp := range need {
+		if supply[fp] > 0 {
+			supply[fp]--
+			continue
+		}
+		if !seen[fp] {
+			seen[fp] = true
+			missing = append(missing, fp)
+		}
+	}
+	return missing
+}
+
+// chainFlow is the flow memo by the definitional walk: the nonzero net
+// consumed-minus-generated count per fingerprint along ns's creation path.
+func chainFlow(ns *nodeState) map[codec.Fingerprint]int {
+	flow := make(map[codec.Fingerprint]int)
+	for _, e := range creationPath(ns) {
+		if e.kind == model.NetworkEvent {
+			flow[e.msgFP]++
+		}
+		for _, g := range e.generated {
+			flow[g]--
+		}
+	}
+	maps.DeleteFunc(flow, func(_ codec.Fingerprint, n int) bool { return n == 0 })
+	return flow
+}
+
+// chainEmits is creationEmits by the definitional walk.
+func chainEmits(ns *nodeState, fp codec.Fingerprint) bool {
+	for _, e := range creationPath(ns) {
+		if slices.Contains(e.generated, fp) {
+			return true
+		}
+	}
+	return false
+}
 
 // testUniverse is a small fingerprint universe; keeping it small forces
 // supply/demand collisions so the multiset arithmetic is actually exercised.
@@ -27,14 +102,11 @@ func testUniverse(n int) []codec.Fingerprint {
 // buildRandomSpace grows a synthetic visited list the way the exploration
 // loop does: a start state at seq 0, then states each reached by one creation
 // edge from a random earlier state, consuming at most one message and
-// generating a random subset of the universe. When withFlows is set, roughly
-// half the states carry a discovery-time flow memo built incrementally from
-// the parent's memo (the addNext path); the rest leave flowDone unset and
-// exercise the lazy creation-path fallback.
-func buildRandomSpace(rng *rand.Rand, node model.NodeID, nStates int, universe []codec.Fingerprint, withFlows bool) *space {
+// generating a random subset of the universe. Like addNext, it builds no flow
+// memo: flowOf does, when a test first asks.
+func buildRandomSpace(rng *rand.Rand, node model.NodeID, nStates int, universe []codec.Fingerprint) *space {
 	sp := newSpace()
 	sp.add(&nodeState{node: node, fp: codec.Fingerprint(rng.Uint64())})
-	scratch := make([]flowEntry, 0, len(universe)+1)
 	for len(sp.states) < nStates {
 		parent := sp.states[rng.Intn(len(sp.states))]
 		kind := model.InternalEvent
@@ -49,43 +121,34 @@ func buildRandomSpace(rng *rand.Rand, node model.NodeID, nStates int, universe [
 				gen = append(gen, fp)
 			}
 		}
-		edge := pred{prev: parent, kind: kind, msgFP: consumed, generated: gen}
-		ns := &nodeState{
+		sp.add(&nodeState{
 			node:  node,
 			fp:    codec.Fingerprint(rng.Uint64()),
 			depth: parent.depth + 1,
-			preds: []pred{edge},
-			gen:   parent.gen,
-		}
-		if len(gen) > 0 {
-			ns.gen = &genNode{parent: parent.gen, fps: gen}
-		}
-		if withFlows && rng.Intn(2) == 0 {
-			ns.flow = mergeFlows(flowOf(parent), edgeFlow(&edge, scratch))
-			ns.flowDone = true
-		}
-		sp.add(ns)
+			preds: []pred{{prev: parent, kind: kind, msgFP: consumed, generated: gen}},
+		})
 	}
 	return sp
 }
 
 // TestProducerIndexMatchesGenScan checks the index.go lemma directly:
-// producerBefore(fp, lim) must agree with scanning states[:lim] for a gen
-// chain containing fp, for every fingerprint and every view limit.
+// producerBefore(fp, lim) must agree with scanning states[:lim] for a
+// creation chain that generates fp, for every fingerprint and every view
+// limit — and creationEmits, the per-state form of the same question, with
+// the definitional walk.
 func TestProducerIndexMatchesGenScan(t *testing.T) {
 	universe := testUniverse(12)
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		sp := buildRandomSpace(rng, 0, 40, universe, false)
+		sp := buildRandomSpace(rng, 0, 40, universe)
 		for _, fp := range universe {
-			for lim := 0; lim <= len(sp.states); lim++ {
-				want := false
-				for _, s := range sp.states[:lim] {
-					if s.gen.contains(fp) {
-						want = true
-						break
-					}
+			for _, s := range sp.states {
+				if got, want := s.creationEmits(fp), chainEmits(s, fp); got != want {
+					t.Fatalf("seed %d fp %#x seq %d: creationEmits=%v walk=%v", seed, fp, s.seq, got, want)
 				}
+			}
+			for lim := 0; lim <= len(sp.states); lim++ {
+				want := slices.ContainsFunc(sp.states[:lim], func(s *nodeState) bool { return chainEmits(s, fp) })
 				if got := sp.producerBefore(fp, lim); got != want {
 					t.Fatalf("seed %d fp %#x lim %d: producerBefore=%v genScan=%v",
 						seed, fp, lim, got, want)
@@ -96,12 +159,12 @@ func TestProducerIndexMatchesGenScan(t *testing.T) {
 }
 
 // TestProducerIndexIgnoresAddPredEdges: edges appended to an existing state
-// after discovery (the addPred case) never enter gen chains, so the index
+// after discovery (the addPred case) are on no creation chain, so the index
 // must not see them either — indexing only the creation edge is exact.
 func TestProducerIndexIgnoresAddPredEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	universe := testUniverse(8)
-	sp := buildRandomSpace(rng, 0, 10, universe, false)
+	sp := buildRandomSpace(rng, 0, 10, universe)
 	ghost := codec.Fingerprint(0xdead)
 	target := sp.states[5]
 	target.preds = append(target.preds, pred{
@@ -109,8 +172,10 @@ func TestProducerIndexIgnoresAddPredEdges(t *testing.T) {
 		kind:      model.InternalEvent,
 		generated: []codec.Fingerprint{ghost},
 	})
-	if target.gen.contains(ghost) {
-		t.Fatal("gen chain picked up a non-creation edge")
+	for _, s := range sp.states {
+		if s.creationEmits(ghost) {
+			t.Fatalf("seq %d: creation chain picked up a non-creation edge", s.seq)
+		}
 	}
 	if sp.producerBefore(ghost, len(sp.states)) {
 		t.Fatal("producer index picked up a non-creation edge")
@@ -124,7 +189,7 @@ func TestCoveredByAnyMatchesScan(t *testing.T) {
 	universe := testUniverse(10)
 	c := &checker{res: &Result{}}
 	for n := 0; n < 3; n++ {
-		c.spaces = append(c.spaces, buildRandomSpace(rng, model.NodeID(n), 20, universe, false))
+		c.spaces = append(c.spaces, buildRandomSpace(rng, model.NodeID(n), 20, universe))
 	}
 	completion := []int{0, 2}
 	for trial := 0; trial < 300; trial++ {
@@ -137,18 +202,9 @@ func TestCoveredByAnyMatchesScan(t *testing.T) {
 				view[n] = rng.Intn(view[n] + 1)
 			}
 		}
-		want := false
-		for _, n := range completion {
-			for _, s := range c.viewStates(n, view) {
-				if s.gen.contains(fp) {
-					want = true
-					break
-				}
-			}
-			if want {
-				break
-			}
-		}
+		want := slices.ContainsFunc(completion, func(n int) bool {
+			return slices.ContainsFunc(c.viewStates(n, view), func(s *nodeState) bool { return chainEmits(s, fp) })
+		})
 		if got := c.coveredByAny(completion, fp, view); got != want {
 			t.Fatalf("trial %d fp %#x view %v: coveredByAny=%v scan=%v",
 				trial, fp, view, got, want)
@@ -167,11 +223,11 @@ func sortedFPs(fps []codec.Fingerprint) []codec.Fingerprint {
 }
 
 // TestPairMissingMatchesMissingOf differentially checks the flow-memo
-// missing set against missingOf, the retained reference implementation, over
-// randomized creation chains and seeded initial networks. Both discovery-time
-// memos and the lazy fallback feed pairMissing here (withFlows randomizes
-// which), so the incremental construction is validated too. Every pair of a
-// seed is computed into the same buffer, as the witness search does. The
+// missing set against missingOf, the reference implementation, over
+// randomized creation chains and seeded initial networks. Pairs are drawn at
+// random, so flowOf builds each memo on whatever ancestors earlier pairs
+// happened to leave built. Every pair of a seed is computed into the same
+// buffer, as the witness search does. The
 // plain spaces generate far more than they consume and nearly every pair
 // misses nothing; the thirsty ones lose most of their emissions first, so
 // that sets of every size follow each other — shrinking, growing, and empty
@@ -181,17 +237,18 @@ func TestPairMissingMatchesMissingOf(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		thirsty := seed >= 6
 		rng := rand.New(rand.NewSource(100 + seed))
-		var net []codec.Fingerprint
 		counts := make(map[codec.Fingerprint]int)
 		for _, fp := range universe {
 			for k := rng.Intn(3); k > 0; k-- {
-				net = append(net, fp)
 				counts[fp]++
 			}
 		}
-		c := &checker{initialNet: net, initNetCount: counts, res: &Result{}}
-		spA := buildRandomSpace(rng, 0, 30, universe, !thirsty)
-		spB := buildRandomSpace(rng, 1, 30, universe, !thirsty)
+		c := &checker{initNetCount: counts, res: &Result{}}
+		pairMissing := func(dst []codec.Fingerprint, a, b *nodeState) []codec.Fingerprint {
+			return c.missingFromFlows(dst, flowOf(a), flowOf(b))
+		}
+		spA := buildRandomSpace(rng, 0, 30, universe)
+		spB := buildRandomSpace(rng, 1, 30, universe)
 		if thirsty {
 			for _, sp := range []*space{spA, spB} {
 				for _, ns := range sp.states[1:] {
@@ -213,7 +270,7 @@ func TestPairMissingMatchesMissingOf(t *testing.T) {
 				a, b = spA.states[0], spB.states[0]
 			}
 			prev := len(buf)
-			buf = c.pairMissing(buf, a, b)
+			buf = pairMissing(buf, a, b)
 			shrank, grew = shrank || len(buf) < prev, grew || len(buf) > prev
 			sizes[len(buf)]++
 			if !sort.SliceIsSorted(buf, func(i, j int) bool { return buf[i] < buf[j] }) {
@@ -221,7 +278,7 @@ func TestPairMissingMatchesMissingOf(t *testing.T) {
 					seed, trial, buf)
 			}
 			want := sortedFPs(c.missingOf(a, b))
-			if fresh := c.pairMissing(nil, a, b); !slices.Equal(buf, want) || !slices.Equal(fresh, want) {
+			if fresh := pairMissing(nil, a, b); !slices.Equal(buf, want) || !slices.Equal(fresh, want) {
 				t.Fatalf("seed %d trial %d: pairMissing reused=%v fresh=%v missingOf=%v",
 					seed, trial, buf, fresh, want)
 			}
@@ -233,38 +290,26 @@ func TestPairMissingMatchesMissingOf(t *testing.T) {
 	}
 }
 
-// TestFlowOfMatchesCreationPath checks the lazy flow fallback (and any
-// discovery-time memo) against a direct recount of the creation path.
+// TestFlowOfMatchesCreationPath checks flowOf against a direct recount of the
+// creation path. States are asked in random order: some memos are built over
+// a whole unbuilt chain, some on an ancestor an earlier ask left built, and
+// a second ask must hand back the first one's memo.
 func TestFlowOfMatchesCreationPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	universe := testUniverse(6)
-	sp := buildRandomSpace(rng, 0, 30, universe, true)
-	for _, ns := range sp.states {
-		want := make(map[codec.Fingerprint]int)
-		for _, e := range creationPath(ns) {
-			if e.kind == model.NetworkEvent {
-				want[e.msgFP]++
-			}
-			for _, g := range e.generated {
-				want[g]--
-			}
-		}
+	sp := buildRandomSpace(rng, 0, 30, universe)
+	for _, i := range rng.Perm(len(sp.states)) {
+		ns := sp.states[i]
+		want := chainFlow(ns)
 		got := flowOf(ns)
-		nonzero := 0
-		for _, n := range want {
-			if n != 0 {
-				nonzero++
-			}
+		if ns.seq != 0 && (ns.flow == nil || unsafe.SliceData(flowOf(ns)) != unsafe.SliceData(got)) {
+			t.Fatalf("seq %d: flowOf did not keep its memo", ns.seq)
 		}
-		if len(got) != nonzero {
-			t.Fatalf("seq %d: flow has %d entries, path recount has %d nonzero",
-				ns.seq, len(got), nonzero)
+		if len(got) != len(want) {
+			t.Fatalf("seq %d: flow has %d entries, path recount has %d nonzero", ns.seq, len(got), len(want))
 		}
 		for i, fe := range got {
-			if fe.n == 0 {
-				t.Fatalf("seq %d: zero entry %#x survived", ns.seq, fe.fp)
-			}
-			if want[fe.fp] != fe.n {
+			if fe.n == 0 || want[fe.fp] != fe.n {
 				t.Fatalf("seq %d fp %#x: flow=%d recount=%d", ns.seq, fe.fp, fe.n, want[fe.fp])
 			}
 			if i > 0 && got[i-1].fp >= fe.fp {
@@ -272,4 +317,128 @@ func TestFlowOfMatchesCreationPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOrderByCoverageWalksWholeChain holds orderByCoverage to the
+// definitional walk: full coverers, then partial, then the rest, discovery
+// order within each. First on the shape that tells a walk of the whole
+// creation chain from one that gives up early — the covering emission sits
+// seven edges above the ranked state, most of them silent, one of them
+// emitting something else — then on random spaces.
+func TestOrderByCoverageWalksWholeChain(t *testing.T) {
+	byWalk := func(states []*nodeState, missing []codec.Fingerprint) []*nodeState {
+		count := func(s *nodeState) int {
+			n := 0
+			for _, fp := range missing {
+				if chainEmits(s, fp) {
+					n++
+				}
+			}
+			return n
+		}
+		rank := func(s *nodeState) int { // 0 full, 1 partial, 2 none
+			switch count(s) {
+			case len(missing):
+				return 0
+			case 0:
+				return 2
+			}
+			return 1
+		}
+		out := slices.Clone(states)
+		slices.SortStableFunc(out, func(a, b *nodeState) int { return rank(a) - rank(b) })
+		return out
+	}
+	seqs := func(states []*nodeState) []int {
+		out := make([]int, len(states))
+		for i, s := range states {
+			out[i] = s.seq
+		}
+		return out
+	}
+
+	const x, y, z = codec.Fingerprint(0xa), codec.Fingerprint(0xb), codec.Fingerprint(0xc)
+	sp := newSpace()
+	grow := func(parent *nodeState, gen ...codec.Fingerprint) *nodeState {
+		ns := &nodeState{fp: codec.Fingerprint(0x100 + len(sp.states)), depth: parent.depth + 1,
+			preds: []pred{{prev: parent, kind: model.InternalEvent, generated: gen}}}
+		sp.add(ns)
+		return ns
+	}
+	s0 := &nodeState{fp: 0x100}
+	sp.add(s0)
+	bare := grow(grow(s0))        // emits nothing anywhere
+	sx := grow(s0, x)             // emits x on its own edge
+	sz := grow(grow(grow(sx)), z) // two silent edges, then one that emits something else
+	deep := grow(grow(grow(sz)))  // three more silent edges: x is seven edges up
+	both := grow(grow(grow(s0, y)), x)
+	missing := []codec.Fingerprint{x, y}
+
+	got := orderByCoverage(sp.states, missing)
+	if want := byWalk(sp.states, missing); !slices.Equal(got, want) {
+		t.Fatalf("order %v, want %v", seqs(got), seqs(want))
+	}
+	at := func(s *nodeState) int { return slices.Index(got, s) }
+	if at(both) != 0 || at(deep) != at(sz)+3 || at(deep) > at(s0) || at(deep) > at(bare) {
+		t.Fatalf("deep state misranked: order %v (deep is seq %d)", seqs(got), deep.seq)
+	}
+	if got := orderByCoverage(sp.states, nil); !slices.Equal(got, sp.states) {
+		t.Fatal("nothing missing must leave discovery order")
+	}
+
+	universe := testUniverse(10)
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(50 + seed))
+		rsp := buildRandomSpace(rng, 0, 40, universe)
+		missing := []codec.Fingerprint{universe[rng.Intn(5)], universe[5+rng.Intn(5)], universe[rng.Intn(10)]}
+		if got, want := orderByCoverage(rsp.states, missing), byWalk(rsp.states, missing); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: order %v, want %v", seed, seqs(got), seqs(want))
+		}
+	}
+}
+
+// TestFlowMemosBelongToSearches pins who builds a flow memo and when: a run
+// that raises no witness search builds none, and a run that raises many — on
+// the worker pool, so under -race this is also the check that memos are
+// written between the pool's phases, by the merge goroutine alone — leaves
+// every memo it built equal to the recount of its state's creation chain.
+func TestFlowMemosBelongToSearches(t *testing.T) {
+	memos := func(m model.Machine, start model.SystemState, opt Options) (built int, res *Result) {
+		c := newChecker(context.Background(), m, start, opt)
+		c.pass()
+		for _, sp := range c.spaces {
+			for _, ns := range sp.states {
+				if ns.flow == nil {
+					continue
+				}
+				built++
+				want := chainFlow(ns)
+				got := make(map[codec.Fingerprint]int, len(ns.flow))
+				for _, fe := range ns.flow {
+					got[fe.fp] = fe.n
+				}
+				if !maps.Equal(got, want) || len(got) != len(ns.flow) {
+					t.Fatalf("node %d seq %d: memo %v, chain recount %v", ns.node, ns.seq, ns.flow, want)
+				}
+			}
+		}
+		return built, c.res
+	}
+
+	quiet := oneProposalSpace(paxos.NoBug)
+	built, res := memos(quiet, model.InitialSystem(quiet),
+		Options{Invariant: paxos.Agreement(), Reduction: paxos.Reduction{}, Workers: 4})
+	if res.Stats.SoundnessCalls != 0 || built != 0 {
+		t.Fatalf("%d witness searches, yet %d of %d states carry a flow memo",
+			res.Stats.SoundnessCalls, built, res.Stats.NodeStates)
+	}
+
+	buggy := paxos.New(3, paxos.LastResponseBug, paxos.ActiveIndex{MaxPerNode: 1})
+	built, res = memos(buggy, PaperLiveState(t, buggy),
+		Options{Invariant: paxos.Agreement(), Reduction: paxos.Reduction{}, StopAtFirstBug: true, Workers: 4})
+	if len(res.Bugs) != 1 || res.Stats.SoundnessCalls == 0 || built == 0 {
+		t.Fatalf("bugs=%d searches=%d memos=%d: the searching run is not exercised",
+			len(res.Bugs), res.Stats.SoundnessCalls, built)
+	}
+	t.Logf("%d searches built %d memos over %d states", res.Stats.SoundnessCalls, built, res.Stats.NodeStates)
 }

@@ -346,21 +346,11 @@ func (r *nodeRun) addNext(edge pred, next model.State, emitted []model.Message,
 		fp:      out.Succ,
 		depth:   prev.depth + 1,
 		history: prev.history,
-		gen:     prev.gen,
 		preds:   []pred{edge},
 	}
 	if e != nil {
 		ns.history = &historyNode{parent: prev.history, fp: e.EventFingerprint()}
 	}
-	if len(emitted) > 0 {
-		ns.gen = &genNode{parent: prev.gen, fps: edge.generated}
-	}
-	// The flow memo extends the predecessor's by this edge's delta; prev is
-	// either a start state or an earlier discovery of this node, so its
-	// memo is already built (flowOf re-derives it otherwise).
-	var scratch [8]flowEntry
-	ns.flow = mergeFlows(flowOf(prev), edgeFlow(&edge, scratch[:]))
-	ns.flowDone = true
 	c.project(ns)
 	sp.add(ns)
 	if c.keyer != nil {

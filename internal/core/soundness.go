@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+
 	"lmc/internal/codec"
 	"lmc/internal/model"
 	"lmc/internal/trace"
@@ -71,32 +73,6 @@ func (sc *soundScratch) carve(n int) []pred {
 	lo := len(sc.arena)
 	sc.arena = sc.arena[:lo+n]
 	return sc.arena[lo : lo+n : lo+n]
-}
-
-// creationPath returns (memoized) the chain of first predecessor edges from
-// the node's start state to ns — the path along which ns was discovered.
-// The chain is acyclic by construction: a creation edge always points to an
-// earlier-created state.
-//
-// Concurrency contract: the walk reads ancestors but memoizes ONLY ns
-// itself (ancestors' creation/creationDone are never touched), so goroutines
-// may call it concurrently as long as each passes distinct states. flowOf
-// (index.go) follows the same contract.
-func creationPath(ns *nodeState) []pred {
-	if ns.creationDone {
-		return ns.creation
-	}
-	var rev []pred
-	for cur := ns; cur.seq != 0; cur = cur.preds[0].prev {
-		rev = append(rev, cur.preds[0])
-	}
-	path := make([]pred, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
-	}
-	ns.creation = path
-	ns.creationDone = true
-	return path
 }
 
 // enumeratePathsCapped lists event sequences (as predecessor-edge slices
@@ -177,13 +153,11 @@ func (c *checker) enumeratePathsCapped(sc *soundScratch, ns *nodeState, maxPaths
 // built only for a sequence that validates — one in thousands.
 func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.Schedule, map[codec.Fingerprint]int) {
 	if sc.net == nil {
-		sc.net = make(map[codec.Fingerprint]int, len(c.initialNet)+8)
+		sc.net = make(map[codec.Fingerprint]int, len(c.initNetCount)+8)
 	}
 	net := sc.net
 	clear(net)
-	for _, fp := range c.initialNet {
-		net[fp]++
-	}
+	maps.Copy(net, c.initNetCount)
 	pos := grow(sc.pos, len(seqs))
 	clear(pos)
 	order := sc.order[:0]

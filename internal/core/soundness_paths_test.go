@@ -17,9 +17,8 @@ import (
 // Tests for the predecessor-path enumeration (soundness.go) on the graph
 // shapes the exploration loop can actually produce: addPred back edges that
 // make the predecessor graph cyclic, self-referencing edges, dense DAGs that
-// exhaust the path and step caps, the memoization contract of
-// creationPath/flowOf under concurrent callers, and the soundness search's
-// reused scratch against a fresh one.
+// exhaust the path and step caps, and the soundness search's reused scratch
+// against a fresh one.
 
 // chainState extends sp with one state whose creation edge comes from parent.
 func chainState(sp *space, parent *nodeState, fp codec.Fingerprint) *nodeState {
@@ -28,7 +27,6 @@ func chainState(sp *space, parent *nodeState, fp codec.Fingerprint) *nodeState {
 		fp:    fp,
 		depth: parent.depth + 1,
 		preds: []pred{{prev: parent, kind: model.InternalEvent}},
-		gen:   parent.gen,
 	}
 	sp.add(ns)
 	return ns
@@ -125,56 +123,6 @@ func TestEnumeratePathsStepCap(t *testing.T) {
 	}
 }
 
-// TestCreationPathMemoConcurrent exercises the documented concurrency
-// contract: concurrent creationPath/flowOf calls on DISTINCT states are safe
-// (each memoizes only its own state while reading shared ancestors).
-func TestCreationPathMemoConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	universe := testUniverse(8)
-	sp := buildRandomSpace(rng, 0, 150, universe, false)
-
-	var wg sync.WaitGroup
-	for _, ns := range sp.states {
-		wg.Add(1)
-		go func(ns *nodeState) {
-			defer wg.Done()
-			creationPath(ns)
-			flowOf(ns)
-		}(ns)
-	}
-	wg.Wait()
-
-	for _, ns := range sp.states {
-		if !ns.creationDone || !ns.flowDone {
-			t.Fatalf("seq %d: memo not recorded", ns.seq)
-		}
-		if got := len(creationPath(ns)); got != ns.depth {
-			t.Fatalf("seq %d: creation path length %d, depth %d", ns.seq, got, ns.depth)
-		}
-		// The memoized flow must equal a fresh recount of the path.
-		want := make(map[codec.Fingerprint]int)
-		for _, e := range ns.creation {
-			if e.kind == model.NetworkEvent {
-				want[e.msgFP]++
-			}
-			for _, g := range e.generated {
-				want[g]--
-			}
-		}
-		for _, fe := range ns.flow {
-			if want[fe.fp] != fe.n {
-				t.Fatalf("seq %d fp %#x: memo %d recount %d", ns.seq, fe.fp, fe.n, want[fe.fp])
-			}
-			delete(want, fe.fp)
-		}
-		for fp, n := range want {
-			if n != 0 {
-				t.Fatalf("seq %d: memo missing fp %#x (recount %d)", ns.seq, fp, n)
-			}
-		}
-	}
-}
-
 // samePaths compares two path lists edge by edge (identity of the
 // predecessor, kind, consumed message).
 func samePaths(a, b [][]pred) bool {
@@ -240,10 +188,10 @@ func TestEnumeratePathsScratchMatchesFresh(t *testing.T) {
 func TestSoundScratchMatchesFresh(t *testing.T) {
 	universe := testUniverse(5)
 	rng := rand.New(rand.NewSource(21))
-	c := &checker{res: &Result{}, initialNet: []codec.Fingerprint{universe[0], universe[0], universe[3]}}
+	c := &checker{res: &Result{}, initNetCount: map[codec.Fingerprint]int{universe[0]: 2, universe[3]: 1}}
 	spaces := make([]*space, 3)
 	for n := range spaces {
-		spaces[n] = buildRandomSpace(rng, model.NodeID(n), 25, universe, false)
+		spaces[n] = buildRandomSpace(rng, model.NodeID(n), 25, universe)
 		// The schedule tells whose event ran when: pred.event takes the node
 		// from the edge's source state.
 		for _, ns := range spaces[n].states {

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"lmc/internal/codec"
-	"lmc/internal/model"
 	"lmc/internal/obs"
 	"lmc/internal/spec"
 )
@@ -156,9 +155,8 @@ func (c *checker) beginSearch(ns *nodeState, k int) *witnessScratch {
 // soundness-verification invocation, with the sequence budget shared across
 // candidates.
 //
-// The search runs on the incremental index layer (index.go): missing sets
-// come from the pair's flow memos and coverage questions go to the producer
-// index.
+// The search runs on the index layer (index.go): missing sets come from the
+// pair's flow memos and coverage questions go to the producer index.
 func (c *checker) searchWitness(ns *nodeState, k int, g *interestGroup, view []int) {
 	cacheKey := witnessKey{fp: ns.fp, node: k, group: "all"}
 	if g != nil {
@@ -201,12 +199,12 @@ func (c *checker) witnessSearch(ns *nodeState, k int, g *interestGroup, view []i
 		w.combo[k] = b
 
 		// What must the completion nodes supply? Every message the pair's
-		// creation paths consume beyond what the pair itself (or the seeded
+		// creation chains consume beyond what the pair itself (or the seeded
 		// network) generates. Candidates that cannot cover a missing
 		// message are tried last; a message nobody can cover refutes this
 		// pair outright (modulo alternate-path generation, the same kind of
 		// incompleteness the paper's caps accept).
-		w.missing = c.pairMissing(w.missing, ns, b)
+		w.missing = c.missingFromFlows(w.missing, flowOf(ns), flowOf(b))
 
 		// Feasibility, via the producer index. Every missing fingerprint is
 		// asked about, also past the first one nobody covers: the cover-index
@@ -351,52 +349,8 @@ func (c *checker) witnessLeaf() bool {
 	return c.settle(combo, v, nil, budget)
 }
 
-// pairMissing lists the message fingerprints the creation paths of the two
-// pair members consume but neither generates (and the seeded network does
-// not supply), counting multiplicities, into dst's backing array. It is a
-// two-pointer merge of the members' flow memos; missingOf below is the
-// definitional multiset walk it replaced, kept as the oracle the
-// differential tests compare against.
-func (c *checker) pairMissing(dst []codec.Fingerprint, a, b *nodeState) []codec.Fingerprint {
-	return c.missingFromFlows(dst, flowOf(a), flowOf(b))
-}
-
-// missingOf computes the missing set of any member set directly from the
-// creation paths. Superseded on the hot path by the flow memos (index.go);
-// retained as the reference implementation for tests.
-func (c *checker) missingOf(states ...*nodeState) []codec.Fingerprint {
-	supply := make(map[codec.Fingerprint]int)
-	for _, fp := range c.initialNet {
-		supply[fp]++
-	}
-	var need []codec.Fingerprint
-	for _, ns := range states {
-		for _, e := range creationPath(ns) {
-			if e.kind == model.NetworkEvent {
-				need = append(need, e.msgFP)
-			}
-			for _, g := range e.generated {
-				supply[g]++
-			}
-		}
-	}
-	var missing []codec.Fingerprint
-	seen := make(map[codec.Fingerprint]bool)
-	for _, fp := range need {
-		if supply[fp] > 0 {
-			supply[fp]--
-			continue
-		}
-		if !seen[fp] {
-			seen[fp] = true
-			missing = append(missing, fp)
-		}
-	}
-	return missing
-}
-
 // orderByCoverage buckets states by how many of the missing fingerprints
-// their creation path generates: full coverers first, partial next, the
+// their creation chain generates: full coverers first, partial next, the
 // rest last; discovery order is preserved within each bucket.
 func orderByCoverage(states []*nodeState, missing []codec.Fingerprint) []*nodeState {
 	if len(missing) == 0 {
@@ -406,7 +360,7 @@ func orderByCoverage(states []*nodeState, missing []codec.Fingerprint) []*nodeSt
 	for _, s := range states {
 		covered := 0
 		for _, fp := range missing {
-			if s.gen.contains(fp) {
+			if s.creationEmits(fp) {
 				covered++
 			}
 		}

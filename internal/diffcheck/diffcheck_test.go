@@ -414,6 +414,13 @@ func TestGeneratedScenariosBuild(t *testing.T) {
 			t.Errorf("scenario %d: bad local bounds %d/%d", i, sc.LocalBound, sc.MaxLocalBound)
 		}
 	}
+	// A hand-edited artifact is refused here, before core.Check would panic
+	// on what core.Options.Validate rejects.
+	bad := Corpus(99, 1)[0]
+	bad.DupLimit = -1
+	if _, err := bad.Build(); err == nil {
+		t.Errorf("dup_limit -1 accepted: %s", mustJSON(bad))
+	}
 }
 
 func mustJSON(v any) string {

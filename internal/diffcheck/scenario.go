@@ -205,6 +205,11 @@ func (sc Scenario) Build() (*Instance, error) {
 	if sc.Nodes < 1 {
 		return nil, fmt.Errorf("diffcheck: scenario needs at least 1 node, got %d", sc.Nodes)
 	}
+	if sc.DupLimit < 0 {
+		// core.Options.Validate rejects it; a repro artifact is outside input
+		// and must not reach core.Check's panic.
+		return nil, fmt.Errorf("diffcheck: dup_limit must be >= 0, got %d", sc.DupLimit)
+	}
 	wrongBug := func() error {
 		return fmt.Errorf("diffcheck: protocol %s has no bug variant %q", sc.Protocol, sc.Bug)
 	}

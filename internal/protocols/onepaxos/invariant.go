@@ -43,7 +43,7 @@ func Agreement() spec.Invariant {
 // chosenInterest is the LMC-OPT projection: the node's chosen values,
 // ascending by index (shared with the state, which never writes a stored
 // collection again).
-type chosenInterest []paxos.ChoicePair
+type chosenInterest []paxos.At[int]
 
 // Reduction is the invariant-specific system-state creation rule for the
 // 1Paxos agreement invariant, mirroring the Paxos one of §4.2.

@@ -16,9 +16,7 @@
 package onepaxos
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
@@ -65,17 +63,11 @@ type acceptedVal struct {
 	Value int
 }
 
-// acceptedAt is the acceptor role's record keyed by its index.
-type acceptedAt struct {
-	Index int
-	A     acceptedVal
-}
-
 // State is one 1Paxos node's local state, including its embedded
 // PaxosUtility (lower-layer Paxos) state.
 //
 // It follows the sharing rule of paxos.State: Clone copies the struct —
-// the utility's included — and shares the collections, which are sorted
+// the utility's included — and shares the collections, which are paxos.At
 // slices never written once stored; the mutators below are the only writers,
 // and each clears the carried fingerprint. Handlers, scenario builders and
 // tests write through them.
@@ -95,9 +87,9 @@ type State struct {
 	Epoch int
 
 	// Accepted is the acceptor role's per-index record, ascending by index.
-	Accepted []acceptedAt
+	Accepted []paxos.At[acceptedVal]
 	// Chosen is the learner role's decisions, ascending by index.
-	Chosen []paxos.ChoicePair
+	Chosen []paxos.At[int]
 	// ProposalsMade counts this node's value propositions (driver budget).
 	ProposalsMade int
 	// LeaderAttempts counts this node's leadership takeovers (driver
@@ -140,28 +132,15 @@ func (s *State) countTakeover() {
 	s.memo = 0
 }
 
-func (s *State) acceptedFor(i int) (acceptedVal, bool) {
-	for _, e := range s.Accepted {
-		if e.Index == i {
-			return e.A, true
-		}
-	}
-	return acceptedVal{}, false
-}
+func (s *State) acceptedFor(i int) (acceptedVal, bool) { return paxos.Lookup(s.Accepted, i) }
+func (s *State) setAccepted(i int, a acceptedVal)      { paxos.PutNew(&s.Accepted, &s.memo, i, a) }
 
-func (s *State) setAccepted(i int, a acceptedVal) {
-	at, found := slices.BinarySearchFunc(s.Accepted, i, func(e acceptedAt, i int) int { return cmp.Compare(e.Index, i) })
-	s.Accepted = paxos.WithEntry(s.Accepted, at, found, acceptedAt{Index: i, A: a})
-	s.memo = 0
-}
+// HasChosen reports the chosen value for an index, if any.
+func (s *State) HasChosen(index int) (int, bool) { return paxos.Lookup(s.Chosen, index) }
 
 // SetChosen records (or overwrites) the chosen value for an index. The
 // protocol only ever records a first choice; tests build states with it.
-func (s *State) SetChosen(index, value int) {
-	at, found := slices.BinarySearchFunc(s.Chosen, index, func(e paxos.ChoicePair, i int) int { return cmp.Compare(e.Index, i) })
-	s.Chosen = paxos.WithEntry(s.Chosen, at, found, paxos.ChoicePair{Index: index, Value: value})
-	s.memo = 0
-}
+func (s *State) SetChosen(index, value int) { paxos.PutNew(&s.Chosen, &s.memo, index, value) }
 
 // Clone implements model.State: a struct copy (see State).
 func (s *State) Clone() model.State {
@@ -199,8 +178,8 @@ func (s *State) encodeOwn(w *codec.Writer) {
 	w.Uint32(uint32(len(s.Accepted)))
 	for _, e := range s.Accepted {
 		w.Int(e.Index)
-		w.Int(e.A.Epoch)
-		w.Int(e.A.Value)
+		w.Int(e.Value.Epoch)
+		w.Int(e.Value.Value)
 	}
 	w.Uint32(uint32(len(s.Chosen)))
 	for _, p := range s.Chosen {
@@ -218,14 +197,4 @@ func (s *State) String() string {
 		out += fmt.Sprintf(" chosen[%d]=%d", p.Index, p.Value)
 	}
 	return out + "}"
-}
-
-// HasChosen reports the chosen value for an index, if any.
-func (s *State) HasChosen(index int) (int, bool) {
-	for _, p := range s.Chosen {
-		if p.Index == index {
-			return p.Value, true
-		}
-	}
-	return 0, false
 }

@@ -45,7 +45,7 @@ func Agreement() spec.Invariant {
 // conflictScan merge-scans two sorted choice sequences for a common index
 // with different values. It allocates nothing on the (overwhelmingly common)
 // agreeing path.
-func conflictScan(ss model.SystemState, i, j int, pi, pj []ChoicePair) *spec.Violation {
+func conflictScan(ss model.SystemState, i, j int, pi, pj []At[int]) *spec.Violation {
 	a, b := 0, 0
 	for a < len(pi) && b < len(pj) {
 		switch {
@@ -68,7 +68,7 @@ func conflictScan(ss model.SystemState, i, j int, pi, pj []ChoicePair) *spec.Vio
 
 // chosenInterest is the LMC-OPT projection of a node state: the values it
 // has chosen, per index, sorted by index.
-type chosenInterest []ChoicePair
+type chosenInterest []At[int]
 
 // Reduction is the invariant-specific system-state creation rule of §4.2
 // (the LMC-OPT configuration): "we map the node states to the values that

@@ -166,6 +166,44 @@ func WithEntry[E any](s []E, at int, replace bool, e E) []E {
 	return out
 }
 
+// At is one entry of a per-index collection: what a role holds for one
+// index. A collection is a []At[V] ascending by Index, read with Lookup and
+// written with Put or PutNew only.
+type At[V any] struct {
+	Index int
+	Value V
+}
+
+// Lookup returns what collection c holds for index i.
+func Lookup[V any](c []At[V], i int) (V, bool) {
+	for _, e := range c {
+		if e.Index == i {
+			return e.Value, true
+		}
+	}
+	var none V
+	return none, false
+}
+
+// Put stores v for index i in collection *c of a state whose carried
+// fingerprint is *memo: the collection is rebuilt with the entry replaced, or
+// inserted in index order (WithEntry), and the memo is cleared. v must not
+// share a backing array that anything will write again.
+func Put[V any](c *[]At[V], memo *codec.Fingerprint, i int, v V) {
+	at, found := slices.BinarySearchFunc(*c, i, func(e At[V], i int) int { return cmp.Compare(e.Index, i) })
+	*c = WithEntry(*c, at, found, At[V]{Index: i, Value: v})
+	*memo = 0
+}
+
+// PutNew is Put where values can be compared: an index that already holds v
+// is left alone, carried fingerprint included — a repeated Prepare or Accept
+// at the promised ballot leaves the state, and its hash, as they were.
+func PutNew[V comparable](c *[]At[V], memo *codec.Fingerprint, i int, v V) {
+	if old, ok := Lookup(*c, i); !ok || old != v {
+		Put(c, memo, i, v)
+	}
+}
+
 // State is one Paxos node's local state (all three roles).
 //
 // Every per-index collection is a slice sorted ascending by index rather
@@ -175,27 +213,27 @@ func WithEntry[E any](s []E, at int, replace bool, e E) []E {
 //
 // Sharing rule: a collection's backing array is immutable from the moment
 // it is stored in a State. Clone copies the struct and shares every
-// collection with the original; a mutator (set*, SetChosen, countProposal)
-// builds the one collection it changes afresh (WithEntry) and leaves the
-// rest shared. So a transition costs what it changes — most change nothing
+// collection with the original; a mutator (set*, SetChosen — all of them Put
+// or PutNew — and countProposal) builds the one collection it changes afresh
+// and leaves the rest shared. So a transition costs what it changes — most change nothing
 // — and no sequence of Clone and mutator calls, on either side, can make
 // one state's write visible in another. Code outside the mutators only
 // reads the fields: a direct write would also leave a stale carried
 // fingerprint behind.
 type State struct {
 	// Proposer role: in-flight propositions, ascending by index.
-	Proposals     []proposalAt
+	Proposals     []At[proposal]
 	ProposalsMade int // test-driver budget consumed
 
 	// Acceptor role: highest promised ballot and highest accepted
 	// (ballot, value) per index, each ascending by index.
-	Promised []promisedAt
-	Accepted []acceptedAt
+	Promised []At[Ballot]
+	Accepted []At[accepted]
 
-	// Learner role: learn records per index and chosen values (first
-	// choice kept), each ascending by index.
-	Learns []learnsAt
-	Chosen []ChoicePair
+	// Learner role: learn records per index, ordered canonically by (ballot,
+	// value), and chosen values (first choice kept), each ascending by index.
+	Learns []At[[]learnRecord]
+	Chosen []At[int]
 
 	// memo is the carried fingerprint (model.Fingerprinter): the hash of
 	// the state's encoding, or zero when not known. Clone copies it and
@@ -204,48 +242,8 @@ type State struct {
 	memo codec.Fingerprint
 }
 
-// proposalAt is one in-flight proposition keyed by its index.
-type proposalAt struct {
-	Index int
-	P     proposal
-}
-
-// promisedAt is the highest promised ballot for one index.
-type promisedAt struct {
-	Index  int
-	Ballot Ballot
-}
-
-// acceptedAt is the highest accepted (ballot, value) for one index.
-type acceptedAt struct {
-	Index int
-	A     accepted
-}
-
-// learnsAt is the learn records for one index, ordered canonically by
-// (ballot, value).
-type learnsAt struct {
-	Index int
-	Recs  []learnRecord
-}
-
-// ChoicePair is one (index, value) choice, in ascending index order.
-type ChoicePair struct{ Index, Value int }
-
-func (s *State) proposalFor(i int) (proposal, bool) {
-	for _, e := range s.Proposals {
-		if e.Index == i {
-			return e.P, true
-		}
-	}
-	return proposal{}, false
-}
-
-func (s *State) setProposal(i int, p proposal) {
-	at, found := slices.BinarySearchFunc(s.Proposals, i, func(e proposalAt, i int) int { return cmp.Compare(e.Index, i) })
-	s.Proposals = WithEntry(s.Proposals, at, found, proposalAt{Index: i, P: p})
-	s.memo = 0
-}
+func (s *State) proposalFor(i int) (proposal, bool) { return Lookup(s.Proposals, i) }
+func (s *State) setProposal(i int, p proposal)      { Put(&s.Proposals, &s.memo, i, p) }
 
 // countProposal charges one proposition against the test-driver budget.
 func (s *State) countProposal() {
@@ -253,78 +251,28 @@ func (s *State) countProposal() {
 	s.memo = 0
 }
 
-func (s *State) promisedFor(i int) (Ballot, bool) {
-	for _, e := range s.Promised {
-		if e.Index == i {
-			return e.Ballot, true
-		}
-	}
-	return Ballot{}, false
-}
+func (s *State) promisedFor(i int) (Ballot, bool) { return Lookup(s.Promised, i) }
+func (s *State) setPromised(i int, b Ballot)      { PutNew(&s.Promised, &s.memo, i, b) }
 
-// setPromised, setAccepted and SetChosen write nothing — and keep the
-// carried fingerprint — when the index already holds the value: a repeated
-// Prepare or Accept at the promised ballot leaves the state as it was.
-func (s *State) setPromised(i int, b Ballot) {
-	at, found := slices.BinarySearchFunc(s.Promised, i, func(e promisedAt, i int) int { return cmp.Compare(e.Index, i) })
-	e := promisedAt{Index: i, Ballot: b}
-	if found && s.Promised[at] == e {
-		return
-	}
-	s.Promised = WithEntry(s.Promised, at, found, e)
-	s.memo = 0
-}
-
-func (s *State) acceptedFor(i int) (accepted, bool) {
-	for _, e := range s.Accepted {
-		if e.Index == i {
-			return e.A, true
-		}
-	}
-	return accepted{}, false
-}
-
-func (s *State) setAccepted(i int, a accepted) {
-	at, found := slices.BinarySearchFunc(s.Accepted, i, func(e acceptedAt, i int) int { return cmp.Compare(e.Index, i) })
-	e := acceptedAt{Index: i, A: a}
-	if found && s.Accepted[at] == e {
-		return
-	}
-	s.Accepted = WithEntry(s.Accepted, at, found, e)
-	s.memo = 0
-}
+func (s *State) acceptedFor(i int) (accepted, bool) { return Lookup(s.Accepted, i) }
+func (s *State) setAccepted(i int, a accepted)      { PutNew(&s.Accepted, &s.memo, i, a) }
 
 func (s *State) learnsFor(i int) []learnRecord {
-	for _, e := range s.Learns {
-		if e.Index == i {
-			return e.Recs
-		}
-	}
-	return nil
+	recs, _ := Lookup(s.Learns, i)
+	return recs
 }
 
-// setLearns stores the learn records of one index; recs must not share a
-// backing array that anything will write again (insertRecord and WithEntry
-// build theirs afresh).
-func (s *State) setLearns(i int, recs []learnRecord) {
-	at, found := slices.BinarySearchFunc(s.Learns, i, func(e learnsAt, i int) int { return cmp.Compare(e.Index, i) })
-	s.Learns = WithEntry(s.Learns, at, found, learnsAt{Index: i, Recs: recs})
-	s.memo = 0
-}
+// setLearns stores the learn records of one index (insertRecord and
+// WithEntry build theirs afresh, as Put requires).
+func (s *State) setLearns(i int, recs []learnRecord) { Put(&s.Learns, &s.memo, i, recs) }
 
-// SetChosen records (or overwrites) the chosen value for an index, keeping
-// the ascending order. The protocol itself only ever records a first choice
-// (stepLearn checks HasChosen); tests and harnesses use SetChosen to build
-// states by hand.
-func (s *State) SetChosen(index, value int) {
-	at, found := slices.BinarySearchFunc(s.Chosen, index, func(e ChoicePair, i int) int { return cmp.Compare(e.Index, i) })
-	e := ChoicePair{Index: index, Value: value}
-	if found && s.Chosen[at] == e {
-		return
-	}
-	s.Chosen = WithEntry(s.Chosen, at, found, e)
-	s.memo = 0
-}
+// HasChosen reports the chosen value for an index, if any.
+func (s *State) HasChosen(index int) (int, bool) { return Lookup(s.Chosen, index) }
+
+// SetChosen records (or overwrites) the chosen value for an index. The
+// protocol itself only ever records a first choice (stepLearn checks
+// HasChosen); tests and harnesses use SetChosen to build states by hand.
+func (s *State) SetChosen(index, value int) { PutNew(&s.Chosen, &s.memo, index, value) }
 
 // NewState returns an empty node state. All collections start nil — a
 // pristine node allocates nothing until its first handler runs.
@@ -357,7 +305,7 @@ func (s *State) Encode(w *codec.Writer) {
 
 	w.Uint32(uint32(len(s.Proposals)))
 	for _, e := range s.Proposals {
-		p := &e.P
+		p := &e.Value
 		w.Int(e.Index)
 		p.Ballot.Encode(w)
 		w.Int(p.Value)
@@ -373,21 +321,21 @@ func (s *State) Encode(w *codec.Writer) {
 	w.Uint32(uint32(len(s.Promised)))
 	for _, e := range s.Promised {
 		w.Int(e.Index)
-		e.Ballot.Encode(w)
+		e.Value.Encode(w)
 	}
 
 	w.Uint32(uint32(len(s.Accepted)))
 	for _, e := range s.Accepted {
 		w.Int(e.Index)
-		e.A.Ballot.Encode(w)
-		w.Int(e.A.Value)
+		e.Value.Ballot.Encode(w)
+		w.Int(e.Value.Value)
 	}
 
 	w.Uint32(uint32(len(s.Learns)))
 	for _, e := range s.Learns {
 		w.Int(e.Index)
-		w.Uint32(uint32(len(e.Recs)))
-		for _, lr := range e.Recs {
+		w.Uint32(uint32(len(e.Value)))
+		for _, lr := range e.Value {
 			lr.Ballot.Encode(w)
 			w.Int(lr.Value)
 			w.Uint32(uint32(len(lr.Acceptors)))
@@ -412,14 +360,14 @@ func (s *State) String() string {
 		out += fmt.Sprintf("chosen[%d]=%d ", p.Index, p.Value)
 	}
 	for _, e := range s.Accepted {
-		out += fmt.Sprintf("acc[%d]=%d@%s ", e.Index, e.A.Value, e.A.Ballot)
+		out += fmt.Sprintf("acc[%d]=%d@%s ", e.Index, e.Value.Value, e.Value.Ballot)
 	}
 	for _, e := range s.Proposals {
 		phase := "prep"
-		if e.P.Accepting {
+		if e.Value.Accepting {
 			phase = "acc"
 		}
-		out += fmt.Sprintf("prop[%d]=%d@%s/%s ", e.Index, e.P.Value, e.P.Ballot, phase)
+		out += fmt.Sprintf("prop[%d]=%d@%s/%s ", e.Index, e.Value.Value, e.Value.Ballot, phase)
 	}
 	return out + "}"
 }
@@ -430,25 +378,6 @@ func (s *State) Pristine() bool {
 	return s.ProposalsMade == 0 && len(s.Proposals) == 0 &&
 		len(s.Promised) == 0 && len(s.Accepted) == 0 &&
 		len(s.Learns) == 0 && len(s.Chosen) == 0
-}
-
-// HasChosen reports the chosen value for an index, if any.
-func (s *State) HasChosen(index int) (int, bool) {
-	for _, p := range s.Chosen {
-		if p.Index == index {
-			return p.Value, true
-		}
-	}
-	return 0, false
-}
-
-// ChosenSet returns the chosen values as a map.
-func (s *State) ChosenSet() map[int]int {
-	out := make(map[int]int, len(s.Chosen))
-	for _, p := range s.Chosen {
-		out[p.Index] = p.Value
-	}
-	return out
 }
 
 // MaxBallotSeen returns the highest ballot number this node has observed

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -240,6 +241,46 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestPutKeepsOrderAndSharing holds the one collection every per-index field
+// of a State (and of a 1Paxos state) is: Put keeps entries ascending by index
+// whatever the order of writes, replaces in place of the old entry, never
+// writes the array it was handed, and clears the carried fingerprint; PutNew
+// does none of that when the index already holds the value.
+func TestPutKeepsOrderAndSharing(t *testing.T) {
+	var c []At[int]
+	memo := codec.Fingerprint(7)
+	for _, i := range []int{4, 1, 9, 1, 6} {
+		before, shared := slices.Clone(c), c
+		memo = 7
+		Put(&c, &memo, i, 10*i)
+		if memo != 0 || !slices.Equal(shared, before) {
+			t.Fatalf("Put(%d): memo %v, array handed in now %v (was %v)", i, memo, shared, before)
+		}
+	}
+	if want := []At[int]{{1, 10}, {4, 40}, {6, 60}, {9, 90}}; !slices.Equal(c, want) {
+		t.Fatalf("collection %v, want %v", c, want)
+	}
+	if v, ok := Lookup(c, 6); !ok || v != 60 {
+		t.Fatalf("Lookup(6) = %d, %v", v, ok)
+	}
+	if _, ok := Lookup(c, 5); ok {
+		t.Fatal("Lookup(5) found an entry")
+	}
+	memo, held := 7, c
+	PutNew(&c, &memo, 4, 40)
+	if memo != 7 || &c[0] != &held[0] {
+		t.Fatalf("PutNew of the value already held: memo %v, rebuilt=%v", memo, &c[0] != &held[0])
+	}
+	PutNew(&c, &memo, 4, 41)
+	if memo != 0 || c[1].Value != 41 || len(c) != 4 || held[1].Value != 40 {
+		t.Fatalf("PutNew of a new value: memo %v, collection %v, the one before %v", memo, c, held)
+	}
+	PutNew(&c, &memo, 5, 0)
+	if len(c) != 5 || c[2] != (At[int]{5, 0}) {
+		t.Fatalf("PutNew of a zero value at a fresh index: %v", c)
+	}
+}
+
 // TestEncodeDeterministic: repeated encodings of one state agree, and a
 // clone encodes identically — property-based.
 func TestEncodeDeterministic(t *testing.T) {
@@ -268,7 +309,7 @@ func referenceEncode(st *State, w *codec.Writer) {
 
 	props := map[int]proposal{}
 	for _, e := range st.Proposals {
-		props[e.Index] = e.P
+		props[e.Index] = e.Value
 	}
 	idxs := make([]int, 0, len(props))
 	for i := range props {
@@ -302,7 +343,7 @@ func referenceEncode(st *State, w *codec.Writer) {
 
 	prom := map[int]Ballot{}
 	for _, e := range st.Promised {
-		prom[e.Index] = e.Ballot
+		prom[e.Index] = e.Value
 	}
 	pidxs := make([]int, 0, len(prom))
 	for i := range prom {
@@ -317,7 +358,7 @@ func referenceEncode(st *State, w *codec.Writer) {
 
 	acc := map[int]accepted{}
 	for _, e := range st.Accepted {
-		acc[e.Index] = e.A
+		acc[e.Index] = e.Value
 	}
 	aidxs := make([]int, 0, len(acc))
 	for i := range acc {
@@ -334,7 +375,7 @@ func referenceEncode(st *State, w *codec.Writer) {
 
 	learns := map[int][]learnRecord{}
 	for _, e := range st.Learns {
-		learns[e.Index] = e.Recs
+		learns[e.Index] = e.Value
 	}
 	lidxs := make([]int, 0, len(learns))
 	for i := range learns {

@@ -29,7 +29,7 @@ func TestLosslessRunDecides(t *testing.T) {
 	chosen := 0
 	for n := 0; n < 3; n++ {
 		st := s.State(model.NodeID(n)).(*paxos.State)
-		chosen += len(st.ChosenSet())
+		chosen += len(st.Chosen)
 	}
 	if chosen == 0 {
 		t.Fatalf("no decisions after 300 s: %+v", s.Stats)

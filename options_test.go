@@ -1,6 +1,11 @@
 package lmc_test
 
 import (
+	"os"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +22,13 @@ func TestValidateRejections(t *testing.T) {
 
 	t.Run("core", func(t *testing.T) {
 		cases := []lmc.Options{
-			{}, // nothing to check
+			{},                                        // nothing to check
+			{Invariant: inv, DupLimit: -1},            // I+ would admit no message at all
+			{Invariant: inv, MaxPathDepth: -1},        // a negative bound is not "unbounded"
+			{Invariant: inv, MaxSystemDepth: -1},      // negative system depth
+			{Invariant: inv, MaxTransitions: -1},      // negative transitions
+			{Invariant: inv, Budget: -time.Second},    // negative budget
+			{DisableSystemStates: true, DupLimit: -2}, // also when nothing is checked
 		}
 		for i, opt := range cases {
 			if err := opt.Validate(); err == nil {
@@ -26,6 +37,7 @@ func TestValidateRejections(t *testing.T) {
 		}
 		ok := []lmc.Options{
 			{Invariant: inv},
+			{Invariant: inv, DupLimit: 1, MaxPathDepth: 4, MaxSystemDepth: 9, MaxTransitions: 100, Budget: time.Second},
 			{DisableSystemStates: true},
 			{LocalInvariants: []lmc.LocalInvariant{randtree.Structure()}},
 		}
@@ -71,4 +83,37 @@ func TestValidateRejections(t *testing.T) {
 			t.Fatalf("valid config rejected: %v", err)
 		}
 	})
+}
+
+// TestREADMEListsEveryOption keeps README's option paragraph — "`core.Options`
+// has N fields …" — from drifting: N is the struct's field count, every
+// field is named there in backticks, and every backticked identifier there
+// is a field.
+func TestREADMEListsEveryOption(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile("(?s)`core\\.Options` has (\\d+) fields.*?\n\n").FindSubmatch(readme)
+	if m == nil {
+		t.Fatal("README.md has no \"`core.Options` has N fields\" paragraph")
+	}
+	para := string(m[0])
+	typ := reflect.TypeOf(lmc.Options{})
+	if stated, _ := strconv.Atoi(string(m[1])); stated != typ.NumField() {
+		t.Errorf("README states %d fields, core.Options has %d", stated, typ.NumField())
+	}
+	fields := make(map[string]bool)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fields[name] = true
+		if !strings.Contains(para, "`"+name+"`") {
+			t.Errorf("README's option paragraph does not name Options.%s", name)
+		}
+	}
+	for _, id := range regexp.MustCompile("`([A-Z][A-Za-z]*)`").FindAllStringSubmatch(para, -1) {
+		if !fields[id[1]] {
+			t.Errorf("README's option paragraph names `%s`, which is not a field of core.Options", id[1])
+		}
+	}
 }
