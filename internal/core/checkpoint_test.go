@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,10 +29,6 @@ func (s *memStore) OnRoundCheckpoint(cp RoundCheckpoint) error {
 	if s.err != nil {
 		return s.err
 	}
-	// Deep-copy the record slice: the engine hands live buffers.
-	recs := make([]DeliveryRecord, len(cp.Records))
-	copy(recs, cp.Records)
-	cp.Records = recs
 	s.rounds[[2]int{cp.Pass, cp.Round}] = cp
 	return nil
 }
@@ -132,7 +131,7 @@ func TestCheckpointParity(t *testing.T) {
 				assertBitForBit(t, "resumed@"+string(rune('0'+k)), base, res)
 			}
 
-			// Full-store resume too: every round primed from records.
+			// Full-store resume too: every round verified against its digest.
 			opt = tc.opt
 			opt.Resume = st
 			res := Check(tc.m, start, opt)
@@ -180,55 +179,39 @@ func TestCheckpointKillAtBarrier(t *testing.T) {
 	}
 }
 
-// TestResumeDigestDivergence: stored records that contradict the handlers
-// (here: a successor fingerprint from a different round's reality) must stop
-// the run with StopResumeDiverged instead of silently producing garbage.
+// TestResumeDigestDivergence: the digest is the value a checkpoint stores to
+// detect a fault (changed handlers, changed options, a corrupted store), and
+// every one of its four fields is held: a resumed run whose post-round digest
+// differs from the stored one in any of them stops with StopResumeDiverged
+// instead of vouching for a run it is not.
 func TestResumeDigestDivergence(t *testing.T) {
 	m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
 	start := model.InitialSystem(m)
 
 	st := newMemStore()
 	Check(m, start, Options{Invariant: paxos.Agreement(), Checkpoint: st})
+	good, ok := st.rounds[[2]int{1, 2}]
+	if !ok {
+		t.Fatal("round 2 was not checkpointed")
+	}
 
-	// Corrupt round 2: claim a recorded delivery was rejected. The record
-	// must be one whose successor the round actually discovered (a
-	// duplicate successor would leave the digest unchanged), and whose
-	// successor no other record of the round also produces — then the
-	// primed walk trusts the lie, the round's state set comes out smaller,
-	// and the post-round digest disagrees with the stored one.
-	cp, ok := st.rounds[[2]int{1, 2}]
-	if !ok || len(cp.Records) == 0 {
-		t.Skip("round 2 carries no records in this space")
+	fields := []struct {
+		name    string
+		corrupt func(*ShardDigest)
+	}{
+		{"NetLen", func(d *ShardDigest) { d.NetLen++ }},
+		{"Net", func(d *ShardDigest) { d.Net ^= 1 }},
+		{"States", func(d *ShardDigest) { d.States-- }},
+		{"Spaces", func(d *ShardDigest) { d.Spaces ^= 1 }},
 	}
-	isNew := make(map[codec.Fingerprint]bool)
-	for _, fps := range cp.NewStates {
-		for _, fp := range fps {
-			isNew[fp] = true
-		}
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) {
+			cp := good // each field alone: the others stay as stored
+			f.corrupt(&cp.Digest)
+			st.rounds[[2]int{1, 2}] = cp
+			assertResumeDiverges(t, m, start, st)
+		})
 	}
-	succCount := make(map[codec.Fingerprint]int)
-	for _, r := range cp.Records {
-		if !r.Rejected {
-			succCount[r.Succ]++
-		}
-	}
-	recs := make([]DeliveryRecord, len(cp.Records))
-	copy(recs, cp.Records)
-	corrupted := false
-	for i := range recs {
-		if !recs[i].Rejected && isNew[recs[i].Succ] && succCount[recs[i].Succ] == 1 {
-			recs[i].Rejected = true
-			corrupted = true
-			break
-		}
-	}
-	if !corrupted {
-		t.Skip("round 2 has no uniquely-producing record to corrupt")
-	}
-	cp.Records = recs
-	st.rounds[[2]int{1, 2}] = cp
-
-	assertResumeDiverges(t, m, start, st)
 }
 
 // assertResumeDiverges resumes the paxos space from a corrupted store and
@@ -255,35 +238,131 @@ func assertResumeDiverges(t *testing.T, m model.Machine, start model.SystemState
 	}
 }
 
-// TestResumeLyingSuccessor: stored records that lie about a successor — the
-// handler accepts, but lands somewhere else — must stop the resume exactly
-// like records that lie about an emission. The walk's own execution is used
-// either way, so the post-round digest still matches; only the contradicted
-// hint gives the checkpoint away.
-func TestResumeLyingSuccessor(t *testing.T) {
-	m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
-	start := model.InitialSystem(m)
+// countingMachine counts handler executions; the counter is atomic because
+// exploration workers call handlers concurrently.
+type countingMachine struct {
+	model.Machine
+	calls *atomic.Int64
+}
 
-	st := newMemStore()
-	Check(m, start, Options{Invariant: paxos.Agreement(), Checkpoint: st})
+func (m countingMachine) HandleMessage(n model.NodeID, s model.State, msg model.Message) (model.State, []model.Message) {
+	m.calls.Add(1)
+	return m.Machine.HandleMessage(n, s, msg)
+}
 
-	cp := st.rounds[[2]int{1, 2}]
-	recs := make([]DeliveryRecord, len(cp.Records))
-	copy(recs, cp.Records)
-	flipped := 0
-	for i := range recs {
-		if !recs[i].Rejected {
-			recs[i].Succ ^= 1
-			flipped++
+func (m countingMachine) HandleAction(n model.NodeID, s model.State, a model.Action) (model.State, []model.Message) {
+	m.calls.Add(1)
+	return m.Machine.HandleAction(n, s, a)
+}
+
+// lyingRecords returns a corrupted delivery record for every delivery that
+// discovers a state in the given run — the records checkpoints used to carry,
+// rebuilt from the creation edges of one explored pass. Every record is keyed
+// like the real step, so a walk that consulted stored records would find it:
+// even ones claim the handler rejected, odd ones name a wrong successor and
+// drop the emissions.
+func lyingRecords(m model.Machine, start model.SystemState, opt Options) []DeliveryRecord {
+	c := newChecker(context.Background(), m, start, opt)
+	c.pass()
+	entryOf := make(map[codec.Fingerprint]int)
+	ep := c.net.Epoch()
+	for i := 0; i < ep.Len(); i++ {
+		entryOf[ep.Entry(i).FP] = i
+	}
+	var recs []DeliveryRecord
+	for _, sp := range c.spaces {
+		for _, ns := range sp.states {
+			if len(ns.preds) == 0 || ns.preds[0].kind != model.NetworkEvent {
+				continue
+			}
+			edge := &ns.preds[0]
+			recs = append(recs, DeliveryRecord{Entry: entryOf[edge.msgFP], Parent: edge.prev.fp,
+				Rejected: len(recs)%2 == 0, Succ: ns.fp ^ 1})
 		}
 	}
-	if flipped == 0 {
-		t.Fatal("round 2 carries no accepted record to corrupt")
-	}
-	cp.Records = recs
-	st.rounds[[2]int{1, 2}] = cp
+	return recs
+}
 
-	assertResumeDiverges(t, m, start, st)
+// TestResumeReadsOnlyTheDigest: resume is a verified re-run. A fresh run, a
+// checkpointed run and a run resumed from the complete store execute the same
+// number of handlers — a stored round spares none — and a store whose rounds
+// all carry lying records (and bogus new-state segments) beside intact
+// digests resumes bit-for-bit with no divergence event: nothing stored but
+// the digest is read, so nothing else stored can cost the run a state.
+func TestResumeReadsOnlyTheDigest(t *testing.T) {
+	cases := []struct {
+		name string
+		m    model.Machine
+		opt  Options
+	}{
+		{"paxos-gen", paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7}),
+			Options{Invariant: paxos.Agreement()}},
+		{"twophase-bug", twophase.New(3, twophase.MajorityBug),
+			Options{Invariant: twophase.Atomicity()}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			m := countingMachine{tc.m, &calls}
+			start := model.InitialSystem(m)
+			count := func(opt Options) (*Result, int64) {
+				calls.Store(0)
+				res := Check(m, start, opt)
+				return res, calls.Load()
+			}
+
+			fresh, freshCalls := count(tc.opt)
+			if freshCalls == 0 {
+				t.Fatal("the counting machine saw no handler execution")
+			}
+
+			st := newMemStore()
+			opt := tc.opt
+			opt.Checkpoint = st
+			ck, ckCalls := count(opt)
+			assertBitForBit(t, "checkpointed", fresh, ck)
+			for key, cp := range st.rounds {
+				if len(cp.Records) != 0 || len(cp.NewStates) != 0 {
+					t.Fatalf("round %v: checkpoint carries %d records and %d new-state segments, want none",
+						key, len(cp.Records), len(cp.NewStates))
+				}
+			}
+
+			lies := lyingRecords(tc.m, start, tc.opt)
+			if len(lies) < 2 {
+				t.Fatalf("only %d discovering deliveries to lie about", len(lies))
+			}
+			for key, cp := range st.rounds {
+				cp.Records = lies
+				cp.NewStates = [][]codec.Fingerprint{{1}, {2}}
+				st.rounds[key] = cp
+			}
+			verified, diverged := 0, 0
+			opt = tc.opt
+			opt.Resume, opt.HeartbeatEvery = st, -1
+			opt.Observer = obs.FuncObserver(func(e obs.Event) {
+				switch want := st.rounds[[2]int{e.Pass, e.Round}].Digest.States; {
+				case e.Kind != obs.KindResume:
+				case e.Detail != "":
+					diverged++
+				case e.Count != want || !strings.Contains(e.String(), fmt.Sprintf(" states=%d", want)):
+					t.Errorf("resume event %q carries states=%d, want the stored digest's %d", e, e.Count, want)
+				default:
+					verified++
+				}
+			})
+			res, resCalls := count(opt)
+			assertBitForBit(t, "resumed from lying records", fresh, res)
+			if diverged != 0 || verified != len(st.rounds) {
+				t.Fatalf("resume verified %d of %d stored rounds with %d divergence events",
+					verified, len(st.rounds), diverged)
+			}
+			if ckCalls != freshCalls || resCalls != freshCalls {
+				t.Fatalf("handler executions: fresh %d, checkpointed %d, resumed %d — want all equal",
+					freshCalls, ckCalls, resCalls)
+			}
+		})
+	}
 }
 
 // TestCheckpointSinkFailure: a sink error disables checkpointing, surfaces
@@ -311,9 +390,9 @@ func TestCheckpointSinkFailure(t *testing.T) {
 	assertBitForBit(t, "sink-failure", base, res)
 }
 
-// TestCheckpointWorkersParity: record capture lives on the parallel
-// workers' buffers; a multi-worker checkpointed run must store the same
-// canonical rounds a sequential one does.
+// TestCheckpointWorkersParity: a multi-worker checkpointed run must store
+// the same canonical rounds — digest and counter snapshot — a sequential one
+// does.
 func TestCheckpointWorkersParity(t *testing.T) {
 	m := paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7})
 	start := model.InitialSystem(m)
@@ -331,15 +410,9 @@ func TestCheckpointWorkersParity(t *testing.T) {
 		if !ok {
 			t.Fatalf("parallel store missing round %v", key)
 		}
-		if b.Digest != g.Digest || len(b.Records) != len(g.Records) {
-			t.Fatalf("round %v diverged: digests %v vs %v, records %d vs %d",
-				key, b.Digest, g.Digest, len(b.Records), len(g.Records))
-		}
-		for i := range b.Records {
-			br, gr := b.Records[i], g.Records[i]
-			if br.Entry != gr.Entry || br.Parent != gr.Parent || br.Rejected != gr.Rejected || br.Succ != gr.Succ {
-				t.Fatalf("round %v record %d diverged: %+v vs %+v", key, i, br, gr)
-			}
+		if b.Digest != g.Digest || b.LocalBound != g.LocalBound {
+			t.Fatalf("round %v diverged: digests %v vs %v, bounds %d vs %d",
+				key, b.Digest, g.Digest, b.LocalBound, g.LocalBound)
 		}
 		// The stored counter snapshots agree on the deterministic fields.
 		bc, gc := b.Counters, g.Counters

@@ -122,20 +122,19 @@ type Options struct {
 	RecordSeries bool
 
 	// Checkpoint, when non-nil, receives a RoundCheckpoint at every
-	// completed round merge barrier: the round's delivery records (the same
-	// fingerprint-only records the shard layer exchanges), the per-node
-	// new-state fingerprints, a replica digest, and a counter snapshot. A
-	// sink error disables checkpointing for the rest of the run (reported
-	// via a KindCheckpoint event); the run itself continues. See
-	// roundlog.go and internal/store.
+	// completed round merge barrier: the round's coordinates, a replica
+	// digest, and a counter snapshot. A sink error disables checkpointing
+	// for the rest of the run (reported via a KindCheckpoint event); the run
+	// itself continues. See roundlog.go and internal/store.
 	Checkpoint CheckpointSink
-	// Resume, when non-nil, primes each round's delivery walk with the
-	// stored records of a previous run of the identical spec, so the resumed
-	// run re-derives — bit-for-bit, including Counters modulo the wall-clock
-	// duration fields — everything the interrupted run computed, without
-	// re-executing recorded handlers. After each primed round the replica's
-	// digest is verified against the stored one; a mismatch stops the run
-	// with StopResumeDiverged.
+	// Resume, when non-nil, holds the run to the stored rounds of a previous
+	// run of the identical spec: after each stored round the replica's
+	// digest is verified against the stored one, and a mismatch stops the
+	// run with StopResumeDiverged. A resumed run is a verified re-run: it
+	// executes every handler a fresh run executes (a node state can be
+	// re-reached, never restored) and re-derives everything bit-for-bit,
+	// Counters included modulo the wall-clock duration fields. The store
+	// buys the proof that this is still the interrupted run, not time.
 	Resume ResumeSource
 	// Observer receives typed run events: round start/end, pass restarts,
 	// system-state batches, soundness calls, preliminary and confirmed

@@ -164,22 +164,22 @@ func (e *emitter) shardRound(shard, shards, records int) {
 	e.push(obs.Event{Kind: obs.KindShardRound, Shard: shard, Shards: shards, Count: records})
 }
 
-// checkpoint buffers the round's checkpoint event (records captured, or the
-// sink error that disabled checkpointing); flushed with the round's batch.
-func (e *emitter) checkpoint(records int, detail string) {
+// checkpoint buffers the round's checkpoint event (the digest's state total,
+// or the sink error that disabled checkpointing); flushed with the round.
+func (e *emitter) checkpoint(states int, detail string) {
 	if !e.active() {
 		return
 	}
-	e.push(obs.Event{Kind: obs.KindCheckpoint, Count: records, Detail: detail})
+	e.push(obs.Event{Kind: obs.KindCheckpoint, Count: states, Detail: detail})
 }
 
-// resume buffers a resume event: a round primed with stored records, or —
-// with a non-empty detail — a digest divergence against the checkpoint.
-func (e *emitter) resume(records int, detail string) {
+// resume buffers a resume event: a round held to a stored digest, or — with
+// a non-empty detail — a digest divergence against the checkpoint.
+func (e *emitter) resume(states int, detail string) {
 	if !e.active() {
 		return
 	}
-	e.push(obs.Event{Kind: obs.KindResume, Count: records, Detail: detail})
+	e.push(obs.Event{Kind: obs.KindResume, Count: states, Detail: detail})
 }
 
 // shardDegraded reports the fall back from sharded to in-process

@@ -204,7 +204,7 @@ func newChecker(ctx context.Context, m model.Machine, start model.SystemState, o
 		c.log.sources = append(c.log.sources, &resumeSource{src: opt.Resume})
 	}
 	if opt.Checkpoint != nil {
-		c.log.sink, c.log.discoveries = checkpointDrain{opt.Checkpoint}, true
+		c.log.sink = checkpointDrain{opt.Checkpoint}
 	}
 	return c
 }
@@ -374,9 +374,9 @@ func (c *checker) pass() bool {
 
 	for round := 1; !c.stopped; round++ {
 		c.em.roundStart()
-		// Round log, first half: the attached sources (a shard fleet, a
-		// stored checkpoint) load this round's records so both sweeps below
-		// consult them as hints.
+		// Round log, first half: a shard fleet loads this round's records so
+		// both sweeps below consult them as hints; a stored checkpoint fetches
+		// the digest the round must end on.
 		c.beginRound(round)
 
 		// Internal events execute the enabled actions of every node state
@@ -393,7 +393,7 @@ func (c *checker) pass() bool {
 
 		c.recordRound()
 		// Round log, second half: the sources verify the round's digest and
-		// the sink stores the round's capture.
+		// the sink stores it.
 		c.endRound(round, progress)
 		// The round barrier: flush buffered run events, then poll the
 		// context. The observer runs before the poll, so a hook that cancels
@@ -491,7 +491,7 @@ func (c *checker) checkLocalInvariants(ns *nodeState, view []int) {
 // is the maximum total system-state depth reachable from the states visited
 // so far (the sum over nodes of the deepest visited path), which is the
 // depth axis the paper plots for LMC (§5.1: LMC explores sequences up to
-// 25 in the 22-event space).
+// 25 in the 22-event space). Stats never see it: RecordSeries moves none.
 func (c *checker) recordRound() {
 	if c.res.Series == nil {
 		return
@@ -505,9 +505,6 @@ func (c *checker) recordRound() {
 			}
 		}
 		depth += max
-	}
-	if depth > c.res.Stats.MaxDepth {
-		c.res.Stats.MaxDepth = depth
 	}
 	c.res.Series.Record(stats.Sample{
 		Depth:        depth,

@@ -158,6 +158,10 @@ func TestWorkersParity(t *testing.T) {
 				got := run(w)
 				assertSameResult(t, w, base, got)
 			}
+			// RecordSeries samples the run; it must not move a counter.
+			o := tc.opt
+			o.Workers, o.RecordSeries = -1, true
+			assertBitForBit(t, "RecordSeries", base, Check(tc.m, start, o))
 		})
 	}
 }

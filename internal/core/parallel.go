@@ -222,8 +222,7 @@ func (r *nodeRun) deliverEntry(e *netstate.Entry, i int, sp *space) {
 // rules the pair out. A worker replica captures every owned pair, rejections
 // and duplicate successors included: ~85% of deliveries land on visited
 // successors, and those records are the ones that let the coordinator skip
-// the handler call entirely. (A checkpointed run needs only the discoveries,
-// which the delivery barrier derives from their creation edges.)
+// the handler call entirely.
 func (r *nodeRun) deliver(e *netstate.Entry, s *nodeState, entry int) {
 	c := r.c
 	if c.opt.MaxPathDepth > 0 && s.depth >= c.opt.MaxPathDepth {
@@ -449,15 +448,6 @@ func (c *checker) mergePhase(runs []*nodeRun) bool {
 		c.mergeEmit(b)
 	}
 	sort.SliceStable(news, func(i, j int) bool { return news[i].entry < news[j].entry })
-	if c.log.discoveries {
-		// A checkpointed run stores the deliveries that discovered a state;
-		// internal events re-derive inline.
-		for _, d := range news {
-			if d.entry >= 0 {
-				c.log.captureDiscovery(d.entry, d.ns)
-			}
-		}
-	}
 
 	// The running view starts at the phase-start list lengths and grows by
 	// one (entry, node) group at a time.

@@ -91,27 +91,22 @@ type RoundBatch struct {
 
 // RoundCheckpoint is one completed exploration round as handed to a
 // CheckpointSink at the round's merge barrier, and as returned by a
-// ResumeSource when a later run replays the same round.
+// ResumeSource when a later run re-runs the same round.
 type RoundCheckpoint struct {
 	// Pass and Round locate the round (both 1-based); LocalBound is the
 	// pass's local-event bound.
 	Pass, Round, LocalBound int
-	// Records are the round's discovery records in the canonical merge order
-	// (ascending by network entry), the batch a resumed run feeds to its
-	// delivery walk. Deliveries that rejected or landed on an
-	// already-visited successor carry no record; the resumed walk
-	// re-executes them inline with identical results.
-	Records []DeliveryRecord
-	// NewStates holds, per node, the fingerprints of the node states first
-	// visited during this round (both phases) — the explored-set segment the
-	// round contributed.
+	// Records and NewStates are retired: the engine leaves both empty and
+	// reads neither (a stored record never spared a resumed run a handler
+	// call). They keep the v1 segment layout and go at the next
+	// store-format bump, like stats.Counters.WitnessSkips.
+	Records   []DeliveryRecord
 	NewStates [][]codec.Fingerprint
 	// Digest summarizes the replica after the round; a resumed run verifies
-	// its own post-round digest against it.
+	// its own post-round digest against it. It is the one field resume reads.
 	Digest ShardDigest
-	// Counters is the cumulative counter snapshot at the barrier. The
-	// wall-clock duration fields are as measured and are excluded from
-	// resume parity.
+	// Counters is the cumulative counter snapshot at the barrier, for whoever
+	// inspects a store (resume re-derives its own); durations as measured.
 	Counters stats.Counters
 }
 

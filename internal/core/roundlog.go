@@ -16,35 +16,40 @@ import (
 // replica digest. Everything that distributes or persists a run is a client
 // of that log, attached at one seam:
 //
-//   - A roundSource fills the round's hint tables before the walks run — a
-//     shard fleet with the records its workers streamed (fleetSource), a
-//     stored checkpoint with the records of a previous identical run
-//     (resumeSource) — and verifies the post-round digest.
+//   - A roundSource prepares the round before the walks run and verifies the
+//     post-round digest: a shard fleet fills the hint tables with the records
+//     its workers streamed (fleetSource); a stored checkpoint only fetches
+//     the digest a previous identical run ended the round on (resumeSource).
 //   - The transition step (nodeRun.step, the one place a handler executes)
 //     consults the step-hint table: a recorded rejection costs nothing, a
 //     record whose successor is already visited resolves to a predecessor
 //     edge with no handler execution at all. The invariant sweep consults
 //     the anchor table: a clean report replaces the whole sweep of that
 //     anchor with a counter merge. Events with no record execute inline.
-//   - The capture buffer collects the round's own records under one filter:
-//     a worker replica captures every execution whose parent fingerprint
-//     falls in its range (rejections and duplicate successors included —
-//     those are what save the coordinator the handler call), a checkpointed
-//     run captures only the deliveries that discovered a state (a rejected
-//     or duplicate-successor delivery re-derives itself bit-for-bit when a
-//     resumed walk executes it inline, at a fifth of the write volume).
-//   - A roundSink drains the capture at the barrier with the digest — a
-//     CheckpointSink stores it (checkpointDrain), a worker replica frames it
-//     to its coordinator (workerDrain).
+//   - The capture buffer collects a worker replica's records: every execution
+//     whose parent fingerprint falls in its range (owns), rejections and
+//     duplicate successors included — those are what save the coordinator
+//     the handler call.
+//   - A roundSink receives the digest at the barrier — a CheckpointSink
+//     stores it (checkpointDrain), a worker replica frames it with its
+//     capture to its coordinator (workerDrain).
+//
+// Resume is a verified re-run. A model.State can be encoded, never decoded,
+// so a state is re-reached, not restored: a record spares a handler call only
+// when its successor is already visited, a discovery's never is, and a
+// resumed run executes exactly a fresh run's handlers (EXPERIMENTS.md A9).
+// A checkpoint therefore carries no records, only the value stored to detect
+// a fault — the digest, which tells the resumed run it is still the run the
+// store was written by.
 //
 // Records are hints, never authority: the walk IS the sequential algorithm
 // and charges every transition before consulting a table, so any record
 // subset — including the empty set — yields the bit-for-bit sequential
 // result, Counters included. That is what makes every failure policy a
 // detach: each adapter below decides what its own failure means (a lost
-// fleet degrades to in-process, a lying checkpoint stops the run, a failing
-// sink is dropped) and returns false, and the round loop never asks who is
-// attached. The one nuance is the anchor reports: a clean report's
+// fleet degrades to in-process, a diverged checkpoint stops the run, a
+// failing sink is dropped) and returns false, and the round loop never asks
+// who is attached. The one nuance is the anchor reports: a clean report's
 // combination count is merged rather than re-derived, so counter parity
 // there rests on the replicas running the identical canonical engine —
 // which the digest exchange verifies.
@@ -54,26 +59,21 @@ import (
 // fingerprint dedup and witness replay already rely on. A record the local
 // execution contradicts — it accepted what the handler rejects, names a
 // successor other than the executed one, or lists emissions other than the
-// re-executed ones — latches taint; sources treat it like a digest mismatch.
-// (A recorded rejection, and a record whose successor is visited and whose
-// emissions I+ would drop anyway, are never executed, so never contradicted.)
+// re-executed ones — latches taint; the fleet treats it like a digest
+// mismatch. (A recorded rejection, and a record whose successor is visited
+// and whose emissions I+ would drop anyway, are never executed, so never
+// contradicted.)
 type roundLog struct {
 	hints   map[hintKey]outcome
 	anchors map[anchorKey]*AnchorReport
 	taint   error
 
 	// owner/owners select the worker-replica filter (owners > 1): capture
-	// what falls in range owner of owners, sweep only owned anchors.
-	// discoveries selects the checkpoint filter. A replica runs the
-	// canonical single-goroutine walk, so its captures append to batch in
-	// merge order; discovery records are derived at the delivery barrier.
+	// what falls in range owner of owners, sweep only owned anchors. A
+	// replica runs the canonical single-goroutine walk, so its captures
+	// append to batch in merge order.
 	owner, owners int
-	discoveries   bool
 	batch         RoundBatch
-	// starts are the round-start visited-list lengths and news the reused
-	// per-node segments newStates cuts from them.
-	starts []int
-	news   [][]codec.Fingerprint
 
 	sources []roundSource
 	sink    roundSink
@@ -90,7 +90,7 @@ type hintKey struct {
 
 type anchorKey struct{ node, seq int }
 
-// roundSource supplies a round's hints and checks the round's outcome. Both
+// roundSource prepares a round (fill) and checks its outcome (verify). Both
 // methods run on the sequential merge goroutine and return false to detach
 // the source for the rest of the run, after applying its own failure policy.
 type roundSource interface {
@@ -98,22 +98,16 @@ type roundSource interface {
 	verify(c *checker, round int, d ShardDigest, progress bool) bool
 }
 
-// roundSink receives the round's capture and digest at the barrier; false
-// detaches it.
+// roundSink receives the round's digest (and reads the capture it wants) at
+// the barrier; false detaches it.
 type roundSink interface {
 	drain(c *checker, round int, d ShardDigest, progress bool) bool
 }
 
-// beginRound resets the one-round state and lets every source load its hints.
+// beginRound resets the one-round state and lets every source prepare.
 func (c *checker) beginRound(round int) {
 	lg := &c.log
 	lg.batch = RoundBatch{Acts: lg.batch.Acts[:0], Dels: lg.batch.Dels[:0], Anchors: lg.batch.Anchors[:0]}
-	if lg.discoveries {
-		lg.starts = lg.starts[:0]
-		for _, sp := range c.spaces {
-			lg.starts = append(lg.starts, len(sp.states))
-		}
-	}
 	lg.keepSources(func(s roundSource) bool { return s.fill(c, round) })
 }
 
@@ -140,7 +134,7 @@ func (c *checker) endRound(round int, progress bool) {
 		d := c.replicaDigest()
 		lg.keepSources(func(s roundSource) bool { return s.verify(c, round, d, progress) })
 		if lg.sink != nil && !lg.sink.drain(c, round, d, progress) {
-			lg.sink, lg.discoveries = nil, false
+			lg.sink = nil
 		}
 	}
 	lg.hints, lg.anchors, lg.taint = nil, nil, nil
@@ -192,30 +186,6 @@ func (lg *roundLog) anchor(node, seq int) *AnchorReport {
 // for the given fingerprint; false everywhere but on worker replicas.
 func (lg *roundLog) owns(fp codec.Fingerprint) bool {
 	return lg.owners > 1 && ShardOwner(fp, lg.owners) == lg.owner
-}
-
-// captureDiscovery records the delivery that first visited ns: the creation
-// edge carries exactly the record's fields. mergePhase calls it over the
-// delivery sweep's discoveries in canonical merge order (ascending by entry).
-func (lg *roundLog) captureDiscovery(entry int, ns *nodeState) {
-	edge := &ns.preds[0]
-	lg.batch.Dels = append(lg.batch.Dels, DeliveryRecord{
-		Entry: entry, Parent: edge.prev.fp, Succ: ns.fp, Emitted: edge.generated})
-}
-
-// newStates cuts, per node, the fingerprints first visited since beginRound.
-func (lg *roundLog) newStates(spaces []*space) [][]codec.Fingerprint {
-	if len(lg.news) != len(spaces) {
-		lg.news = make([][]codec.Fingerprint, len(spaces))
-	}
-	for n, sp := range spaces {
-		buf := lg.news[n][:0]
-		for _, ns := range sp.states[lg.starts[n]:] {
-			buf = append(buf, ns.fp)
-		}
-		lg.news[n] = buf
-	}
-	return lg.news
 }
 
 // replicaDigest fingerprints the replica's deterministic state after a
@@ -312,30 +282,27 @@ func (f fleetSource) degrade(c *checker, err error) bool {
 	return false
 }
 
-// CheckpointSink receives one RoundCheckpoint per completed round. Called
-// on the sequential merge goroutine; implementations must not retain the
-// slices beyond the call (the store serializes them synchronously). An
-// error disables checkpointing for the rest of the run — the run itself
-// continues and a KindCheckpoint event carries the error detail.
+// CheckpointSink receives one RoundCheckpoint per completed round, on the
+// sequential merge goroutine. An error disables checkpointing for the rest of
+// the run — the run continues and a KindCheckpoint event carries the detail.
 type CheckpointSink interface {
 	OnRoundCheckpoint(RoundCheckpoint) error
 }
 
 // ResumeSource supplies the stored rounds of a previous run of the
 // identical spec. RoundHints is called once per (pass, round) before the
-// round's delivery walk; ok=false means the source has no checkpoint for
-// that round (the run has caught up with the stored frontier) and the
-// source is not consulted again.
+// round's walks, and the engine reads the checkpoint's Digest only;
+// ok=false means the source has no checkpoint for that round (the run has
+// caught up with the stored frontier) and the source is not consulted again.
 type ResumeSource interface {
 	RoundHints(pass, round int) (cp RoundCheckpoint, ok bool)
 }
 
-// resumeSource attaches a stored run. Its failure policy: a primed round
+// resumeSource holds a re-run to a stored one. Its failure policy: a round
 // whose digest disagrees with the stored one (changed handler code, changed
-// options, corrupted store), or one of whose records the execution
-// contradicted (taint), stops the run with StopResumeDiverged so the caller
-// can invalidate the checkpoint and re-run fresh. A truncated checkpoint is
-// no failure: the source detaches and the later rounds execute inline.
+// options, corrupted store) stops the run with StopResumeDiverged so the
+// caller can invalidate the checkpoint and re-run fresh. A truncated
+// checkpoint is no failure: the source detaches, the rest runs unverified.
 type resumeSource struct {
 	src  ResumeSource
 	want ShardDigest
@@ -346,57 +313,44 @@ func (s *resumeSource) fill(c *checker, round int) bool {
 	if !ok {
 		return false
 	}
-	c.log.load(RoundBatch{Dels: cp.Records})
 	s.want = cp.Digest
-	c.em.resume(len(cp.Records), "")
+	c.em.resume(s.want.States, "")
 	return true
 }
 
+// verify skips a round a stop criterion cut short: it is incomplete and its
+// digest means nothing.
 func (s *resumeSource) verify(c *checker, round int, d ShardDigest, progress bool) bool {
-	detail := ""
-	switch {
-	case c.stopped:
-		// The round is incomplete; its digest means nothing.
-		return true
-	case d != s.want:
-		detail = "post-round digest mismatch against stored checkpoint"
-	case c.log.taint != nil:
-		// The net content still matched the digest, but the checkpoint lied
-		// once — treat it as divergence rather than trust the rest.
-		detail = c.log.taint.Error()
-	default:
+	if c.stopped || d == s.want {
 		return true
 	}
-	c.em.resume(0, detail)
+	c.em.resume(d.States, "post-round digest mismatch against stored checkpoint")
 	c.stop(obs.StopResumeDiverged)
 	return false
 }
 
-// checkpointDrain hands each completed round to a CheckpointSink. A round a
-// stop criterion cut short is skipped — a partial checkpoint would poison a
-// resume. Its failure policy: a sink error is reported once and the sink
-// dropped; the run continues.
+// checkpointDrain hands each completed round's digest to a CheckpointSink. A
+// round a stop criterion cut short is skipped — a partial checkpoint would
+// poison a resume. Its failure policy: a sink error is reported once and the
+// sink dropped; the run continues.
 type checkpointDrain struct{ sink CheckpointSink }
 
 func (k checkpointDrain) drain(c *checker, round int, d ShardDigest, progress bool) bool {
 	if c.stopped {
 		return true
 	}
-	recs := c.log.batch.Dels
 	err := k.sink.OnRoundCheckpoint(RoundCheckpoint{
 		Pass:       c.em.pass,
 		Round:      round,
 		LocalBound: c.localBound,
-		Records:    recs,
-		NewStates:  c.log.newStates(c.spaces),
 		Digest:     d,
 		Counters:   c.res.Stats,
 	})
 	if err != nil {
-		c.em.checkpoint(len(recs), err.Error())
+		c.em.checkpoint(d.States, err.Error())
 		return false
 	}
-	c.em.checkpoint(len(recs), "")
+	c.em.checkpoint(d.States, "")
 	return true
 }
 

@@ -218,10 +218,14 @@ type sweepScratch struct {
 }
 
 // grow returns s with length n, reallocating only when it is too small. The
-// contents are unspecified.
+// contents are unspecified. A fresh backing array is rounded up to 16
+// elements, a multiple of 128 B that the allocator aligns to 128 B, so the
+// scratch a chunk's worker writes at every leaf shares no cache line with
+// another chunk's (four 4-element slices per chunk did, and two workers
+// swept slower than one).
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, (n+15)&^15)
 	}
 	return s[:n]
 }

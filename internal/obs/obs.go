@@ -79,16 +79,17 @@ const (
 	// and Event.Shard the implicated shard (-1 when not attributable).
 	KindShardDegraded
 	// KindCheckpoint reports one round checkpoint handed to the configured
-	// sink at the round's merge barrier: Event.Count carries the delivery
-	// records captured for the round. A non-empty Event.Detail means the sink
-	// failed and checkpointing was disabled for the rest of the run (the run
-	// itself continues).
+	// sink at the round's merge barrier: Event.Count carries the visited
+	// node states the stored digest covers. A non-empty Event.Detail means
+	// the sink failed and checkpointing was disabled for the rest of the run
+	// (the run itself continues).
 	KindCheckpoint
-	// KindResume reports that a round's delivery walk was primed with the
-	// records of a previous run's checkpoint (Event.Count records). A
-	// non-empty Event.Detail reports a post-round digest mismatch against the
-	// stored checkpoint — the run stops with StopResumeDiverged and the
-	// caller should invalidate the checkpoint and re-run fresh.
+	// KindResume reports that a round of a resumed run will be verified
+	// against the digest a previous run stored for it (Event.Count is that
+	// digest's visited-state total). A non-empty Event.Detail reports a
+	// post-round digest mismatch against the stored checkpoint (Event.Count
+	// is then the run's own total) — the run stops with StopResumeDiverged
+	// and the caller should invalidate the checkpoint and re-run fresh.
 	KindResume
 )
 
@@ -283,12 +284,12 @@ func (e Event) String() string {
 	case KindShardDegraded:
 		s += fmt.Sprintf(" shard=%d/%d reason=%q", e.Shard, e.Shards, e.Detail)
 	case KindCheckpoint:
-		s += fmt.Sprintf(" pass=%d round=%d records=%d", e.Pass, e.Round, e.Count)
+		s += fmt.Sprintf(" pass=%d round=%d states=%d", e.Pass, e.Round, e.Count)
 		if e.Detail != "" {
 			s += fmt.Sprintf(" error=%q", e.Detail)
 		}
 	case KindResume:
-		s += fmt.Sprintf(" pass=%d round=%d records=%d", e.Pass, e.Round, e.Count)
+		s += fmt.Sprintf(" pass=%d round=%d states=%d", e.Pass, e.Round, e.Count)
 		if e.Detail != "" {
 			s += fmt.Sprintf(" diverged=%q", e.Detail)
 		}

@@ -3,15 +3,15 @@
 // under the parallel (and optionally sharded) engine with every completed
 // round checkpointed to a persistent store (internal/store). Kill the
 // daemon — SIGKILL included — and the next daemon over the same store file
-// resumes every unfinished job from its last completed round, bit-for-bit:
-// resumed results are identical to uninterrupted ones because resume just
-// replays exploration with the stored delivery records primed into the
-// canonical walk (internal/core/roundlog.go).
+// picks every unfinished job up again, bit-for-bit: a resumed job is a
+// verified re-run — the deterministic engine executes the whole check again
+// and holds each round to the digest the killed daemon stored for it
+// (internal/core/roundlog.go), so its result is the uninterrupted one.
 //
 // Staleness is handled at two levels. At startup, a stored run whose code
 // hash (the checker binary's fingerprint) or options signature disagrees
 // with the current daemon is invalidated and re-run fresh — handler code
-// changed, so the records are lies. As a backstop, a resume whose
+// changed, so the stored digests describe another run. As a backstop, a resume whose
 // post-round digest disagrees with the stored checkpoint stops with
 // StopResumeDiverged; the service invalidates that run and re-runs it
 // fresh under a new run ID.
@@ -168,7 +168,7 @@ type JobResult struct {
 	StopReason string         `json:"stop_reason"`
 	Bugs       []BugSummary   `json:"bugs,omitempty"`
 	Stats      stats.Counters `json:"stats"`
-	// Resumed is true when the run was primed from stored checkpoints.
+	// Resumed is true when the run was verified against stored checkpoints.
 	Resumed bool `json:"resumed,omitempty"`
 	// Invalidated carries the reason the job's previous checkpoints were
 	// discarded before this (fresh) run, when they were.
@@ -633,10 +633,9 @@ func (s *Service) runLocal(ctx context.Context, spec JobSpec, w bench.Workload,
 	}
 
 	// Sharded execution: the coordinator's canonical walk still produces
-	// every checkpoint record, so the sink composes with sharding. A
-	// resumed run executes in-process: the stored records already spare it
-	// the handler calls a fleet would, and results are identical for every
-	// shard count, so nothing is lost but the fan-out.
+	// every round's digest, so the sink composes with sharding. A resumed
+	// run executes in-process: results are identical for every shard count,
+	// so nothing is lost but the fan-out.
 	if spec.Shards > 1 && s.spawner != nil && !resumed {
 		res, err := shard.Check(ctx, w.Machine, start, opt, shard.Config{
 			Shards:  spec.Shards,

@@ -83,8 +83,12 @@ type Counters struct {
 	Rejections int
 	// DuplicatesDropped counts messages refused by the duplicate limit.
 	DuplicatesDropped int
-	// MaxDepth is the deepest exploration point reached (event-sequence
-	// length; for LMC, the largest total system-state depth).
+	// MaxDepth is the deepest point the run materialized. B-DFS: the longest
+	// event sequence executed. LMC: the larger of the deepest single
+	// node-state path visited and the largest total depth (sum of member
+	// path lengths) of a system state it built — so a run that builds no
+	// system state reports its deepest single-node path. The depth axis of
+	// Figures 10–13 is a different coordinate, Sample.Depth.
 	MaxDepth int
 	// Elapsed is the wall time of the whole run.
 	Elapsed time.Duration
@@ -121,6 +125,9 @@ func (c *Counters) String() string {
 // Sample is one point of a per-depth progress series, the raw material of
 // Figures 10–13.
 type Sample struct {
+	// Depth is the checker's depth coordinate when the sample was taken:
+	// B-DFS's event depth; for LMC the sum over nodes of the deepest visited
+	// path, the deepest system state the visited node states could form.
 	Depth        int
 	Elapsed      time.Duration
 	Transitions  int

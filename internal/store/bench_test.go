@@ -19,9 +19,8 @@ func (nullSink) OnRoundCheckpoint(core.RoundCheckpoint) error { return nil }
 
 // BenchmarkCheckpointOverhead decomposes the cost of per-round
 // checkpointing on the sequential Paxos GEN run: plain (no sink) vs
-// null-sink (derive the discovery records, cut the new-state segments — the
-// engine's share) vs store-sink (plus encode, frame write — the store's
-// share). The repo benchmark's serve-resume workload measures the end-to-end
+// null-sink (the replica digest and the counter snapshot — the engine's
+// share) vs store-sink (plus encode, frame write — the store's share). The repo benchmark's serve-resume workload measures the end-to-end
 // cost; this benchmark says which layer to blame when it moves.
 func BenchmarkCheckpointOverhead(b *testing.B) {
 	run := func(b *testing.B, sink func(i int) core.CheckpointSink) {

@@ -2,19 +2,20 @@
 // checking service (internal/service, cmd/lmc serve). One store is one
 // append-only file of codec-framed segments, bucketed by run ID: a run's
 // metadata (spec, code hash, options signature), its per-round
-// RoundCheckpoints — the delivery records, explored-fingerprint segments,
-// replica digest and counter snapshot internal/core hands a CheckpointSink
-// at every completed round barrier — and a terminal status. The file is the
+// RoundCheckpoints — the replica digest and counter snapshot internal/core
+// hands a CheckpointSink at every completed round barrier; the v1 layout
+// also frames delivery records and explored-fingerprint segments, which the
+// engine has retired and leaves empty — and a terminal status. The file is the
 // durability log; an Open replays it into memory and truncates at the first
 // bad frame, so a process killed mid-append recovers to the last complete
 // round. No fsync is issued: the threat model is process death (SIGKILL of
 // the daemon), which the page cache survives, not machine crash — a run
 // lost to power failure simply re-runs from scratch.
 //
-// Checkpoints are fingerprint-only hints, never authority (see
-// internal/core/roundlog.go): resuming replays exploration with the
-// stored records primed into the canonical delivery walk, which makes a
-// resumed run bit-for-bit identical to an uninterrupted one. Stale
+// A checkpoint is a digest, not saved work (see internal/core/roundlog.go):
+// resuming re-runs exploration and verifies each round's digest against the
+// stored one, which makes a resumed run bit-for-bit identical to an
+// uninterrupted one or stops it. Stale
 // checkpoints — a rebuilt binary, changed options — are caught twice: by
 // comparing RunMeta.CodeHash/OptionsSig up front, and by the engine's
 // post-round digest check (StopResumeDiverged) as a backstop.

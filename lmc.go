@@ -57,10 +57,12 @@
 // # Durability
 //
 // Long runs can checkpoint at every round barrier (Options.Checkpoint) and
-// later resume bit-for-bit (Options.Resume): the resumed run replays
-// exploration with the stored delivery records primed into its canonical
-// walk, so its Result — bugs, schedules, every deterministic counter — is
-// identical to the uninterrupted run's. internal/store persists
+// later resume bit-for-bit (Options.Resume): the resumed run re-runs
+// exploration — every handler; a checkpoint saves no work — and verifies its
+// digest against the stored one after every stored round, so its Result —
+// bugs, schedules, every deterministic counter — is identical to the
+// uninterrupted run's, or the run stops with StopResumeDiverged.
+// internal/store persists
 // checkpoints in a single append-only file and survives SIGKILL mid-write;
 // cmd/lmc's serve mode runs a resident checking service on top of it.
 package lmc
