@@ -9,7 +9,6 @@
 //	diffcheck -soak 10m                    # randomized soak run
 //	diffcheck -repro artifact.json         # re-run a saved disagreement
 //	diffcheck -seed 42 -n 100 -v           # also print per-scenario results
-//	diffcheck -seed 42 -n 20 -shards 2     # sharded-vs-sequential parity batch
 //
 // The process exits 0 when every scenario agrees, 1 on any disagreement,
 // and 2 on usage errors. The seed is always printed, so any run can be
@@ -30,7 +29,6 @@ import (
 
 	"lmc/internal/diffcheck"
 	"lmc/internal/obs"
-	"lmc/internal/shard"
 )
 
 func main() {
@@ -47,20 +45,7 @@ func main() {
 		"log checker run events to stderr (streams from concurrent scenarios interleave; combine with -workers 1 for a linear log)")
 	pprofAddr := flag.String("pprof", "",
 		"serve net/http/pprof and expvar on this address (e.g. localhost:6060); live counters appear under /debug/vars key \"diffcheck\"")
-	shards := flag.Int("shards", 0,
-		"cross-check the sharded engine instead: run each scenario sequentially and split across N worker processes, fail on any divergence")
-	shardWorker := flag.Bool("shard-worker", false,
-		"serve as a shard worker on stdin/stdout (internal; spawned by -shards)")
 	flag.Parse()
-
-	if *shardWorker {
-		// Worker mode: stdout belongs to the wire protocol.
-		if err := shard.RunWorker(diffcheck.ShardResolver()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	tun := diffcheck.Tuning{Budget: *budget}
 	if *progress {
@@ -82,10 +67,6 @@ func main() {
 		os.Exit(reproduce(*repro, tun, *verbose))
 	}
 
-	if *shards > 1 {
-		os.Exit(runShardBatch(*seed, *n, *actors, tun, *shards, *verbose))
-	}
-
 	disagreements := 0
 	batches := 0
 	deadline := time.Now().Add(*soak)
@@ -101,45 +82,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("ok: %d batch(es) of %d scenarios, no disagreements\n", batches, *n)
-}
-
-// runShardBatch cross-checks the sharded engine instead of the global
-// baseline: every corpus scenario is explored in-process and through a
-// fleet of re-exec'd worker processes, and the two runs must match
-// bit-for-bit. Scenarios run one at a time — each parity check already
-// spawns a process per shard, so a worker pool on top would only thrash.
-// Returns a process exit code.
-func runShardBatch(seed int64, n, actors int, tun diffcheck.Tuning, shards int, verbose bool) int {
-	fmt.Printf("shard parity batch seed=%d n=%d actors=%d shards=%d\n", seed, n, actors, shards)
-	if tun.LMCMaxTransitions == 0 {
-		// The parity check lifts the wall-clock budget (a time-based stop is
-		// nondeterministic, so the two runs could not be compared), leaving
-		// the transition cap as the only bound. The differential's default
-		// cap of 100k lets a single live scenario run for minutes; a tight
-		// cap keeps the batch fast and the cut itself is part of what parity
-		// must reproduce.
-		tun.LMCMaxTransitions = 4000
-	}
-	corpus := diffcheck.Corpus(seed, n)
-	if actors > 0 {
-		corpus = append(corpus, diffcheck.ActorCorpus(seed, actors)...)
-	}
-	spawner := shard.SelfExec{Args: []string{"-shard-worker"}}
-	failures := 0
-	for i, sc := range corpus {
-		if err := diffcheck.ShardParity(sc, tun, shards, spawner); err != nil {
-			failures++
-			fmt.Printf("  [%3d] %-40s MISMATCH: %v\n", i, sc.Name(), err)
-		} else if verbose {
-			fmt.Printf("  [%3d] %-40s ok\n", i, sc.Name())
-		}
-	}
-	if failures > 0 {
-		fmt.Printf("FAIL: %d of %d scenarios diverged under %d shards\n", failures, len(corpus), shards)
-		return 1
-	}
-	fmt.Printf("ok: %d scenarios bit-for-bit identical under %d shards\n", len(corpus), shards)
-	return 0
 }
 
 // runBatch checks one deterministic corpus and returns the disagreement

@@ -11,7 +11,6 @@
 //	lmc -workload paxos-bug -v             # rediscover the §5.5 bug
 //	lmc -workload 1paxos-bug -checker lmc  # LMC-GEN
 //	lmc -workload paxos -checker global    # the B-DFS baseline
-//	lmc -workload paxos -shards 4          # fingerprint-range sharded run
 //	lmc -list                              # list workloads
 //
 //	lmc -serve -listen localhost:8080 -store /var/lib/lmc/ckpt.lmcstore
@@ -38,7 +37,6 @@ import (
 	"lmc/internal/mc/global"
 	"lmc/internal/obs"
 	"lmc/internal/service"
-	"lmc/internal/shard"
 	"lmc/internal/store"
 )
 
@@ -56,7 +54,6 @@ type checkConfig struct {
 	deepen   int
 	maxBound int
 	workers  int
-	shards   int
 	verbose  bool
 }
 
@@ -73,8 +70,6 @@ func (c *checkConfig) registerFlags() {
 	flag.IntVar(&c.maxBound, "maxbound", 4, "maximum local-event bound when deepening (LMC; run mode only)")
 	flag.IntVar(&c.workers, "workers", 0,
 		"in-process worker pool per job (0 = one per CPU, negative = sequential)")
-	flag.IntVar(&c.shards, "shards", 0,
-		"split exploration across N processes (coordinator included) by fingerprint range (LMC checkers; <=1 = in-process)")
 	flag.BoolVar(&c.verbose, "v", false, "print witness schedules (run mode)")
 }
 
@@ -88,7 +83,6 @@ func (c *checkConfig) jobSpec() service.JobSpec {
 		Checker:  c.checker,
 		Reduce:   c.reduce,
 		Workers:  c.workers,
-		Shards:   c.shards,
 		Depth:    c.depth,
 	}
 	if c.budget > 0 {
@@ -100,23 +94,11 @@ func (c *checkConfig) jobSpec() service.JobSpec {
 func main() {
 	var cfg checkConfig
 	cfg.registerFlags()
-	shardWorker := flag.Bool("shard-worker", false,
-		"serve as a shard worker on stdin/stdout (internal; spawned by -shards)")
 	list := flag.Bool("list", false, "list workloads and exit")
 	serve := flag.Bool("serve", false, "run as a resident checking service instead of one job")
 	listen := flag.String("listen", "localhost:8080", "serve mode: HTTP listen address for jobs, expvar and pprof")
 	storePath := flag.String("store", "lmc.lmcstore", "serve mode: checkpoint store file")
 	flag.Parse()
-
-	if *shardWorker {
-		// Worker mode: stdout belongs to the wire protocol; nothing else
-		// may print to it.
-		if err := shard.RunWorker(bench.ShardResolver()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, w := range bench.Workloads() {
@@ -175,25 +157,7 @@ func runOnce(cfg checkConfig) error {
 			return err
 		}
 		opt.LocalBoundStep, opt.MaxLocalBound = cfg.deepen, cfg.maxBound
-		var res *core.Result
-		if cfg.shards > 1 {
-			opt.Observer = obs.FuncObserver(func(e obs.Event) {
-				if e.Kind == obs.KindShardDegraded {
-					fmt.Fprintf(os.Stderr, "shard fleet degraded (shard %d of %d): %s\n",
-						e.Shard, e.Shards, e.Detail)
-				}
-			})
-			res, err = shard.Check(context.Background(), w.Machine, start, opt, shard.Config{
-				Shards:  cfg.shards,
-				Spawner: shard.SelfExec{Args: []string{"-shard-worker"}},
-				Spec:    bench.ShardSpec(w.Name),
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			res = core.Check(w.Machine, start, opt)
-		}
+		res := core.Check(w.Machine, start, opt)
 		fmt.Println(res.Stats.String())
 		fmt.Printf("complete=%v bugs=%d\n", res.Complete, len(res.Bugs))
 		for _, b := range res.Bugs {
@@ -220,7 +184,6 @@ func runServe(cfg checkConfig, listen, storePath string) error {
 
 	svc := service.New(service.Config{
 		Store:    st,
-		Spawner:  shard.SelfExec{Args: []string{"-shard-worker"}},
 		Defaults: cfg.jobSpec(),
 		Observer: obs.NewExpvarObserver("lmc"),
 		Logf: func(format string, args ...any) {

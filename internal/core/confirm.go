@@ -53,9 +53,8 @@ type confirmResult struct {
 }
 
 // confirms reports whether preliminary violations go on to soundness
-// verification at all. Off is Figure 13's "LMC-system-state" configuration
-// (and every shard-worker replica): violations are counted, never confirmed
-// or reported, whatever their origin.
+// verification at all. Off is Figure 13's "LMC-system-state" configuration:
+// violations are counted, never confirmed or reported, whatever their origin.
 func (c *checker) confirms() bool { return !c.opt.DisableSoundness }
 
 // runConfirm is the run step: the predecessor-path search for a schedule

@@ -84,7 +84,7 @@ type checker struct {
 	sw  sweepScratch
 	wit witnessScratch
 
-	// log is the round log: the hint tables, the capture buffer and the
+	// log is the round log: the hint table, the capture buffer and the
 	// attached sources and sink (roundlog.go). Shard fleets, shard-worker
 	// replicas, checkpoint sinks and resume all live behind it.
 	log roundLog

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lmc/internal/obs"
 	"lmc/internal/protocols/onepaxos"
 	"lmc/internal/trace"
 )
@@ -55,5 +56,35 @@ func TestOnePaxosBugFound(t *testing.T) {
 	if len(clean.Bugs) != 0 {
 		t.Fatalf("correct 1Paxos reported a bug: %v\n%s",
 			clean.Bugs[0].Violation, clean.Bugs[0].Schedule)
+	}
+}
+
+// TestPhaseTimesPartitionTheRun: the sweep's timer spans the confirmations
+// it hands to confirmBatch, which book the same interval as SoundnessTime.
+// The two phases must not both claim it — otherwise their sum exceeds the
+// run and obs.Attribution reports zero exploration (LMC-GEN on buggy 1Paxos
+// confirms thousands of violations, so soundness dominates the run).
+func TestPhaseTimesPartitionTheRun(t *testing.T) {
+	m := onepaxos.New(3, onepaxos.PlusPlusBug, onepaxos.Driver{})
+	live, err := onepaxos.PaperLiveState(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Check(m, live, Options{
+		Invariant: onepaxos.Agreement(),
+		Budget:    time.Second,
+		Workers:   -1,
+	})
+	s := res.Stats
+	t.Logf("stats: %s", s.String())
+	if s.SoundnessTime == 0 || s.SystemStateTime == 0 {
+		t.Fatalf("the capped run never swept or never confirmed: %s", s.String())
+	}
+	if s.SystemStateTime+s.SoundnessTime > s.Elapsed {
+		t.Fatalf("systemStateTime %v + soundnessTime %v exceed the run's %v",
+			s.SystemStateTime, s.SoundnessTime, s.Elapsed)
+	}
+	if ph := obs.Attribution(&s, s.Elapsed); ph.Explore <= 0 {
+		t.Fatalf("attribution leaves exploration no time: %+v", ph)
 	}
 }

@@ -51,26 +51,6 @@ type outcome struct {
 	Emitted  []codec.Fingerprint
 }
 
-// AnchorReport is one completed system-state sweep on a worker replica:
-// the invariant was evaluated on every combination anchored at the node
-// state identified by (Node, Seq) — seq numbers are discovery-ordered and
-// identical across replicas. A clean report (Violated false) lets the
-// coordinator merge Combos into its SystemStates/InvariantChecks counters
-// and skip the sweep; a violated or missing report makes the coordinator
-// run the sweep inline, so violation handling (soundness confirmation,
-// StopAtFirstBug) stays exactly canonical.
-type AnchorReport struct {
-	Node     int
-	Seq      int
-	Violated bool
-	Combos   int
-	// MaxDepth is the replica's running Stats.MaxDepth after the sweep; the
-	// coordinator max-merges it. Each replica's running max covers its own
-	// check subset, and the subsets union to the sequential check set, so
-	// the final merged value is exact.
-	MaxDepth int
-}
-
 // ShardDigest summarizes a replica after a round: network length and
 // order-sensitive content fingerprint, total visited node states, and a
 // fingerprint over every node's visited list. Replicas that ran the same
@@ -84,9 +64,8 @@ type ShardDigest struct {
 
 // RoundBatch is one replica's records for one round.
 type RoundBatch struct {
-	Acts    []ActionRecord
-	Dels    []DeliveryRecord
-	Anchors []AnchorReport
+	Acts []ActionRecord
+	Dels []DeliveryRecord
 }
 
 // RoundCheckpoint is one completed exploration round as handed to a
@@ -114,7 +93,6 @@ type RoundCheckpoint struct {
 const (
 	deliveryRecordMin = 17 // entry + parent + rejected flag
 	actionRecordMin   = 25 // node + parent + action + rejected flag
-	anchorReportMin   = 33 // node + seq + violated + combos + maxdepth
 )
 
 // EncodeFingerprints writes a counted fingerprint list.
@@ -210,51 +188,17 @@ func DecodeActionRecords(r *codec.Reader) []ActionRecord {
 	return recs
 }
 
-// EncodeAnchorReports writes a counted anchor-report batch.
-func EncodeAnchorReports(w *codec.Writer, reps []AnchorReport) {
-	w.Int(len(reps))
-	for i := range reps {
-		rep := &reps[i]
-		w.Int(rep.Node)
-		w.Int(rep.Seq)
-		w.Bool(rep.Violated)
-		w.Int(rep.Combos)
-		w.Int(rep.MaxDepth)
-	}
-}
-
-// DecodeAnchorReports reads an anchor-report batch (nil when empty).
-func DecodeAnchorReports(r *codec.Reader) []AnchorReport {
-	n := r.Count(anchorReportMin)
-	if n == 0 {
-		return nil
-	}
-	reps := make([]AnchorReport, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		reps = append(reps, AnchorReport{
-			Node:     r.Int(),
-			Seq:      r.Int(),
-			Violated: r.Bool(),
-			Combos:   r.Int(),
-			MaxDepth: r.Int(),
-		})
-	}
-	return reps
-}
-
-// Encode writes the batch's three record kinds: actions, deliveries, anchors.
+// Encode writes the batch's two record kinds: actions, then deliveries.
 func (b RoundBatch) Encode(w *codec.Writer) {
 	EncodeActionRecords(w, b.Acts)
 	EncodeDeliveryRecords(w, b.Dels)
-	EncodeAnchorReports(w, b.Anchors)
 }
 
 // DecodeRoundBatch is RoundBatch.Encode's inverse.
 func DecodeRoundBatch(r *codec.Reader) RoundBatch {
 	return RoundBatch{
-		Acts:    DecodeActionRecords(r),
-		Dels:    DecodeDeliveryRecords(r),
-		Anchors: DecodeAnchorReports(r),
+		Acts: DecodeActionRecords(r),
+		Dels: DecodeDeliveryRecords(r),
 	}
 }
 

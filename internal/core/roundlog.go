@@ -23,9 +23,8 @@ import (
 //   - The transition step (nodeRun.step, the one place a handler executes)
 //     consults the step-hint table: a recorded rejection costs nothing, a
 //     record whose successor is already visited resolves to a predecessor
-//     edge with no handler execution at all. The invariant sweep consults
-//     the anchor table: a clean report replaces the whole sweep of that
-//     anchor with a counter merge. Events with no record execute inline.
+//     edge with no handler execution at all. Events with no record execute
+//     inline.
 //   - The capture buffer collects a worker replica's records: every execution
 //     whose parent fingerprint falls in its range (owns), rejections and
 //     duplicate successors included — those are what save the coordinator
@@ -49,10 +48,7 @@ import (
 // detach: each adapter below decides what its own failure means (a lost
 // fleet degrades to in-process, a diverged checkpoint stops the run, a
 // failing sink is dropped) and returns false, and the round loop never asks
-// who is attached. The one nuance is the anchor reports: a clean report's
-// combination count is merged rather than re-derived, so counter parity
-// there rests on the replicas running the identical canonical engine —
-// which the digest exchange verifies.
+// who is attached.
 //
 // Correctness of a trusted record rests on the model.Machine determinism
 // contract (equal state + message in, equal successor + emissions out) that
@@ -64,14 +60,12 @@ import (
 // and whose emissions I+ would drop anyway, are never executed, so never
 // contradicted.)
 type roundLog struct {
-	hints   map[hintKey]outcome
-	anchors map[anchorKey]*AnchorReport
-	taint   error
+	hints map[hintKey]outcome
+	taint error
 
 	// owner/owners select the worker-replica filter (owners > 1): capture
-	// what falls in range owner of owners, sweep only owned anchors. A
-	// replica runs the canonical single-goroutine walk, so its captures
-	// append to batch in merge order.
+	// what falls in range owner of owners. A replica runs the canonical
+	// single-goroutine walk, so its captures append to batch in merge order.
 	owner, owners int
 	batch         RoundBatch
 
@@ -87,8 +81,6 @@ type hintKey struct {
 	node, slot int
 	parent     codec.Fingerprint
 }
-
-type anchorKey struct{ node, seq int }
 
 // roundSource prepares a round (fill) and checks its outcome (verify). Both
 // methods run on the sequential merge goroutine and return false to detach
@@ -107,7 +99,7 @@ type roundSink interface {
 // beginRound resets the one-round state and lets every source prepare.
 func (c *checker) beginRound(round int) {
 	lg := &c.log
-	lg.batch = RoundBatch{Acts: lg.batch.Acts[:0], Dels: lg.batch.Dels[:0], Anchors: lg.batch.Anchors[:0]}
+	lg.batch = RoundBatch{Acts: lg.batch.Acts[:0], Dels: lg.batch.Dels[:0]}
 	lg.keepSources(func(s roundSource) bool { return s.fill(c, round) })
 }
 
@@ -137,7 +129,7 @@ func (c *checker) endRound(round int, progress bool) {
 			lg.sink = nil
 		}
 	}
-	lg.hints, lg.anchors, lg.taint = nil, nil, nil
+	lg.hints, lg.taint = nil, nil
 }
 
 // load indexes one batch of hints for the round's walks. The table holds
@@ -155,18 +147,10 @@ func (lg *roundLog) load(b RoundBatch) {
 		r := &b.Acts[i]
 		lg.hints[hintKey{r.Node, r.Action, r.Parent}] = outcome{r.Rejected, r.Succ, r.Emitted}
 	}
-	if lg.anchors == nil && len(b.Anchors) > 0 {
-		lg.anchors = make(map[anchorKey]*AnchorReport, len(b.Anchors))
-	}
-	for i := range b.Anchors {
-		r := &b.Anchors[i]
-		lg.anchors[anchorKey{r.Node, r.Seq}] = r
-	}
 }
 
-// hint and anchor look up the round's record for one transition step or one
-// anchor sweep. The explicit nil-table test is the whole cost on runs with no
-// source attached.
+// hint looks up the round's record for one transition step. The explicit
+// nil-table test is the whole cost on runs with no source attached.
 func (lg *roundLog) hint(node, slot int, parent codec.Fingerprint) (outcome, bool) {
 	if lg.hints == nil {
 		return outcome{}, false
@@ -175,15 +159,8 @@ func (lg *roundLog) hint(node, slot int, parent codec.Fingerprint) (outcome, boo
 	return out, ok
 }
 
-func (lg *roundLog) anchor(node, seq int) *AnchorReport {
-	if lg.anchors == nil {
-		return nil
-	}
-	return lg.anchors[anchorKey{node, seq}]
-}
-
-// owns reports whether this replica captures records (and sweeps anchors)
-// for the given fingerprint; false everywhere but on worker replicas.
+// owns reports whether this replica captures records for the given
+// fingerprint; false everywhere but on worker replicas.
 func (lg *roundLog) owns(fp codec.Fingerprint) bool {
 	return lg.owners > 1 && ShardOwner(fp, lg.owners) == lg.owner
 }
@@ -253,7 +230,7 @@ func (f fleetSource) fill(c *checker, round int) bool {
 	batches, err := f.link.FetchRound(round)
 	c.res.Stats.ShardWaitTime += sw.Elapsed()
 	for i, b := range batches {
-		c.em.shardRound(i+1, f.link.Shards(), len(b.Acts)+len(b.Dels)+len(b.Anchors))
+		c.em.shardRound(i+1, f.link.Shards(), len(b.Acts)+len(b.Dels))
 		c.log.load(b)
 	}
 	return err == nil || f.degrade(c, err)
@@ -367,9 +344,9 @@ func ShardOwner(fp codec.Fingerprint, shards int) int {
 
 // CheckShardedContext runs the checker with a shard-worker fleet attached.
 // Results are bit-for-bit identical to Check/CheckContext for any shard
-// count; the link only redistributes handler executions and invariant
-// sweeps. The caller owns the link's transport setup; the checker finishes
-// the link when the run ends or degrades.
+// count; the link only redistributes handler executions. The caller owns
+// the link's transport setup; the checker finishes the link when the run
+// ends or degrades.
 func CheckShardedContext(ctx context.Context, m model.Machine, start model.SystemState,
 	opt Options, link ShardLink) (*Result, error) {
 
@@ -378,17 +355,6 @@ func CheckShardedContext(ctx context.Context, m model.Machine, start model.Syste
 	}
 	defer link.Finish()
 	return run(ctx, m, start, opt, fleetSource{link}), nil
-}
-
-// ShardInvariantsEligible reports whether a run's invariant sweeps can be
-// partitioned across the fleet: a plain LMC-GEN invariant run, with no
-// reduction, no symmetry, and system states enabled. Reduced runs prune
-// combinations through coordinator-resident caches (interest groups,
-// canonicalized orbits) whose evolution a worker cannot replicate
-// counter-exactly, so they keep invariant checking on the coordinator.
-func ShardInvariantsEligible(opt Options) bool {
-	return opt.Invariant != nil && opt.Reduction == nil &&
-		!opt.Reduce.Symmetry && !opt.DisableSystemStates
 }
 
 // ShardSink receives every round a worker replica runs: the records captured
@@ -426,18 +392,13 @@ type ShardWorker struct {
 // NewShardWorker builds a worker replica for shard idx of count processes
 // (idx ≥ 1; index 0 is the coordinator). The options must carry the
 // exploration-shaping knobs of the coordinator's run (DupLimit,
-// LocalBound, MaxPathDepth, MaxTransitions, MaxSystemDepth,
-// InitialMessages). Reductions, soundness, budgets and observers are
-// stripped — they are coordinator work. The
-// invariant is kept only when shardInvariants is set (and opt.Invariant is
-// non-nil): the worker then sweeps the system-state combinations of the
-// anchors it owns and reports them, instead of exploring without checking.
+// LocalBound, MaxPathDepth, MaxTransitions, InitialMessages). Invariants,
+// reductions, soundness, budgets and observers are stripped — checking is
+// coordinator work, a worker only explores.
 func NewShardWorker(m model.Machine, start model.SystemState, opt Options,
-	idx, count int, shardInvariants bool, sink ShardSink) *ShardWorker {
+	idx, count int, sink ShardSink) *ShardWorker {
 
-	if !shardInvariants {
-		opt.Invariant = nil
-	}
+	opt.Invariant = nil
 	opt.LocalInvariants = nil
 	opt.Reduction = nil
 	opt.Reduce = Reductions{}

@@ -31,9 +31,7 @@ func comboFP(combo []*nodeState) codec.Fingerprint {
 // checkStartState evaluates the invariant once on the start system state
 // itself, before exploration.
 func (c *checker) checkStartState() {
-	if c.opt.Invariant == nil || c.log.owners > 1 {
-		// On a worker replica the start-state check is coordinator work (it
-		// is not anchored at a discovery, so it has no report slot).
+	if c.opt.Invariant == nil {
 		return
 	}
 	combo := make([]*nodeState, len(c.spaces))
@@ -89,49 +87,20 @@ func (c *checker) checkNewState(ns *nodeState, view []int) {
 	if c.opt.Invariant == nil {
 		return
 	}
-	t0 := time.Now()
-	defer func() { c.res.Stats.SystemStateTime += time.Since(t0) }()
+	// Confirmations settled under this call book their own SoundnessTime;
+	// take it out so the two phases partition the call (clamped: parallel
+	// confirmation sums worker time).
+	t0, sound0 := time.Now(), c.res.Stats.SoundnessTime
+	defer func() {
+		if d := time.Since(t0) - (c.res.Stats.SoundnessTime - sound0); d > 0 {
+			c.res.Stats.SystemStateTime += d
+		}
+	}()
 
 	if c.opt.Reduction != nil {
 		c.checkNewStateOpt(ns, view)
 		return
 	}
-
-	// Worker replica (one that kept its invariant sweeps them): sweep only
-	// the anchors whose fingerprint falls in this replica's range, and
-	// report each sweep's outcome. Foreign anchors are the coordinator's (or
-	// another worker's) work.
-	if c.log.owners > 1 {
-		if !c.log.owns(ns.fp) {
-			return
-		}
-		states0 := c.res.Stats.SystemStates
-		prelims0 := c.res.Stats.PreliminaryViolations
-		c.forEachComboGEN(ns, view)
-		c.log.batch.Anchors = append(c.log.batch.Anchors, AnchorReport{
-			Node:     int(ns.node),
-			Seq:      ns.seq,
-			Violated: c.res.Stats.PreliminaryViolations > prelims0,
-			Combos:   c.res.Stats.SystemStates - states0,
-			MaxDepth: c.res.Stats.MaxDepth,
-		})
-		return
-	}
-
-	// Coordinator side: a clean report from the owning worker stands in for
-	// the whole sweep — its combination count merges into the counters (the
-	// worker enumerated the identical product). A violated or missing report
-	// falls through to the inline sweep, so violations are confirmed and
-	// reported exactly canonically.
-	if rep := c.log.anchor(int(ns.node), ns.seq); rep != nil && !rep.Violated {
-		c.res.Stats.SystemStates += rep.Combos
-		c.res.Stats.InvariantChecks += rep.Combos
-		if rep.MaxDepth > c.res.Stats.MaxDepth {
-			c.res.Stats.MaxDepth = rep.MaxDepth
-		}
-		return
-	}
-
 	c.forEachComboGEN(ns, view)
 }
 

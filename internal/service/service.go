@@ -1,6 +1,6 @@
 // Package service is the resident checking service behind `lmc serve`: a
 // sequential job queue over the bench workload registry, executing each job
-// under the parallel (and optionally sharded) engine with every completed
+// under the parallel engine with every completed
 // round checkpointed to a persistent store (internal/store). Kill the
 // daemon — SIGKILL included — and the next daemon over the same store file
 // picks every unfinished job up again, bit-for-bit: a resumed job is a
@@ -30,7 +30,6 @@ import (
 	"lmc/internal/mc/global"
 	"lmc/internal/model"
 	"lmc/internal/obs"
-	"lmc/internal/shard"
 	"lmc/internal/stats"
 	"lmc/internal/store"
 )
@@ -48,9 +47,6 @@ type JobSpec struct {
 	Reduce string `json:"reduce,omitempty"`
 	// Workers sets the in-process worker pool (0 = auto).
 	Workers int `json:"workers,omitempty"`
-	// Shards requests sharded multi-process exploration: the total process
-	// count, coordinator included (<=1 = in-process).
-	Shards int `json:"shards,omitempty"`
 	// Budget is a Go duration string bounding wall time ("30s"; empty =
 	// unbounded).
 	Budget string `json:"budget,omitempty"`
@@ -61,10 +57,9 @@ type JobSpec struct {
 }
 
 // Sig returns the job's options signature: exactly the fields that shape
-// the explored state space. Workers, Shards and Budget are excluded —
-// exploration is bit-for-bit identical across worker and shard counts, and
-// a wall-clock budget only decides where a run stops, never what a
-// completed round contains.
+// the explored state space. Workers and Budget are excluded — exploration
+// is bit-for-bit identical across worker counts, and a wall-clock budget
+// only decides where a run stops, never what a completed round contains.
 func (j JobSpec) Sig() uint64 {
 	return store.OptionsSig(j.Workload, j.Checker, j.Reduce,
 		strconv.Itoa(j.Depth), strconv.FormatBool(j.First))
@@ -213,12 +208,8 @@ type Config struct {
 	// CodeHash overrides the binary fingerprint (store.CodeHash()); zero
 	// means compute it. Tests use a fixed value to simulate rebuilds.
 	CodeHash uint64
-	// Spawner, when non-nil, enables sharded exploration for jobs with
-	// Shards > 1 (cmd/lmc passes a SelfExec re-running itself as a shard
-	// worker; tests pass a PipeSpawner).
-	Spawner shard.Spawner
 	// Defaults fills unset JobSpec fields at submission time: Workload,
-	// Checker, Reduce, Workers, Shards, Budget and Depth each apply when
+	// Checker, Reduce, Workers, Budget and Depth each apply when
 	// the submitted spec leaves them zero. cmd/lmc passes its run-mode
 	// flag values here, so both modes share one configuration surface.
 	Defaults JobSpec
@@ -235,7 +226,6 @@ type Config struct {
 type Service struct {
 	st       *store.Store
 	codeHash uint64
-	spawner  shard.Spawner
 	defaults JobSpec
 	observer obs.Observer
 	logf     func(string, ...any)
@@ -268,7 +258,6 @@ func New(cfg Config) *Service {
 	return &Service{
 		st:       cfg.Store,
 		codeHash: cfg.CodeHash,
-		spawner:  cfg.Spawner,
 		defaults: cfg.Defaults,
 		observer: cfg.Observer,
 		logf:     logf,
@@ -291,9 +280,6 @@ func (s *Service) applyDefaults(spec *JobSpec) {
 	}
 	if spec.Workers == 0 {
 		spec.Workers = d.Workers
-	}
-	if spec.Shards == 0 {
-		spec.Shards = d.Shards
 	}
 	if spec.Budget == "" {
 		spec.Budget = d.Budget
@@ -318,10 +304,13 @@ func (s *Service) Recover() {
 		switch {
 		case meta.Done:
 			var res JobResult
-			if err := json.Unmarshal([]byte(meta.Detail), &res); err == nil {
-				s.adopt(spec, meta.ID, JobStatus{State: StateDone, Result: &res,
-					CheckpointRounds: meta.Rounds})
+			st := JobStatus{State: StateDone, Result: &res, CheckpointRounds: meta.Rounds}
+			if err := json.Unmarshal([]byte(meta.Detail), &res); err != nil {
+				s.logf("recover: finished run %s has an unreadable stored result: %v", meta.ID, err)
+				st.State, st.Result = StateFailed, nil
+				st.Error = fmt.Sprintf("unreadable stored result: %v", err)
 			}
+			s.adopt(spec, meta.ID, st)
 		case meta.Invalid:
 			// A bucket invalidated by a previous daemon whose replacement
 			// run never finished (or never started): run fresh.
@@ -632,18 +621,6 @@ func (s *Service) runLocal(ctx context.Context, spec JobSpec, w bench.Workload,
 		}
 	}
 
-	// Sharded execution: the coordinator's canonical walk still produces
-	// every round's digest, so the sink composes with sharding. A resumed
-	// run executes in-process: results are identical for every shard count,
-	// so nothing is lost but the fan-out.
-	if spec.Shards > 1 && s.spawner != nil && !resumed {
-		res, err := shard.Check(ctx, w.Machine, start, opt, shard.Config{
-			Shards:  spec.Shards,
-			Spawner: s.spawner,
-			Spec:    bench.ShardSpec(w.Name),
-		})
-		return res, false, err
-	}
 	res, err := core.CheckContext(ctx, w.Machine, start, opt)
 	return res, resumed, err
 }

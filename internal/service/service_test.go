@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,7 +16,6 @@ import (
 	"lmc/internal/model"
 	"lmc/internal/obs"
 	"lmc/internal/service"
-	"lmc/internal/shard"
 	"lmc/internal/store"
 )
 
@@ -203,6 +204,13 @@ func plantInterruptedRun(t *testing.T, st *store.Store, id, workload string, cod
 	if err := st.CreateRun(id, string(specJSON), codeHash, spec.Sig()); err != nil {
 		t.Fatal(err)
 	}
+	interruptRun(t, st, id, workload, rounds)
+}
+
+// interruptRun checkpoints a default lmc-opt run of workload into the
+// existing bucket id and cancels it at the round-`rounds` barrier.
+func interruptRun(t *testing.T, st *store.Store, id, workload string, rounds int) {
+	t.Helper()
 	w, opt := serviceOptions(t, workload)
 	opt.Checkpoint = st.Sink(id)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -270,6 +278,22 @@ func TestServiceRecoverResumes(t *testing.T) {
 	}
 	if adopted.Result.Stats.Transitions != got.Result.Stats.Transitions {
 		t.Fatal("adopted result diverged from the stored one")
+	}
+
+	// A finished run whose stored result does not parse is not dropped: it
+	// surfaces as a failed job carrying the parse error.
+	if err := st.CreateRun("j2", `{"id":"j2","workload":"paxos"}`, codeHash, 0); err != nil {
+		t.Fatal(err)
+	}
+	st.FinishRun("j2", `{"complete":`)
+	s3 := service.New(service.Config{Store: st, CodeHash: codeHash})
+	s3.Recover()
+	broken, ok := s3.Job("j2")
+	if !ok || broken.State != service.StateFailed || !strings.Contains(broken.Error, "stored result") {
+		t.Fatalf("finished job with an unreadable result: present=%v %+v", ok, broken)
+	}
+	if still, _ := s3.Job("j1"); still.State != service.StateDone {
+		t.Fatalf("readable finished job after an unreadable one: %+v", still)
 	}
 }
 
@@ -365,63 +389,20 @@ func TestServiceResumeDivergenceBackstop(t *testing.T) {
 	}
 }
 
-func TestServiceShardedJob(t *testing.T) {
-	st := openStore(t)
-	s := startService(t, service.Config{
-		Store:   st,
-		Spawner: shard.PipeSpawner{Resolve: bench.ShardResolver()},
-	})
-	sub, err := s.Submit(service.JobSpec{Workload: "paxos", Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitJob(t, s, sub.ID)
-	if got.State != service.StateDone {
-		t.Fatalf("state=%s err=%q", got.State, got.Error)
-	}
-	if got.CheckpointRounds == 0 {
-		t.Fatal("sharded run did not checkpoint")
-	}
-
-	// Sharded and in-process jobs explore identically.
-	w, opt := serviceOptions(t, "paxos")
-	base, err := core.CheckContext(context.Background(), w.Machine, model.InitialSystem(w.Machine), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Result.Stats.Transitions != base.Stats.Transitions ||
-		got.Result.Stats.SystemStates != base.Stats.SystemStates {
-		t.Fatalf("sharded job diverged from in-process run:\n got %+v\nbase %+v",
-			got.Result.Stats, base.Stats)
-	}
-	meta, ok := st.Run(sub.ID)
-	if !ok || meta.Rounds != got.CheckpointRounds {
-		t.Fatalf("store rounds=%d, status says %d", meta.Rounds, got.CheckpointRounds)
-	}
-}
-
-// A job that asked for shards resumes fine on a daemon without a spawner:
-// resumed runs always execute in-process (results are identical anyway).
+// TestServiceResumedShardedSpecRunsInProcess is the compatibility test for
+// stores and clients that predate the removal of JobSpec.Shards: a run whose
+// stored spec carries "shards" (what a parent-commit daemon wrote — Sig never
+// covered the field) is recovered, resumes in-process and completes, and a
+// submission carrying the key is accepted with the key ignored.
 func TestServiceResumedShardedSpecRunsInProcess(t *testing.T) {
 	const codeHash = 7
+	const specJSON = `{"id":"j1","workload":"paxos","checker":"lmc-opt","shards":4}`
 	st := openStore(t)
-	spec := service.JobSpec{ID: "j1", Workload: "paxos", Checker: "lmc-opt", Shards: 4}
-	specJSON, _ := json.Marshal(spec)
-	if err := st.CreateRun("j1", string(specJSON), codeHash, spec.Sig()); err != nil {
+	sig := service.JobSpec{ID: "j1", Workload: "paxos", Checker: "lmc-opt"}.Sig()
+	if err := st.CreateRun("j1", specJSON, codeHash, sig); err != nil {
 		t.Fatal(err)
 	}
-	w, opt := serviceOptions(t, "paxos")
-	opt.Checkpoint = st.Sink("j1")
-	ctx0, cancel0 := context.WithCancel(context.Background())
-	defer cancel0()
-	opt.Observer = obs.FuncObserver(func(e obs.Event) {
-		if e.Kind == obs.KindCheckpoint && e.Detail == "" && e.Pass == 1 && e.Round == 2 {
-			cancel0()
-		}
-	})
-	if _, err := core.CheckContext(ctx0, w.Machine, model.InitialSystem(w.Machine), opt); err != nil {
-		t.Fatal(err)
-	}
+	interruptRun(t, st, "j1", "paxos", 2)
 
 	s := service.New(service.Config{Store: st, CodeHash: codeHash})
 	s.Recover()
@@ -429,8 +410,24 @@ func TestServiceResumedShardedSpecRunsInProcess(t *testing.T) {
 	defer cancel()
 	go s.Run(ctx)
 	got := waitJob(t, s, "j1")
-	if got.State != service.StateDone || !got.Result.Resumed || !got.Result.Complete {
+	if got.State != service.StateDone || !got.Result.Resumed || !got.Result.Complete ||
+		got.Result.Invalidated != "" {
 		t.Fatalf("sharded-spec resume: state=%s result=%+v err=%q", got.State, got.Result, got.Error)
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/jobs", "application/json",
+		strings.NewReader(`{"id":"j2","workload":"paxos","shards":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf(`submission with a "shards" key: %d`, resp.StatusCode)
+	}
+	if got := waitJob(t, s, "j2"); got.State != service.StateDone || !got.Result.Complete {
+		t.Fatalf(`job submitted with a "shards" key: state=%s err=%q`, got.State, got.Error)
 	}
 }
 

@@ -54,16 +54,14 @@ func dial(cfg Config, opt core.Options) (*link, error) {
 		l.ws = append(l.ws, &remoteWorker{conn: newConn(rwc), rwc: rwc})
 	}
 	h := hello{
-		Version:         Version,
-		Spec:            cfg.Spec,
-		Count:           cfg.Shards,
-		DupLimit:        opt.DupLimit,
-		LocalBound:      opt.LocalBound,
-		MaxPathDepth:    opt.MaxPathDepth,
-		MaxTransitions:  opt.MaxTransitions,
-		MaxSystemDepth:  opt.MaxSystemDepth,
-		Batch:           batch,
-		ShardInvariants: core.ShardInvariantsEligible(opt),
+		Version:        Version,
+		Spec:           cfg.Spec,
+		Count:          cfg.Shards,
+		DupLimit:       opt.DupLimit,
+		LocalBound:     opt.LocalBound,
+		MaxPathDepth:   opt.MaxPathDepth,
+		MaxTransitions: opt.MaxTransitions,
+		Batch:          batch,
 	}
 	for wi, w := range l.ws {
 		hi := h
@@ -81,11 +79,6 @@ func dial(cfg Config, opt core.Options) (*link, error) {
 		}
 		switch ft {
 		case ftReady:
-			r.Bool() // invariant-sharding ack, informational
-			if r.Err() != nil {
-				l.Finish()
-				return nil, fmt.Errorf("shard %d: bad READY: %w", wi+1, r.Err())
-			}
 			w.parked = true
 		case ftError:
 			msg := r.String()

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"lmc/internal/bench"
 	"lmc/internal/core"
 	"lmc/internal/obs"
 	"lmc/internal/shard"
@@ -42,7 +41,7 @@ func TestSelfExecParity(t *testing.T) {
 			res, err := shard.Check(context.Background(), m, start, runOpt, shard.Config{
 				Shards:  2,
 				Spawner: shard.SelfExec{Env: []string{"LMC_SHARD_WORKER=1"}},
-				Spec:    bench.ShardSpec("paxos"),
+				Spec:    benchSpec("paxos"),
 				Batch:   batch,
 			})
 			if err != nil {
@@ -81,7 +80,7 @@ func TestSelfExecKillWorker(t *testing.T) {
 			"LMC_SHARD_WORKER=1",
 			"LMC_SHARD_DIE_AFTER_ROUND=2",
 		}},
-		Spec: bench.ShardSpec("paxos"),
+		Spec: benchSpec("paxos"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,11 @@
 // sequential result — so a dead or diverging worker degrades the run to
 // in-process exploration instead of corrupting or aborting it. See
 // internal/core/roundlog.go for the engine-side contract.
+//
+// The package is an experiment, not a product path: on every paired reading
+// a fleet was slower to verdict than the same check in one process
+// (EXPERIMENTS.md A8), so nothing calls Check but the repo benchmark's
+// shard2-explore workload and the tests here.
 package shard
 
 import (

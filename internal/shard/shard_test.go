@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"lmc/internal/bench"
@@ -29,10 +30,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// benchSpec names a registry workload in the tests' spec space:
+// "bench:<name>" resolves through bench.Lookup.
+func benchSpec(name string) string { return benchPrefix + name }
+
+const benchPrefix = "bench:"
+
 // testResolver resolves the bench registry plus the one test-only spec with
 // seeded in-flight messages.
 func testResolver() shard.Resolver {
-	br := bench.ShardResolver()
 	return func(spec string) (shard.Workload, error) {
 		if spec == "test:tree-inflight" {
 			m := tree.NewPaperTree()
@@ -45,7 +51,19 @@ func testResolver() shard.Resolver {
 				},
 			}, nil
 		}
-		return br(spec)
+		name, ok := strings.CutPrefix(spec, benchPrefix)
+		if !ok {
+			return shard.Workload{}, fmt.Errorf("test resolver: unknown spec %q", spec)
+		}
+		w, err := bench.Lookup(name)
+		if err != nil {
+			return shard.Workload{}, err
+		}
+		start, err := w.StartState()
+		if err != nil {
+			return shard.Workload{}, err
+		}
+		return shard.Workload{Machine: w.Machine, Start: start}, nil
 	}
 }
 
@@ -159,7 +177,7 @@ func TestShardsParity(t *testing.T) {
 			spec := tc.spec
 			if tc.bench != "" {
 				m, start, opt = benchCase(t, tc.bench)
-				spec = bench.ShardSpec(tc.bench)
+				spec = benchSpec(tc.bench)
 			} else {
 				wl, err := testResolver()(tc.spec)
 				if err != nil {
@@ -233,7 +251,7 @@ func TestShardsBatchAndActionRecordParity(t *testing.T) {
 		t.Run(fmt.Sprintf("batch=%d,acts=true", batch), func(t *testing.T) {
 			got := shardedRun(t, m, start, opt, shard.Config{
 				Shards: 2,
-				Spec:   bench.ShardSpec("paxos"),
+				Spec:   benchSpec("paxos"),
 				Batch:  batch,
 			})
 			assertSameResult(t, 2, base, got)
@@ -259,7 +277,7 @@ func TestKillWorkerDegrades(t *testing.T) {
 	res, err := shard.Check(context.Background(), m, start, opt, shard.Config{
 		Shards:  2,
 		Spawner: shard.PipeSpawner{Resolve: testResolver(), DieAfterRound: 2},
-		Spec:    bench.ShardSpec("paxos"),
+		Spec:    benchSpec("paxos"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +307,7 @@ func TestDialFailureFallsBack(t *testing.T) {
 	res, err := shard.Check(context.Background(), m, start, opt, shard.Config{
 		Shards:  2,
 		Spawner: failSpawner{},
-		Spec:    bench.ShardSpec("paxos"),
+		Spec:    benchSpec("paxos"),
 	})
 	if err != nil {
 		t.Fatal(err)

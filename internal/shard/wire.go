@@ -10,13 +10,13 @@ import (
 
 // Version is the wire-protocol version. A worker refuses a HELLO carrying a
 // different version, so mixed-build coordinator/worker pairs fail fast at
-// the handshake instead of diverging mid-run. Version 4 is the streaming
+// the handshake instead of diverging mid-run. Version 5 is the streaming
 // protocol — workers run rounds autonomously after PASS, each round's
-// action/delivery/anchor records travel in one RECORDS frame, and digests
-// are exchanged at batch boundaries — and differs from 3 only in HELLO,
-// which no longer carries the predecessor and round-delivery caps (both are
-// constants of the engine now).
-const Version = 4
+// action and delivery records travel in one RECORDS frame, and digests are
+// exchanged at batch boundaries — without version 4's invariant sharding:
+// no anchor reports in RECORDS, no request for them in HELLO, no ack in
+// READY.
+const Version = 5
 
 // ErrVersionMismatch is the typed refusal a worker returns for a HELLO
 // whose protocol version differs from its own; the coordinator sees the
@@ -34,8 +34,7 @@ const (
 	// worker's shard index/count, the digest batch window, and the
 	// exploration-shaping options.
 	ftHello frameType = 1 + iota
-	// ftReady (W→C) acknowledges a HELLO after the replica is built; it
-	// carries whether the worker accepted the invariant-sharding request.
+	// ftReady (W→C) acknowledges a HELLO after the replica is built.
 	ftReady
 	// ftError (W→C) reports a worker-side failure with a message; the
 	// worker exits after sending it.
@@ -43,8 +42,8 @@ const (
 	// ftPass (C→W) announces a fresh exploration pass and its local bound;
 	// the worker then streams the pass's rounds autonomously.
 	ftPass
-	// ftRecords (W→C) carries one round's captured records: action records,
-	// delivery records, and anchor reports, plus the round's progress flag.
+	// ftRecords (W→C) carries one round's captured records — action records,
+	// then delivery records — plus the round's progress flag.
 	ftRecords
 	// ftDigest (W→C) carries the worker's replica digest; sent after the
 	// last round of every digest batch and at the pass fixpoint.
@@ -91,16 +90,11 @@ type hello struct {
 	MaxPathDepth int
 	// MaxTransitions travels because it is a replicated stop criterion:
 	// charged in the canonical order, it cuts every replica off at the
-	// same transition. MaxSystemDepth travels because it filters the
-	// combination sweeps whose counts anchor reports carry.
+	// same transition.
 	MaxTransitions int
-	MaxSystemDepth int
 
 	// Batch is the digest cadence (rounds per digest exchange).
 	Batch int
-	// ShardInvariants asks the worker to sweep and report the system-state
-	// combinations of the anchors it owns.
-	ShardInvariants bool
 }
 
 func (h hello) encode(w *codec.Writer) {
@@ -112,24 +106,20 @@ func (h hello) encode(w *codec.Writer) {
 	w.Int(h.LocalBound)
 	w.Int(h.MaxPathDepth)
 	w.Int(h.MaxTransitions)
-	w.Int(h.MaxSystemDepth)
 	w.Int(h.Batch)
-	w.Bool(h.ShardInvariants)
 }
 
 func decodeHello(r *codec.Reader) hello {
 	return hello{
-		Version:         r.Int(),
-		Spec:            r.String(),
-		Idx:             r.Int(),
-		Count:           r.Int(),
-		DupLimit:        r.Int(),
-		LocalBound:      r.Int(),
-		MaxPathDepth:    r.Int(),
-		MaxTransitions:  r.Int(),
-		MaxSystemDepth:  r.Int(),
-		Batch:           r.Int(),
-		ShardInvariants: r.Bool(),
+		Version:        r.Int(),
+		Spec:           r.String(),
+		Idx:            r.Int(),
+		Count:          r.Int(),
+		DupLimit:       r.Int(),
+		LocalBound:     r.Int(),
+		MaxPathDepth:   r.Int(),
+		MaxTransitions: r.Int(),
+		Batch:          r.Int(),
 	}
 }
 

@@ -13,8 +13,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	in := hello{
 		Version: Version, Spec: "bench:paxos", Idx: 2, Count: 4,
 		DupLimit: 1, LocalBound: 3, MaxPathDepth: 9,
-		MaxTransitions: 500, MaxSystemDepth: 7,
-		Batch: 8, ShardInvariants: true,
+		MaxTransitions: 500, Batch: 8,
 	}
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
@@ -69,29 +68,10 @@ func TestActionRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAnchorReportsRoundTrip(t *testing.T) {
-	in := []core.AnchorReport{
-		{Node: 0, Seq: 3, Violated: true, Combos: 12, MaxDepth: 4},
-		{Node: 2, Seq: 0, Combos: 99, MaxDepth: 7},
-	}
-	w := codec.GetWriter()
-	defer codec.PutWriter(w)
-	core.EncodeAnchorReports(w, in)
-	r := codec.NewReader(w.Bytes())
-	out := core.DecodeAnchorReports(r)
-	if r.Err() != nil {
-		t.Fatalf("decode error: %v", r.Err())
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-	}
-}
-
 func TestRoundBatchRoundTrip(t *testing.T) {
 	in := core.RoundBatch{
-		Acts:    []core.ActionRecord{{Node: 1, Parent: 2, Action: 0, Succ: 3}},
-		Dels:    []core.DeliveryRecord{{Entry: 4, Parent: 5, Succ: 6}},
-		Anchors: []core.AnchorReport{{Node: 0, Seq: 1, Combos: 2, MaxDepth: 3}},
+		Acts: []core.ActionRecord{{Node: 1, Parent: 2, Action: 0, Succ: 3}},
+		Dels: []core.DeliveryRecord{{Entry: 4, Parent: 5, Succ: 6}},
 	}
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
@@ -195,28 +175,6 @@ func TestDecodeActionRecordsMalformed(t *testing.T) {
 	}
 }
 
-func TestDecodeAnchorReportsMalformed(t *testing.T) {
-	w := codec.GetWriter()
-	w.Int(1 << 40)
-	r := codec.NewReader(w.Bytes())
-	if got := core.DecodeAnchorReports(r); got != nil {
-		t.Fatalf("hostile count decoded to %d reports", len(got))
-	}
-	codec.PutWriter(w)
-
-	w2 := codec.GetWriter()
-	defer codec.PutWriter(w2)
-	core.EncodeAnchorReports(w2, []core.AnchorReport{{Node: 1, Seq: 2, Combos: 3, MaxDepth: 4}})
-	whole := w2.Bytes()
-	for cut := 0; cut < len(whole); cut++ {
-		r := codec.NewReader(whole[:cut])
-		_ = core.DecodeAnchorReports(r)
-		if r.Err() == nil {
-			t.Fatalf("truncation at %d/%d bytes decoded cleanly", cut, len(whole))
-		}
-	}
-}
-
 func TestDigestRoundTrip(t *testing.T) {
 	in := core.ShardDigest{NetLen: 12, Net: 0xabc, States: 99, Spaces: 0xdef}
 	w := codec.GetWriter()
@@ -235,7 +193,9 @@ func TestDigestRoundTrip(t *testing.T) {
 // goldenBatch and the two hex strings below were produced by the v2 codec
 // (internal/shard/wire.go before the record codec moved to core): the RECORDS
 // and DIGEST bodies are pinned byte for byte across the move. Versions 3
-// and 4 changed only HELLO.
+// and 4 changed only HELLO; version 5 dropped the anchor-report list that
+// ended the RECORDS body (the pinned hex lost its trailing 148 digits, the
+// action and delivery bytes before them are unchanged).
 var goldenBatch = core.RoundBatch{
 	Acts: []core.ActionRecord{
 		{Node: 1, Parent: 0x1111, Action: 2, Succ: 0x2222, Emitted: []codec.Fingerprint{0xa1, 0xa2}},
@@ -246,14 +206,10 @@ var goldenBatch = core.RoundBatch{
 		{Entry: 7, Parent: 0x6666, Rejected: true},
 		{Entry: 9, Parent: 0x7777, Succ: 0x8888},
 	},
-	Anchors: []core.AnchorReport{
-		{Node: 2, Seq: 5, Violated: true, Combos: 12, MaxDepth: 6},
-		{Node: 0, Seq: 1, Combos: 99, MaxDepth: 7},
-	},
 }
 
 const (
-	goldenRecordsHex = "0000000000000003010000000000000002000000000000000100000000000011110000000000000002000000000000002222000000000000000200000000000000a100000000000000a200000000000000000000000000003333000000000000000001000000000000000300000000000000040000000000004444000000000000005555000000000000000100000000000000b1000000000000000700000000000066660100000000000000090000000000007777000000000000008888000000000000000000000000000000020000000000000002000000000000000501000000000000000c0000000000000006000000000000000000000000000000010000000000000000630000000000000007"
+	goldenRecordsHex = "0000000000000003010000000000000002000000000000000100000000000011110000000000000002000000000000002222000000000000000200000000000000a100000000000000a200000000000000000000000000003333000000000000000001000000000000000300000000000000040000000000004444000000000000005555000000000000000100000000000000b10000000000000007000000000000666601000000000000000900000000000077770000000000000088880000000000000000"
 	goldenDigestHex  = "0000000000000008000000000000000c0000000000000abc00000000000000630000000000000def"
 )
 

@@ -14,18 +14,15 @@ import (
 )
 
 // Workload is what a worker needs to rebuild the coordinator's run: the
-// machine, the start state, any seeded in-flight messages, and the
-// system-wide invariant. The invariant travels (as resolver-reconstructed
-// code, not over the wire) because invariant sharding hands each worker the
-// combination sweeps of the anchors it owns; a nil Invariant just means the
-// worker explores without sweeping and the coordinator checks everything
-// inline. Reductions and budgets deliberately do not travel — workers run
-// the stripped replica core.NewShardWorker builds.
+// machine, the start state and any seeded in-flight messages. Invariants,
+// reductions and budgets deliberately do not travel — a worker only
+// explores, on the stripped replica core.NewShardWorker builds.
 type Workload struct {
 	Machine         model.Machine
 	Start           model.SystemState
 	InitialMessages []model.Message
-	Invariant       spec.Invariant
+	// Invariant is unread: the benchmark module's resolver still sets it.
+	Invariant spec.Invariant
 }
 
 // Resolver turns the spec string from the coordinator's HELLO into a
@@ -98,12 +95,9 @@ func ServeConn(rw io.ReadWriter, resolve Resolver, dieAfterRound int) error {
 		LocalBound:      h.LocalBound,
 		MaxPathDepth:    h.MaxPathDepth,
 		MaxTransitions:  h.MaxTransitions,
-		MaxSystemDepth:  h.MaxSystemDepth,
 		InitialMessages: wl.InitialMessages,
-		Invariant:       wl.Invariant,
-	}, h.Idx, h.Count, h.ShardInvariants, sink)
-	invOK := h.ShardInvariants && wl.Invariant != nil
-	if err := c.send(ftReady, func(cw *codec.Writer) { cw.Bool(invOK) }); err != nil {
+	}, h.Idx, h.Count, sink)
+	if err := c.send(ftReady, nil); err != nil {
 		return fmt.Errorf("shard worker: sending READY: %w", err)
 	}
 

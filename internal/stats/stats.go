@@ -41,7 +41,8 @@ type Counters struct {
 	// SoundnessTime is the total wall time spent in soundness verification.
 	SoundnessTime time.Duration
 	// SystemStateTime is the total wall time spent materializing system
-	// states and checking invariants on them.
+	// states and checking invariants on them, net of the SoundnessTime of
+	// the confirmations that ran under it.
 	SystemStateTime time.Duration
 	// ShardWaitTime is the wall time a sharded run's coordinator spent
 	// blocked on worker-process frames (collecting delivery records and

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sync"
 	"time"
@@ -54,20 +55,11 @@ type RunMeta struct {
 	Invalid bool
 }
 
-// runState keeps a run's rounds as locations into the store file — the file
-// is append-only for the life of the process, so an offset stays valid once
-// written. Appends then retain nothing, and Resume reads back and decodes
-// only the rounds a resumed run actually replays.
+// runState keeps a run's rounds decoded, keyed by (pass, round): a checkpoint
+// is a digest and a counter snapshot, a few hundred bytes.
 type runState struct {
 	meta   RunMeta
-	rounds map[[2]int]roundLoc
-}
-
-// roundLoc locates one round's encoded checkpoint body (the bytes after the
-// segment kind and run-ID tag) inside the store file.
-type roundLoc struct {
-	off int64
-	n   int
+	rounds map[[2]int]core.RoundCheckpoint
 }
 
 // Store is a single-file checkpoint store. All methods are safe for
@@ -79,15 +71,9 @@ type Store struct {
 	path  string
 	runs  map[string]*runState
 	order []string // run IDs in creation order
-	// w is the segment encode buffer and frame the assembled-frame buffer,
-	// both reused under mu. Round bodies outgrow the shared codec pool's
-	// retention cap, so per-store buffers are what keep steady-state
-	// appends from regrowing an encoder every round.
-	w     codec.Writer
+	// frame is the assembled-frame buffer, reused under mu: a segment is
+	// one write syscall.
 	frame []byte
-	// size is the current end-of-file offset; append keeps it exact so
-	// AppendRound can record each body's location without a Seek.
-	size int64
 }
 
 // ErrNoRun is returned for operations on a run ID the store has no bucket
@@ -98,31 +84,25 @@ var ErrNoRun = errors.New("store: no such run")
 // segment into memory. A trailing partial or corrupted frame — the mark of
 // a process killed mid-append — is discarded by truncating the file back to
 // the last complete segment; corruption earlier in the file truncates there
-// too, dropping the later segments (resume then simply re-executes those
-// rounds inline).
+// too, dropping the later segments (a resumed run then goes unverified past
+// the rounds that survived).
 func Open(path string) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, path: path, runs: make(map[string]*runState),
-		w:     *codec.NewWriter(1 << 15),
-		frame: make([]byte, 0, 1<<15),
-	}
+	s := &Store{f: f, path: path, runs: make(map[string]*runState)}
 	if err := s.load(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if s.size, err = s.f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// load replays the file. It returns an error only for conditions that make
-// the file unusable (an alien header, I/O failure on the header); frame
-// corruption past the header truncates instead.
+// load replays the file and leaves the cursor at its end, where appends go.
+// It returns an error only for conditions that make the file unusable (an
+// alien header, I/O failure on the header); frame corruption past the header
+// truncates instead.
 func (s *Store) load() error {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return err
@@ -156,8 +136,7 @@ func (s *Store) load() error {
 		if err == io.EOF {
 			break
 		}
-		// The frame's payload starts right after the 4-byte length prefix.
-		if err != nil || s.apply(payload, good+4) != nil {
+		if err != nil || s.apply(payload) != nil {
 			// Truncated or corrupted tail: cut back to the last good
 			// segment and carry on with what survived.
 			if terr := s.f.Truncate(good); terr != nil {
@@ -171,9 +150,8 @@ func (s *Store) load() error {
 	return err
 }
 
-// apply folds one decoded segment into memory. off is the payload's offset
-// in the store file (round segments retain body locations, not bytes).
-func (s *Store) apply(payload []byte, off int64) error {
+// apply folds one decoded segment into memory.
+func (s *Store) apply(payload []byte) error {
 	if len(payload) == 0 {
 		return errors.New("store: empty segment")
 	}
@@ -187,13 +165,10 @@ func (s *Store) apply(payload []byte, off int64) error {
 		if _, dup := s.runs[meta.ID]; dup {
 			return fmt.Errorf("store: duplicate run %q", meta.ID)
 		}
-		s.runs[meta.ID] = &runState{meta: meta, rounds: make(map[[2]int]roundLoc)}
+		s.runs[meta.ID] = &runState{meta: meta, rounds: make(map[[2]int]core.RoundCheckpoint)}
 		s.order = append(s.order, meta.ID)
 	case segRound:
 		id := r.String()
-		// The encoded checkpoint body follows the run-ID tag; it is decoded
-		// here only to validate the frame, and retained as a file location.
-		bodyStart := 1 + (len(payload) - 1 - r.Remaining())
 		cp := decodeCheckpoint(r)
 		if r.Err() != nil {
 			return r.Err()
@@ -206,7 +181,7 @@ func (s *Store) apply(payload []byte, off int64) error {
 		if _, dup := rs.rounds[key]; !dup {
 			rs.meta.Rounds++
 		}
-		rs.rounds[key] = roundLoc{off: off + int64(bodyStart), n: len(payload) - bodyStart}
+		rs.rounds[key] = cp
 	case segStatus:
 		id := r.String()
 		kind := r.Byte()
@@ -224,7 +199,7 @@ func (s *Store) apply(payload []byte, off int64) error {
 		case statusInvalid:
 			rs.meta.Invalid, rs.meta.Detail = true, detail
 			rs.meta.Done = false
-			rs.rounds = make(map[[2]int]roundLoc)
+			rs.rounds = make(map[[2]int]core.RoundCheckpoint)
 			rs.meta.Rounds = 0
 		default:
 			return fmt.Errorf("store: unknown status byte %#x", kind)
@@ -239,8 +214,7 @@ func (s *Store) apply(payload []byte, off int64) error {
 // syscall (the frame buffer is reused under mu).
 func (s *Store) append(payload []byte) error {
 	s.frame = codec.AppendFrame(s.frame[:0], payload)
-	n, err := s.f.Write(s.frame)
-	s.size += int64(n)
+	_, err := s.f.Write(s.frame)
 	return err
 }
 
@@ -262,7 +236,7 @@ func (s *Store) CreateRun(id, spec string, codeHash, optionsSig uint64) error {
 	if err := s.append(w.Bytes()); err != nil {
 		return err
 	}
-	s.runs[id] = &runState{meta: meta, rounds: make(map[[2]int]roundLoc)}
+	s.runs[id] = &runState{meta: meta, rounds: make(map[[2]int]core.RoundCheckpoint)}
 	s.order = append(s.order, id)
 	return nil
 }
@@ -284,21 +258,19 @@ func (s *Store) AppendRound(id string, cp core.RoundCheckpoint) error {
 	if _, dup := rs.rounds[key]; dup {
 		return nil
 	}
-	w := &s.w
-	w.Reset()
+	w := codec.GetWriter()
+	defer codec.PutWriter(w)
 	w.Byte(segRound)
 	w.String(id)
-	mark := w.Len()
+	body := w.Len()
 	encodeCheckpoint(w, cp)
-	// The body's location is known before the write: frame payload starts 4
-	// bytes past the current end of file. Retaining the location instead of
-	// the bytes honors the sink contract (the engine reuses cp's slices next
-	// round) with no copy at all — the file already holds the body.
-	loc := roundLoc{off: s.size + 4 + int64(mark), n: w.Len() - mark}
 	if err := s.append(w.Bytes()); err != nil {
 		return err
 	}
-	rs.rounds[key] = loc
+	// The sink contract lets the caller reuse cp's slices (the retired
+	// Records/NewStates; the engine hands none), so what is retained is the
+	// body decoded again — a deep copy, and exactly what a reopen would hold.
+	rs.rounds[key] = decodeCheckpoint(codec.NewReader(w.Bytes()[body:]))
 	rs.meta.Rounds++
 	return nil
 }
@@ -335,7 +307,7 @@ func (s *Store) status(id string, kind byte, detail string) error {
 	case statusInvalid:
 		rs.meta.Invalid, rs.meta.Detail = true, detail
 		rs.meta.Done = false
-		rs.rounds = make(map[[2]int]roundLoc)
+		rs.rounds = make(map[[2]int]core.RoundCheckpoint)
 		rs.meta.Rounds = 0
 	}
 	return nil
@@ -386,39 +358,15 @@ func (s *Store) Resume(id string) core.ResumeSource {
 		return nil
 	}
 	// Snapshot the map so a concurrent append (the resumed run
-	// re-checkpointing) cannot race the engine's walk; the locations point
-	// into the append-only file, so they stay valid.
-	rounds := make(map[[2]int]roundLoc, len(rs.rounds))
-	for k, loc := range rs.rounds {
-		rounds[k] = loc
-	}
-	return resumeSource{f: s.f, rounds: rounds}
+	// re-checkpointing) cannot race the engine's walk.
+	return resumeSource(maps.Clone(rs.rounds))
 }
 
-type resumeSource struct {
-	f      *os.File
-	rounds map[[2]int]roundLoc
-}
+type resumeSource map[[2]int]core.RoundCheckpoint
 
 func (r resumeSource) RoundHints(pass, round int) (core.RoundCheckpoint, bool) {
-	loc, ok := r.rounds[[2]int{pass, round}]
-	if !ok {
-		return core.RoundCheckpoint{}, false
-	}
-	// ReadAt leaves the appenders' file cursor alone, so reading back races
-	// nothing. The body was validated when stored; any failure here (store
-	// closed mid-resume, corruption) just ends the frontier — the run
-	// continues inline, because records are hints, never authority.
-	buf := make([]byte, loc.n)
-	if _, err := r.f.ReadAt(buf, loc.off); err != nil {
-		return core.RoundCheckpoint{}, false
-	}
-	rd := codec.NewReader(buf)
-	cp := decodeCheckpoint(rd)
-	if rd.Err() != nil {
-		return core.RoundCheckpoint{}, false
-	}
-	return cp, true
+	cp, ok := r[[2]int{pass, round}]
+	return cp, ok
 }
 
 // Close closes the underlying file.

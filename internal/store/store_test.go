@@ -309,7 +309,11 @@ func TestStoreFormatV1Pinned(t *testing.T) {
 	}
 	// Header and run segment differ only in the creation time; everything
 	// after them is round segments.
-	roundsFrom := fresh.size
+	st, err := os.Stat(fresh.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundsFrom := st.Size()
 	for _, cp := range goldenRounds() {
 		if err := fresh.AppendRound("golden-run", cp); err != nil {
 			t.Fatal(err)

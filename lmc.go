@@ -145,20 +145,18 @@ type (
 // Checkpoint/resume vocabulary (see internal/core/roundlog.go and
 // internal/store). A run with Options.Checkpoint set hands one
 // RoundCheckpoint to the sink per completed round barrier; a run with
-// Options.Resume set replays a previous run's rounds bit-for-bit.
+// Options.Resume set runs the whole check again and holds every round to
+// the digest a previous run of the same spec stored for it.
 type (
-	// RoundCheckpoint is one completed exploration round: delivery
-	// records, new-state fingerprints, a replica digest, counters.
+	// RoundCheckpoint is one completed exploration round: a replica
+	// digest and a counter snapshot.
 	RoundCheckpoint = core.RoundCheckpoint
 	// CheckpointSink receives round checkpoints (internal/store's
 	// Store.Sink returns one).
 	CheckpointSink = core.CheckpointSink
-	// ResumeSource replays a previous run's stored rounds
+	// ResumeSource supplies a previous run's stored rounds
 	// (internal/store's Store.Resume returns one).
 	ResumeSource = core.ResumeSource
-	// DeliveryRecord is one recorded delivery-pair execution, the
-	// fingerprint-only hint both sharding and checkpointing exchange.
-	DeliveryRecord = core.DeliveryRecord
 )
 
 // Run-event observability (see internal/obs). Both checkers and the online
