@@ -167,6 +167,46 @@ func TestBughuntCountersAndAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestPaxosTwoWitnessSearchCounters pins a run where the witness search is
+// the run: the two-proposal space under LMC-OPT, sequential, cut off at a
+// transition cap. Thousands of searches refute millions of candidate pairs
+// and none of them materializes a system state, so these counters are the
+// pair-refutation loop's own — every coverage query it charges, whether the
+// search answered it from the producer index or from what it had already
+// learned.
+func TestPaxosTwoWitnessSearchCounters(t *testing.T) {
+	w, err := Lookup("paxos-two")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := w.StartState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := core.Check(w.Machine, start, core.Options{Invariant: w.Invariant, Reduction: w.Reduction,
+		MaxTransitions: 20_000, Workers: -1})
+	if res.StopReason != core.StopTransitions || len(res.Bugs) != 0 {
+		t.Fatalf("paxos-two: stop=%v bugs=%d", res.StopReason, len(res.Bugs))
+	}
+	s := res.Stats
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"transitions", s.Transitions, 20_000},
+		{"node_states", s.NodeStates, 6_528},
+		{"soundness_calls", s.SoundnessCalls, 6_384},
+		{"cover_index_hits", s.CoverIndexHits, 7_680_960},
+		{"cover_index_misses", s.CoverIndexMisses, 13_455_936},
+		{"system_states", s.SystemStates, 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("paxos-two: %s=%d, want %d", c.name, c.got, c.want)
+		}
+	}
+	t.Logf("%d searches in %v", s.SoundnessCalls, s.Elapsed)
+}
+
 // TestExploreOptCountersAndAllocCeiling is the same for the benchmark's
 // explore-opt input (benchmark/workloads.go, buildExplore: registry 1paxos
 // from its live state, LMC-OPT, one million transitions, sequential). Nine in

@@ -288,10 +288,10 @@ type nodeState struct {
 	interest    spec.Interest
 	interesting bool
 	// flow is the state's flow memo: net consumed-minus-generated counts per
-	// message fingerprint along the creation chain, sorted by fingerprint.
-	// flowOf (index.go) builds it the first time a witness search asks; nil
-	// means nobody has.
-	flow []flowEntry
+	// message along the creation chain, in the pass's message ids. flowOf
+	// (index.go) builds it the first time a witness search asks; nil means
+	// nobody has.
+	flow *flowMemo
 	// actionsDone marks that this state's enabled internal actions have
 	// been executed (subject to the local bound).
 	actionsDone bool

@@ -35,6 +35,8 @@ type checker struct {
 	// its generated-message pool with them, and they are the supply baseline
 	// of the flow memos (index.go).
 	initNetCount map[codec.Fingerprint]int
+	// msgs numbers the messages the pass's flow memos mention (index.go).
+	msgs msgIDs
 
 	res        *Result
 	probe      stats.MemProbe
@@ -314,6 +316,7 @@ func (c *checker) beginPass() {
 			c.res.Stats.DuplicatesDropped++
 		}
 	}
+	c.msgs = newMsgIDs(c.initNetCount)
 	if c.canon != nil {
 		c.orbits = nil
 		c.orbitSeen = make(map[codec.Fingerprint]struct{})

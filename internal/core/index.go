@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"lmc/internal/codec"
@@ -15,10 +16,12 @@ import (
 //
 //   - whether ANY visited state of a completion node generates a message
 //     fingerprint along its chain: the per-node producer index, maintained
-//     as states are discovered;
-//   - the missing-message set of a candidate pair: a merge of the members'
-//     flow memos, each built from its chain once, the first time a search
-//     reads it (flowOf), so a run that raises no search builds none.
+//     as states are discovered, and asked at most once per message per
+//     search (witness.go remembers the answers for the rest of the search);
+//   - the missing-message set of a candidate pair: a few word operations on
+//     the members' flow memos — bitsets over dense per-pass message ids —
+//     each built from its chain once, the first time a search reads it
+//     (flowOf), so a run that raises no search builds none.
 //
 // Both are exact — see the equivalence notes on the individual pieces.
 // Nothing is remembered per candidate pair: a pair is examined at most once
@@ -80,123 +83,239 @@ func (c *checker) viewStates(n int, view []int) []*nodeState {
 	return c.spaces[n].states[:view[n]]
 }
 
-// coveredByAny answers one coverage query through the producer index: can
-// any completion node visible under the view supply fp? Queries run on the
-// sequential merge path, so the hit/miss counters stay deterministic for
-// every worker count.
+// coveredByAny answers one coverage question through the producer index: can
+// any completion node visible under the view supply fp? The witness search
+// asks it once per message and search, and charges the cover-index counters
+// itself (checker.coverage, witness.go).
 func (c *checker) coveredByAny(completionNodes []int, fp codec.Fingerprint, view []int) bool {
-	for _, n := range completionNodes {
-		if c.spaces[n].producerBefore(fp, view[n]) {
-			c.res.Stats.CoverIndexHits++
-			return true
+	return slices.ContainsFunc(completionNodes, func(n int) bool {
+		return c.spaces[n].producerBefore(fp, view[n])
+	})
+}
+
+// ---------------------------------------------------------------------------
+// Message ids
+//
+// msgIDs numbers the message fingerprints the flow memos mention 0, 1, 2, …
+// in order of first use, so a set of messages is a bitset and a pair's
+// missing set a handful of word operations. Every fingerprint a flow can
+// mention is that of an I+ entry (consumed messages are entries; generated
+// ones were appended, or dropped as duplicates of one), so the table is no
+// larger than I+ — at most 78 entries, two words of bits, on the registry
+// workloads. It is per pass — ids mean nothing across passes, and beginPass
+// starts a new table — and, like the memos it numbers, written by flowOf on
+// the merge goroutine only.
+type msgIDs struct {
+	initial map[codec.Fingerprint]int // the pass's initNetCount
+	ids     map[codec.Fingerprint]int32
+	fps     []codec.Fingerprint // id → fingerprint
+	init    []int               // id → initial count
+	init1   idSet               // the ids with initial count ≥ 1
+	init2   []int32             // the ids with initial count ≥ 2, ascending
+}
+
+func newMsgIDs(initial map[codec.Fingerprint]int) msgIDs {
+	return msgIDs{initial: initial, ids: make(map[codec.Fingerprint]int32)}
+}
+
+// id interns fp.
+func (t *msgIDs) id(fp codec.Fingerprint) int32 {
+	if id, ok := t.ids[fp]; ok {
+		return id
+	}
+	id := int32(len(t.fps))
+	t.ids[fp] = id
+	t.fps = append(t.fps, fp)
+	n := t.initial[fp]
+	t.init = append(t.init, n)
+	if n >= 1 {
+		t.init1.add(id)
+	}
+	if n >= 2 {
+		t.init2 = append(t.init2, id)
+	}
+	return id
+}
+
+// fingerprints lists the members of s, in id order, into dst's backing
+// array.
+func (t *msgIDs) fingerprints(dst []codec.Fingerprint, s idSet) []codec.Fingerprint {
+	out := dst[:0]
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, t.fps[i<<6+bits.TrailingZeros64(w)])
 		}
 	}
-	c.res.Stats.CoverIndexMisses++
-	return false
+	return out
+}
+
+// idSet is a set of message ids: bit id%64 of word id/64. Sets built at
+// different times have different lengths; a word past the end is zero.
+type idSet []uint64
+
+func (s idSet) word(i int) uint64 {
+	if i < len(s) {
+		return s[i]
+	}
+	return 0
+}
+
+func (s idSet) has(id int32) bool { return s.word(int(id>>6))&(1<<(id&63)) != 0 }
+
+func (s *idSet) add(id int32) {
+	for int(id>>6) >= len(*s) {
+		*s = append(*s, 0)
+	}
+	(*s)[id>>6] |= 1 << (id & 63)
 }
 
 // ---------------------------------------------------------------------------
 // Flow memos
 //
-// flowEntry records the creation chain's net demand for one message
-// fingerprint: consumed count minus generated count. Positive entries are
-// messages the chain needs beyond what it produces itself; negative entries
-// are surplus production that can offset the other pair member's demand.
-type flowEntry struct {
-	fp codec.Fingerprint
+// A flow memo records a creation chain's net demand per message: consumed
+// count minus generated count. Positive counts are messages the chain needs
+// beyond what it produces itself; negative ones are surplus production that
+// can offset the other pair member's demand. pos and neg are the ids with a
+// count ≥ 1 and ≤ −1; the count itself is ±1 unless the id is on wide, the
+// ids with |count| ≥ 2 — a chain that consumes or generates one message
+// twice, which no chain of a registry workload does. A memo is immutable
+// once built; pos and neg are as long as the id table was then.
+type flowMemo struct {
+	pos, neg idSet
+	wide     []wideFlow // ascending id
+}
+
+type wideFlow struct {
+	id int32
 	n  int
 }
 
-// edgeFlow is the flow delta of one predecessor edge: +1 for the consumed
-// message, −1 per generated message, coalesced and sorted.
-func edgeFlow(e *pred, scratch []flowEntry) []flowEntry {
-	d := scratch[:0]
-	if e.kind == model.NetworkEvent {
-		d = append(d, flowEntry{fp: e.msgFP, n: 1})
+// noFlow is a start state's memo: its chain is empty.
+var noFlow flowMemo
+
+// count is the memo's net count for id.
+func (m *flowMemo) count(id int32) int {
+	unit := 1
+	switch {
+	case m.neg.has(id):
+		unit = -1
+	case !m.pos.has(id):
+		return 0
 	}
-	for _, g := range e.generated {
-		d = append(d, flowEntry{fp: g, n: -1})
+	if i, ok := m.findWide(id); ok {
+		return m.wide[i].n
 	}
-	slices.SortFunc(d, func(a, b flowEntry) int { return cmp.Compare(a.fp, b.fp) })
-	out := d[:0]
-	for _, fe := range d {
-		if len(out) > 0 && out[len(out)-1].fp == fe.fp {
-			out[len(out)-1].n += fe.n
-		} else {
-			out = append(out, fe)
-		}
-	}
-	return out
+	return unit
 }
 
-// mergeFlows adds two sorted flow memos, dropping zero entries. Both inputs
-// are immutable; the result is fresh.
-func mergeFlows(a, b []flowEntry) []flowEntry {
-	out := make([]flowEntry, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i].fp < b[j].fp):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j].fp < a[i].fp:
-			out = append(out, b[j])
-			j++
-		default:
-			if n := a[i].n + b[j].n; n != 0 {
-				out = append(out, flowEntry{fp: a[i].fp, n: n})
-			}
-			i++
-			j++
-		}
+func (m *flowMemo) findWide(id int32) (int, bool) {
+	return slices.BinarySearchFunc(m.wide, id, func(w wideFlow, id int32) int { return cmp.Compare(w.id, id) })
+}
+
+// bump adds d to id's count in a memo still being built. wide is shared
+// with the parent memo until it changes, so a change copies it first.
+func (m *flowMemo) bump(id int32, d int) {
+	n := m.count(id) + d
+	w, b := id>>6, uint64(1)<<(id&63)
+	m.pos[w] &^= b
+	m.neg[w] &^= b
+	switch {
+	case n >= 1:
+		m.pos[w] |= b
+	case n <= -1:
+		m.neg[w] |= b
 	}
-	return out
+	i, on := m.findWide(id)
+	switch isWide := n >= 2 || n <= -2; {
+	case on && isWide:
+		m.wide = slices.Clone(m.wide)
+		m.wide[i].n = n
+	case on:
+		m.wide = slices.Delete(slices.Clone(m.wide), i, i+1)
+	case isWide:
+		m.wide = slices.Insert(slices.Clone(m.wide), i, wideFlow{id: id, n: n})
+	}
 }
 
 // flowOf returns ns's flow memo — the predecessor's memo plus the creation
 // edge's delta — building it, and every ancestor's still missing, on first
-// use. It is the only builder, and it writes the states it walks: witness
-// searches, its callers, run one at a time on the merge goroutine. A built
-// memo is never nil (mergeFlows); a start state's chain is empty and its
-// memo stays nil.
-func flowOf(ns *nodeState) []flowEntry {
-	if ns.flow == nil && ns.seq != 0 {
-		var scratch [8]flowEntry
+// use. It is the only builder, and it writes the states it walks and the id
+// table: witness searches, its callers, run one at a time on the merge
+// goroutine. A start state's chain is empty: its memo is noFlow, and its
+// flow field stays nil.
+func (t *msgIDs) flowOf(ns *nodeState) *flowMemo {
+	if ns.seq == 0 {
+		return &noFlow
+	}
+	if ns.flow == nil {
 		e := &ns.preds[0]
-		ns.flow = mergeFlows(flowOf(e.prev), edgeFlow(e, scratch[:]))
+		parent := t.flowOf(e.prev)
+		consumed := int32(-1)
+		if e.kind == model.NetworkEvent {
+			consumed = t.id(e.msgFP)
+		}
+		var buf [8]int32
+		gen := buf[:0]
+		for _, g := range e.generated {
+			gen = append(gen, t.id(g))
+		}
+		n := (len(t.fps) + 63) >> 6
+		words := make([]uint64, 2*n)
+		m := &flowMemo{pos: words[:n:n], neg: words[n:], wide: parent.wide}
+		copy(m.pos, parent.pos)
+		copy(m.neg, parent.neg)
+		if consumed >= 0 {
+			m.bump(consumed, 1)
+		}
+		for _, id := range gen {
+			m.bump(id, -1)
+		}
+		ns.flow = m
 	}
 	return ns.flow
 }
 
-// missingFromFlows lists the fingerprints whose combined demand across two
-// memos exceeds what the seeded network supplies, in ascending fingerprint
-// order, into dst's backing array (the witness search hands it the same
-// buffer for every candidate pair): fp is missing iff need(fp) >
-// generated(fp) + initial(fp) over both chains, i.e. flow(fp) > initial(fp).
-// Nothing downstream is sensitive to the order: feasibility checks
-// membership, the completion-order key is an unordered combination, and
-// orderByCoverage counts matches.
-func (c *checker) missingFromFlows(dst []codec.Fingerprint, a, b []flowEntry) []codec.Fingerprint {
-	missing := dst[:0]
-	emit := func(fe flowEntry) {
-		if fe.n > c.initNetCount[fe.fp] {
-			missing = append(missing, fe.fp)
+// missing computes the missing set of the pair of chains behind a and b
+// into dst's backing array (the witness search hands it the same buffer for
+// every candidate pair): id is missing iff the pair's demand exceeds what
+// both chains and the seeded network supply, need > generated + initial,
+// i.e. a.count(id) + b.count(id) > initial(id). Where both counts are in
+// {−1, 0, 1} and the initial count in {0, 1} that is, per word,
+//
+//	((Pa &^ Nb) | (Pb &^ Na)) &^ I1  |  Pa & Pb & I1
+//
+// (with no initial copy the sum must reach 1: one side needs it and the
+// other has no surplus; with one it must reach 2: both need it). The ids
+// outside that range — on either wide list, or with initial count ≥ 2 — are
+// then recomputed from their counts. The result has no trailing zero word,
+// so equal sets are equal slices.
+func (t *msgIDs) missing(dst idSet, a, b *flowMemo) idSet {
+	miss := dst[:0]
+	for i := range max(len(a.pos), len(b.pos)) {
+		pa, na, pb, nb, i1 := a.pos.word(i), a.neg.word(i), b.pos.word(i), b.neg.word(i), t.init1.word(i)
+		miss = append(miss, ((pa&^nb)|(pb&^na))&^i1|pa&pb&i1)
+	}
+	exact := func(id int32) {
+		if int(id>>6) >= len(miss) {
+			return // in neither memo: both counts are 0
+		}
+		bit := uint64(1) << (id & 63)
+		miss[id>>6] &^= bit
+		if a.count(id)+b.count(id) > t.init[id] {
+			miss[id>>6] |= bit
 		}
 	}
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i].fp < b[j].fp):
-			emit(a[i])
-			i++
-		case i >= len(a) || b[j].fp < a[i].fp:
-			emit(b[j])
-			j++
-		default:
-			emit(flowEntry{fp: a[i].fp, n: a[i].n + b[j].n})
-			i++
-			j++
-		}
+	for _, w := range a.wide {
+		exact(w.id)
 	}
-	return missing
+	for _, w := range b.wide {
+		exact(w.id)
+	}
+	for _, id := range t.init2 {
+		exact(id)
+	}
+	for len(miss) > 0 && miss[len(miss)-1] == 0 {
+		miss = miss[:len(miss)-1]
+	}
+	return miss
 }

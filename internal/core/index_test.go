@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
-	"unsafe"
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
@@ -31,7 +32,7 @@ func creationPath(ns *nodeState) []pred {
 }
 
 // missingOf computes the missing set of any member set directly from the
-// creation paths: the reference the flow-memo merge is compared against.
+// creation paths: the reference msgIDs.missing is compared against.
 func (c *checker) missingOf(states ...*nodeState) []codec.Fingerprint {
 	supply := maps.Clone(c.initNetCount)
 	if supply == nil {
@@ -77,6 +78,58 @@ func chainFlow(ns *nodeState) map[codec.Fingerprint]int {
 	}
 	maps.DeleteFunc(flow, func(_ codec.Fingerprint, n int) bool { return n == 0 })
 	return flow
+}
+
+// memoFlow decodes a flow memo back to nonzero counts per fingerprint — the
+// form chainFlow returns — checking its shape on the way: pos and neg
+// disjoint and within the id table, wide ascending with every count at
+// least 2 away from 0 and on the side its bit says. wides reports how many
+// entries wide holds.
+func memoFlow(ids *msgIDs, m *flowMemo) (flow map[codec.Fingerprint]int, wides int, err error) {
+	if len(m.pos) != len(m.neg) || len(m.pos) > (len(ids.fps)+63)/64 {
+		return nil, 0, fmt.Errorf("pos/neg of %d/%d words over %d ids", len(m.pos), len(m.neg), len(ids.fps))
+	}
+	for i := range m.wide {
+		w := m.wide[i]
+		if (i > 0 && m.wide[i-1].id >= w.id) || (w.n > -2 && w.n < 2) ||
+			(w.n > 0) != m.pos.has(w.id) || (w.n < 0) != m.neg.has(w.id) {
+			return nil, 0, fmt.Errorf("wide entry %d of %v misshapen", i, m.wide)
+		}
+	}
+	set := 0
+	for i := range m.pos {
+		if m.pos[i]&m.neg[i] != 0 {
+			return nil, 0, fmt.Errorf("word %d: pos and neg overlap", i)
+		}
+		set += bits.OnesCount64(m.pos[i] | m.neg[i])
+	}
+	flow = make(map[codec.Fingerprint]int)
+	for id, fp := range ids.fps {
+		if n := m.count(int32(id)); n != 0 {
+			flow[fp] = n
+		}
+	}
+	if set != len(flow) {
+		return nil, 0, fmt.Errorf("%d bits set for %d ids in the table", set, len(flow))
+	}
+	return flow, len(m.wide), nil
+}
+
+// doubleUp makes a synthetic space's chains count past ±1, so memos carry
+// wide entries: some creation edges generate one of their messages twice,
+// and half the deliveries consume one of the universe's first three
+// messages, so a chain consumes the same message again and again. Like the
+// rest of the space's construction, it must run before any memo is built.
+func doubleUp(rng *rand.Rand, sp *space, universe []codec.Fingerprint) {
+	for _, ns := range sp.states[1:] {
+		e := &ns.preds[0]
+		if e.kind == model.NetworkEvent && rng.Intn(2) == 0 {
+			e.msgFP = universe[rng.Intn(3)]
+		}
+		if len(e.generated) > 0 && rng.Intn(3) == 0 {
+			e.generated = append(e.generated, e.generated[rng.Intn(len(e.generated))])
+		}
+	}
 }
 
 // chainEmits is creationEmits by the definitional walk.
@@ -183,17 +236,24 @@ func TestProducerIndexIgnoresAddPredEdges(t *testing.T) {
 }
 
 // TestCoveredByAnyMatchesScan checks the full coverage query — several
-// completion nodes, partial and full views — against the scan it replaced.
+// completion nodes, partial and full views — against the scan it replaced,
+// asked directly and through a search's coverage memo (checker.coverage),
+// which must decide feasibility the same way and charge one hit or miss per
+// missing message, whether it asked the index or remembered the answer. The
+// universe spans two words of a message-id set.
 func TestCoveredByAnyMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	universe := testUniverse(10)
-	c := &checker{res: &Result{}}
+	universe := testUniverse(70)
+	c := &checker{res: &Result{}, msgs: newMsgIDs(nil)}
 	for n := 0; n < 3; n++ {
 		c.spaces = append(c.spaces, buildRandomSpace(rng, model.NodeID(n), 20, universe))
 	}
-	completion := []int{0, 2}
-	for trial := 0; trial < 300; trial++ {
-		fp := universe[rng.Intn(len(universe))]
+	for _, fp := range universe {
+		c.msgs.id(fp)
+	}
+	pair := &nodeState{node: 1} // a node-local search on node 1: nodes 0 and 2 complete it
+	queries := 0
+	for search := 0; search < 30; search++ {
 		full := rng.Intn(4) == 0
 		view := make([]int, len(c.spaces))
 		for n := range view {
@@ -202,17 +262,46 @@ func TestCoveredByAnyMatchesScan(t *testing.T) {
 				view[n] = rng.Intn(view[n] + 1)
 			}
 		}
-		want := slices.ContainsFunc(completion, func(n int) bool {
-			return slices.ContainsFunc(c.viewStates(n, view), func(s *nodeState) bool { return chainEmits(s, fp) })
-		})
-		if got := c.coveredByAny(completion, fp, view); got != want {
-			t.Fatalf("trial %d fp %#x view %v: coveredByAny=%v scan=%v",
-				trial, fp, view, got, want)
+		w := c.beginSearch(pair, 1)
+		if !slices.Equal(w.nodes, []int{0, 2}) {
+			t.Fatalf("completion nodes %v", w.nodes)
+		}
+		scan := func(fp codec.Fingerprint) bool {
+			return slices.ContainsFunc(w.nodes, func(n int) bool {
+				return slices.ContainsFunc(c.viewStates(n, view), func(s *nodeState) bool { return chainEmits(s, fp) })
+			})
+		}
+		for pairs := 0; pairs < 10; pairs++ {
+			w.miss = nil
+			hits, misses := 0, 0
+			for id, fp := range universe {
+				if rng.Intn(6) > 0 {
+					continue
+				}
+				w.miss.add(int32(id))
+				covered := scan(fp)
+				if got := c.coveredByAny(w.nodes, fp, view); got != covered {
+					t.Fatalf("search %d fp %#x view %v: coveredByAny=%v scan=%v", search, fp, view, got, covered)
+				}
+				if covered {
+					hits++
+				} else {
+					misses++
+				}
+			}
+			queries += hits + misses
+			before := c.res.Stats
+			if got := c.coverage(w, view); got != (misses == 0) {
+				t.Fatalf("search %d pair %d: feasible=%v with %d uncovered", search, pairs, got, misses)
+			}
+			if dh, dm := c.res.Stats.CoverIndexHits-before.CoverIndexHits,
+				c.res.Stats.CoverIndexMisses-before.CoverIndexMisses; dh != hits || dm != misses {
+				t.Fatalf("search %d pair %d: charged %d hits, %d misses; want %d, %d", search, pairs, dh, dm, hits, misses)
+			}
 		}
 	}
-	if c.res.Stats.CoverIndexHits+c.res.Stats.CoverIndexMisses != 300 {
-		t.Fatalf("coverage counters uncharged: hits=%d misses=%d",
-			c.res.Stats.CoverIndexHits, c.res.Stats.CoverIndexMisses)
+	if queries < 1000 {
+		t.Fatalf("only %d coverage queries: the memo is barely exercised", queries)
 	}
 }
 
@@ -222,99 +311,147 @@ func sortedFPs(fps []codec.Fingerprint) []codec.Fingerprint {
 	return out
 }
 
-// TestPairMissingMatchesMissingOf differentially checks the flow-memo
-// missing set against missingOf, the reference implementation, over
-// randomized creation chains and seeded initial networks. Pairs are drawn at
-// random, so flowOf builds each memo on whatever ancestors earlier pairs
-// happened to leave built. Every pair of a seed is computed into the same
-// buffer, as the witness search does. The
-// plain spaces generate far more than they consume and nearly every pair
-// misses nothing; the thirsty ones lose most of their emissions first, so
-// that sets of every size follow each other — shrinking, growing, and empty
-// over a stale tail, which must never show.
+// TestPairMissingMatchesMissingOf differentially checks msgIDs.missing
+// against missingOf, the reference implementation, over randomized creation
+// chains and seeded initial networks of up to two copies of a message.
+// Pairs are drawn at random, so flowOf builds each memo on whatever
+// ancestors earlier pairs happened to leave built. Every pair of a seed is
+// computed into the same buffer, as the witness search does. The plain
+// spaces generate far more than they consume and nearly every pair misses
+// nothing; the thirsty ones lose most of their emissions first, so that
+// sets of every size follow each other — shrinking, growing, and empty over
+// a stale tail, which must never show: equal sets must be equal words, the
+// completion orderings are keyed by them. The wide universe spans three
+// words of a message-id set; the doubled spaces (doubleUp) count past ±1,
+// the only chains that take the wide-list correction — no registry
+// workload reaches it.
 func TestPairMissingMatchesMissingOf(t *testing.T) {
-	universe := testUniverse(6)
-	for seed := int64(0); seed < 12; seed++ {
-		thirsty := seed >= 6
-		rng := rand.New(rand.NewSource(100 + seed))
-		counts := make(map[codec.Fingerprint]int)
-		for _, fp := range universe {
-			for k := rng.Intn(3); k > 0; k-- {
-				counts[fp]++
+	for _, tc := range []struct {
+		name    string
+		msgs    int
+		doubled bool
+	}{
+		{"narrow", 6, false},
+		{"wide", 150, false},
+		{"narrow doubled", 6, true},
+		{"wide doubled", 150, true},
+	} {
+		universe := testUniverse(tc.msgs)
+		wides := 0
+		for seed := int64(0); seed < 12; seed++ {
+			thirsty := seed >= 6
+			rng := rand.New(rand.NewSource(100 + seed))
+			counts := make(map[codec.Fingerprint]int)
+			for _, fp := range universe {
+				for k := rng.Intn(3); k > 0; k-- {
+					counts[fp]++
+				}
 			}
-		}
-		c := &checker{initNetCount: counts, res: &Result{}}
-		pairMissing := func(dst []codec.Fingerprint, a, b *nodeState) []codec.Fingerprint {
-			return c.missingFromFlows(dst, flowOf(a), flowOf(b))
-		}
-		spA := buildRandomSpace(rng, 0, 30, universe)
-		spB := buildRandomSpace(rng, 1, 30, universe)
-		if thirsty {
+			c := &checker{initNetCount: counts, res: &Result{}, msgs: newMsgIDs(counts)}
+			pairMissing := func(dst idSet, a, b *nodeState) idSet {
+				return c.msgs.missing(dst, c.msgs.flowOf(a), c.msgs.flowOf(b))
+			}
+			spA := buildRandomSpace(rng, 0, 30, universe)
+			spB := buildRandomSpace(rng, 1, 30, universe)
 			for _, sp := range []*space{spA, spB} {
-				for _, ns := range sp.states[1:] {
-					if rng.Intn(5) > 0 {
-						ns.preds[0].generated = nil
+				if thirsty {
+					for _, ns := range sp.states[1:] {
+						if rng.Intn(5) > 0 {
+							ns.preds[0].generated = nil
+						}
+					}
+				}
+				if tc.doubled {
+					doubleUp(rng, sp, universe)
+				}
+			}
+			var buf idSet
+			sizes := make(map[int]int)
+			shrank, grew := false, false
+			for trial := 0; trial < 150; trial++ {
+				a := spA.states[rng.Intn(len(spA.states))]
+				b := spB.states[rng.Intn(len(spB.states))]
+				if trial%10 == 9 {
+					// Two start states miss nothing, whatever the pair before
+					// them left in the buffer.
+					a, b = spA.states[0], spB.states[0]
+				}
+				prev := len(c.msgs.fingerprints(nil, buf))
+				buf = pairMissing(buf, a, b)
+				got := sortedFPs(c.msgs.fingerprints(nil, buf))
+				shrank, grew = shrank || len(got) < prev, grew || len(got) > prev
+				sizes[len(got)]++
+				want := sortedFPs(c.missingOf(a, b))
+				fresh := pairMissing(nil, a, b)
+				if !slices.Equal(got, want) || !slices.Equal(buf, fresh) {
+					t.Fatalf("%s seed %d trial %d: missing reused=%v (words %x) fresh words %x, missingOf=%v",
+						tc.name, seed, trial, got, buf, fresh, want)
+				}
+				if len(buf) > 0 && buf[len(buf)-1] == 0 {
+					t.Fatalf("%s seed %d trial %d: trailing zero word in %x", tc.name, seed, trial, buf)
+				}
+			}
+			// Doubled chains have surplus to spare and seldom miss more
+			// than one message; the plain thirsty ones show every size.
+			if thirsty && (sizes[0] == 0 || (len(sizes) < 3 && !tc.doubled) || !shrank || !grew) {
+				t.Fatalf("%s seed %d: buffer reuse not exercised: sizes %v shrank=%v grew=%v",
+					tc.name, seed, sizes, shrank, grew)
+			}
+			if len(c.msgs.init2) == 0 {
+				t.Fatalf("%s seed %d: no message seeded twice", tc.name, seed)
+			}
+			for _, sp := range []*space{spA, spB} {
+				for _, ns := range sp.states {
+					if ns.flow != nil {
+						wides += len(ns.flow.wide)
 					}
 				}
 			}
 		}
-		var buf []codec.Fingerprint
-		sizes := make(map[int]int)
-		shrank, grew := false, false
-		for trial := 0; trial < 150; trial++ {
-			a := spA.states[rng.Intn(len(spA.states))]
-			b := spB.states[rng.Intn(len(spB.states))]
-			if trial%10 == 9 {
-				// Two start states miss nothing, whatever the pair before
-				// them left in the buffer.
-				a, b = spA.states[0], spB.states[0]
-			}
-			prev := len(buf)
-			buf = pairMissing(buf, a, b)
-			shrank, grew = shrank || len(buf) < prev, grew || len(buf) > prev
-			sizes[len(buf)]++
-			if !sort.SliceIsSorted(buf, func(i, j int) bool { return buf[i] < buf[j] }) {
-				t.Fatalf("seed %d trial %d: missingFromFlows output not ascending: %v",
-					seed, trial, buf)
-			}
-			want := sortedFPs(c.missingOf(a, b))
-			if fresh := pairMissing(nil, a, b); !slices.Equal(buf, want) || !slices.Equal(fresh, want) {
-				t.Fatalf("seed %d trial %d: pairMissing reused=%v fresh=%v missingOf=%v",
-					seed, trial, buf, fresh, want)
-			}
-		}
-		if thirsty && (sizes[0] == 0 || len(sizes) < 3 || !shrank || !grew) {
-			t.Fatalf("seed %d: buffer reuse not exercised: sizes %v shrank=%v grew=%v",
-				seed, sizes, shrank, grew)
+		if tc.doubled && wides == 0 {
+			t.Fatalf("%s: no memo has a wide entry", tc.name)
 		}
 	}
 }
 
 // TestFlowOfMatchesCreationPath checks flowOf against a direct recount of the
-// creation path. States are asked in random order: some memos are built over
-// a whole unbuilt chain, some on an ancestor an earlier ask left built, and
-// a second ask must hand back the first one's memo.
+// creation path, wide entries included. States are asked in random order:
+// some memos are built over a whole unbuilt chain, some on an ancestor an
+// earlier ask left built, and a second ask must hand back the first one's
+// memo. A start state's memo is the shared empty one, and is not stored.
 func TestFlowOfMatchesCreationPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	universe := testUniverse(6)
-	sp := buildRandomSpace(rng, 0, 30, universe)
-	for _, i := range rng.Perm(len(sp.states)) {
-		ns := sp.states[i]
-		want := chainFlow(ns)
-		got := flowOf(ns)
-		if ns.seq != 0 && (ns.flow == nil || unsafe.SliceData(flowOf(ns)) != unsafe.SliceData(got)) {
-			t.Fatalf("seq %d: flowOf did not keep its memo", ns.seq)
+	universe := testUniverse(80)
+	for _, doubled := range []bool{false, true} {
+		ids := newMsgIDs(nil)
+		sp := buildRandomSpace(rng, 0, 30, universe)
+		if doubled {
+			doubleUp(rng, sp, universe)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("seq %d: flow has %d entries, path recount has %d nonzero", ns.seq, len(got), len(want))
+		wides := 0
+		for _, i := range rng.Perm(len(sp.states)) {
+			ns := sp.states[i]
+			got := ids.flowOf(ns)
+			if ns.seq == 0 {
+				if got != &noFlow || ns.flow != nil {
+					t.Fatal("start state: memo is not the shared empty one")
+				}
+				continue
+			}
+			if ns.flow != got || ids.flowOf(ns) != got {
+				t.Fatalf("seq %d: flowOf did not keep its memo", ns.seq)
+			}
+			flow, w, err := memoFlow(&ids, got)
+			if err != nil {
+				t.Fatalf("seq %d: %v", ns.seq, err)
+			}
+			if want := chainFlow(ns); !maps.Equal(flow, want) {
+				t.Fatalf("seq %d: memo %v, path recount %v", ns.seq, flow, want)
+			}
+			wides += w
 		}
-		for i, fe := range got {
-			if fe.n == 0 || want[fe.fp] != fe.n {
-				t.Fatalf("seq %d fp %#x: flow=%d recount=%d", ns.seq, fe.fp, fe.n, want[fe.fp])
-			}
-			if i > 0 && got[i-1].fp >= fe.fp {
-				t.Fatalf("seq %d: flow not strictly ascending", ns.seq)
-			}
+		if doubled && wides == 0 {
+			t.Fatal("doubled space: no memo has a wide entry")
 		}
 	}
 }
@@ -401,8 +538,10 @@ func TestOrderByCoverageWalksWholeChain(t *testing.T) {
 // that raises no witness search builds none, and a run that raises many — on
 // the worker pool, so under -race this is also the check that memos are
 // written between the pool's phases, by the merge goroutine alone — leaves
-// every memo it built equal to the recount of its state's creation chain.
+// every memo it built, wide list included, equal to the recount of its
+// state's creation chain.
 func TestFlowMemosBelongToSearches(t *testing.T) {
+	var wides int
 	memos := func(m model.Machine, start model.SystemState, opt Options) (built int, res *Result) {
 		c := newChecker(context.Background(), m, start, opt)
 		c.pass()
@@ -412,14 +551,14 @@ func TestFlowMemosBelongToSearches(t *testing.T) {
 					continue
 				}
 				built++
-				want := chainFlow(ns)
-				got := make(map[codec.Fingerprint]int, len(ns.flow))
-				for _, fe := range ns.flow {
-					got[fe.fp] = fe.n
+				got, w, err := memoFlow(&c.msgs, ns.flow)
+				if err != nil {
+					t.Fatalf("node %d seq %d: %v", ns.node, ns.seq, err)
 				}
-				if !maps.Equal(got, want) || len(got) != len(ns.flow) {
-					t.Fatalf("node %d seq %d: memo %v, chain recount %v", ns.node, ns.seq, ns.flow, want)
+				if want := chainFlow(ns); !maps.Equal(got, want) {
+					t.Fatalf("node %d seq %d: memo %v, chain recount %v", ns.node, ns.seq, got, want)
 				}
+				wides += w
 			}
 		}
 		return built, c.res
@@ -440,5 +579,6 @@ func TestFlowMemosBelongToSearches(t *testing.T) {
 		t.Fatalf("bugs=%d searches=%d memos=%d: the searching run is not exercised",
 			len(res.Bugs), res.Stats.SoundnessCalls, built)
 	}
-	t.Logf("%d searches built %d memos over %d states", res.Stats.SoundnessCalls, built, res.Stats.NodeStates)
+	t.Logf("%d searches built %d memos (%d wide entries) over %d states",
+		res.Stats.SoundnessCalls, built, wides, res.Stats.NodeStates)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sort"
 
 	"lmc/internal/codec"
@@ -100,8 +102,8 @@ func (c *checker) resolveCandidates(ns *nodeState, k int, g *interestGroup, view
 // at a time, on the merge goroutine, so it lives on the checker (like sw)
 // and every search reuses it: a warm search allocates only the completion
 // orderings it has to build, however many candidates it examines. Nothing in
-// it outlives the search that filled it, and missing not even the candidate
-// it was computed for.
+// it outlives the search that filled it; miss and missing do not even
+// outlive the candidate they were computed for.
 type witnessScratch struct {
 	// budget is the search's sequence allowance, shared by its candidates,
 	// walks and confirmations; tick is its deadline-poll cadence.
@@ -110,17 +112,23 @@ type witnessScratch struct {
 	combo        []*nodeState   // the combination under construction
 	lists        [][]*nodeState // per completion node: its visible states, in walk order
 	cands        []*nodeState   // the candidates of a keyless search
-	missing      []codec.Fingerprint
-	// orders holds the completion orderings this search has built, by node
-	// and missing set: candidates that miss the same messages share a scan.
-	orders map[orderKey][]*nodeState
+	// miss is the current pair's missing set (msgIDs.missing); missing lists
+	// its fingerprints, for a pair that survives the coverage check.
+	miss    idSet
+	missing []codec.Fingerprint
+	// known and coverable are what the search has learned from the producer
+	// index: the ids it has asked about, and those of them the completion
+	// nodes can supply under the search's view. The answer to that question
+	// depends on nothing that changes during a search, so each id is asked
+	// about once.
+	known, coverable idSet
+	// orders holds the completion orderings this search has built, per
+	// completion node, by the exact missing set (miss's words as bytes, in
+	// key): candidates that miss the same messages share a scan.
+	orders map[string][][]*nodeState
+	key    []byte
 	// sound is the scratch of the confirmations the search runs at its leaves.
 	sound soundScratch
-}
-
-type orderKey struct {
-	node int
-	miss codec.Fingerprint
 }
 
 // beginSearch resets the scratch for a search whose pair sits on nodes
@@ -137,11 +145,66 @@ func (c *checker) beginSearch(ns *nodeState, k int) *witnessScratch {
 	w.lists = grow(w.lists, len(w.nodes))
 	w.combo = grow(w.combo, len(c.spaces))
 	w.combo[ns.node] = ns
+	w.known, w.coverable = w.known[:0], w.coverable[:0]
 	if w.orders == nil {
-		w.orders = make(map[orderKey][]*nodeState)
+		w.orders = make(map[string][][]*nodeState)
 	}
 	clear(w.orders)
 	return w
+}
+
+// coverage reports whether the completion nodes can supply every message
+// of the current pair's missing set, asking the producer index only about
+// the ids the search has not asked about yet. Each missing message still
+// charges one cover-index hit or miss, as if it had been asked about again:
+// the counters count the search's coverage questions, not how they were
+// answered, and stay what a probe per question would make them.
+func (c *checker) coverage(w *witnessScratch, view []int) bool {
+	for len(w.known) < len(w.miss) {
+		w.known = append(w.known, 0)
+		w.coverable = append(w.coverable, 0)
+	}
+	feasible := true
+	for i, m := range w.miss {
+		for ask := m &^ w.known[i]; ask != 0; ask &= ask - 1 {
+			b := bits.TrailingZeros64(ask)
+			if c.coveredByAny(w.nodes, c.msgs.fps[i<<6+b], view) {
+				w.coverable[i] |= 1 << b
+			}
+			w.known[i] |= 1 << b
+		}
+		hits := bits.OnesCount64(m & w.coverable[i])
+		c.res.Stats.CoverIndexHits += hits
+		c.res.Stats.CoverIndexMisses += bits.OnesCount64(m) - hits
+		if m&^w.coverable[i] != 0 {
+			feasible = false
+		}
+	}
+	return feasible
+}
+
+// completionOrders sets w.lists to the completion nodes' visible states
+// ordered by coverage of the current pair's missing set, building them —
+// and charging the budget for the scans — the first time the search meets
+// that set.
+func (c *checker) completionOrders(w *witnessScratch, view []int) {
+	w.key = w.key[:0]
+	for _, x := range w.miss {
+		w.key = binary.LittleEndian.AppendUint64(w.key, x)
+	}
+	orders, ok := w.orders[string(w.key)]
+	if !ok {
+		w.missing = c.msgs.fingerprints(w.missing, w.miss)
+		orders = make([][]*nodeState, len(w.nodes))
+		for i, n := range w.nodes {
+			orders[i] = orderByCoverage(c.viewStates(n, view), w.missing)
+			// A coverage scan touches every visited state of the node;
+			// short lists still cost at least one unit.
+			w.budget -= max(len(orders[i])/64, 1)
+		}
+		w.orders[string(w.key)] = orders
+	}
+	copy(w.lists, orders)
 }
 
 // searchWitness looks for a real run in which ns coexists with one of the
@@ -156,7 +219,8 @@ func (c *checker) beginSearch(ns *nodeState, k int) *witnessScratch {
 // candidates.
 //
 // The search runs on the index layer (index.go): missing sets come from the
-// pair's flow memos and coverage questions go to the producer index.
+// pair's flow memos and coverage questions go to the producer index, once
+// per message.
 func (c *checker) searchWitness(ns *nodeState, k int, g *interestGroup, view []int) {
 	cacheKey := witnessKey{fp: ns.fp, node: k, group: "all"}
 	if g != nil {
@@ -180,6 +244,7 @@ func (c *checker) witnessSearch(ns *nodeState, k int, g *interestGroup, view []i
 
 	c.res.Stats.SoundnessCalls++
 	w := c.beginSearch(ns, k)
+	flow := c.msgs.flowOf(ns)
 
 	for _, b := range cands {
 		if c.stopped || w.budget <= 0 {
@@ -204,34 +269,15 @@ func (c *checker) witnessSearch(ns *nodeState, k int, g *interestGroup, view []i
 		// message are tried last; a message nobody can cover refutes this
 		// pair outright (modulo alternate-path generation, the same kind of
 		// incompleteness the paper's caps accept).
-		w.missing = c.missingFromFlows(w.missing, flowOf(ns), flowOf(b))
+		w.miss = c.msgs.missing(w.miss, flow, c.msgs.flowOf(b))
 
-		// Feasibility, via the producer index. Every missing fingerprint is
-		// asked about, also past the first one nobody covers: the cover-index
-		// counters count a pair's whole missing set.
-		feasible := true
-		for _, fp := range w.missing {
-			if !c.coveredByAny(w.nodes, fp, view) {
-				feasible = false
-			}
-		}
-		if !feasible {
+		// Feasibility: the cover-index counters count a pair's whole missing
+		// set, also past the first message nobody covers.
+		if !c.coverage(w, view) {
 			continue
 		}
 
-		missKey := codec.CombineUnordered(w.missing)
-		for i, n := range w.nodes {
-			okey := orderKey{node: n, miss: missKey}
-			ordered, ok := w.orders[okey]
-			if !ok {
-				ordered = orderByCoverage(c.viewStates(n, view), w.missing)
-				w.orders[okey] = ordered
-				// A coverage scan touches every visited state of the node;
-				// short lists still cost at least one unit.
-				w.budget -= max(len(ordered)/64, 1)
-			}
-			w.lists[i] = ordered
-		}
+		c.completionOrders(w, view)
 		if w.budget <= 0 {
 			return
 		}
@@ -260,7 +306,8 @@ func (c *checker) confirmLocalViolation(ns *nodeState, v *spec.Violation, view [
 	c.underPhase("soundness", func() {
 		c.res.Stats.SoundnessCalls++
 		w := c.beginSearch(ns, int(ns.node))
-		w.missing = c.missingFromFlows(w.missing, flowOf(ns), nil)
+		w.miss = c.msgs.missing(w.miss, c.msgs.flowOf(ns), &noFlow)
+		w.missing = c.msgs.fingerprints(w.missing, w.miss)
 		for i, n := range w.nodes {
 			w.lists[i] = orderByCoverage(c.viewStates(n, view), w.missing)
 		}
