@@ -149,7 +149,9 @@ func (c *checker) settle(combo []*nodeState, v *spec.Violation, pre *confirmResu
 // — full per-node path cap, fresh sequence budget — whose run step is
 // precomputed on the worker pool; the sequential merge then replays the
 // exact bookkeeping of an inline confirmation loop, charging only the
-// confirmations that actually execute before a StopAtFirstBug cutoff.
+// confirmations that actually execute before a StopAtFirstBug cutoff. A
+// job that finds the Budget's deadline passed does not run, and the merge
+// stops with StopBudget at the first such job.
 func (c *checker) confirmBatch(prelims []prelim) {
 	if len(prelims) == 0 || !c.confirms() {
 		return
@@ -172,6 +174,9 @@ func (c *checker) confirmBatch(prelims []prelim) {
 		}
 		results := make([]confirmResult, len(jobs))
 		c.runParallel(len(jobs), func(i int) {
+			if !c.deadline.IsZero() && time.Now().After(c.deadline) {
+				return // calls stays 0: the job did not run
+			}
 			budget := maxSequencesPerCheck
 			results[i] = c.runConfirm(jobs[i].combo, jobs[i].fp, maxPathsPerNode, &budget, new(soundScratch))
 			results[i].calls = 1
@@ -181,6 +186,10 @@ func (c *checker) confirmBatch(prelims []prelim) {
 				return
 			}
 			if j, ok := need[prelims[i].fp]; ok {
+				if results[j].calls == 0 {
+					c.stop(obs.StopBudget)
+					return
+				}
 				c.settle(prelims[i].combo, prelims[i].v, &results[j], nil)
 			}
 		}

@@ -300,6 +300,11 @@ type nodeState struct {
 	suppressed bool
 	// universal caches a positive checker.universal answer (reduce.go).
 	universal bool
+	// keyed marks that key holds the state's interest-key id under the
+	// invariant's declared pairs (pairKeys, sweep.go): a GEN sweep interns it
+	// the first time the state is a candidate.
+	keyed bool
+	key   int32
 }
 
 // pred is a predecessor edge: the event that produced a state from a prior

@@ -50,6 +50,9 @@ type checker struct {
 	// keyer is non-nil when the reduction supports canonical interest keys
 	// (the grouped LMC-OPT path).
 	keyer spec.Keyer
+	// keys is non-nil when the invariant declares its conflicting pairs
+	// (spec.PrefixInvariant): the GEN sweep then decides whole subtrees.
+	keys *pairKeys
 
 	// canon is the role-symmetry canonicalizer, non-nil only when
 	// Options.Reduce.Symmetry is set and the machine declares usable
@@ -184,6 +187,7 @@ func newChecker(ctx context.Context, m model.Machine, start model.SystemState, o
 	if k, ok := opt.Reduction.(spec.Keyer); ok {
 		c.keyer = k
 	}
+	c.keys = newPairKeys(c.opt.Invariant)
 	if opt.Reduce.Symmetry {
 		if sym, ok := m.(model.Symmetric); ok {
 			c.canon = buildCanonicalizer(m.NumNodes(), sym.SymmetryClasses())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"lmc/internal/codec"
 	"lmc/internal/model"
 	"lmc/internal/obs"
+	"lmc/internal/spec"
 )
 
 // This file is system-state creation for LMC-GEN (Figure 9,
@@ -162,6 +164,15 @@ type sweepWork struct {
 	pos   []int
 	fps   []codec.Fingerprint // symSkip's scratch
 
+	// The cut's scratch: acc[d*width:(d+1)*width] is the union of the
+	// conflict rows of the keys in combo[:d], and table counts the chunk's
+	// completions (hists are its depth histograms, hsplit the split
+	// dimension's over [lo, hi)).
+	acc    []uint64
+	hists  [][]int
+	hsplit []int
+	table  suffixTable
+
 	tick                    int
 	states, skips, maxDepth int
 	prelims                 []prelim
@@ -176,14 +187,24 @@ type sweepScratch struct {
 	minRest []int // minRest[d]: the least total depth dimensions d.. can add
 	prev    []int // prev[d]: the class slot before d in d's class, or -1
 
-	arena, free     []cand   // backs every candidate array; what carve has left
-	all             [][]cand // per dimension: the candidates in ascending depth
-	hist            [][]int  // per dimension: candidates per depth
-	offs, acc, next []int
-	dims            [][]cand // backs the symmetry products' dims
-	prods           []product
-	work            []sweepWork
-	halt            atomic.Bool // the deadline passed in some chunk
+	arena, free []cand   // backs every candidate array; what carve has left
+	all         [][]cand // per dimension: the candidates in ascending depth
+	hist        [][]int  // per dimension: candidates per depth
+	offs        []int
+	table       suffixTable // admissible's
+	dims        [][]cand    // backs the symmetry products' dims
+	prods       []product
+	work        []sweepWork
+	halt        atomic.Bool // the deadline passed in some chunk
+
+	// cut is set when the sweep decides subtrees (prepareCut): the invariant
+	// declares its pairs and the product is unmarked. present[d*width:] is
+	// the set of key ids dimension d holds, suffix[d*width:] their union
+	// over dimensions d.., and sufSafe[d] says that no two of those
+	// dimensions can hold conflicting keys.
+	cut             bool
+	present, suffix []uint64
+	sufSafe         []bool
 }
 
 // grow returns s with length n, reallocating only when it is too small. The
@@ -219,7 +240,9 @@ func (s *sweepScratch) carve(k int) []cand {
 // remaining dimension; under the symmetry reduction symProducts replaces the
 // product by ones that hold canonical arrangements only, or few leaves.
 // SymmetrySkips is the depth-admissible product size minus what was
-// enumerated.
+// enumerated. When the invariant declares its conflicting pairs, a subtree
+// in which no two slots can hold conflicting interests is counted from the
+// depth histograms instead of walked (prepareCut, sweepWork.decided).
 //
 // When the product is large and Options.Workers allows, each product's
 // widest dimension is chunked across the worker pool (§1: "the model
@@ -265,6 +288,12 @@ func (c *checker) forEachCombo(lists [][]*nodeState) []prelim {
 	} else {
 		c.symProducts()
 	}
+	// Symmetry products keep the leaf walk: pass B's skips are decided per
+	// leaf.
+	s.cut = c.keys != nil && c.canon == nil
+	if s.cut {
+		c.prepareCut()
+	}
 
 	// Chunk each product's widest dimension. Reslicing s.work keeps the
 	// scratch of earlier sweeps' chunks.
@@ -291,12 +320,13 @@ func (c *checker) forEachCombo(lists [][]*nodeState) []prelim {
 			}
 			w := &work[len(work)-1]
 			*w = sweepWork{c: c, p: p, split: widest, lo: lo, hi: min(lo+chunk, width),
-				combo: grow(w.combo, n), ss: grow(w.ss, n), pos: grow(w.pos, n), fps: grow(w.fps, n)}
+				combo: grow(w.combo, n), ss: grow(w.ss, n), pos: grow(w.pos, n), fps: grow(w.fps, n),
+				acc: w.acc, hists: w.hists, hsplit: w.hsplit, table: w.table}
 		}
 	}
 	s.work = work
 	s.halt.Store(false)
-	c.runParallel(len(work), func(i int) { work[i].walk(0, 0) })
+	c.runParallel(len(work), func(i int) { work[i].run() })
 	halted := s.halt.Load()
 	if halted {
 		c.stop(obs.StopBudget)
@@ -357,35 +387,255 @@ func (s *sweepScratch) byDepth(list []*nodeState, d int) []cand {
 }
 
 // admissible counts the combinations of the full product whose total depth
-// is within the bound: the convolution of the dimensions' depth histograms,
-// summed up to the bound.
+// is within the bound.
 func (s *sweepScratch) admissible() int {
-	acc := append(s.acc[:0], 1)
-	next := s.next
-	for _, h := range s.hist {
-		next = grow(next, len(acc)+len(h)-1)
-		clear(next)
-		for i, a := range acc {
-			for j, b := range h {
-				next[i+j] += a * b
-			}
-		}
-		acc, next = next, acc
-	}
-	s.acc, s.next = acc, next
-	count := 0
-	for i, a := range acc {
-		if i <= s.bound {
-			count += a
-		}
-	}
+	s.table.fill(s.hist, s.bound)
+	count, _ := s.table.at(0, s.bound)
 	return count
 }
 
+// suffixTable counts a product's combinations by total depth, for every
+// suffix of its dimensions: the convolution of the dimensions' depth
+// histograms, summed up to each total. Totals are kept up to the bound.
+type suffixTable struct {
+	stride int
+	// cum[d*stride+t] counts the combinations of dimensions d.. whose total
+	// depth is at most t; deep[d*stride+t] is the deepest such total, or -1.
+	cum, deep []int
+}
+
+// fill builds the table of the product whose depth histograms are hists.
+func (t *suffixTable) fill(hists [][]int, bound int) {
+	n, most := len(hists), 0
+	for _, h := range hists {
+		most += len(h) - 1
+	}
+	t.stride = min(most, bound) + 1
+	t.cum, t.deep = grow(t.cum, (n+1)*t.stride), grow(t.deep, (n+1)*t.stride)
+	for i := n * t.stride; i < len(t.cum); i++ {
+		t.cum[i], t.deep[i] = 1, 0 // the empty suffix: one combination, of total 0
+	}
+	for d := n - 1; d >= 0; d-- {
+		cum, deep := t.cum[d*t.stride:(d+1)*t.stride], t.deep[d*t.stride:(d+1)*t.stride]
+		rcum, rdeep := t.cum[(d+1)*t.stride:], t.deep[(d+1)*t.stride:]
+		for tot := range cum {
+			cum[tot], deep[tot] = 0, -1
+			for j, k := range hists[d][:min(len(hists[d]), tot+1)] {
+				if k > 0 && rdeep[tot-j] >= 0 {
+					cum[tot] += k * rcum[tot-j]
+					deep[tot] = max(deep[tot], j+rdeep[tot-j])
+				}
+			}
+		}
+	}
+}
+
+// at returns how many combinations of dimensions d.. have total depth at
+// most room (room >= 0), and the deepest of those totals.
+func (t *suffixTable) at(d, room int) (count, deepest int) {
+	i := d*t.stride + min(room, t.stride-1)
+	return t.cum[i], t.deep[i]
+}
+
+// pairKeys gives the interest keys of an invariant that declares its
+// conflicting pairs (spec.PrefixInvariant) dense ids, and memoizes Conflict
+// between them as bitset rows: one Conflict call per key pair. Id 0 stands
+// for every uninteresting state; its row is empty and it is never asked.
+// Ids are content-keyed, so the table outlives a pass. It belongs to the
+// merge goroutine: sweep workers read rows only, and prepareCut completes
+// them before the workers start.
+type pairKeys struct {
+	red      spec.KeyedReduction
+	ids      map[string]int32
+	interest []spec.Interest // by id
+	rows     [][]uint64      // rows[a] has bit b when a and b conflict
+	asked    [][]uint64      // asked[a] has bit b once the pair {a, b} was asked
+	width    int             // words per row and per key mask
+}
+
+// newPairKeys returns the key table of inv, or nil when inv declares no
+// pairs.
+func newPairKeys(inv spec.Invariant) *pairKeys {
+	pi, ok := inv.(spec.PrefixInvariant)
+	if !ok {
+		return nil
+	}
+	return &pairKeys{red: pi.Pairs(), ids: make(map[string]int32),
+		interest: []spec.Interest{nil}, rows: [][]uint64{{0}}, asked: [][]uint64{{0}}, width: 1}
+}
+
+// intern gives ns its key id, the first time it is asked.
+func (k *pairKeys) intern(ns *nodeState) {
+	if ns.keyed {
+		return
+	}
+	ns.keyed = true
+	in, ok := k.red.Interest(ns.node, ns.state)
+	if !ok {
+		return // id 0
+	}
+	key := k.red.InterestKey(in)
+	id, seen := k.ids[key]
+	if !seen {
+		id = int32(len(k.interest))
+		k.ids[key] = id
+		k.interest = append(k.interest, in)
+		if len(k.interest) > 64*k.width {
+			k.width++
+			for a := range k.rows {
+				k.rows[a], k.asked[a] = append(k.rows[a], 0), append(k.asked[a], 0)
+			}
+		}
+		k.rows = append(k.rows, make([]uint64, k.width))
+		k.asked = append(k.asked, make([]uint64, k.width))
+	}
+	ns.key = id
+}
+
+// complete asks Conflict for every pair of ids in mask that has not been
+// asked yet, so the rows are exact within mask.
+func (k *pairKeys) complete(mask []uint64) {
+	for ai, aw := range mask {
+		for ; aw != 0; aw &= aw - 1 {
+			a := ai*64 + bits.TrailingZeros64(aw)
+			for bi, bw := range mask {
+				for todo := bw &^ k.asked[a][bi]; todo != 0; todo &= todo - 1 {
+					b := bi*64 + bits.TrailingZeros64(todo)
+					if k.red.Conflict(k.interest[a], k.interest[b]) {
+						k.rows[a][bi] |= 1 << (b & 63)
+						k.rows[b][ai] |= 1 << (a & 63)
+					}
+					k.asked[a][bi] |= 1 << (b & 63)
+					k.asked[b][ai] |= 1 << (a & 63)
+				}
+			}
+		}
+	}
+}
+
+// meets reports whether some id in a conflicts with some id in b.
+func (k *pairKeys) meets(a, b []uint64) bool {
+	for ai, aw := range a {
+		for ; aw != 0; aw &= aw - 1 {
+			row := k.rows[ai*64+bits.TrailingZeros64(aw)]
+			for i := range b {
+				if row[i]&b[i] != 0 {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// prepareCut interns the sweep's candidates, completes the conflict rows
+// among the keys they hold, and builds what sweepWork.decided reads: the
+// key ids of every suffix of dimensions and whether a suffix can hold a
+// conflicting pair within itself. Two candidates of one dimension never
+// meet in a combination, so only pairs across dimensions count.
+func (c *checker) prepareCut() {
+	s, k := &c.sw, c.keys
+	for _, cands := range s.all {
+		for _, cd := range cands {
+			k.intern(cd.ns)
+		}
+	}
+	n, wd := len(s.all), k.width
+	s.present, s.suffix = grow(s.present, n*wd), grow(s.suffix, (n+1)*wd)
+	clear(s.present)
+	clear(s.suffix)
+	for d := n - 1; d >= 0; d-- {
+		p := s.present[d*wd : (d+1)*wd]
+		for _, cd := range s.all[d] {
+			if id := cd.ns.key; id != 0 {
+				p[id>>6] |= 1 << (id & 63)
+			}
+		}
+		suf, after := s.suffix[d*wd:(d+1)*wd], s.suffix[(d+1)*wd:(d+2)*wd]
+		for i := range suf {
+			suf[i] = after[i] | p[i]
+		}
+	}
+	k.complete(s.suffix[:wd])
+	s.sufSafe = grow(s.sufSafe, n+1)
+	s.sufSafe[n] = true
+	for d := n - 1; d >= 0; d-- {
+		s.sufSafe[d] = s.sufSafe[d+1] && !k.meets(s.present[d*wd:(d+1)*wd], s.suffix[(d+1)*wd:(d+2)*wd])
+	}
+}
+
+// run walks the chunk. Under the cut it first counts the chunk's
+// completions by total depth, and the walk starts from the empty prefix,
+// which holds no conflicting pair.
+func (w *sweepWork) run() {
+	s := &w.c.sw
+	if !s.cut {
+		w.walk(0, 0, false)
+		return
+	}
+	h := w.hsplit[:0]
+	for _, cd := range w.p.dims[w.split][w.lo:w.hi] {
+		for len(h) <= cd.depth {
+			h = append(h, 0)
+		}
+		h[cd.depth]++
+	}
+	w.hsplit = h
+	w.hists = append(w.hists[:0], s.hist...)
+	w.hists[w.split] = h
+	w.table.fill(w.hists, s.bound)
+	wd := w.c.keys.width
+	w.acc = grow(w.acc, (len(w.combo)+1)*wd)
+	clear(w.acc[:wd])
+	w.walk(0, 0, true)
+}
+
+// decided reports whether the subtree under combo[:d], a prefix that holds
+// no conflicting pair, is decided: no key that dimensions d.. hold
+// conflicts with a prefix key or with a key of another of those dimensions.
+// By the spec.PrefixInvariant contract every leaf of the subtree then holds
+// the invariant.
+func (w *sweepWork) decided(d int) bool {
+	s, wd := &w.c.sw, w.c.keys.width
+	if !s.sufSafe[d] {
+		return false
+	}
+	acc, suf := w.acc[d*wd:(d+1)*wd], s.suffix[d*wd:(d+1)*wd]
+	for i := range acc {
+		if acc[i]&suf[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// extend reports whether the conflict-free prefix combo[:d] stays
+// conflict-free with a state of key id added at d, and if so leaves the
+// longer prefix's row union in acc[(d+1)*width:].
+func (w *sweepWork) extend(d int, id int32) bool {
+	k := w.c.keys
+	acc := w.acc[d*k.width : (d+1)*k.width]
+	if acc[id>>6]&(1<<(id&63)) != 0 {
+		return false
+	}
+	row, next := k.rows[id], w.acc[(d+1)*k.width:(d+2)*k.width]
+	for i := range next {
+		next[i] = acc[i] | row[i]
+	}
+	return true
+}
+
 // walk enumerates dimensions d.. of the chunk's product under the prefix
-// chosen in combo[:d], whose total depth is depth.
-func (w *sweepWork) walk(d, depth int) {
+// chosen in combo[:d], whose total depth is depth. safe says that the
+// sweep decides subtrees and that the prefix holds no conflicting pair.
+func (w *sweepWork) walk(d, depth int, safe bool) {
 	c, s := w.c, &w.c.sw
+	if safe && w.decided(d) {
+		count, deepest := w.table.at(d, s.bound-depth)
+		w.states += count
+		w.maxDepth = max(w.maxDepth, depth+deepest)
+		return
+	}
 	cands := w.p.dims[d]
 	lo, hi := 0, len(cands)
 	if d == w.split {
@@ -419,7 +669,7 @@ func (w *sweepWork) walk(d, depth int) {
 		}
 		w.combo[d], w.ss[d], w.pos[d] = cd.ns, cd.ns.state, cd.pos
 		if !last {
-			w.walk(d+1, depth+cd.depth)
+			w.walk(d+1, depth+cd.depth, safe && w.extend(d, cd.ns.key))
 			if s.halt.Load() {
 				return
 			}

@@ -87,6 +87,86 @@ func (r *recordingInvariant) Check(ss model.SystemState) *spec.Violation {
 	return nil
 }
 
+// pairsInvariant is recordingInvariant over states that hold interest keys.
+// It declares its pairs (spec.PrefixInvariant) and rejects a combination
+// only when violates picks it and it holds a conflicting pair — so it fails
+// only on such pairs, as the contract asks, but not on every one.
+type pairsInvariant struct {
+	recordingInvariant
+	keyOf map[sweepState]int // absent: not interesting
+	asked map[[2]int]int     // Conflict calls per key pair
+	// sparsity sets how rare conflicts are: about one key pair in sparsity
+	// conflicts. Dense relations decide subtrees deep in the walk, sparse
+	// ones at the root of a chunked product.
+	sparsity int
+}
+
+func (p *pairsInvariant) Pairs() spec.KeyedReduction { return p }
+
+func (p *pairsInvariant) Interest(_ model.NodeID, s model.State) (spec.Interest, bool) {
+	k, ok := p.keyOf[s.(sweepState)]
+	return k, ok
+}
+
+func (p *pairsInvariant) InterestKey(i spec.Interest) string { return fmt.Sprint("k", i) }
+
+// Conflict counts its calls without a lock: only the merge goroutine may
+// ask, and -race holds the sweep to that.
+func (p *pairsInvariant) Conflict(a, b spec.Interest) bool {
+	x, y := a.(int), b.(int)
+	p.asked[[2]int{min(x, y), max(x, y)}]++
+	return p.keysConflict(x, y)
+}
+
+// keysConflict is a fixed symmetric relation on keys, self-pairs included.
+func (p *pairsInvariant) keysConflict(x, y int) bool {
+	return (min(x, y)*7919+max(x, y)*104729)%p.sparsity == 0
+}
+
+// conflicting reports whether two members of ss hold conflicting keys.
+func (p *pairsInvariant) conflicting(ss model.SystemState) bool {
+	for i := range ss {
+		ki, ok := p.keyOf[ss[i].(sweepState)]
+		for j := i + 1; ok && j < len(ss); j++ {
+			if kj, ok := p.keyOf[ss[j].(sweepState)]; ok && p.keysConflict(ki, kj) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (p *pairsInvariant) Check(ss model.SystemState) *spec.Violation {
+	if v := p.recordingInvariant.Check(ss); v != nil && p.conflicting(ss) {
+		return v
+	}
+	return nil
+}
+
+// newPairsInvariant keys about half of the states from a universe of
+// keyUniverse keys. The checker's table is first given a random number of
+// keys from the same universe, up to more than 64, as an earlier pass would
+// have left it: ids then span two words, and a sweep meets both old and new
+// ones.
+func newPairsInvariant(rng *rand.Rand, c *checker, states [][]*nodeState, sparsity int) *pairsInvariant {
+	const keyUniverse = 150
+	p := &pairsInvariant{keyOf: make(map[sweepState]int), asked: make(map[[2]int]int), sparsity: sparsity}
+	c.keys = newPairKeys(p)
+	for i := rng.Intn(100); i > 0; i-- {
+		earlier := sweepState{slot: -1, seq: i}
+		p.keyOf[earlier] = rng.Intn(keyUniverse)
+		c.keys.intern(&nodeState{state: earlier})
+	}
+	for _, slot := range states {
+		for _, ns := range slot {
+			if rng.Intn(2) == 0 {
+				p.keyOf[ns.state.(sweepState)] = rng.Intn(keyUniverse)
+			}
+		}
+	}
+	return p
+}
+
 // sweepShape is one row of the differential table.
 type sweepShape struct {
 	name    string
@@ -96,6 +176,7 @@ type sweepShape struct {
 
 var sweepShapes = []sweepShape{
 	{"no class", 3, nil},
+	{"no class, 4 slots", 4, nil}, // products wide enough to chunk
 	{"one class of 2", 3, [][]model.NodeID{{1, 2}}},
 	{"one class of 3", 4, [][]model.NodeID{{1, 2, 3}}},
 	{"two classes", 4, [][]model.NodeID{{0, 1}, {2, 3}}},
@@ -144,24 +225,37 @@ func syntheticStates(rng *rand.Rand, sh sweepShape, perSlot int) [][]*nodeState 
 // SystemStates, SymmetrySkips, MaxDepth and preliminary violations in the
 // same order. Growing between sweeps is what exercises the cached universal
 // answers; the table must also reach pass B and both of its outcomes.
+//
+// Each configuration runs again under an invariant that declares its pairs
+// (pairsInvariant). Outside a symmetry class the sweep then decides
+// subtrees: a combination it does not visit must, by brute force, hold no
+// conflicting pair, the counters must still be the reference's, and
+// Conflict must be asked at most once per key pair.
 func TestSweepMatchesLeafFilter(t *testing.T) {
 	const perSlot = 7
 	var passB, passBSkipped, passBKept, inside, outside int
+	var decided, decidedWide, cutPrelims int
 	for _, sh := range sweepShapes {
 		for _, bound := range []int{0, 5, 9} { // unbounded, tight, loose
 			for _, workers := range []int{-1, 2, 4} {
-				for seed := int64(0); seed < 4; seed++ {
-					rng := rand.New(rand.NewSource(seed))
-					inv := &recordingInvariant{}
+				for seed := int64(0); seed < 8; seed++ {
+					pairs := seed >= 4
+					rng := rand.New(rand.NewSource(seed % 4))
+					rec := &recordingInvariant{}
 					c := &checker{
 						res: &Result{},
-						opt: Options{Invariant: inv, MaxSystemDepth: bound},
+						opt: Options{Invariant: rec, MaxSystemDepth: bound},
 						// Not resolveWorkers: the pool is as wide as asked
 						// even on a one-CPU host, so chunking is exercised.
 						workers: max(workers, 1),
 						canon:   buildCanonicalizer(sh.slots, sh.classes),
 					}
 					states := syntheticStates(rng, sh, perSlot)
+					var pinv *pairsInvariant
+					if pairs {
+						pinv = newPairsInvariant(rng, c, states, []int{4, 6, 15, 60}[seed%4])
+						rec, c.opt.Invariant = &pinv.recordingInvariant, pinv
+					}
 					for d := 0; d < sh.slots; d++ {
 						c.spaces = append(c.spaces, newSpace())
 						c.spaces[d].add(states[d][0])
@@ -193,30 +287,53 @@ func TestSweepMatchesLeafFilter(t *testing.T) {
 						}
 
 						want := make(map[int]int)
+						combos := make(map[int][]*nodeState)
 						var wantPrelims []int
 						wantMax := 0
 						wantSkips := c.refSweep(lists, func(gidx, depth int, combo []*nodeState) {
 							key := comboKey(func(d int) int { return combo[d].seq }, len(combo))
 							want[key]++
 							wantMax = max(wantMax, depth)
-							if violates(key) {
+							if pairs {
+								combos[key] = append([]*nodeState(nil), combo...)
+							}
+							if violates(key) && (!pairs || pinv.conflicting(c.comboSystem(combo))) {
 								wantPrelims = append(wantPrelims, gidx)
 							}
 						})
 
-						inv.visits = make(map[int]int)
+						rec.visits = make(map[int]int)
 						before := c.res.Stats
 						c.res.Stats.MaxDepth = 0
 						got := c.forEachCombo(lists)
-						at := fmt.Sprintf("%s bound=%d workers=%d seed=%d anchor=%s",
-							sh.name, bound, workers, seed, anchor.state)
-						if len(inv.visits) != len(want) {
-							t.Fatalf("%s: enumerated %d combinations, want %d", at, len(inv.visits), len(want))
-						}
-						for key, n := range inv.visits {
+						at := fmt.Sprintf("%s bound=%d workers=%d seed=%d pairs=%v anchor=%s",
+							sh.name, bound, workers, seed, pairs, anchor.state)
+						for key, n := range rec.visits {
 							if n != 1 || want[key] != 1 {
 								t.Fatalf("%s: combination %d visited %d times, reference %d", at, key, n, want[key])
 							}
+						}
+						for key := range want {
+							if rec.visits[key] > 0 {
+								continue
+							}
+							// Not visited: it must lie in a decided subtree.
+							if !pairs || c.canon != nil {
+								t.Fatalf("%s: combination %d not enumerated", at, key)
+							}
+							if pinv.conflicting(c.comboSystem(combos[key])) {
+								t.Fatalf("%s: combination %d was decided but holds a conflicting pair", at, key)
+							}
+							decided++
+							for _, ns := range combos[key] {
+								if ns.key >= 64 {
+									decidedWide++
+									break
+								}
+							}
+						}
+						if pairs && c.canon == nil {
+							cutPrelims += len(wantPrelims)
 						}
 						st := c.res.Stats
 						if n := st.SystemStates - before.SystemStates; n != len(want) {
@@ -256,6 +373,14 @@ func TestSweepMatchesLeafFilter(t *testing.T) {
 							}
 						}
 					}
+					if pairs {
+						for pair, n := range pinv.asked {
+							if n != 1 {
+								t.Fatalf("%s bound=%d workers=%d seed=%d: Conflict%v asked %d times",
+									sh.name, bound, workers, seed, pair, n)
+							}
+						}
+					}
 				}
 			}
 		}
@@ -267,8 +392,14 @@ func TestSweepMatchesLeafFilter(t *testing.T) {
 	if inside == 0 || outside == 0 {
 		t.Fatalf("anchors inside a class: %d, outside: %d", inside, outside)
 	}
+	if decided == 0 || decidedWide == 0 || cutPrelims == 0 {
+		t.Fatalf("the pairs configurations do not drive the cut: %d combinations decided (%d with a key id >= 64), %d violations beside them",
+			decided, decidedWide, cutPrelims)
+	}
 	t.Logf("pass B: %d products, %d leaves skipped, %d kept; anchors %d inside a class, %d outside",
 		passB, passBSkipped, passBKept, inside, outside)
+	t.Logf("cut: %d combinations decided, %d of them with a key id >= 64; %d violations beside them",
+		decided, decidedWide, cutPrelims)
 }
 
 // TestAdmissibleMatchesBruteForce checks the arithmetic behind
@@ -334,6 +465,15 @@ func TestGenSweepBenchmarkCounters(t *testing.T) {
 	if base := Check(m, start, opt); !base.Complete || base.Stats.SystemStates != 93_297_202 ||
 		base.Stats.SymmetrySkips != 0 || base.Stats.MaxDepth != 12 {
 		t.Fatalf("gen-sweep: %s", base.Stats.String())
+	}
+	// Unbounded, the sweep is 350 M combinations: the decided subtrees are
+	// what keeps this line in tier-1.
+	for _, workers := range []int{-1, 2} {
+		unbounded := Options{Invariant: paxos.Agreement(), Workers: workers}
+		if res := Check(m, start, unbounded); !res.Complete || res.Stats.SystemStates != 350_355_456 ||
+			res.Stats.MaxDepth != 24 {
+			t.Fatalf("unbounded gen-sweep, Workers=%d: %s", workers, res.Stats.String())
+		}
 	}
 	opt.Reduce = Reductions{Symmetry: true, PartialOrder: true}
 	for _, workers := range []int{-1, 2} {

@@ -58,6 +58,34 @@ func TestCorpusAgreement(t *testing.T) {
 	t.Logf("%d scenarios, %d with global-confirmed bugs", len(scenarios), bugsFound)
 }
 
+// TestGENConfirmationStopsAtBudget holds LMC-GEN's confirmation batches to
+// the wall-clock budget. Corpus scenario 40 (onepaxos/plusplus/n2/d6/p1)
+// raises tens of thousands of preliminary violations the soundness check
+// refutes one by one; when every batch ran whatever the deadline said, its
+// GEN run under a 200 ms budget took about 20 s.
+func TestGENConfirmationStopsAtBudget(t *testing.T) {
+	sc := Corpus(*corpusSeed, corpusSize)[40]
+	if sc.Name() != "onepaxos/plusplus/n2/d6/p1" {
+		t.Fatalf("corpus scenario 40 is %s; the test wants the onepaxos one it was written for", sc.Name())
+	}
+	inst, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, inflight, err := sc.Prepare(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget, ceiling = 200 * time.Millisecond, 5 * time.Second
+	t0 := time.Now()
+	res := core.Check(inst.Machine, start, lmcOptions(sc, Tuning{Budget: budget}, inst, inflight, false))
+	took := time.Since(t0)
+	if res.StopReason != core.StopBudget || took > ceiling {
+		t.Fatalf("GEN under a %v budget: stop reason %v after %v (want %v within %v); %s",
+			budget, res.StopReason, took, core.StopBudget, ceiling, res.Stats.String())
+	}
+}
+
 // TestCorpusDeterministic pins generator reproducibility: the same seed must
 // yield the same scenarios, and a scenario must prepare to the same start
 // configuration every time.

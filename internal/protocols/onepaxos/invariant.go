@@ -15,29 +15,37 @@ const AgreementName = "1paxos-agreement"
 
 // Agreement is the Paxos safety property over 1Paxos learner state: no two
 // nodes choose different values for the same index.
-func Agreement() spec.Invariant {
-	return spec.InvariantFunc{
-		InvName: AgreementName,
-		Fn: func(ss model.SystemState) *spec.Violation {
-			for i := 0; i < len(ss); i++ {
-				si, ok := ss[i].(*State)
-				if !ok {
-					return nil
-				}
-				for _, pi := range si.Chosen {
-					for j := i + 1; j < len(ss); j++ {
-						sj := ss[j].(*State)
-						if vj, ok := sj.HasChosen(pi.Index); ok && vj != pi.Value {
-							return spec.Violate(AgreementName, ss,
-								"index %d: %v chose %d but %v chose %d",
-								pi.Index, model.NodeID(i), pi.Value, model.NodeID(j), vj)
-						}
-					}
+func Agreement() spec.Invariant { return agreement{} }
+
+// agreement fails only on a pair of nodes whose chosen sets conflict, so it
+// declares Reduction as its pairs (spec.PrefixInvariant).
+type agreement struct{}
+
+// Name implements spec.Invariant.
+func (agreement) Name() string { return AgreementName }
+
+// Pairs implements spec.PrefixInvariant.
+func (agreement) Pairs() spec.KeyedReduction { return Reduction{} }
+
+// Check implements spec.Invariant.
+func (agreement) Check(ss model.SystemState) *spec.Violation {
+	for i := 0; i < len(ss); i++ {
+		si, ok := ss[i].(*State)
+		if !ok {
+			return nil
+		}
+		for _, pi := range si.Chosen {
+			for j := i + 1; j < len(ss); j++ {
+				sj := ss[j].(*State)
+				if vj, ok := sj.HasChosen(pi.Index); ok && vj != pi.Value {
+					return spec.Violate(AgreementName, ss,
+						"index %d: %v chose %d but %v chose %d",
+						pi.Index, model.NodeID(i), pi.Value, model.NodeID(j), vj)
 				}
 			}
-			return nil
-		},
+		}
 	}
+	return nil
 }
 
 // chosenInterest is the LMC-OPT projection: the node's chosen values,

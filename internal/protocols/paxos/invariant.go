@@ -13,33 +13,41 @@ const AgreementName = "paxos-agreement"
 
 // Agreement is the Paxos invariant of §5: "no two nodes will choose
 // different values for the same index".
-func Agreement() spec.Invariant {
-	return spec.InvariantFunc{
-		InvName: AgreementName,
-		Fn: func(ss model.SystemState) *spec.Violation {
-			for i := 0; i < len(ss); i++ {
-				si, ok := ss[i].(*State)
-				if !ok {
-					return nil
-				}
-				// Most node states in an exploration have chosen nothing;
-				// skip the pairwise scan entirely for them.
-				if len(si.Chosen) == 0 {
-					continue
-				}
-				for j := i + 1; j < len(ss); j++ {
-					sj := ss[j].(*State)
-					if len(sj.Chosen) == 0 {
-						continue
-					}
-					if v := conflictScan(ss, i, j, si.Chosen, sj.Chosen); v != nil {
-						return v
-					}
-				}
-			}
+func Agreement() spec.Invariant { return agreement{} }
+
+// agreement fails only on a pair of nodes whose chosen sets conflict, so it
+// declares Reduction as its pairs (spec.PrefixInvariant).
+type agreement struct{}
+
+// Name implements spec.Invariant.
+func (agreement) Name() string { return AgreementName }
+
+// Pairs implements spec.PrefixInvariant.
+func (agreement) Pairs() spec.KeyedReduction { return Reduction{} }
+
+// Check implements spec.Invariant.
+func (agreement) Check(ss model.SystemState) *spec.Violation {
+	for i := 0; i < len(ss); i++ {
+		si, ok := ss[i].(*State)
+		if !ok {
 			return nil
-		},
+		}
+		// Most node states in an exploration have chosen nothing;
+		// skip the pairwise scan entirely for them.
+		if len(si.Chosen) == 0 {
+			continue
+		}
+		for j := i + 1; j < len(ss); j++ {
+			sj := ss[j].(*State)
+			if len(sj.Chosen) == 0 {
+				continue
+			}
+			if v := conflictScan(ss, i, j, si.Chosen, sj.Chosen); v != nil {
+				return v
+			}
+		}
 	}
+	return nil
 }
 
 // conflictScan merge-scans two sorted choice sequences for a common index

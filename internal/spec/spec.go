@@ -144,3 +144,25 @@ type Keyer interface {
 	// Conflict) must map to equal keys.
 	InterestKey(i Interest) string
 }
+
+// KeyedReduction is a Reduction whose interests have canonical keys.
+type KeyedReduction interface {
+	Reduction
+	Keyer
+}
+
+// PrefixInvariant is an optional extension of Invariant: an invariant that
+// can only fail on a pair of members names the reduction that finds such
+// pairs. The contract is the one LMC-OPT's completeness already rests on:
+// Check(ss) != nil implies that two members of ss are interesting under
+// Pairs() and that their interests Conflict. Conflict is read as symmetric.
+//
+// LMC-GEN uses it to decide whole subtrees of its Cartesian sweep: once no
+// two slots of a subtree can hold conflicting interests, every system state
+// in it holds the invariant, and the sweep counts the subtree instead of
+// evaluating it leaf by leaf.
+type PrefixInvariant interface {
+	// Pairs returns the reduction whose conflicting pairs are the only way
+	// the invariant can be violated.
+	Pairs() KeyedReduction
+}
