@@ -26,7 +26,7 @@ var parityVariants = []struct {
 	{"first-bug", func(o *core.Options) { o.StopAtFirstBug = true }},
 	{"cap300", func(o *core.Options) { capAt(o, 300) }},
 	{"cap1500", func(o *core.Options) { capAt(o, 1500) }},
-	{"sym+por", func(o *core.Options) { o.Reduce = core.Reductions{Symmetry: true, PartialOrder: true} }},
+	{"sym", func(o *core.Options) { o.Reduce = core.Reductions{Symmetry: true} }},
 	{"no-soundness", func(o *core.Options) { o.DisableSoundness = true }},
 	{"depth", func(o *core.Options) { o.MaxPathDepth, o.MaxSystemDepth = 3, 4 }},
 	{"deepening", func(o *core.Options) { o.LocalBoundStep, o.MaxLocalBound = 1, 3 }},
