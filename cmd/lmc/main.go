@@ -61,7 +61,7 @@ func (c *checkConfig) registerFlags() {
 	flag.StringVar(&c.workload, "workload", "paxos", "workload name (see -list)")
 	flag.StringVar(&c.checker, "checker", "lmc-opt", "checker: lmc-opt, lmc, global, bfs")
 	flag.StringVar(&c.reduce, "reduce", "",
-		"state-space reductions for the LMC checkers: comma-separated subset of sym,por (or all/none; default off)")
+		"state-space reduction for LMC-GEN: sym, all or none (default off); por is accepted and ignored (the partial-order reduction lost on every workload and was deleted)")
 	flag.DurationVar(&c.budget, "budget", 30*time.Second, "wall-clock budget per job")
 	flag.IntVar(&c.depth, "depth", 0, "depth bound (0 = unbounded)")
 	flag.BoolVar(&c.first, "first", true,

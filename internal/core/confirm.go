@@ -44,7 +44,7 @@ type confirmResult struct {
 	sound     bool
 	sched     trace.Schedule
 	soundTime time.Duration
-	tally     soundTally
+	seqs      int // sequence combinations examined (Stats.SequencesChecked)
 	// calls is the number of soundness invocations the result accounts for:
 	// one when the run was a confirmation of its own (GEN batches, the orbit
 	// sweep), none for a leaf of a witness search — the search was charged
@@ -66,7 +66,7 @@ func (c *checker) confirms() bool { return !c.opt.DisableSoundness }
 func (c *checker) runConfirm(combo []*nodeState, fp codec.Fingerprint, pathCap int, budget *int, sc *soundScratch) confirmResult {
 	var r confirmResult
 	t0 := time.Now()
-	r.sound, r.sched = c.isStateSound(combo, pathCap, budget, &r.tally, sc)
+	r.sound, r.sched = c.isStateSound(combo, pathCap, budget, &r.seqs, sc)
 	r.soundTime = time.Since(t0)
 	if r.sound {
 		r.sound = c.replayConfirms(r.sched, fp)
@@ -120,7 +120,7 @@ func (c *checker) settle(combo []*nodeState, v *spec.Violation, pre *confirmResu
 	}
 	c.res.Stats.SoundnessCalls += pre.calls
 	c.res.Stats.SoundnessTime += pre.soundTime
-	c.addTally(&pre.tally)
+	c.res.Stats.SequencesChecked += pre.seqs
 	c.verdicts[fp] = pre.sound
 	if !pre.sound {
 		return false

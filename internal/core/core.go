@@ -51,12 +51,11 @@ type Options struct {
 	// materialized for combinations whose member interests conflict.
 	Reduction spec.Reduction
 
-	// Reduce selects the optional fingerprint-layer reductions — symmetry
-	// canonicalization of system-state combinations (for machines declaring
-	// model.Symmetric) and partial-order reduction of delivery interleavings
-	// during soundness verification. Both default off; a reduced run finds
-	// every violation the unreduced run finds (the diffcheck corpus gates
-	// this), while exploring a fraction of the system states.
+	// Reduce selects the optional reduction of the LMC-GEN sweep: symmetry
+	// canonicalization of system-state combinations, for machines declaring
+	// model.Symmetric. Off by default; a reduced run finds every violation
+	// the unreduced run finds (the diffcheck corpus gates this), while
+	// materializing a fraction of the system states.
 	Reduce Reductions
 
 	// InitialMessages seeds the shared network I+ before exploration, for

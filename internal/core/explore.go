@@ -54,20 +54,11 @@ type checker struct {
 	// (spec.PrefixInvariant): the GEN sweep then decides whole subtrees.
 	keys *pairKeys
 
-	// canon is the role-symmetry canonicalizer, non-nil only when
-	// Options.Reduce.Symmetry is set and the machine declares usable
-	// model.Symmetric classes. It drives the GEN enumeration skip
-	// (symSkip), the OPT clean-twin skip (canonClean) and the fixpoint
-	// orbit sweep.
+	// canon is the role-symmetry canonicalizer, non-nil only in an LMC-GEN
+	// run with Options.Reduce.Symmetry set on a machine that declares usable
+	// model.Symmetric classes. It drives the GEN enumeration skip (symSkip)
+	// and the fixpoint orbit sweep.
 	canon *codec.Canonicalizer
-	// canonClean caches canonical fingerprints of combinations the invariant
-	// held on. OPT witness walks skip a combination whose canonical twin is
-	// recorded here: slot-symmetric invariants give permuted arrangements
-	// the same (clean) verdict, and clean combinations never become
-	// witnesses. Violating combinations are never recorded — their soundness
-	// verdicts are arrangement-specific. Content-keyed, so it persists
-	// across passes.
-	canonClean map[codec.Fingerprint]bool
 	// orbits and orbitSeen record the violating orbits of the current pass
 	// for sweepOrbits; both reset with the LS sets (the stored fingerprints
 	// are resolved against the pass's spaces).
@@ -188,12 +179,10 @@ func newChecker(ctx context.Context, m model.Machine, start model.SystemState, o
 		c.keyer = k
 	}
 	c.keys = newPairKeys(c.opt.Invariant)
-	if opt.Reduce.Symmetry {
+	// Symmetry reduces the GEN sweep; LMC-OPT has no sweep to reduce.
+	if opt.Reduce.Symmetry && opt.Reduction == nil {
 		if sym, ok := m.(model.Symmetric); ok {
 			c.canon = buildCanonicalizer(m.NumNodes(), sym.SymmetryClasses())
-		}
-		if c.canon != nil {
-			c.canonClean = make(map[codec.Fingerprint]bool)
 		}
 	}
 	if opt.RecordSeries {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -63,39 +64,76 @@ func TestCheckPanicsOnInvalidOptions(t *testing.T) {
 	Check(m, start, Options{})
 }
 
-// TestStopReasons: every way a run can end is named correctly.
+// TestStopReasons: every way a run can end — each obs.StopReason, at
+// Workers -1 and 4 — yields a well-formed partial result: the run names its
+// own reason, only the fixpoint run is Complete, every reported bug replays,
+// and an observer sees exactly one KindRunEnd, carrying the same reason.
 func TestStopReasons(t *testing.T) {
 	m, start := paxosSpace()
-
-	full := Check(m, start, Options{Invariant: paxos.Agreement()})
-	if !full.Complete || full.StopReason != StopFixpoint {
-		t.Fatalf("fixpoint run: complete=%v reason=%v", full.Complete, full.StopReason)
+	agreement := Options{Invariant: paxos.Agreement()}
+	with := func(set func(*Options)) Options {
+		o := agreement
+		set(&o)
+		return o
 	}
-
-	capped := Check(m, start, Options{Invariant: paxos.Agreement(), MaxTransitions: 100})
-	if capped.Complete || capped.StopReason != StopTransitions {
-		t.Fatalf("capped run: complete=%v reason=%v", capped.Complete, capped.StopReason)
-	}
-
-	bugged := Check(twophase.New(4, twophase.MajorityBug, 2), model.InitialSystem(twophase.New(4, twophase.MajorityBug, 2)),
-		Options{Invariant: twophase.Atomicity(), StopAtFirstBug: true})
-	if len(bugged.Bugs) == 0 {
-		t.Fatal("majority-bug space produced no bug")
-	}
-	if bugged.StopReason != StopFirstBug {
-		t.Fatalf("first-bug run: reason=%v", bugged.StopReason)
-	}
-
+	// The two-proposal space's fixpoint is minutes away, so its run cannot
+	// end inside the budget any other way.
 	two := paxos.New(3, paxos.NoBug, paxos.EachOnce{Nodes: []model.NodeID{0, 1}, Index: 0})
-	budgeted := Check(two, model.InitialSystem(two), Options{
-		Invariant: paxos.Agreement(),
-		Budget:    50 * time.Millisecond,
-	})
-	if budgeted.Complete {
-		t.Skip("two-proposal space finished inside the budget")
+	tp := twophase.New(4, twophase.MajorityBug, 2)
+	// TestResumeDigestDivergence's lying source: a stored round whose digest
+	// the re-run cannot reproduce.
+	lying := newMemStore()
+	Check(m, start, with(func(o *Options) { o.Checkpoint = lying }))
+	cp, ok := lying.rounds[[2]int{1, 2}]
+	if !ok {
+		t.Fatal("round 2 was not checkpointed")
 	}
-	if budgeted.StopReason != StopBudget {
-		t.Fatalf("budgeted run: reason=%v", budgeted.StopReason)
+	cp.Digest.States--
+	lying.rounds[[2]int{1, 2}] = cp
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	cases := []struct {
+		want  obs.StopReason
+		m     model.Machine
+		start model.SystemState
+		opt   Options
+		ctx   context.Context
+	}{
+		{StopFixpoint, m, start, agreement, context.Background()},
+		{StopTransitions, m, start, with(func(o *Options) { o.MaxTransitions = 100 }), context.Background()},
+		{StopBudget, two, model.InitialSystem(two), with(func(o *Options) { o.Budget = 50 * time.Millisecond }),
+			context.Background()},
+		{StopCancelled, m, start, agreement, cancelled},
+		{StopFirstBug, tp, model.InitialSystem(tp), Options{Invariant: twophase.Atomicity(), StopAtFirstBug: true},
+			context.Background()},
+		{obs.StopResumeDiverged, m, start, with(func(o *Options) { o.Resume = lying }), context.Background()},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{-1, 4} {
+			t.Run(fmt.Sprintf("%v/workers=%d", tc.want, workers), func(t *testing.T) {
+				rec := &obs.Recorder{}
+				opt := tc.opt
+				opt.Workers, opt.Observer, opt.HeartbeatEvery = workers, rec, -1
+				res, err := CheckContext(tc.ctx, tc.m, tc.start, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.StopReason != tc.want || res.Complete != (tc.want == StopFixpoint) {
+					t.Fatalf("reason=%v complete=%v: %s", res.StopReason, res.Complete, res.Stats.String())
+				}
+				assertBugsWellFormed(t, tc.m, tc.start, opt, res)
+				var ends []obs.Event
+				for _, e := range rec.Events() {
+					if e.Kind == obs.KindRunEnd {
+						ends = append(ends, e)
+					}
+				}
+				if len(ends) != 1 || ends[0].Reason != res.StopReason {
+					t.Fatalf("%d KindRunEnd events %v for a run that stopped with %v", len(ends), ends, res.StopReason)
+				}
+			})
+		}
 	}
 }
 

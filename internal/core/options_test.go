@@ -104,21 +104,20 @@ func TestWorkersParity(t *testing.T) {
 				Reduction: actordemo.Reduction{Ad: actorBug}},
 		},
 		{
-			// Reductions on: the symmetry skip predicate, the fixpoint orbit
-			// sweep, and the partial-order soundness search must all stay
-			// bit-for-bit across worker counts.
+			// Symmetry on: the skip predicate and the fixpoint orbit sweep
+			// must stay bit-for-bit across worker counts.
 			name: "paxos-gen-reduced",
 			m:    paxos.New(3, paxos.NoBug, paxos.OnceAt{Node: 0, Index: 0, Value: 7}),
 			opt: Options{Invariant: paxos.Agreement(),
-				Reduce: Reductions{Symmetry: true, PartialOrder: true}},
+				Reduce: Reductions{Symmetry: true}},
 		},
 		{
-			// Reductions on over a bug-bearing space: orbit sweep and
-			// clean-twin caching interact with speculative confirmation.
+			// Symmetry on over a bug-bearing space: the orbit sweep
+			// interacts with speculative confirmation.
 			name: "twophase-majority-reduced",
 			m:    twophase.New(4, twophase.MajorityBug, 2),
 			opt: Options{Invariant: twophase.Atomicity(),
-				Reduce: Reductions{Symmetry: true, PartialOrder: true}},
+				Reduce: Reductions{Symmetry: true}},
 		},
 		{
 			// A transition cap forces canonical charge order; the pool must
@@ -181,9 +180,7 @@ func assertSameResult(t *testing.T, workers int, base, got *Result) {
 		b.ConfirmedBugs != g.ConfirmedBugs ||
 		b.DuplicatesDropped != g.DuplicatesDropped ||
 		b.SymmetrySkips != g.SymmetrySkips ||
-		b.OrbitChecks != g.OrbitChecks ||
-		b.PORPathsDeduped != g.PORPathsDeduped ||
-		b.PORDetached != g.PORDetached {
+		b.OrbitChecks != g.OrbitChecks {
 		t.Fatalf("workers=%d diverged from sequential:\nseq: %s\ngot: %s",
 			workers, b.String(), g.String())
 	}

@@ -8,47 +8,34 @@ import (
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
-	"lmc/internal/trace"
 )
 
-// Reductions selects the optional state-space reductions of the fingerprint
-// layer. Both default off; a reduced run must find every violation the
-// unreduced run finds (the diffcheck corpus gates this end to end), it just
-// spends fewer system-state materializations and sequence validations doing
-// so.
+// Reductions selects the optional state-space reduction of the GEN sweep.
+// The default is off; a reduced run must find every violation the unreduced
+// run finds (the diffcheck corpus gates this end to end), it just
+// materializes fewer system states doing so.
 type Reductions struct {
 	// Symmetry enables role-symmetry reduction: when the machine declares
-	// interchangeable node classes (model.Symmetric), the checker skips
+	// interchangeable node classes (model.Symmetric), the GEN sweep skips
 	// system-state combinations that are non-canonical permutations of an
-	// already-covered arrangement (GEN), and witness walks skip combinations
-	// whose canonical twin was already invariant-clean (OPT). Machines
-	// without the capability run unreduced.
+	// already-covered arrangement and re-expands violating orbits at the
+	// fixpoint. Machines without the capability run unreduced.
 	Symmetry bool
-	// PartialOrder enables partial-order reduction inside soundness
-	// verification: per-node paths with identical message flow are
-	// deduplicated, and combination members whose generated messages feed no
-	// other member are factored out of the interleaving odometer and
-	// validated independently (delivery interleavings of provably commuting
-	// messages are never enumerated).
-	PartialOrder bool
 }
 
 // String renders the enabled reductions in the -reduce flag syntax.
 func (r Reductions) String() string {
-	switch {
-	case r.Symmetry && r.PartialOrder:
-		return "sym,por"
-	case r.Symmetry:
+	if r.Symmetry {
 		return "sym"
-	case r.PartialOrder:
-		return "por"
-	default:
-		return "none"
 	}
+	return "none"
 }
 
 // ParseReductions parses a -reduce flag value: a comma-separated subset of
-// "sym" and "por" ("all" enables both; "", "none" and "off" disable both).
+// "sym" and "all" (a synonym), or "", "none" or "off" for none. "por" and
+// "partial-order" are accepted and ignored: the partial-order reduction of
+// the soundness search was measured to lose on every workload and deleted,
+// and stored job specs and scripts still name it.
 func ParseReductions(s string) (Reductions, error) {
 	var r Reductions
 	s = strings.TrimSpace(s)
@@ -57,15 +44,11 @@ func ParseReductions(s string) (Reductions, error) {
 	}
 	for _, part := range strings.Split(s, ",") {
 		switch strings.TrimSpace(part) {
-		case "sym", "symmetry":
+		case "sym", "symmetry", "all":
 			r.Symmetry = true
-		case "por", "partial-order":
-			r.PartialOrder = true
-		case "all":
-			r.Symmetry, r.PartialOrder = true, true
-		case "":
+		case "por", "partial-order", "":
 		default:
-			return Reductions{}, fmt.Errorf("core: unknown reduction %q (want sym, por, all, or none)", part)
+			return Reductions{}, fmt.Errorf("core: unknown reduction %q (want sym, all, or none)", part)
 		}
 	}
 	return r, nil
@@ -371,241 +354,4 @@ func permuteAt(buf []codec.Fingerprint, cl []int, k int, fn func()) {
 		permuteAt(buf, cl, k+1, fn)
 		buf[cl[k]], buf[cl[i]] = buf[cl[i]], buf[cl[k]]
 	}
-}
-
-// soundTally accumulates the per-search counters of one soundness search so
-// speculative parallel confirmations can merge them at the canonical point
-// (confirmBatch's sequential merge), exactly like the sequence counter they
-// generalize.
-type soundTally struct {
-	// seqs counts sequence combinations examined (stats.SequencesChecked).
-	seqs int
-	// porPathsDropped counts per-node paths dropped by the flow-signature
-	// dedupe (stats.PORPathsDeduped).
-	porPathsDropped int
-	// porDetached counts combination members validated outside the
-	// interleaving odometer (stats.PORDetached).
-	porDetached int
-}
-
-// addTally merges a sequentially produced tally into the run stats.
-func (c *checker) addTally(t *soundTally) {
-	c.res.Stats.SequencesChecked += t.seqs
-	c.res.Stats.PORPathsDeduped += t.porPathsDropped
-	c.res.Stats.PORDetached += t.porDetached
-}
-
-// flowSignature fingerprints what a path means to isSequenceValid: the
-// ordered sequence of (event kind, consumed message fingerprint, generated
-// multiset). The validator's verdict — and, because predecessor edges encode
-// real handler executions ending at the same node state, the replayed final
-// state — is a pure function of this signature, so paths sharing it are
-// interchangeable.
-func flowSignature(p []pred) codec.Fingerprint {
-	h := codec.NewHasher()
-	for i := range p {
-		e := &p[i]
-		h.Add(codec.Fingerprint(e.kind))
-		h.Add(e.msgFP)
-		h.Add(codec.CombineUnordered(e.generated))
-	}
-	return h.Sum()
-}
-
-// dedupFlowPaths drops paths whose flow signature duplicates an earlier
-// path's, keeping the first occurrence (enumeration order is deterministic,
-// and the kept path is a real predecessor-DAG path, so returned schedules
-// still replay). This is the first half of the partial-order reduction: two
-// paths that consume and generate the same messages in the same order are
-// the same interleaving constraint, and the odometer must not pay for both.
-func dedupFlowPaths(paths [][]pred, dropped *int) [][]pred {
-	if len(paths) < 2 {
-		return paths
-	}
-	seen := make(map[codec.Fingerprint]struct{}, len(paths))
-	out := paths[:0]
-	for _, p := range paths {
-		sig := flowSignature(p)
-		if _, dup := seen[sig]; dup {
-			*dropped++
-			continue
-		}
-		seen[sig] = struct{}{}
-		out = append(out, p)
-	}
-	return out
-}
-
-// porPartition splits the combination members into the odometer core and the
-// detachable members. Member k is detachable when no path of any other
-// member consumes a message any path of k generates. Consumed sets are
-// pairwise disjoint by construction — a node only consumes messages
-// addressed to it (netstate.Independent's receiver disjointness) — so the
-// generated/consumed test is the whole commutation condition: a detachable
-// member's events commute past every other member's, and its delivery
-// interleavings need never be enumerated against them.
-func porPartition(paths [][][]pred) (core, det []int) {
-	n := len(paths)
-	consumed := make([]map[codec.Fingerprint]struct{}, n)
-	generated := make([]map[codec.Fingerprint]struct{}, n)
-	for k := range paths {
-		cons := make(map[codec.Fingerprint]struct{})
-		gen := make(map[codec.Fingerprint]struct{})
-		for _, p := range paths[k] {
-			for i := range p {
-				e := &p[i]
-				if e.kind == model.NetworkEvent {
-					cons[e.msgFP] = struct{}{}
-				}
-				for _, g := range e.generated {
-					gen[g] = struct{}{}
-				}
-			}
-		}
-		consumed[k] = cons
-		generated[k] = gen
-	}
-	for k := range paths {
-		detachable := true
-		for j := range paths {
-			if j == k {
-				continue
-			}
-			for g := range generated[k] {
-				if _, need := consumed[j][g]; need {
-					detachable = false
-					break
-				}
-			}
-			if !detachable {
-				break
-			}
-		}
-		if detachable {
-			det = append(det, k)
-		} else {
-			core = append(core, k)
-		}
-	}
-	return core, det
-}
-
-// searchSequences is the back half of isStateSound: an odometer over the
-// per-member path choices, each combination handed to the greedy validator,
-// capped by the sequence budget (the exponential cost §5.2 identifies).
-//
-// Unreduced, the odometer ranges over every member. With the partial-order
-// reduction it ranges over the core members only, and each valid core
-// interleaving is extended by appending, for every detachable member, the
-// first of its paths that validates against the core's final message pool.
-//
-// The reduction is exact, both directions. Completeness: in any valid full
-// interleaving, core events never consume detached-generated messages (the
-// detachability condition), so the core projection is itself valid and the
-// core odometer finds it; a detachable member's path then appends validly
-// because postponing it only grows its supply (nothing it needs is consumed
-// by others — receivers are disjoint — and nothing it generates is needed
-// before it runs). Soundness: the assembled schedule is validated piecewise
-// by the same greedy fingerprint accounting and then replay-confirmed like
-// any other witness.
-//
-// Budget: only core combinations charge the shared sequence budget. Append
-// attempts are linear in a single path and budget-exempt, which makes the
-// reduced search dominate the unreduced one under any shared budget — the
-// full odometer reaches a given combination no earlier (in charges) than the
-// core odometer reaches its projection, so every witness the unreduced
-// search can afford, the reduced search can too. They still count into the
-// sequence tally as examined work.
-func (c *checker) searchSequences(sc *soundScratch, paths [][][]pred, budget *int, tally *soundTally) (bool, trace.Schedule) {
-	var core, det []int
-	if c.opt.Reduce.PartialOrder {
-		for k := range paths {
-			paths[k] = dedupFlowPaths(paths[k], &tally.porPathsDropped)
-		}
-		core, det = porPartition(paths)
-	} else {
-		sc.core = grow(sc.core, len(paths))
-		core = sc.core
-		for k := range core {
-			core[k] = k
-		}
-	}
-	sc.idx, sc.cand = grow(sc.idx, len(core)), grow(sc.cand, len(core))
-	idx, cand := sc.idx, sc.cand
-	clear(idx)
-	for {
-		for i, k := range core {
-			cand[i] = paths[k][idx[i]]
-		}
-		*budget--
-		tally.seqs++
-		if ok, sched, net := c.isSequenceValid(sc, cand); ok {
-			good := true
-			for _, k := range det {
-				found := false
-				for _, p := range paths[k] {
-					tally.seqs++
-					if ok2, sub := appendValid(net, p); ok2 {
-						tally.porDetached++
-						sched = append(sched, sub...)
-						found = true
-						break
-					}
-				}
-				if !found {
-					good = false
-					break
-				}
-			}
-			if good {
-				return true, sched
-			}
-		}
-		if *budget <= 0 {
-			return false, nil
-		}
-		k := 0
-		for ; k < len(idx); k++ {
-			idx[k]++
-			if idx[k] < len(paths[core[k]]) {
-				break
-			}
-			idx[k] = 0
-		}
-		if k == len(idx) {
-			return false, nil
-		}
-	}
-}
-
-// appendValid validates one path appended after an already-validated
-// schedule whose final message pool is net: every network event must find
-// its message in the pool extended by the path's own earlier emissions. On
-// success the pool is updated (so later detachable members see the combined
-// supply — immaterial for correctness, since no two members consume the same
-// fingerprints, but it keeps the accounting the exact greedy semantics of
-// the concatenated schedule) and the path's events are returned in order.
-// On failure net is left unchanged.
-func appendValid(net map[codec.Fingerprint]int, p []pred) (bool, trace.Schedule) {
-	delta := make(map[codec.Fingerprint]int)
-	for i := range p {
-		e := &p[i]
-		if e.kind == model.NetworkEvent {
-			if net[e.msgFP]+delta[e.msgFP] <= 0 {
-				return false, nil
-			}
-			delta[e.msgFP]--
-		}
-		for _, g := range e.generated {
-			delta[g]++
-		}
-	}
-	for fp, d := range delta {
-		net[fp] += d
-	}
-	sched := make(trace.Schedule, len(p))
-	for i := range p {
-		sched[i] = p[i].event()
-	}
-	return true, sched
 }

@@ -3,14 +3,13 @@ package core
 import (
 	"testing"
 
-	"lmc/internal/codec"
 	"lmc/internal/model"
 	"lmc/internal/protocols/paxos"
-	"lmc/internal/protocols/tree"
 	"lmc/internal/protocols/twophase"
 )
 
 func TestParseReductions(t *testing.T) {
+	sym := Reductions{Symmetry: true}
 	cases := []struct {
 		in   string
 		want Reductions
@@ -19,16 +18,19 @@ func TestParseReductions(t *testing.T) {
 		{"", Reductions{}, false},
 		{"none", Reductions{}, false},
 		{"off", Reductions{}, false},
-		{"sym", Reductions{Symmetry: true}, false},
-		{"symmetry", Reductions{Symmetry: true}, false},
-		{"por", Reductions{PartialOrder: true}, false},
-		{"partial-order", Reductions{PartialOrder: true}, false},
-		{"sym,por", Reductions{Symmetry: true, PartialOrder: true}, false},
-		{"por,sym", Reductions{Symmetry: true, PartialOrder: true}, false},
-		{" sym , por ", Reductions{Symmetry: true, PartialOrder: true}, false},
-		{"all", Reductions{Symmetry: true, PartialOrder: true}, false},
+		{"sym", sym, false},
+		{"symmetry", sym, false},
+		{"all", sym, false},
+		// The deleted partial-order reduction is accepted and ignored:
+		// stored job specs and scripts still name it.
+		{"por", Reductions{}, false},
+		{"partial-order", Reductions{}, false},
+		{"sym,por", sym, false},
+		{"por,sym", sym, false},
+		{" sym , por ", sym, false},
 		{"bogus", Reductions{}, true},
 		{"sym,bogus", Reductions{}, true},
+		{"por,bogus", Reductions{}, true},
 	}
 	for _, tc := range cases {
 		got, err := ParseReductions(tc.in)
@@ -39,7 +41,7 @@ func TestParseReductions(t *testing.T) {
 			t.Fatalf("ParseReductions(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
-	for _, r := range []Reductions{{}, {Symmetry: true}, {PartialOrder: true}, {Symmetry: true, PartialOrder: true}} {
+	for _, r := range []Reductions{{}, sym} {
 		back, err := ParseReductions(r.String())
 		if err != nil || back != r {
 			t.Fatalf("round trip %+v via %q failed: %+v err=%v", r, r.String(), back, err)
@@ -156,62 +158,6 @@ func TestSymmetryOrbitSweep(t *testing.T) {
 		red.Stats.SymmetrySkips, red.Stats.OrbitChecks, len(red.Bugs))
 }
 
-// TestPartialOrderParity: POR must not change which bugs are confirmed or
-// which system states are materialized — only the sequence search. The
-// paper tree with seeded in-flight messages has a leaf member that emits
-// nothing, so it is provably detachable from every interleaving.
-func TestPartialOrderParity(t *testing.T) {
-	m := tree.NewPaperTree()
-	start := model.InitialSystem(m)
-	inflight := []model.Message{
-		tree.Forward{From: 0, To: 1},
-		tree.Forward{From: 0, To: 2},
-	}
-	opt := Options{
-		Invariant:       m.CausalityInvariant(),
-		InitialMessages: inflight,
-	}
-	base := Check(m, start, opt)
-	if len(base.Bugs) == 0 {
-		t.Fatal("seed scenario found no bugs; test is vacuous")
-	}
-	ropt := opt
-	ropt.Reduce = Reductions{PartialOrder: true}
-	red := Check(m, start, ropt)
-
-	if base.Complete != red.Complete {
-		t.Fatalf("completeness diverged: base=%v reduced=%v", base.Complete, red.Complete)
-	}
-	if base.Stats.SystemStates != red.Stats.SystemStates ||
-		base.Stats.PreliminaryViolations != red.Stats.PreliminaryViolations {
-		t.Fatalf("POR changed materialization:\nbase: %s\nred:  %s",
-			base.Stats.String(), red.Stats.String())
-	}
-	assertSameBugSet(t, base, red)
-	if red.Stats.PORDetached == 0 {
-		t.Fatal("no member detached on a fan-out tree")
-	}
-	t.Logf("sequences: base=%d reduced=%d, detached=%d deduped=%d",
-		base.Stats.SequencesChecked, red.Stats.SequencesChecked,
-		red.Stats.PORDetached, red.Stats.PORPathsDeduped)
-}
-
-// TestCombinedReductions: sym+por together on the bug-bearing 2PC space —
-// the end-to-end configuration the -reduce=sym,por flag enables.
-func TestCombinedReductions(t *testing.T) {
-	m := twophase.New(4, twophase.MajorityBug, 2)
-	start := model.InitialSystem(m)
-	opt := Options{Invariant: twophase.Atomicity()}
-	base := Check(m, start, opt)
-	ropt := opt
-	ropt.Reduce = Reductions{Symmetry: true, PartialOrder: true}
-	red := Check(m, start, ropt)
-	if base.Complete != red.Complete {
-		t.Fatalf("completeness diverged: base=%v reduced=%v", base.Complete, red.Complete)
-	}
-	assertSameBugSet(t, base, red)
-}
-
 // TestSymmetryInactiveWithoutDeclaration: machines without a usable
 // declaration run unreduced even when the flag is on.
 func TestSymmetryInactiveWithoutDeclaration(t *testing.T) {
@@ -251,32 +197,5 @@ func TestProtocolDeclarations(t *testing.T) {
 	}
 	if c := buildCanonicalizer(tp.NumNodes(), cls); c == nil || c.NumClasses() != 1 {
 		t.Fatal("twophase declaration should keep exactly the yes-voter class")
-	}
-}
-
-// TestAppendValidAccounting: appendValid must leave the pool untouched on
-// failure and apply the exact delta on success.
-func TestAppendValidAccounting(t *testing.T) {
-	fpA, fpB := codec.Fingerprint(1), codec.Fingerprint(2)
-	net := map[codec.Fingerprint]int{fpA: 1}
-	from := &nodeState{node: 1} // the schedule's events name their edge's source node
-	p := []pred{
-		{prev: from, kind: model.NetworkEvent, msgFP: fpA, generated: []codec.Fingerprint{fpB}},
-		{prev: from, kind: model.NetworkEvent, msgFP: fpB},
-	}
-	ok, sched := appendValid(net, p)
-	if !ok || len(sched) != 2 || sched[0].Node != 1 || sched[1].Kind != model.NetworkEvent {
-		t.Fatalf("valid append rejected: ok=%v, %d events", ok, len(sched))
-	}
-	if net[fpA] != 0 || net[fpB] != 0 {
-		t.Fatalf("pool after append: %v", net)
-	}
-	bad := []pred{{kind: model.NetworkEvent, msgFP: fpA}}
-	ok, _ = appendValid(net, bad)
-	if ok {
-		t.Fatal("append consumed a missing message")
-	}
-	if net[fpA] != 0 || net[fpB] != 0 {
-		t.Fatalf("failed append mutated the pool: %v", net)
 	}
 }

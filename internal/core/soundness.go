@@ -19,10 +19,10 @@ import (
 //
 // The sequence budget is the caller's, so one witness search can spread its
 // allowance across many candidate combinations. Checked sequences are counted
-// into the tally rather than the result stats directly, so speculative
+// into *seqs rather than the result stats directly, so speculative
 // confirmations can run on worker goroutines and merge their counts at the
 // canonical point. The search works out of the caller's scratch.
-func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget *int, tally *soundTally, sc *soundScratch) (bool, trace.Schedule) {
+func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget, seqs *int, sc *soundScratch) (bool, trace.Schedule) {
 	sc.arena = sc.arena[:0]
 	sc.paths = grow(sc.paths, len(combo))
 	paths := sc.paths
@@ -33,10 +33,36 @@ func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget *int, tal
 			return false, nil
 		}
 	}
-	// The odometer over the per-node path choices — capped by the sequence
-	// budget — lives in reduce.go's searchSequences, which applies the
-	// partial-order reduction when enabled.
-	return c.searchSequences(sc, paths, budget, tally)
+	// An odometer over the per-node path choices, each combination handed to
+	// the greedy validator and capped by the sequence budget (the exponential
+	// cost §5.2 identifies).
+	sc.idx, sc.cand = grow(sc.idx, len(paths)), grow(sc.cand, len(paths))
+	idx, cand := sc.idx, sc.cand
+	clear(idx)
+	for {
+		for k := range paths {
+			cand[k] = paths[k][idx[k]]
+		}
+		*budget--
+		*seqs++
+		if ok, sched := c.isSequenceValid(sc, cand); ok {
+			return true, sched
+		}
+		if *budget <= 0 {
+			return false, nil
+		}
+		k := 0
+		for ; k < len(idx); k++ {
+			idx[k]++
+			if idx[k] < len(paths[k]) {
+				break
+			}
+			idx[k] = 0
+		}
+		if k == len(idx) {
+			return false, nil
+		}
+	}
 }
 
 // soundScratch is the working memory of soundness searches: what
@@ -45,8 +71,8 @@ func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget *int, tal
 // caller's and travels with the call: confirmBatch's workers search
 // concurrently, so it is never the checker's. A witness search passes the
 // one on its own scratch, a batch job a fresh one; the zero value is ready.
-// A schedule handed back is freshly allocated; enumerated paths and the
-// final message pool are the scratch's, good until the next call given it.
+// A schedule handed back is freshly allocated; enumerated paths are the
+// scratch's, good until the next call given it.
 type soundScratch struct {
 	// enumeratePathsCapped: the backward walk's stack, and the arena behind
 	// the paths of one isStateSound call (every member's are alive at once).
@@ -54,9 +80,9 @@ type soundScratch struct {
 	rev     []pred
 	arena   []pred
 	paths   [][][]pred
-	// searchSequences: the odometer.
-	core, idx []int
-	cand      [][]pred
+	// isStateSound: the odometer.
+	idx  []int
+	cand [][]pred
 	// isSequenceValid: the message pool, each sequence's position, and which
 	// sequence ran each executed event — the schedule, not yet materialized.
 	net   map[codec.Fingerprint]int
@@ -144,14 +170,9 @@ func (c *checker) enumeratePathsCapped(sc *soundScratch, ns *nodeState, maxPaths
 // required message and adds the fingerprints of the messages it generated.
 // The greedy strategy is complete: it does not matter which enabled event
 // runs next, since the order demanded by the per-node sequences is enforced
-// by only ever consuming messages that were already generated.
-//
-// Besides the verdict and the schedule it returns the final message pool
-// (the generated-and-unconsumed fingerprint counts after the whole schedule
-// ran); the partial-order reduction appends detachable members' paths
-// against it (appendValid in reduce.go). The pool is sc's; the schedule is
-// built only for a sequence that validates — one in thousands.
-func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.Schedule, map[codec.Fingerprint]int) {
+// by only ever consuming messages that were already generated. The schedule
+// is built only for a sequence that validates — one in thousands.
+func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.Schedule) {
 	if sc.net == nil {
 		sc.net = make(map[codec.Fingerprint]int, len(c.initNetCount)+8)
 	}
@@ -188,7 +209,7 @@ func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.
 	sc.pos, sc.order = pos, order
 	for k := range seqs {
 		if pos[k] != len(seqs[k]) {
-			return false, nil, nil
+			return false, nil
 		}
 	}
 	sched := make(trace.Schedule, len(order))
@@ -197,5 +218,5 @@ func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.
 		sched[i] = seqs[k][pos[k]].event()
 		pos[k]++
 	}
-	return true, sched, net
+	return true, sched
 }

@@ -180,7 +180,7 @@ func TestEnumeratePathsScratchMatchesFresh(t *testing.T) {
 
 // TestSoundScratchMatchesFresh holds the whole soundness search on a reused
 // scratch to the search on a fresh one — verdict, schedule, final pool,
-// budget and tally — over random combinations, most of which fail; a success
+// budget and sequence count — over random combinations, most of which fail; a success
 // must also come out right immediately after a failure. The combinations are
 // then searched again from several goroutines at once, each with a scratch
 // of its own, the way confirmBatch's workers run: under -race this is the
@@ -206,11 +206,11 @@ func TestSoundScratchMatchesFresh(t *testing.T) {
 		ok     bool
 		sched  trace.Schedule
 		budget int
-		tally  soundTally
+		seqs   int
 	}
 	search := func(sc *soundScratch, combo []*nodeState) outcome {
 		o := outcome{budget: 64}
-		o.ok, o.sched = c.isStateSound(combo, witnessPathCap, &o.budget, &o.tally, sc)
+		o.ok, o.sched = c.isStateSound(combo, witnessPathCap, &o.budget, &o.seqs, sc)
 		return o
 	}
 
@@ -237,11 +237,12 @@ func TestSoundScratchMatchesFresh(t *testing.T) {
 			for n, ns := range combo {
 				seqs[n] = creationPath(ns)
 			}
-			ok1, sched1, net1 := c.isSequenceValid(reused, seqs)
-			ok2, sched2, net2 := c.isSequenceValid(new(soundScratch), seqs)
-			if ok1 != ok2 || !reflect.DeepEqual(sched1, sched2) || !maps.Equal(net1, net2) {
+			fresh := new(soundScratch)
+			ok1, sched1 := c.isSequenceValid(reused, seqs)
+			ok2, sched2 := c.isSequenceValid(fresh, seqs)
+			if ok1 != ok2 || !reflect.DeepEqual(sched1, sched2) || !maps.Equal(reused.net, fresh.net) {
 				t.Fatalf("trial %d: isSequenceValid reused (%v, %v, %v), fresh (%v, %v, %v)",
-					trial, ok1, sched1, net1, ok2, sched2, net2)
+					trial, ok1, sched1, reused.net, ok2, sched2, fresh.net)
 			}
 		}
 		combos, want = append(combos, combo), append(want, got)

@@ -475,7 +475,12 @@ func TestGenSweepBenchmarkCounters(t *testing.T) {
 			t.Fatalf("unbounded gen-sweep, Workers=%d: %s", workers, res.Stats.String())
 		}
 	}
-	opt.Reduce = Reductions{Symmetry: true, PartialOrder: true}
+	// The benchmark still names the deleted partial-order reduction.
+	reduce, err := ParseReductions("sym,por")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Reduce = reduce
 	for _, workers := range []int{-1, 2} {
 		opt.Workers = workers
 		red := Check(m, start, opt)

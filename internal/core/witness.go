@@ -350,30 +350,6 @@ func (c *checker) completionWalk(i int, leaf func() bool) bool {
 // whether a confirmed bug was found.
 func (c *checker) witnessLeaf() bool {
 	combo, budget := c.wit.combo, &c.wit.budget
-	// The OPT half of the symmetry reduction: a combination whose canonical
-	// twin was already invariant-clean is clean too (slot-symmetric
-	// invariants) and can never become a witness — skip it without charging
-	// the budget, so the reduced walk covers at least the combinations the
-	// unreduced walk covers. Violating twins are never skipped: their
-	// soundness verdicts are arrangement-specific.
-	var canonFP codec.Fingerprint
-	if c.canon != nil {
-		var buf [16]codec.Fingerprint
-		var fps []codec.Fingerprint
-		if len(combo) <= len(buf) {
-			fps = buf[:len(combo)]
-		} else {
-			fps = make([]codec.Fingerprint, len(combo))
-		}
-		for i, ns := range combo {
-			fps[i] = ns.fp
-		}
-		canonFP = c.canon.Canonical(fps)
-		if c.canonClean[canonFP] {
-			c.res.Stats.SymmetrySkips++
-			return false
-		}
-	}
 	// Every examined combination charges the search budget, so the walk
 	// terminates even when soundness verification (the other consumer of
 	// the budget) is disabled or cached away.
@@ -387,9 +363,6 @@ func (c *checker) witnessLeaf() bool {
 	}
 	v := c.opt.Invariant.Check(ss)
 	if v == nil {
-		if c.canon != nil {
-			c.canonClean[canonFP] = true
-		}
 		return false
 	}
 	c.res.Stats.PreliminaryViolations++

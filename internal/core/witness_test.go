@@ -95,8 +95,8 @@ func TestProbeWitnessDirect(t *testing.T) {
 	}
 
 	budget := 1 << 20
-	var tally soundTally
-	ok, sched := c.isStateSound(combo, witnessPathCap, &budget, &tally, new(soundScratch))
+	var seqs int
+	ok, sched := c.isStateSound(combo, witnessPathCap, &budget, &seqs, new(soundScratch))
 	t.Logf("isStateSound: ok=%v budgetUsed=%d", ok, 1<<20-budget)
 	if !ok {
 		for n, ns := range combo {

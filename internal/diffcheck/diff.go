@@ -32,10 +32,9 @@ type Tuning struct {
 	DisableDeepening bool
 	// SkipOPT skips the LMC-OPT run even when the scenario has a reduction.
 	SkipOPT bool
-	// SkipReductions skips the symmetry+POR twin runs (the lmc_gen_reduced /
-	// lmc_opt_reduced summaries and the reduction-diverged direction). The
-	// corpus never sets this; tests use it to time-box runs that target
-	// other directions.
+	// SkipReductions skips the symmetry twin run (the lmc_gen_reduced
+	// summary and the reduction-diverged direction). The corpus never sets
+	// this; tests use it to time-box runs that target other directions.
 	SkipReductions bool
 	// Observer receives run events from every checker run of the
 	// differential (global, LMC-GEN, LMC-OPT). With concurrent scenarios the
@@ -92,7 +91,7 @@ const (
 	// different outcome than the instrumented replays — the interception
 	// seam itself changed behavior.
 	KindRawDiverged = "raw-replay-diverged"
-	// KindReductionDiverged: a checker run with the symmetry+POR reductions
+	// KindReductionDiverged: an LMC-GEN run with the symmetry reduction
 	// enabled reached an unsuppressed fixpoint without confirming a
 	// violation its unreduced twin confirmed — a reduction lost a bug.
 	KindReductionDiverged = "reduction-diverged"
@@ -129,11 +128,11 @@ type Verdict struct {
 	Global   RunSummary  `json:"global"`
 	GEN      RunSummary  `json:"lmc_gen"`
 	OPT      *RunSummary `json:"lmc_opt,omitempty"`
-	// GENReduced / OPTReduced are the same runs with the fingerprint-layer
-	// reductions (symmetry + partial order) enabled; each is cross-checked
-	// against its unreduced twin (reduced ⊇ unreduced violations).
+	// GENReduced is the LMC-GEN run again with the symmetry reduction
+	// enabled, cross-checked against its unreduced twin (reduced ⊇
+	// unreduced violations). Symmetry reduces only the GEN sweep, so LMC-OPT
+	// has no reduced twin.
 	GENReduced *RunSummary `json:"lmc_gen_reduced,omitempty"`
-	OPTReduced *RunSummary `json:"lmc_opt_reduced,omitempty"`
 	// Disagreements is empty when every cross-check passed.
 	Disagreements []Disagreement `json:"disagreements,omitempty"`
 	// Inconclusive notes checks skipped because a run hit its resource caps
@@ -183,7 +182,7 @@ func Run(sc Scenario, tun Tuning) (*Verdict, error) {
 
 	if !tun.SkipReductions && reducedTwinInformative(gen) {
 		ro := lmcOptions(sc, tun, inst, inflight, false)
-		ro.Reduce = core.Reductions{Symmetry: true, PartialOrder: true}
+		ro.Reduce = core.Reductions{Symmetry: true}
 		genRed := core.Check(inst.Machine, start, ro)
 		s := summarize("lmc-gen-reduced", genRed)
 		v.GENReduced = &s
@@ -196,15 +195,6 @@ func Run(sc Scenario, tun Tuning) (*Verdict, error) {
 		s := summarize("lmc-opt", opt)
 		v.OPT = &s
 		v.crossCheck(inst, start, inflight, "lmc-opt", opt, g)
-
-		if !tun.SkipReductions && reducedTwinInformative(opt) {
-			ro := lmcOptions(sc, tun, inst, inflight, true)
-			ro.Reduce = core.Reductions{Symmetry: true, PartialOrder: true}
-			optRed := core.Check(inst.Machine, start, ro)
-			rs := summarize("lmc-opt-reduced", optRed)
-			v.OPTReduced = &rs
-			v.checkReduced(inst, start, inflight, "lmc-opt-reduced", opt, optRed)
-		}
 
 		// GEN→OPT completeness: the reduction must not lose violations.
 		if len(gen.Bugs) > 0 && len(opt.Bugs) == 0 {
@@ -329,12 +319,12 @@ func reducedTwinInformative(r *core.Result) bool {
 // run against its unreduced twin: every violation the unreduced run
 // confirms must be confirmed by the reduced run (up to StopAtFirstBug,
 // presence per run), and every reduced-run counterexample — including those
-// assembled by the orbit sweep and the partial-order search — must replay
-// and violate its claimed invariant. A reduced run that was cut off by a
-// budget or transition cap is inconclusive, not divergent: the symmetry
-// skip relies on the canonical representative being enumerated later in the
-// same pass, which a mid-run stop can prevent, exactly like the
-// completeness gating of the other directions.
+// confirmed by the orbit sweep — must replay and violate its claimed
+// invariant. A reduced run that was cut off by a budget or transition cap is
+// inconclusive, not divergent: the symmetry skip relies on the canonical
+// representative being enumerated later in the same pass, which a mid-run
+// stop can prevent, exactly like the completeness gating of the other
+// directions.
 func (v *Verdict) checkReduced(inst *Instance, start model.SystemState, inflight []model.Message,
 	name string, unreduced, reduced *core.Result) {
 

@@ -176,31 +176,6 @@ func (e *Entry) EventFingerprint() codec.Fingerprint {
 	return codec.Combine(e.FP, codec.Fingerprint(e.Copy))
 }
 
-// Independent reports whether two in-flight entries commute: delivering
-// them in either order reaches the same system state. The relation used here
-// is receiver disjointness — a delivery only ever mutates the state of the
-// destination node, so two messages bound for different nodes cannot
-// influence each other's handler execution, regardless of senders or
-// payloads. This is the independence relation of the partial-order
-// reduction: the checker's soundness layer treats per-node event sequences
-// as freely commutable exactly when their deliveries are pairwise
-// Independent (plus the generated-message condition checked there), and
-// skips the dominated delivery orders.
-//
-// The relation is symmetric, and — because it is a pure function of the two
-// entries — stable under growth of I+: adding messages to the shared network
-// never changes the verdict for an existing pair (the monotonicity property
-// the reduction's parity argument relies on).
-func Independent(a, b *Entry) bool {
-	return a.Msg.Dst() != b.Msg.Dst()
-}
-
-// IndependentMsgs is Independent over raw messages, for callers that have
-// not stored the messages in a Shared network.
-func IndependentMsgs(a, b model.Message) bool {
-	return a.Dst() != b.Dst()
-}
-
 // Shared is the single network object I+ of local model checking. Content
 // only ever grows. Duplicate messages (identical canonical encoding) are
 // admitted up to DupLimit extra copies per message; the paper sets this

@@ -42,8 +42,10 @@ type JobSpec struct {
 	Workload string `json:"workload"`
 	// Checker is "lmc-opt" (default), "lmc", "global" or "bfs".
 	Checker string `json:"checker,omitempty"`
-	// Reduce is the reduction spec for the LMC checkers ("sym,por", "all",
-	// "none"; empty = off).
+	// Reduce is the reduction spec for the LMC checkers ("sym", "all",
+	// "none"; empty = off). "por" is accepted and ignored so stored specs
+	// that name the deleted partial-order reduction still validate and
+	// run as their "sym" twin.
 	Reduce string `json:"reduce,omitempty"`
 	// Workers sets the in-process worker pool (0 = auto).
 	Workers int `json:"workers,omitempty"`

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +172,35 @@ func TestServiceSubmitRejects(t *testing.T) {
 	}
 	if s.Cancel("dup") {
 		t.Fatal("cancel of a cancelled job accepted")
+	}
+}
+
+// TestServiceReduceAcceptsPOR: a stored spec that names the deleted
+// partial-order reduction ("sym,por") still validates, and its job returns
+// exactly what the "sym" job returns.
+func TestServiceReduceAcceptsPOR(t *testing.T) {
+	st := openStore(t)
+	s := startService(t, service.Config{Store: st})
+	result := func(reduce string) *service.JobResult {
+		sub, err := s.Submit(service.JobSpec{Workload: "twophase-bug", Checker: "lmc", Reduce: reduce})
+		if err != nil {
+			t.Fatalf("reduce %q: %v", reduce, err)
+		}
+		got := waitJob(t, s, sub.ID)
+		if got.State != service.StateDone || got.Result == nil {
+			t.Fatalf("reduce %q: state=%s err=%q", reduce, got.State, got.Error)
+		}
+		r := got.Result
+		r.Stats.Elapsed, r.Stats.SoundnessTime, r.Stats.SystemStateTime = 0, 0, 0
+		return r
+	}
+	sym, por := result("sym"), result("sym,por")
+	if sym.Stats.SymmetrySkips == 0 || len(sym.Bugs) == 0 {
+		t.Fatalf("the sym job skipped %d combinations and found %d bugs: not a symmetry workload",
+			sym.Stats.SymmetrySkips, len(sym.Bugs))
+	}
+	if !reflect.DeepEqual(sym, por) {
+		t.Fatalf("sym,por job diverged from the sym job:\nsym:     %+v\nsym,por: %+v", sym, por)
 	}
 }
 

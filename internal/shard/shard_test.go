@@ -148,7 +148,7 @@ func TestShardsParity(t *testing.T) {
 			}},
 		{name: "paxos-gen-reduced", bench: "paxos", shards: []int{2},
 			mutate: func(o *core.Options) {
-				o.Reduce = core.Reductions{Symmetry: true, PartialOrder: true}
+				o.Reduce = core.Reductions{Symmetry: true}
 			}},
 		{name: "paxos-gen-capped", bench: "paxos", shards: []int{2},
 			mutate: func(o *core.Options) { o.MaxTransitions = 500 }},
@@ -164,7 +164,7 @@ func TestShardsParity(t *testing.T) {
 		{name: "twophase-bug", bench: "twophase-bug", shards: []int{2, 4}},
 		{name: "twophase-bug-reduced", bench: "twophase-bug", shards: []int{2},
 			mutate: func(o *core.Options) {
-				o.Reduce = core.Reductions{Symmetry: true, PartialOrder: true}
+				o.Reduce = core.Reductions{Symmetry: true}
 			}},
 		{name: "actor-2pc-bug", bench: "actor-2pc-bug", shards: []int{2}},
 		{name: "paxos-gen-checkpointed-resumed", bench: "paxos", shards: []int{2}, composed: true},
@@ -367,9 +367,7 @@ func assertSameResult(t *testing.T, shards int, base, got *core.Result) {
 		b.ConfirmedBugs != g.ConfirmedBugs ||
 		b.DuplicatesDropped != g.DuplicatesDropped ||
 		b.SymmetrySkips != g.SymmetrySkips ||
-		b.OrbitChecks != g.OrbitChecks ||
-		b.PORPathsDeduped != g.PORPathsDeduped ||
-		b.PORDetached != g.PORDetached {
+		b.OrbitChecks != g.OrbitChecks {
 		t.Fatalf("shards=%d diverged from sequential:\nseq: %s\ngot: %s",
 			shards, b.String(), g.String())
 	}

@@ -61,24 +61,23 @@ type Counters struct {
 	// examined at most once per run) and is gone. The field stays because the
 	// v1 store segment layout and the parity dump carry it.
 	WitnessSkips int
-	// SymmetrySkips counts system-state combinations skipped by the symmetry
-	// reduction: non-canonical arrangements whose canonical representative
-	// is covered (GEN) and witness-walk combinations whose canonical twin
-	// was already invariant-clean (OPT). The GEN sweep never forms most of
-	// what it skips, so per sweep it adds the size of the product within
-	// MaxSystemDepth minus the combinations it enumerated; a sweep the
-	// Budget cut short adds only the skips it decided one by one.
+	// SymmetrySkips counts the GEN sweep's system-state combinations skipped
+	// by the symmetry reduction: non-canonical arrangements whose canonical
+	// representative is covered. LMC-OPT never skips, so it leaves this 0.
+	// The sweep never forms most of what it skips, so per sweep it adds the
+	// size of the product within MaxSystemDepth minus the combinations it
+	// enumerated; a sweep the Budget cut short adds only the skips it decided
+	// one by one.
 	SymmetrySkips int
 	// OrbitChecks counts the arrangements re-expanded and invariant-checked
 	// by the fixpoint orbit sweep (the completion half of the symmetry skip).
 	OrbitChecks int
-	// PORPathsDeduped counts per-node paths dropped by the partial-order
-	// reduction's flow-signature dedupe before the interleaving odometer.
+	// PORPathsDeduped and PORDetached are retired and always 0: they counted
+	// the work of a partial-order reduction of the soundness search, which
+	// was measured to lose on every workload and is gone. The fields stay
+	// because the v1 store segment layout and the parity dump carry them.
 	PORPathsDeduped int
-	// PORDetached counts combination members the partial-order reduction
-	// validated outside the interleaving odometer (their generated messages
-	// feed no other member, so their delivery orders commute).
-	PORDetached int
+	PORDetached     int
 	// Rejections counts handler executions rejected by local assertions
 	// (handlers returning a nil state).
 	Rejections int

@@ -122,11 +122,13 @@ type (
 type (
 	// Options configures the local checker.
 	Options = core.Options
-	// Reductions selects the optional state-space reductions
-	// (Options.Reduce): symmetry canonicalization over the protocol's
-	// declared interchangeable roles, and partial-order pruning of
-	// commuting deliveries in the soundness search. Both preserve
-	// verdicts; the default zero value disables both.
+	// Reductions selects the optional state-space reduction
+	// (Options.Reduce): symmetry canonicalization of LMC-GEN's system-state
+	// sweep over the protocol's declared interchangeable roles. It preserves
+	// verdicts; the zero value disables it. There is no partial-order
+	// reduction: it only reshaped the soundness search's path odometer and
+	// was measured slower on every workload, so ParseReductions accepts
+	// "por" for old specs and ignores it.
 	Reductions = core.Reductions
 	// Result reports a local checker run.
 	Result = core.Result
@@ -296,9 +298,9 @@ func GlobalContext(ctx context.Context, m Machine, start SystemState, opt Global
 // InitialSystem builds the system state of every node's initial state.
 func InitialSystem(m Machine) SystemState { return model.InitialSystem(m) }
 
-// ParseReductions parses a CLI-style reduction spec — a comma-separated
-// subset of "sym" and "por", or "all" / "none" / "" — into a Reductions
-// value, mirroring the -reduce flag of cmd/lmc.
+// ParseReductions parses a CLI-style reduction spec — "sym" (or "all"), or
+// "none" / "" — into a Reductions value, mirroring the -reduce flag of
+// cmd/lmc.
 func ParseReductions(spec string) (Reductions, error) {
 	return core.ParseReductions(spec)
 }
