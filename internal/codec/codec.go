@@ -274,15 +274,3 @@ func (s *Hasher) Add(fp Fingerprint) { s.h = fnvUint64(s.h, uint64(fp)) }
 
 // Sum returns the combined fingerprint of the sequence added so far.
 func (s Hasher) Sum() Fingerprint { return Fingerprint(s.h) }
-
-// CombineUnordered mixes fingerprints into one, insensitively to order, via
-// commutative addition. It identifies multisets such as "the messages
-// generated by this event".
-func CombineUnordered(fps []Fingerprint) Fingerprint {
-	var sum uint64
-	for _, fp := range fps {
-		// Pre-mix each element so that {a,a} and {b} with b=2a collide less.
-		sum += fnvUint64(fnvOffset64, uint64(fp))
-	}
-	return Fingerprint(sum)
-}

@@ -171,34 +171,6 @@ func TestCombineOrderSensitive(t *testing.T) {
 	}
 }
 
-// TestCombineUnorderedIsCommutative checks the multiset fingerprint is
-// order-insensitive (a property-based check).
-func TestCombineUnorderedIsCommutative(t *testing.T) {
-	f := func(raw []uint64) bool {
-		fps := make([]Fingerprint, len(raw))
-		for i, r := range raw {
-			fps[i] = Fingerprint(r)
-		}
-		rev := make([]Fingerprint, len(fps))
-		for i := range fps {
-			rev[i] = fps[len(fps)-1-i]
-		}
-		return CombineUnordered(fps) == CombineUnordered(rev)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCombineUnorderedMultiset checks that multiplicity matters.
-func TestCombineUnorderedMultiset(t *testing.T) {
-	a := CombineUnordered([]Fingerprint{1, 1})
-	b := CombineUnordered([]Fingerprint{1})
-	if a == b {
-		t.Fatal("multiplicity ignored")
-	}
-}
-
 // fpEncoder is a trivial Encoder for HashOf tests.
 type fpEncoder int
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -166,12 +167,13 @@ type sweepWork struct {
 
 	// The cut's scratch: acc[d*width:(d+1)*width] is the union of the
 	// conflict rows of the keys in combo[:d], and table counts the chunk's
-	// completions (hists are its depth histograms, hsplit the split
-	// dimension's over [lo, hi)).
-	acc    []uint64
-	hists  [][]int
-	hsplit []int
-	table  suffixTable
+	// completions (hists are its groups' depth polynomials, own[g] the ones
+	// this chunk computed, rows the chain tables behind them).
+	acc   []uint64
+	hists [][]int
+	own   [][]int
+	rows  [2][]int
+	table suffixTable
 
 	tick                    int
 	states, skips, maxDepth int
@@ -198,13 +200,21 @@ type sweepScratch struct {
 	halt        atomic.Bool // the deadline passed in some chunk
 
 	// cut is set when the sweep decides subtrees (prepareCut): the invariant
-	// declares its pairs and the product is unmarked. present[d*width:] is
-	// the set of key ids dimension d holds, suffix[d*width:] their union
-	// over dimensions d.., and sufSafe[d] says that no two of those
-	// dimensions can hold conflicting keys.
+	// declares its pairs. present[d*width:] is the set of key ids dimension d
+	// holds in sw.all, suffix[d*width:] their union over dimensions d.., and
+	// sufSafe[d] says that no two of those dimensions can hold conflicting
+	// keys. Pass B of the symmetry sweep never decides: symSkip judges its
+	// leaves one by one.
 	cut             bool
 	present, suffix []uint64
 	sufSafe         []bool
+	// The cut counts by groups, in first-slot order: a symmetry class is one
+	// group (its polynomial counts pass A's chains), every other dimension is
+	// one. gslots[goff[g]:goff[g+1]] are group g's slots. group[d] is the
+	// first group at or after slot d when d is a class boundary — every class
+	// lies wholly before d or wholly at or after it — and -1 otherwise: only
+	// at a boundary do the undecided slots make up whole groups.
+	gslots, goff, group []int
 }
 
 // grow returns s with length n, reallocating only when it is too small. The
@@ -242,7 +252,8 @@ func (s *sweepScratch) carve(k int) []cand {
 // SymmetrySkips is the depth-admissible product size minus what was
 // enumerated. When the invariant declares its conflicting pairs, a subtree
 // in which no two slots can hold conflicting interests is counted from the
-// depth histograms instead of walked (prepareCut, sweepWork.decided).
+// depth histograms — for pass A, the class chain polynomials — instead of
+// walked (prepareCut, sweepWork.decided).
 //
 // When the product is large and Options.Workers allows, each product's
 // widest dimension is chunked across the worker pool (§1: "the model
@@ -288,9 +299,7 @@ func (c *checker) forEachCombo(lists [][]*nodeState) []prelim {
 	} else {
 		c.symProducts()
 	}
-	// Symmetry products keep the leaf walk: pass B's skips are decided per
-	// leaf.
-	s.cut = c.keys != nil && c.canon == nil
+	s.cut = c.keys != nil
 	if s.cut {
 		c.prepareCut()
 	}
@@ -321,7 +330,7 @@ func (c *checker) forEachCombo(lists [][]*nodeState) []prelim {
 			w := &work[len(work)-1]
 			*w = sweepWork{c: c, p: p, split: widest, lo: lo, hi: min(lo+chunk, width),
 				combo: grow(w.combo, n), ss: grow(w.ss, n), pos: grow(w.pos, n), fps: grow(w.fps, n),
-				acc: w.acc, hists: w.hists, hsplit: w.hsplit, table: w.table}
+				acc: w.acc, hists: w.hists, own: w.own, rows: w.rows, table: w.table}
 		}
 	}
 	s.work = work
@@ -530,9 +539,11 @@ func (k *pairKeys) meets(a, b []uint64) bool {
 
 // prepareCut interns the sweep's candidates, completes the conflict rows
 // among the keys they hold, and builds what sweepWork.decided reads: the
-// key ids of every suffix of dimensions and whether a suffix can hold a
-// conflicting pair within itself. Two candidates of one dimension never
-// meet in a combination, so only pairs across dimensions count.
+// key ids of every suffix of dimensions, whether a suffix can hold a
+// conflicting pair within itself, and the counting groups. Two candidates
+// of one dimension never meet in a combination, so only pairs across
+// dimensions count. The key sets are sw.all's, a superset of every
+// product's, so they decide soundly for pass A too.
 func (c *checker) prepareCut() {
 	s, k := &c.sw, c.keys
 	for _, cands := range s.all {
@@ -562,6 +573,35 @@ func (c *checker) prepareCut() {
 	for d := n - 1; d >= 0; d-- {
 		s.sufSafe[d] = s.sufSafe[d+1] && !k.meets(s.present[d*wd:(d+1)*wd], s.suffix[(d+1)*wd:(d+2)*wd])
 	}
+
+	var classes [][]int
+	if c.canon != nil {
+		classes = c.canon.Classes()
+	}
+	s.group = grow(s.group, n+1)
+	clear(s.group)
+	for _, cl := range classes {
+		for d := cl[0] + 1; d <= cl[len(cl)-1]; d++ {
+			s.group[d] = -1
+		}
+	}
+	s.gslots, s.goff = s.gslots[:0], append(s.goff[:0], 0)
+	for d := 0; d < n; d++ {
+		if s.group[d] == 0 {
+			s.group[d] = len(s.goff) - 1
+		}
+		ci := slices.IndexFunc(classes, func(cl []int) bool { return slices.Contains(cl, d) })
+		switch {
+		case ci < 0:
+			s.gslots = append(s.gslots, d)
+		case classes[ci][0] == d:
+			s.gslots = append(s.gslots, classes[ci]...)
+		default:
+			continue // in the group of its class's first slot
+		}
+		s.goff = append(s.goff, len(s.gslots))
+	}
+	s.group[n] = len(s.goff) - 1
 }
 
 // run walks the chunk. Under the cut it first counts the chunk's
@@ -569,20 +609,22 @@ func (c *checker) prepareCut() {
 // which holds no conflicting pair.
 func (w *sweepWork) run() {
 	s := &w.c.sw
-	if !s.cut {
+	if !s.cut || w.p.filter {
 		w.walk(0, 0, false)
 		return
 	}
-	h := w.hsplit[:0]
-	for _, cd := range w.p.dims[w.split][w.lo:w.hi] {
-		for len(h) <= cd.depth {
-			h = append(h, 0)
+	ng := len(s.goff) - 1
+	w.hists, w.own = grow(w.hists, ng), grow(w.own, ng)
+	for g := range w.hists {
+		slots := s.gslots[s.goff[g]:s.goff[g+1]]
+		if len(slots) == 1 && slots[0] != w.split {
+			// Outside the classes every product holds all of sw.all.
+			w.hists[g] = s.hist[slots[0]]
+			continue
 		}
-		h[cd.depth]++
+		w.own[g] = w.chainHist(slots, w.own[g])
+		w.hists[g] = w.own[g]
 	}
-	w.hsplit = h
-	w.hists = append(w.hists[:0], s.hist...)
-	w.hists[w.split] = h
 	w.table.fill(w.hists, s.bound)
 	wd := w.c.keys.width
 	w.acc = grow(w.acc, (len(w.combo)+1)*wd)
@@ -590,14 +632,101 @@ func (w *sweepWork) run() {
 	w.walk(0, 0, true)
 }
 
+// chainHist returns, in h's storage, the depth polynomial of one group of
+// the chunk's product: how many of the group's arrangements walk forms have
+// each total depth, up to the bound. A group of one slot is that slot's
+// depth histogram over the chunk's range. A class group counts chains — one
+// candidate per class slot with fingerprints non-decreasing in slot order,
+// equal ones included — which are exactly the arrangements walk forms with
+// byFP: the last slot's candidates are summed from the end of its
+// fingerprint-sorted list, and each earlier candidate adds, shifted by its
+// depth, the sum the next slot holds from the candidate's lower bound on.
+func (w *sweepWork) chainHist(slots []int, h []int) []int {
+	s := &w.c.sw
+	span := func(d int) (cands []cand, lo, hi int) {
+		cands = w.p.dims[d]
+		if d == w.split {
+			return cands, w.lo, w.hi
+		}
+		return cands, 0, len(cands)
+	}
+	if len(slots) == 1 {
+		h = append(h[:0], 0)
+		cands, lo, hi := span(slots[0])
+		for _, cd := range cands[lo:hi] {
+			for len(h) <= cd.depth {
+				h = append(h, 0)
+			}
+			h[cd.depth]++
+		}
+		return h
+	}
+	most := 0
+	for _, d := range slots {
+		deepest := 0
+		for _, cd := range w.p.dims[d] {
+			deepest = max(deepest, cd.depth)
+		}
+		most += deepest
+	}
+	width := min(most, s.bound) + 1
+	// rows[j*width:] counts, by total depth, the chains of slots i.. (i >= 1)
+	// whose slot-i candidate is at index j or later of its list; the row past
+	// the end is empty.
+	var next []int
+	var after []cand
+	for i := len(slots) - 1; i > 0; i-- {
+		cands, lo, hi := span(slots[i])
+		rows := grow(w.rows[i%2], (len(cands)+1)*width)
+		w.rows[i%2] = rows
+		clear(rows[len(cands)*width:])
+		lb := len(after)
+		for j := len(cands) - 1; j >= 0; j-- {
+			row := rows[j*width : (j+1)*width]
+			copy(row, rows[(j+1)*width:(j+2)*width])
+			cd := &cands[j]
+			switch {
+			case j < lo || j >= hi:
+			case next == nil:
+				row[cd.depth]++
+			default:
+				// The next slot's list is in fingerprint order too: merge.
+				for lb > 0 && after[lb-1].ns.fp >= cd.ns.fp {
+					lb--
+				}
+				addShifted(row, next[lb*width:(lb+1)*width], cd.depth)
+			}
+		}
+		next, after = rows, cands
+	}
+	// The class's first slot is in depth order: each candidate looks its
+	// lower bound up, and only the sum is kept.
+	h = grow(h, width)
+	clear(h)
+	cands, lo, hi := span(slots[0])
+	for _, cd := range cands[lo:hi] {
+		lb := sort.Search(len(after), func(x int) bool { return after[x].ns.fp >= cd.ns.fp })
+		addShifted(h, next[lb*width:(lb+1)*width], cd.depth)
+	}
+	return h
+}
+
+// addShifted adds src, shifted up by shift, to dst (of src's length); what
+// passes the end is dropped.
+func addShifted(dst, src []int, shift int) {
+	for t, k := range src[:len(src)-shift] {
+		dst[t+shift] += k
+	}
+}
+
 // decided reports whether the subtree under combo[:d], a prefix that holds
-// no conflicting pair, is decided: no key that dimensions d.. hold
-// conflicts with a prefix key or with a key of another of those dimensions.
-// By the spec.PrefixInvariant contract every leaf of the subtree then holds
-// the invariant.
+// no conflicting pair, is decided: d is a class boundary, and no key that
+// dimensions d.. hold conflicts with a prefix key or with a key of another
+// of those dimensions. By the spec.PrefixInvariant contract every leaf of
+// the subtree then holds the invariant.
 func (w *sweepWork) decided(d int) bool {
 	s, wd := &w.c.sw, w.c.keys.width
-	if !s.sufSafe[d] {
+	if s.group[d] < 0 || !s.sufSafe[d] {
 		return false
 	}
 	acc, suf := w.acc[d*wd:(d+1)*wd], s.suffix[d*wd:(d+1)*wd]
@@ -631,9 +760,11 @@ func (w *sweepWork) extend(d int, id int32) bool {
 func (w *sweepWork) walk(d, depth int, safe bool) {
 	c, s := w.c, &w.c.sw
 	if safe && w.decided(d) {
-		count, deepest := w.table.at(d, s.bound-depth)
-		w.states += count
-		w.maxDepth = max(w.maxDepth, depth+deepest)
+		// Pass A's prefix may leave a class no chain within the bound.
+		if count, deepest := w.table.at(s.group[d], s.bound-depth); count > 0 {
+			w.states += count
+			w.maxDepth = max(w.maxDepth, depth+deepest)
+		}
 		return
 	}
 	cands := w.p.dims[d]

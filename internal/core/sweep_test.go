@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -227,14 +229,15 @@ func syntheticStates(rng *rand.Rand, sh sweepShape, perSlot int) [][]*nodeState 
 // answers; the table must also reach pass B and both of its outcomes.
 //
 // Each configuration runs again under an invariant that declares its pairs
-// (pairsInvariant). Outside a symmetry class the sweep then decides
-// subtrees: a combination it does not visit must, by brute force, hold no
-// conflicting pair, the counters must still be the reference's, and
-// Conflict must be asked at most once per key pair.
+// (pairsInvariant). The sweep then decides subtrees — under a symmetry
+// class too, where pass A counts canonical chains at class boundaries: a
+// combination it does not visit must, by brute force, hold no conflicting
+// pair, the counters must still be the reference's, and Conflict must be
+// asked at most once per key pair.
 func TestSweepMatchesLeafFilter(t *testing.T) {
 	const perSlot = 7
 	var passB, passBSkipped, passBKept, inside, outside int
-	var decided, decidedWide, cutPrelims int
+	var decided, decidedWide, decidedInClass, cutPrelims int
 	for _, sh := range sweepShapes {
 		for _, bound := range []int{0, 5, 9} { // unbounded, tight, loose
 			for _, workers := range []int{-1, 2, 4} {
@@ -318,13 +321,16 @@ func TestSweepMatchesLeafFilter(t *testing.T) {
 								continue
 							}
 							// Not visited: it must lie in a decided subtree.
-							if !pairs || c.canon != nil {
+							if !pairs {
 								t.Fatalf("%s: combination %d not enumerated", at, key)
 							}
 							if pinv.conflicting(c.comboSystem(combos[key])) {
 								t.Fatalf("%s: combination %d was decided but holds a conflicting pair", at, key)
 							}
 							decided++
+							if c.canon != nil {
+								decidedInClass++
+							}
 							for _, ns := range combos[key] {
 								if ns.key >= 64 {
 									decidedWide++
@@ -332,7 +338,7 @@ func TestSweepMatchesLeafFilter(t *testing.T) {
 								}
 							}
 						}
-						if pairs && c.canon == nil {
+						if pairs {
 							cutPrelims += len(wantPrelims)
 						}
 						st := c.res.Stats
@@ -392,14 +398,14 @@ func TestSweepMatchesLeafFilter(t *testing.T) {
 	if inside == 0 || outside == 0 {
 		t.Fatalf("anchors inside a class: %d, outside: %d", inside, outside)
 	}
-	if decided == 0 || decidedWide == 0 || cutPrelims == 0 {
-		t.Fatalf("the pairs configurations do not drive the cut: %d combinations decided (%d with a key id >= 64), %d violations beside them",
-			decided, decidedWide, cutPrelims)
+	if decided == 0 || decidedWide == 0 || decidedInClass == 0 || cutPrelims == 0 {
+		t.Fatalf("the pairs configurations do not drive the cut: %d combinations decided (%d with a key id >= 64, %d under a class), %d violations beside them",
+			decided, decidedWide, decidedInClass, cutPrelims)
 	}
 	t.Logf("pass B: %d products, %d leaves skipped, %d kept; anchors %d inside a class, %d outside",
 		passB, passBSkipped, passBKept, inside, outside)
-	t.Logf("cut: %d combinations decided, %d of them with a key id >= 64; %d violations beside them",
-		decided, decidedWide, cutPrelims)
+	t.Logf("cut: %d combinations decided, %d of them with a key id >= 64, %d under a class; %d violations beside them",
+		decided, decidedWide, decidedInClass, cutPrelims)
 }
 
 // TestAdmissibleMatchesBruteForce checks the arithmetic behind
@@ -455,6 +461,92 @@ func TestAdmissibleMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestChainCountsMatchBruteForce checks the arithmetic behind pass A's
+// decided subtrees: a group's depth polynomial (sweepWork.chainHist), read
+// through the suffix table as the cut reads it, against enumerating the
+// fingerprint-non-decreasing chains one by one. The slots draw from one
+// fingerprint universe, so chains meet equal fingerprints across slots, and
+// a random range restricts one slot as a chunk restricts its split
+// dimension.
+func TestChainCountsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 1000; trial++ {
+		k := 1 + rng.Intn(4)  // one slot is a plain dimension
+		bound := rng.Intn(12) // 0 is unbounded
+		universe := make([]codec.Fingerprint, 2+rng.Intn(6))
+		for i := range universe {
+			universe[i] = codec.Fingerprint(rng.Uint64())
+		}
+		dims := make([][]cand, k)
+		for i := range dims {
+			for _, u := range rng.Perm(len(universe))[:rng.Intn(len(universe)+1)] {
+				depth := rng.Intn(5)
+				if bound == 0 || depth <= bound { // byDepth's cut
+					dims[i] = append(dims[i], cand{ns: &nodeState{fp: universe[u], depth: depth}, depth: depth})
+				}
+			}
+			// As symProducts leaves pass A: the first slot in ascending
+			// depth, the later ones in ascending fingerprint.
+			if i == 0 {
+				slices.SortStableFunc(dims[i], func(a, b cand) int { return cmp.Compare(a.depth, b.depth) })
+			} else {
+				slices.SortFunc(dims[i], func(a, b cand) int { return cmp.Compare(a.ns.fp, b.ns.fp) })
+			}
+		}
+		w := &sweepWork{c: &checker{}, p: &product{dims: dims}, split: -1}
+		w.c.sw.bound = bound
+		if bound == 0 {
+			w.c.sw.bound = math.MaxInt
+		}
+		if sp := rng.Intn(k); len(dims[sp]) > 0 && rng.Intn(3) > 0 {
+			w.split, w.lo = sp, rng.Intn(len(dims[sp]))
+			w.hi = w.lo + 1 + rng.Intn(len(dims[sp])-w.lo)
+		}
+
+		// Brute force: want[t] chains of total depth t.
+		want := make([]int, 4*k+1)
+		var chains func(i int, fp codec.Fingerprint, total int)
+		chains = func(i int, fp codec.Fingerprint, total int) {
+			if i == k {
+				want[total]++
+				return
+			}
+			for j, cd := range dims[i] {
+				if (i > 0 && cd.ns.fp < fp) || (i == w.split && (j < w.lo || j >= w.hi)) {
+					continue
+				}
+				chains(i+1, cd.ns.fp, total+cd.depth)
+			}
+		}
+		chains(0, 0, 0)
+
+		slots := make([]int, k)
+		for i := range slots {
+			slots[i] = i
+		}
+		h := w.chainHist(slots, nil)
+		var tab suffixTable
+		tab.fill([][]int{h}, w.c.sw.bound)
+		at := fmt.Sprintf("trial %d (%d slots, bound %d, split %d [%d, %d))", trial, k, bound, w.split, w.lo, w.hi)
+		count, deepest := 0, -1
+		for room := range want {
+			if bound > 0 && room > bound {
+				break
+			}
+			if room < len(h) && h[room] != want[room] || room >= len(h) && want[room] != 0 {
+				t.Fatalf("%s: polynomial %v, brute force %v", at, h, want)
+			}
+			if want[room] > 0 {
+				count, deepest = count+want[room], room
+			}
+			if gc, gd := tab.at(0, room); gc != count || gd != deepest {
+				t.Fatalf("%s: within %d the table counts %d chains, deepest %d; brute force %d, deepest %d",
+					at, room, gc, gd, count, deepest)
+			}
+		}
+	}
+}
+
 // TestGenSweepBenchmarkCounters runs the repository benchmark's two sweep
 // inputs (benchmark/workloads.go, buildGenSweep) and pins the counters its
 // oracle pins, so go test holds them too.
@@ -487,6 +579,13 @@ func TestGenSweepBenchmarkCounters(t *testing.T) {
 		if !red.Complete || red.Stats.SystemStates != 16_674_957 ||
 			red.Stats.SymmetrySkips != 76_622_245 || red.Stats.MaxDepth != 12 {
 			t.Fatalf("gen-sweep-sym, Workers=%d: %s", workers, red.Stats.String())
+		}
+		// Unbounded and reduced, pass A's decided subtrees count canonical
+		// chains: 350,355,456 = 62,092,800 states + 288,262,656 skips.
+		unbounded := Options{Invariant: paxos.Agreement(), Reduce: reduce, Workers: workers}
+		if res := Check(m, start, unbounded); !res.Complete || res.Stats.SystemStates != 62_092_800 ||
+			res.Stats.SymmetrySkips != 288_262_656 || res.Stats.MaxDepth != 24 {
+			t.Fatalf("unbounded gen-sweep-sym, Workers=%d: %s", workers, res.Stats.String())
 		}
 	}
 }
