@@ -158,7 +158,7 @@ func TestBughuntCountersAndAllocCeiling(t *testing.T) {
 		}
 	}
 
-	const maxBytes, maxMallocs = 60 << 20, 800_000
+	const maxBytes, maxMallocs = 28 << 20, 330_000
 	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("one check: %.1f MB in %d allocations", float64(bytes)/(1<<20), mallocs)
 	if bytes > maxBytes || mallocs > maxMallocs {
@@ -212,10 +212,11 @@ func TestPaxosTwoWitnessSearchCounters(t *testing.T) {
 // from its live state, LMC-OPT, one million transitions, sequential). Nine in
 // ten of those transitions land on a visited state and close to half on the
 // parent itself, so what a check allocates is what a transition that goes
-// nowhere costs: a node state's Clone is a struct copy, a handler that wrote
-// nothing returns a successor that carries its fingerprint, and a self-edge
-// is kept as eight bytes. A deep Clone or a per-transition encode coming back
-// shows here first. The counters hold under the race detector too; the
+// nowhere costs: nothing for the handler's copy, which is recycled into the
+// next handler's (model.Recycler), a successor that carries its fingerprint
+// when its handler wrote nothing and is re-hashed from the first section it
+// wrote otherwise, and eight bytes for a self-edge. A per-transition Clone or
+// encode coming back shows here first. The counters hold under the race detector too; the
 // ceiling is for plain builds (raceDetector).
 func TestExploreOptCountersAndAllocCeiling(t *testing.T) {
 	w, err := Lookup("1paxos")
@@ -252,7 +253,7 @@ func TestExploreOptCountersAndAllocCeiling(t *testing.T) {
 		}
 	}
 
-	const maxBytes, maxMallocs = 900 << 20, 10_000_000
+	const maxBytes, maxMallocs = 390 << 20, 4_800_000
 	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("one check: %.1f MB in %d allocations", float64(bytes)/(1<<20), mallocs)
 	if !raceDetector && (bytes > maxBytes || mallocs > maxMallocs) {

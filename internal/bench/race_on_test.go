@@ -4,6 +4,6 @@ package bench
 
 // raceDetector reports whether the test binary is instrumented by the race
 // detector, whose bookkeeping inflates what a check allocates (explore-opt:
-// 1,009 MB in 6.0 M objects against 665 MB in 4.7 M) — an allocation ceiling
+// 442 MB in 4.7 M objects against 297 MB in 3.7 M) — an allocation ceiling
 // sized for a plain build says nothing there.
 const raceDetector = true

@@ -29,6 +29,13 @@ type checker struct {
 
 	spaces []*space
 	net    *netstate.SharedNet
+	// runs are the pass's per-node exploration runs (runPhase), and
+	// phaseEmits and phaseNews the barrier's merged buffers (mergePhase):
+	// each keeps its arrays from phase to phase, and the barrier clears
+	// what they hold once merged.
+	runs       []*nodeRun
+	phaseEmits []emitBatch
+	phaseNews  []discovery
 
 	// initNetCount counts the message fingerprints available before any
 	// event executes (Options.InitialMessages): soundness verification seeds
@@ -294,8 +301,10 @@ func (c *checker) beginPass() {
 	c.net = netstate.NewSharedNet(c.opt.DupLimit)
 	c.localExecuted = make([]int, c.m.NumNodes())
 	c.spaces = make([]*space, c.m.NumNodes())
+	c.runs = make([]*nodeRun, c.m.NumNodes())
 	for n := range c.spaces {
 		c.spaces[n] = newSpace()
+		c.runs[n] = &nodeRun{c: c, node: n}
 	}
 
 	// Seed the shared network with any captured in-flight messages. Their

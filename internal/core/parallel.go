@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,6 +37,11 @@ type nodeRun struct {
 	emits []emitBatch
 	news  []discovery
 
+	// spare is a handler copy this run made and nothing kept — its handler
+	// rejected, or its successor was already visited — which the next
+	// handler's copy is written into (copyOf); nil when there is none.
+	spare model.State
+
 	// Stats deltas, merged into Result.Stats at the barrier. transitions
 	// stays zero in canonical mode (chargeTransition charges the global
 	// counter directly there).
@@ -57,6 +62,12 @@ type nodeRun struct {
 	taint error
 
 	deadlineTick int
+}
+
+// reset readies the run for its next phase of the pass: the buffers and the
+// spare carry over, every per-phase counter and flag starts again.
+func (r *nodeRun) reset(halt *atomic.Bool) {
+	*r = nodeRun{c: r.c, node: r.node, halt: halt, emits: r.emits[:0], news: r.news[:0], spare: r.spare}
 }
 
 // capped reports whether this node has exhausted its per-round delivery
@@ -282,8 +293,10 @@ func (r *nodeRun) step(s *nodeState, ev model.Event, e *netstate.Entry, slot int
 			return hint
 		}
 	}
-	next, emitted := ev.Apply(c.m, s.state)
+	cp := r.copyOf(s.state)
+	next, emitted := ev.Handle(c.m, cp)
 	if next == nil {
+		r.spare = cp
 		r.rejections++
 		if hinted && r.taint == nil {
 			r.taint = errors.New("record accepts an event the handler rejects")
@@ -291,11 +304,27 @@ func (r *nodeRun) step(s *nodeState, ev model.Event, e *netstate.Entry, slot int
 		return outcome{Rejected: true}
 	}
 	edge.eventFP = eventFP(ev, e)
-	out := r.addNext(edge, next, emitted, e, entry)
+	out, visited := r.addNext(edge, next, emitted, e, entry)
+	if visited && next == cp {
+		r.spare = cp
+	}
 	if hinted && out.Succ != hint.Succ && r.taint == nil {
 		r.taint = errors.New("record successor diverged from execution")
 	}
 	return out
+}
+
+// copyOf is the private copy of s a handler runs on: the run's spare
+// overwritten with s when s can be recycled (model.Recycler), a fresh Clone
+// otherwise. The spare is handed out once; step gives a copy back only when
+// nothing kept it.
+func (r *nodeRun) copyOf(s model.State) model.State {
+	if rc, ok := s.(model.Recycler); ok && r.spare != nil {
+		cp := rc.CloneInto(r.spare)
+		r.spare = nil
+		return cp
+	}
+	return s.Clone()
 }
 
 // eventFP is ev's fingerprint. The receive event is identical for every
@@ -318,9 +347,11 @@ func eventFP(ev model.Event, e *netstate.Entry) codec.Fingerprint {
 // edge arrives complete but for the generated-message fingerprints; e is the
 // delivered entry (nil for internal events) and entry its index (-1). It
 // returns the accepted outcome — successor and emission fingerprints, both
-// computed here anyway, so a worker replica's capture never re-hashes.
+// computed here anyway, so a worker replica's capture never re-hashes — and
+// whether the successor was already visited, in which case the space did not
+// keep next.
 func (r *nodeRun) addNext(edge pred, next model.State, emitted []model.Message,
-	e *netstate.Entry, entry int) outcome {
+	e *netstate.Entry, entry int) (_ outcome, visited bool) {
 
 	c := r.c
 	prev := edge.prev
@@ -336,7 +367,7 @@ func (r *nodeRun) addNext(edge pred, next model.State, emitted []model.Message,
 		// is deliberately not applied to existing states, matching the
 		// paper's simplification.
 		c.addPred(existing, edge)
-		return out
+		return out, true
 	}
 
 	ns := &nodeState{
@@ -359,25 +390,26 @@ func (r *nodeRun) addNext(edge pred, next model.State, emitted []model.Message,
 		r.maxDepth = ns.depth
 	}
 	r.news = append(r.news, discovery{ns: ns, entry: entry})
-	return out
+	return out, false
 }
 
-// runPhase executes one sweep of a round on fresh per-node runs and returns
-// them for the barrier: the internal events, or — with deliveries set — the
-// network events of one epoch snapshot. In parallel mode every node sweeps
-// its own share on the worker pool (entries partition by destination) under
-// a shared halt flag. Canonical mode runs inline in the sequential
-// algorithm's order: actions node by node, deliveries interleaved in entry
-// order — the exact charging order, which is what makes a MaxTransitions
-// cut-off land on the same transition for every worker count.
+// runPhase executes one sweep of a round on the pass's per-node runs, reset,
+// and returns them for the barrier: the internal events, or — with
+// deliveries set — the network events of one epoch snapshot. In parallel
+// mode every node sweeps its own share on the worker pool (entries partition
+// by destination) under a shared halt flag. Canonical mode runs inline in
+// the sequential algorithm's order: actions node by node, deliveries
+// interleaved in entry order — the exact charging order, which is what
+// makes a MaxTransitions cut-off land on the same transition for every
+// worker count.
 func (c *checker) runPhase(parallel, deliveries bool) []*nodeRun {
 	var halt *atomic.Bool
 	if parallel {
 		halt = new(atomic.Bool)
 	}
-	runs := make([]*nodeRun, len(c.spaces))
-	for n := range runs {
-		runs[n] = &nodeRun{c: c, node: n, halt: halt}
+	runs := c.runs
+	for _, r := range runs {
+		r.reset(halt)
 	}
 	ep := c.net.Epoch()
 	sweep := func(n int) { runs[n].sweepActions() }
@@ -419,11 +451,21 @@ func (c *checker) runPhase(parallel, deliveries bool) []*nodeRun {
 // action sweep. A discovery is checked against the prefix view the
 // sequential interleaving exposes at that moment: every node's discoveries
 // from earlier (entry, node) groups and nothing later. It reports whether
-// the sweep made progress.
+// the sweep made progress. Every buffer it reads is emptied on the way out,
+// keeping its array for the next phase and pinning nothing.
 func (c *checker) mergePhase(runs []*nodeRun) bool {
 	progress := false
-	var emits []emitBatch
-	var news []discovery
+	emits, news := c.phaseEmits[:0], c.phaseNews[:0]
+	defer func() {
+		clear(emits)
+		clear(news)
+		c.phaseEmits, c.phaseNews = emits[:0], news[:0]
+		for _, r := range runs {
+			clear(r.emits)
+			clear(r.news)
+			r.emits, r.news = r.emits[:0], r.news[:0]
+		}
+	}()
 	for _, r := range runs {
 		c.res.Stats.Transitions += r.transitions
 		c.res.Stats.Rejections += r.rejections
@@ -443,11 +485,11 @@ func (c *checker) mergePhase(runs []*nodeRun) bool {
 		emits = append(emits, r.emits...)
 		news = append(news, r.news...)
 	}
-	sort.SliceStable(emits, func(i, j int) bool { return emits[i].entry < emits[j].entry })
+	slices.SortStableFunc(emits, func(a, b emitBatch) int { return cmp.Compare(a.entry, b.entry) })
 	for _, b := range emits {
 		c.mergeEmit(b)
 	}
-	sort.SliceStable(news, func(i, j int) bool { return news[i].entry < news[j].entry })
+	slices.SortStableFunc(news, func(a, b discovery) int { return cmp.Compare(a.entry, b.entry) })
 
 	// The running view starts at the phase-start list lengths and grows by
 	// one (entry, node) group at a time.

@@ -264,6 +264,14 @@ func (c *checker) forEachCombo(lists [][]*nodeState) []prelim {
 	if c.stopped {
 		return nil
 	}
+	// The walk reads the clock every 1,024 visits, but an anchor decided at
+	// its root makes about one visit after a preparation that reads every
+	// list: each anchor reads it once too, so a barrier full of discoveries
+	// cannot run past the budget.
+	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
+		c.stop(obs.StopBudget)
+		return nil
+	}
 	n, total, sum := len(lists), 1, 0
 	for _, l := range lists {
 		total *= len(l)

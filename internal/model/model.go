@@ -70,7 +70,10 @@ type State interface {
 //
 // Mutation contract: the state passed to HandleMessage/HandleAction is a
 // private copy owned by the handler; it may be mutated and returned, or a
-// fresh state may be returned instead.
+// fresh state may be returned instead. Returning it is the only way a
+// handler may keep it: no emitted message and nothing the handler retains
+// may point into it, because a checker may reuse a copy it did not keep for
+// a later handler call (Recycler).
 //
 // Rejection contract: a handler returns a nil state to signal a node-local
 // assertion failure, e.g. receipt of a message that is impossible in the
@@ -117,6 +120,28 @@ type Machine interface {
 // immutable and concurrent Fingerprint calls are reads.
 type Fingerprinter interface {
 	Fingerprint() codec.Fingerprint
+}
+
+// Recycler is an optional State capability: a state whose copy can be
+// written into the storage of another copy instead of a fresh allocation.
+// LMC's exploration hands every handler a copy of a visited state, and most
+// of those copies are thrown away — the handler rejected the event, or its
+// successor was already visited — so a worker keeps one such copy and has
+// the next handler's copy written into it.
+//
+// Contract: CloneInto returns what Clone returns, written into dst when dst
+// is of the receiver's own type (dst's previous contents are lost), a fresh
+// Clone otherwise. Recycling overwrites the struct dst points to and nothing
+// it references, so it is sound only if that struct is reachable from
+// nowhere else once its handler returned: a handler keeps no reference to
+// the state it was given, and no message it emits points into that struct.
+// Slices of the state's stored collections may be shared freely — their
+// backing arrays are immutable (the sharing rule that makes Clone a struct
+// copy) and recycling never writes them. A checker recycles only a copy it
+// made itself and did not keep: never a state that entered a visited set,
+// never a parent, never a state a handler returned in place of its copy.
+type Recycler interface {
+	CloneInto(dst State) State
 }
 
 // Symmetric is an optional Machine capability declaring role symmetry. The
@@ -275,12 +300,18 @@ func (e Event) String() string {
 
 // Apply executes the event's handler on a Clone of s via machine m,
 // returning the successor (nil if the handler rejected) and emissions.
-func (e Event) Apply(m Machine, s State) (State, []Message) {
+func (e Event) Apply(m Machine, s State) (State, []Message) { return e.Handle(m, s.Clone()) }
+
+// Handle executes the event's handler via machine m on s itself: a private
+// copy of the node state that the caller made (Apply's Clone, or a recycled
+// copy — see Recycler) and that the handler may write. It is the one place
+// a handler is called from.
+func (e Event) Handle(m Machine, s State) (State, []Message) {
 	switch e.Kind {
 	case NetworkEvent:
-		return m.HandleMessage(e.Node, s.Clone(), e.Msg)
+		return m.HandleMessage(e.Node, s, e.Msg)
 	case InternalEvent:
-		return m.HandleAction(e.Node, s.Clone(), e.Act)
+		return m.HandleAction(e.Node, s, e.Act)
 	default:
 		return nil, nil
 	}

@@ -2,7 +2,9 @@ package onepaxos
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
@@ -233,5 +235,74 @@ func TestStateCloneEncodeAgree(t *testing.T) {
 				t.Fatalf("node %d %s: clone carries fingerprint %v, its encoding hashes to %v", n, name, got, want)
 			}
 		}
+	}
+}
+
+// TestFingerprintResumesAtFirstWrite is paxos's test of the same name for
+// the layered state: this layer's hash carries on from the utility's, which
+// itself resumes at the first utility section written. Random interleavings
+// of both layers' mutators, Fingerprint calls, and Clone and CloneInto with
+// either side written afterwards leave every state carrying the hash of its
+// fresh encoding after every write.
+func TestFingerprintResumesAtFirstWrite(t *testing.T) {
+	m := New(3, NoBug, Driver{})
+	live, err := PaperLiveState(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := []func(rng *rand.Rand, st *State){
+		func(rng *rand.Rand, st *State) { st.applyLeader(model.NodeID(rng.Intn(3))) },
+		func(rng *rand.Rand, st *State) { st.setAcceptor(model.NodeID(rng.Intn(3))) },
+		func(_ *rand.Rand, st *State) { st.advanceUtil() },
+		func(_ *rand.Rand, st *State) { st.countProposal() },
+		func(_ *rand.Rand, st *State) { st.countTakeover() },
+		func(rng *rand.Rand, st *State) {
+			st.setAccepted(rng.Intn(3), acceptedVal{Epoch: rng.Intn(2), Value: rng.Intn(2)})
+		},
+		func(rng *rand.Rand, st *State) { st.SetChosen(rng.Intn(3), rng.Intn(2)) },
+		// The utility's sections: a proposition writes the proposer's, a
+		// Prepare from another node the acceptor's, and a choice the
+		// learner's.
+		func(rng *rand.Rand, st *State) { paxos.DoPropose(m.util, 0, &st.Util, rng.Intn(3), rng.Intn(2)) },
+		func(rng *rand.Rand, st *State) {
+			other, i := paxos.NewState(), rng.Intn(3)
+			for k := rng.Intn(3); k > 0; k-- {
+				paxos.DoPropose(m.util, 1, other, i, 0)
+			}
+			paxos.Step(m.util, 0, &st.Util, paxos.DoPropose(m.util, 1, other, i, 0)[0])
+		},
+		func(rng *rand.Rand, st *State) { st.Util.SetChosen(rng.Intn(3), rng.Intn(2)) },
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pool := []*State{live[0].Clone().(*State), live[1].Clone().(*State), live[2].Clone().(*State)}
+		carriesHash := func(st *State) bool {
+			return model.StateFingerprint(st.Clone()) == codec.Hash(testkit.Encoding(st))
+		}
+		for step := 0; step < 100; step++ {
+			st := pool[rng.Intn(len(pool))]
+			switch r := rng.Intn(10); {
+			case r < 6:
+				writes[rng.Intn(len(writes))](rng, st)
+				if !carriesHash(st) {
+					return false
+				}
+			case r < 8:
+				st.Fingerprint()
+			case r < 9 && len(pool) < 6:
+				pool = append(pool, st.Clone().(*State))
+			default:
+				st.CloneInto(pool[rng.Intn(len(pool))])
+			}
+		}
+		for _, st := range pool {
+			if st.Fingerprint() != codec.Hash(testkit.Encoding(st)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

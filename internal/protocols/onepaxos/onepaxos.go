@@ -148,6 +148,17 @@ func (s *State) Clone() model.State {
 	return &c
 }
 
+// CloneInto implements model.Recycler: Clone's struct copy, utility
+// included, written into dst when dst is a *State (see paxos.State's).
+func (s *State) CloneInto(dst model.State) model.State {
+	d, ok := dst.(*State)
+	if !ok {
+		return s.Clone()
+	}
+	*d = *s
+	return d
+}
+
 // Fingerprint implements model.Fingerprinter. The encoding starts with the
 // utility's, so the hash carries on from the utility's own carried
 // fingerprint over the few bytes this layer adds: a transition that left the

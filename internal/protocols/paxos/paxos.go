@@ -197,11 +197,14 @@ func Put[V any](c *[]At[V], memo *codec.Fingerprint, i int, v V) {
 
 // PutNew is Put where values can be compared: an index that already holds v
 // is left alone, carried fingerprint included — a repeated Prepare or Accept
-// at the promised ballot leaves the state, and its hash, as they were.
-func PutNew[V comparable](c *[]At[V], memo *codec.Fingerprint, i int, v V) {
-	if old, ok := Lookup(*c, i); !ok || old != v {
-		Put(c, memo, i, v)
+// at the promised ballot leaves the state, and its hash, as they were. It
+// reports whether it wrote.
+func PutNew[V comparable](c *[]At[V], memo *codec.Fingerprint, i int, v V) bool {
+	if old, ok := Lookup(*c, i); ok && old == v {
+		return false
 	}
+	Put(c, memo, i, v)
+	return true
 }
 
 // State is one Paxos node's local state (all three roles).
@@ -240,22 +243,60 @@ type State struct {
 	// every mutator clears it, so the successor a handler wrote nothing to
 	// arrives with its fingerprint.
 	memo codec.Fingerprint
+	// marks[k] is the running FNV-1a hash of the encoding up to the start of
+	// section k+1, or zero when not known: Fingerprint records them, Clone
+	// copies them, and a write to a section clears the marks past its start
+	// (wrote), so a successor is re-hashed from the first section its
+	// handler touched. Two marks keep the struct in a small size class and
+	// cover almost all of what a full re-hash would repeat.
+	marks [numSections - 1]codec.Fingerprint
+}
+
+// The encoding's sections, in order, each opening with a collection that
+// handlers often write first: a proposer's Proposals, an acceptor's
+// Promised, a learner's Learns.
+const (
+	proposerSection = iota // ProposalsMade, Proposals
+	acceptorSection        // Promised, Accepted
+	learnerSection         // Learns, Chosen
+	numSections
+)
+
+// wrote records a write to section sec: the carried fingerprint and every
+// mark past sec's start are stale, the marks before it are not.
+func (s *State) wrote(sec int) {
+	s.memo = 0
+	clear(s.marks[sec:])
 }
 
 func (s *State) proposalFor(i int) (proposal, bool) { return Lookup(s.Proposals, i) }
-func (s *State) setProposal(i int, p proposal)      { Put(&s.Proposals, &s.memo, i, p) }
+
+func (s *State) setProposal(i int, p proposal) {
+	Put(&s.Proposals, &s.memo, i, p)
+	s.wrote(proposerSection)
+}
 
 // countProposal charges one proposition against the test-driver budget.
 func (s *State) countProposal() {
 	s.ProposalsMade++
-	s.memo = 0
+	s.wrote(proposerSection)
 }
 
 func (s *State) promisedFor(i int) (Ballot, bool) { return Lookup(s.Promised, i) }
-func (s *State) setPromised(i int, b Ballot)      { PutNew(&s.Promised, &s.memo, i, b) }
+
+func (s *State) setPromised(i int, b Ballot) {
+	if PutNew(&s.Promised, &s.memo, i, b) {
+		s.wrote(acceptorSection)
+	}
+}
 
 func (s *State) acceptedFor(i int) (accepted, bool) { return Lookup(s.Accepted, i) }
-func (s *State) setAccepted(i int, a accepted)      { PutNew(&s.Accepted, &s.memo, i, a) }
+
+func (s *State) setAccepted(i int, a accepted) {
+	if PutNew(&s.Accepted, &s.memo, i, a) {
+		s.wrote(acceptorSection)
+	}
+}
 
 func (s *State) learnsFor(i int) []learnRecord {
 	recs, _ := Lookup(s.Learns, i)
@@ -264,7 +305,10 @@ func (s *State) learnsFor(i int) []learnRecord {
 
 // setLearns stores the learn records of one index (insertRecord and
 // WithEntry build theirs afresh, as Put requires).
-func (s *State) setLearns(i int, recs []learnRecord) { Put(&s.Learns, &s.memo, i, recs) }
+func (s *State) setLearns(i int, recs []learnRecord) {
+	Put(&s.Learns, &s.memo, i, recs)
+	s.wrote(learnerSection)
+}
 
 // HasChosen reports the chosen value for an index, if any.
 func (s *State) HasChosen(index int) (int, bool) { return Lookup(s.Chosen, index) }
@@ -272,7 +316,11 @@ func (s *State) HasChosen(index int) (int, bool) { return Lookup(s.Chosen, index
 // SetChosen records (or overwrites) the chosen value for an index. The
 // protocol itself only ever records a first choice (stepLearn checks
 // HasChosen); tests and harnesses use SetChosen to build states by hand.
-func (s *State) SetChosen(index, value int) { PutNew(&s.Chosen, &s.memo, index, value) }
+func (s *State) SetChosen(index, value int) {
+	if PutNew(&s.Chosen, &s.memo, index, value) {
+		s.wrote(learnerSection)
+	}
+}
 
 // NewState returns an empty node state. All collections start nil — a
 // pristine node allocates nothing until its first handler runs.
@@ -285,13 +333,45 @@ func (s *State) Clone() model.State {
 	return &c
 }
 
-// Fingerprint implements model.Fingerprinter: the hash of the state's
-// encoding, computed at most once between two writes.
-func (s *State) Fingerprint() codec.Fingerprint {
-	if s.memo == 0 {
-		s.memo = codec.HashOf(s)
+// CloneInto implements model.Recycler: Clone's struct copy, written into dst
+// when dst is a *State. Handlers keep no reference to their input state, and
+// messages copy what they carry out of it, so only the collections' backing
+// arrays outlive a recycled copy — and those are never written.
+func (s *State) CloneInto(dst model.State) model.State {
+	d, ok := dst.(*State)
+	if !ok {
+		return s.Clone()
 	}
-	return s.memo
+	*d = *s
+	return d
+}
+
+// Fingerprint implements model.Fingerprinter: the hash of the state's
+// encoding, computed at most once between two writes, and then only from the
+// first section written since the hash was last taken (State.marks).
+func (s *State) Fingerprint() codec.Fingerprint {
+	if s.memo != 0 {
+		return s.memo
+	}
+	sec, h := proposerSection, codec.Hash(nil)
+	for k := len(s.marks) - 1; k >= 0; k-- {
+		if s.marks[k] != 0 {
+			sec, h = k+1, s.marks[k]
+			break
+		}
+	}
+	w := codec.GetWriter()
+	for ; sec < numSections; sec++ {
+		if sec > proposerSection {
+			s.marks[sec-1] = h
+		}
+		w.Reset()
+		s.encodeSection(sec, w)
+		h = codec.HashAfter(h, w.Bytes())
+	}
+	codec.PutWriter(w)
+	s.memo = h
+	return h
 }
 
 // Encode implements codec.Encoder. Every collection is written ascending by
@@ -301,6 +381,25 @@ func (s *State) Fingerprint() codec.Fingerprint {
 // scratch. The byte stream is fingerprint-critical: any change here splits
 // the visited-state space across binary versions.
 func (s *State) Encode(w *codec.Writer) {
+	for sec := proposerSection; sec < numSections; sec++ {
+		s.encodeSection(sec, w)
+	}
+}
+
+// encodeSection writes one section of the encoding; Encode is the sections
+// in order, and Fingerprint hashes them one at a time.
+func (s *State) encodeSection(sec int, w *codec.Writer) {
+	switch sec {
+	case proposerSection:
+		s.encodeProposer(w)
+	case acceptorSection:
+		s.encodeAcceptor(w)
+	case learnerSection:
+		s.encodeLearner(w)
+	}
+}
+
+func (s *State) encodeProposer(w *codec.Writer) {
 	w.Int(s.ProposalsMade)
 
 	w.Uint32(uint32(len(s.Proposals)))
@@ -317,7 +416,9 @@ func (s *State) Encode(w *codec.Writer) {
 			w.Int(pe.Info.Value)
 		}
 	}
+}
 
+func (s *State) encodeAcceptor(w *codec.Writer) {
 	w.Uint32(uint32(len(s.Promised)))
 	for _, e := range s.Promised {
 		w.Int(e.Index)
@@ -330,7 +431,9 @@ func (s *State) Encode(w *codec.Writer) {
 		e.Value.Ballot.Encode(w)
 		w.Int(e.Value.Value)
 	}
+}
 
+func (s *State) encodeLearner(w *codec.Writer) {
 	w.Uint32(uint32(len(s.Learns)))
 	for _, e := range s.Learns {
 		w.Int(e.Index)

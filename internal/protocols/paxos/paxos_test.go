@@ -462,6 +462,69 @@ func mutate(rng *rand.Rand, st *State) {
 	}
 }
 
+// fingerprintWrites are every mutator of State, each over a small domain so
+// that PutNew's no-ops (the index already holds the value) come up often.
+var fingerprintWrites = []func(rng *rand.Rand, st *State){
+	func(_ *rand.Rand, st *State) { st.countProposal() },
+	func(rng *rand.Rand, st *State) {
+		st.setProposal(rng.Intn(3), proposal{Ballot: Ballot{N: rng.Intn(2) + 1}, Value: rng.Intn(2)})
+	},
+	func(rng *rand.Rand, st *State) {
+		st.setPromised(rng.Intn(3), Ballot{N: rng.Intn(2) + 1, Node: model.NodeID(rng.Intn(2))})
+	},
+	func(rng *rand.Rand, st *State) {
+		st.setAccepted(rng.Intn(3), accepted{Ballot: Ballot{N: rng.Intn(2) + 1}, Value: rng.Intn(2)})
+	},
+	func(rng *rand.Rand, st *State) {
+		i := rng.Intn(3)
+		rec := learnRecord{Ballot: Ballot{N: rng.Intn(2) + 1}, Value: rng.Intn(2), Acceptors: []model.NodeID{0}}
+		st.setLearns(i, insertRecord(st.learnsFor(i), rec))
+	},
+	func(rng *rand.Rand, st *State) { st.SetChosen(rng.Intn(3), rng.Intn(2)) },
+}
+
+// TestFingerprintResumesAtFirstWrite: Fingerprint re-hashes from the first
+// section written since the hash was last taken (State.marks). Over random
+// interleavings of every mutator, Fingerprint calls, and Clone and CloneInto
+// with either side written afterwards, the fingerprint a state carries after
+// every write is the hash of its fresh encoding. The check after a write
+// runs on a clone, so that a state goes through several writes between two
+// Fingerprint calls of its own.
+func TestFingerprintResumesAtFirstWrite(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pool := []*State{randomState(rng), NewState()}
+		carriesHash := func(st *State) bool {
+			return model.StateFingerprint(st.Clone()) == codec.Hash(testkit.Encoding(st))
+		}
+		for step := 0; step < 100; step++ {
+			st := pool[rng.Intn(len(pool))]
+			switch r := rng.Intn(10); {
+			case r < 6:
+				fingerprintWrites[rng.Intn(len(fingerprintWrites))](rng, st)
+				if !carriesHash(st) {
+					return false
+				}
+			case r < 8:
+				st.Fingerprint()
+			case r < 9 && len(pool) < 6:
+				pool = append(pool, st.Clone().(*State))
+			default:
+				st.CloneInto(pool[rng.Intn(len(pool))])
+			}
+		}
+		for _, st := range pool {
+			if st.Fingerprint() != codec.Hash(testkit.Encoding(st)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMaxBallotSeen aggregates across all roles.
 func TestMaxBallotSeen(t *testing.T) {
 	p := params()

@@ -25,7 +25,12 @@ type Reporter interface {
 //   - the handler wrote only to the state it was given: a second clone taken
 //     before the call, which shares with the handler's state exactly what
 //     the visited state it was cloned from shares, encodes to the same bytes
-//     afterwards — a write into a shared backing array fails here.
+//     afterwards — a write into a shared backing array fails here;
+//   - for a state that can be recycled (model.Recycler), no emitted message
+//     points into the state the handler was given: the handler runs again on
+//     a third clone, which is then overwritten with the node's initial state
+//     the way a checker recycles a copy, and the messages of that second run
+//     must encode as they did before the overwrite.
 //
 // The wrapper declares none of m's optional capabilities (model.Symmetric,
 // model.RawReplayer); an audited run is an unreduced one.
@@ -38,6 +43,7 @@ type auditMachine struct {
 
 func (a auditMachine) HandleMessage(n model.NodeID, s model.State, m model.Message) (model.State, []model.Message) {
 	done := a.begin(s, m)
+	a.recycled(n, s, m, func(cp model.State) []model.Message { _, out := a.Machine.HandleMessage(n, cp, m); return out })
 	next, out := a.Machine.HandleMessage(n, s, m)
 	done(next)
 	return next, out
@@ -45,9 +51,38 @@ func (a auditMachine) HandleMessage(n model.NodeID, s model.State, m model.Messa
 
 func (a auditMachine) HandleAction(n model.NodeID, s model.State, act model.Action) (model.State, []model.Message) {
 	done := a.begin(s, act)
+	a.recycled(n, s, act, func(cp model.State) []model.Message { _, out := a.Machine.HandleAction(n, cp, act); return out })
 	next, out := a.Machine.HandleAction(n, s, act)
 	done(next)
 	return next, out
+}
+
+// recycled runs the handler (run) on a clone of s and then recycles that
+// clone, overwriting it with node n's initial state: the messages the run
+// emitted must encode the same before and after.
+func (a auditMachine) recycled(n model.NodeID, s model.State, event fmt.Stringer, run func(model.State) []model.Message) {
+	if _, ok := s.(model.Recycler); !ok {
+		return
+	}
+	init, ok := a.Init(n).(model.Recycler)
+	if !ok {
+		return
+	}
+	cp := s.Clone()
+	out := run(cp)
+	before := encodeAll(out)
+	init.CloneInto(cp)
+	if !bytes.Equal(encodeAll(out), before) {
+		a.t.Errorf("%s: %v on %s emitted a message that points into the state it was given", a.Name(), event, s)
+	}
+}
+
+func encodeAll(msgs []model.Message) []byte {
+	var w codec.Writer
+	for _, m := range msgs {
+		m.Encode(&w)
+	}
+	return w.Bytes()
 }
 
 // begin takes the witness clone of the handler's input; the returned func
