@@ -7,3 +7,8 @@ package bench
 // 442 MB in 4.7 M objects against 297 MB in 3.7 M) — an allocation ceiling
 // sized for a plain build says nothing there.
 const raceDetector = true
+
+// raceBudgetScale stretches the slack a budgeted run is allowed past its
+// deadline: instrumented code is an order of magnitude slower, so the work
+// between two clock reads is too.
+const raceBudgetScale = 15

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"lmc/internal/codec"
@@ -149,9 +150,10 @@ func (c *checker) settle(combo []*nodeState, v *spec.Violation, pre *confirmResu
 // — full per-node path cap, fresh sequence budget — whose run step is
 // precomputed on the worker pool; the sequential merge then replays the
 // exact bookkeeping of an inline confirmation loop, charging only the
-// confirmations that actually execute before a StopAtFirstBug cutoff. A
-// job that finds the Budget's deadline passed does not run, and the merge
-// stops with StopBudget at the first such job.
+// confirmations that actually execute before a StopAtFirstBug cutoff. The
+// Budget's deadline is looked at before the job table is built and every
+// 1,024 violations while it is; a job that finds it passed does not run, and
+// the merge stops with StopBudget at the first such job.
 func (c *checker) confirmBatch(prelims []prelim) {
 	if len(prelims) == 0 || !c.confirms() {
 		return
@@ -162,6 +164,10 @@ func (c *checker) confirmBatch(prelims []prelim) {
 		var jobs []*prelim
 		need := make(map[codec.Fingerprint]int)
 		for i := range prelims {
+			if i%1024 == 0 && c.pastDeadline() {
+				c.stop(obs.StopBudget)
+				return
+			}
 			p := &prelims[i]
 			p.fp = comboFP(p.combo)
 			if _, decided := c.verdicts[p.fp]; decided {
@@ -173,8 +179,10 @@ func (c *checker) confirmBatch(prelims []prelim) {
 			}
 		}
 		results := make([]confirmResult, len(jobs))
+		var late atomic.Bool // some job found the deadline passed
 		c.runParallel(len(jobs), func(i int) {
-			if !c.deadline.IsZero() && time.Now().After(c.deadline) {
+			if late.Load() || c.pastDeadline() {
+				late.Store(true)
 				return // calls stays 0: the job did not run
 			}
 			budget := maxSequencesPerCheck

@@ -10,11 +10,12 @@
 //
 // The package provides both the general algorithm (LMC-GEN) and the
 // invariant-specific optimization (LMC-OPT) selected by supplying a
-// spec.Reduction.
+// spec.Reduction that is also a spec.Keyer.
 package core
 
 import (
 	"errors"
+	"math/bits"
 	"time"
 
 	"lmc/internal/codec"
@@ -48,7 +49,9 @@ type Options struct {
 	// RandTree's disjoint children/siblings example).
 	LocalInvariants []spec.LocalInvariant
 	// Reduction, when non-nil, enables LMC-OPT: system states are only
-	// materialized for combinations whose member interests conflict.
+	// materialized for combinations whose member interests conflict. LMC-OPT
+	// requires it to implement spec.Keyer (InterestKey): node states are
+	// grouped, and conflicts decided, by interest key.
 	Reduction spec.Reduction
 
 	// Reduce selects the optional reduction of the LMC-GEN sweep: symmetry
@@ -174,6 +177,9 @@ func (o *Options) Validate() error {
 	if o.MaxPathDepth < 0 || o.MaxSystemDepth < 0 || o.MaxTransitions < 0 || o.Budget < 0 {
 		return errors.New("core: Options.MaxPathDepth, MaxSystemDepth, MaxTransitions and Budget must be >= 0 (0 means unbounded)")
 	}
+	if _, keyed := o.Reduction.(spec.Keyer); o.Reduction != nil && !keyed {
+		return errors.New("core: Options.Reduction must implement spec.Keyer (InterestKey): LMC-OPT groups node states by interest key")
+	}
 	return nil
 }
 
@@ -283,9 +289,6 @@ type nodeState struct {
 	// maxPredecessors cap, which count both lists.
 	preds     []pred
 	selfEdges []codec.Fingerprint
-	// interest caches the Reduction projection (LMC-OPT).
-	interest    spec.Interest
-	interesting bool
 	// flow is the state's flow memo: net consumed-minus-generated counts per
 	// message along the creation chain, in the pass's message ids. flowOf
 	// (index.go) builds it the first time a witness search asks; nil means
@@ -299,11 +302,10 @@ type nodeState struct {
 	suppressed bool
 	// universal caches a positive checker.universal answer (reduce.go).
 	universal bool
-	// keyed marks that key holds the state's interest-key id under the
-	// invariant's declared pairs (pairKeys, sweep.go): a GEN sweep interns it
-	// the first time the state is a candidate.
-	keyed bool
-	key   int32
+	// key is the state's interest-key id in the run's key table (keyTable),
+	// given once at the barrier that merged the state; 0 when the state is
+	// not interesting or the run has no table.
+	key int32
 }
 
 // pred is a predecessor edge: the event that produced a state from a prior
@@ -364,38 +366,35 @@ type space struct {
 	// of the first state whose creation edge generated it (index.go).
 	minProducer map[codec.Fingerprint]int
 
-	// groups buckets interesting states by their canonical interest key
-	// (LMC-OPT with a spec.Keyer reduction). A conflicting pair must come
-	// from two groups, but the other nodes of the combination range over all
-	// their states — their events are what generated the messages the pair
-	// consumed, so restricting them would starve soundness verification of
-	// every valid witness.
-	groups     map[string]*interestGroup
+	// groups buckets interesting states by interest-key id (LMC-OPT). A
+	// conflicting pair must come from two groups, but the other nodes of the
+	// combination range over all their states — their events are what
+	// generated the messages the pair consumed, so restricting them would
+	// starve soundness verification of every valid witness.
+	groups     map[int32]*interestGroup
 	groupOrder []*interestGroup // in order of first member
 }
 
 // witnessKey identifies one witness search: the new node state, the peer
-// node index, and the conflicting group (or "all" for keyless reductions).
+// node index, and the conflicting group's key id — or, for a node-local
+// violation, -1 minus the local invariant's index. Ids are content-keyed,
+// so the key outlives the pass, as witnessed does.
 type witnessKey struct {
-	fp    codec.Fingerprint
-	node  int
-	group string
+	fp   codec.Fingerprint
+	node int
+	key  int32
 }
 
 // interestGroup is the bucket of node states sharing one interest key.
 type interestGroup struct {
-	// searchKey names the group in witnessKey — by content, since witnessed
-	// outlives the pass and the group does not. Built once, here, not per
-	// search.
-	searchKey string
-	interest  spec.Interest
-	members   []*nodeState
+	key     int32
+	members []*nodeState
 }
 
 func newSpace() *space {
 	return &space{
 		byFP:        make(map[codec.Fingerprint]*nodeState),
-		groups:      make(map[string]*interestGroup),
+		groups:      make(map[int32]*interestGroup),
 		minProducer: make(map[codec.Fingerprint]int),
 		chain:       codec.NewHasher(),
 	}
@@ -409,20 +408,121 @@ func (sp *space) add(ns *nodeState) {
 	sp.indexProducers(ns)
 }
 
-// classify registers an interesting ns in its interest group under a Keyer
-// reduction.
-func (sp *space) classify(ns *nodeState, keyer spec.Keyer) {
-	if !ns.interesting {
+// classify files an interesting ns in its interest group (LMC-OPT).
+func (sp *space) classify(ns *nodeState) {
+	if ns.key == 0 {
 		return
 	}
-	key := keyer.InterestKey(ns.interest)
-	g := sp.groups[key]
+	g := sp.groups[ns.key]
 	if g == nil {
-		g = &interestGroup{searchKey: "g:" + key, interest: ns.interest}
-		sp.groups[key] = g
+		g = &interestGroup{key: ns.key}
+		sp.groups[ns.key] = g
 		sp.groupOrder = append(sp.groupOrder, g)
 	}
 	g.members = append(g.members, ns)
 }
 
 func (sp *space) lookup(fp codec.Fingerprint) *nodeState { return sp.byFP[fp] }
+
+// keyTable is the run's one projection of node states to interests, and the
+// only caller of the reduction (LMC-OPT's, or the pairs a GEN invariant
+// declares): it gives interest keys dense ids and memoizes Conflict between
+// them as bitset rows, one call per unordered key pair. Id 0 stands for every
+// uninteresting state; its row is empty and it is never asked. Ids are
+// content-keyed, so the table outlives a pass. It belongs to the merge
+// goroutine, which interns every visited state once (checker.internKey):
+// sweep workers read rows only, and prepareCut completes them before the
+// workers start.
+type keyTable struct {
+	red      spec.KeyedReduction
+	ids      map[string]int32
+	interest []spec.Interest // by id
+	rows     [][]uint64      // rows[a] has bit b when a and b conflict
+	asked    [][]uint64      // asked[a] has bit b once the pair {a, b} was asked
+	width    int             // words per row and per key mask
+}
+
+func newKeyTable(red spec.KeyedReduction) *keyTable {
+	return &keyTable{red: red, ids: make(map[string]int32),
+		interest: []spec.Interest{nil}, rows: [][]uint64{{0}}, asked: [][]uint64{{0}}, width: 1}
+}
+
+// intern gives ns its key id.
+func (k *keyTable) intern(ns *nodeState) {
+	in, ok := k.red.Interest(ns.node, ns.state)
+	if !ok {
+		return // id 0
+	}
+	key := k.red.InterestKey(in)
+	id, seen := k.ids[key]
+	if !seen {
+		id = int32(len(k.interest))
+		k.ids[key] = id
+		k.interest = append(k.interest, in)
+		if len(k.interest) > 64*k.width {
+			k.width++
+			for a := range k.rows {
+				k.rows[a], k.asked[a] = append(k.rows[a], 0), append(k.asked[a], 0)
+			}
+		}
+		k.rows = append(k.rows, make([]uint64, k.width))
+		k.asked = append(k.asked, make([]uint64, k.width))
+	}
+	ns.key = id
+}
+
+// conflicts reports whether the interests of ids a and b (both non-zero)
+// conflict, asking the reduction the first time the pair comes up.
+func (k *keyTable) conflicts(a, b int32) bool {
+	if k.asked[a][b>>6]&(1<<(b&63)) == 0 {
+		if k.red.Conflict(k.interest[a], k.interest[b]) {
+			k.rows[a][b>>6] |= 1 << (b & 63)
+			k.rows[b][a>>6] |= 1 << (a & 63)
+		}
+		k.asked[a][b>>6] |= 1 << (b & 63)
+		k.asked[b][a>>6] |= 1 << (a & 63)
+	}
+	return k.rows[a][b>>6]&(1<<(b&63)) != 0
+}
+
+// complete asks about every pair of ids in mask that has not been asked yet,
+// so the rows are exact within mask.
+func (k *keyTable) complete(mask []uint64) {
+	for ai, aw := range mask {
+		for ; aw != 0; aw &= aw - 1 {
+			a := int32(ai*64 + bits.TrailingZeros64(aw))
+			for bi, bw := range mask {
+				for todo := bw &^ k.asked[a][bi]; todo != 0; todo &= todo - 1 {
+					k.conflicts(a, int32(bi*64+bits.TrailingZeros64(todo)))
+				}
+			}
+		}
+	}
+}
+
+// meets reports whether some id in a conflicts with some id in b.
+func (k *keyTable) meets(a, b []uint64) bool {
+	for ai, aw := range a {
+		for ; aw != 0; aw &= aw - 1 {
+			row := k.rows[ai*64+bits.TrailingZeros64(aw)]
+			for i := range b {
+				if row[i]&b[i] != 0 {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// conflicting reports whether two members of combo hold conflicting keys.
+func (k *keyTable) conflicting(combo []*nodeState) bool {
+	for i, a := range combo {
+		for _, b := range combo[i+1:] {
+			if a.key != 0 && b.key != 0 && k.conflicts(a.key, b.key) {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -54,12 +54,10 @@ type checker struct {
 	// workers is the resolved worker-pool size (>= 1).
 	workers int
 
-	// keyer is non-nil when the reduction supports canonical interest keys
-	// (the grouped LMC-OPT path).
-	keyer spec.Keyer
-	// keys is non-nil when the invariant declares its conflicting pairs
-	// (spec.PrefixInvariant): the GEN sweep then decides whole subtrees.
-	keys *pairKeys
+	// keys is the interest-key table (keyTable): LMC-OPT's, or under LMC-GEN
+	// the invariant's declared pairs (spec.PrefixInvariant), which let the
+	// sweep decide whole subtrees; nil when there is neither.
+	keys *keyTable
 
 	// canon is the role-symmetry canonicalizer, non-nil only in an LMC-GEN
 	// run with Options.Reduce.Symmetry set on a machine that declares usable
@@ -182,10 +180,11 @@ func newChecker(ctx context.Context, m model.Machine, start model.SystemState, o
 		witnessed: make(map[witnessKey]struct{}),
 	}
 	c.workers = resolveWorkers(opt.Workers)
-	if k, ok := opt.Reduction.(spec.Keyer); ok {
-		c.keyer = k
+	if opt.Reduction != nil {
+		c.keys = newKeyTable(opt.Reduction.(spec.KeyedReduction)) // Validate's rule
+	} else if pi, ok := opt.Invariant.(spec.PrefixInvariant); ok {
+		c.keys = newKeyTable(pi.Pairs())
 	}
-	c.keys = newPairKeys(c.opt.Invariant)
 	// Symmetry reduces the GEN sweep; LMC-OPT has no sweep to reduce.
 	if opt.Reduce.Symmetry && opt.Reduction == nil {
 		if sym, ok := m.(model.Symmetric); ok {
@@ -282,6 +281,12 @@ func (c *checker) pollDeadline(tick *int) bool {
 	if *tick%deadlinePollInterval != 0 {
 		return false
 	}
+	return c.pastDeadline()
+}
+
+// pastDeadline reports whether the Budget's deadline has passed. A run
+// without a Budget never reads the clock.
+func (c *checker) pastDeadline() bool {
 	return !c.deadline.IsZero() && time.Now().After(c.deadline)
 }
 
@@ -335,11 +340,8 @@ func (c *checker) beginPass() {
 			state: st,
 			fp:    model.StateFingerprint(st),
 		}
-		c.project(ns)
 		c.spaces[n].add(ns)
-		if c.keyer != nil {
-			c.spaces[n].classify(ns, c.keyer)
-		}
+		c.internKey(ns)
 		c.res.Stats.NodeStates++
 	}
 }
@@ -441,12 +443,19 @@ func (c *checker) addPred(ns *nodeState, edge pred) {
 	ns.preds = append(ns.preds, edge)
 }
 
-// project caches the LMC-OPT interest of a node state.
-func (c *checker) project(ns *nodeState) {
-	if c.opt.Reduction == nil {
+// internKey gives a newly visited state its interest-key id and, under
+// LMC-OPT, files it in its space's group. Only the merge goroutine calls it,
+// once per state, in canonical discovery order — so a space's groups are in
+// first-member order and each group's members in seq order, whatever the
+// worker count.
+func (c *checker) internKey(ns *nodeState) {
+	if c.keys == nil {
 		return
 	}
-	ns.interest, ns.interesting = c.opt.Reduction.Interest(ns.node, ns.state)
+	c.keys.intern(ns)
+	if c.opt.Reduction != nil {
+		c.spaces[ns.node].classify(ns)
+	}
 }
 
 // chargeTransition accounts for one handler execution and evaluates the
@@ -475,7 +484,7 @@ func (c *checker) chargeTransition() bool {
 // messages its path consumed must be generated by some completion of the
 // other nodes — via the same lazy witness search system violations use.
 func (c *checker) checkLocalInvariants(ns *nodeState, view []int) {
-	for _, li := range c.opt.LocalInvariants {
+	for i, li := range c.opt.LocalInvariants {
 		msg := li.CheckNode(ns.node, ns.state)
 		if msg == "" {
 			continue
@@ -485,7 +494,7 @@ func (c *checker) checkLocalInvariants(ns *nodeState, view []int) {
 			Invariant: li.Name(),
 			Detail:    "node " + ns.node.String() + ": " + msg,
 		}
-		c.confirmLocalViolation(ns, v, view)
+		c.confirmLocalViolation(ns, v, i, view)
 		if c.stopped {
 			return
 		}

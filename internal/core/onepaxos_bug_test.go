@@ -88,23 +88,3 @@ func TestPhaseTimesPartitionTheRun(t *testing.T) {
 		t.Fatalf("attribution leaves exploration no time: %+v", ph)
 	}
 }
-
-// TestGENStopsAtBudget: LMC-GEN on correct 1Paxos spends most of a run
-// preparing sweeps that are decided at their root, one per discovery, so
-// the walk's visit-counted clock reads come too seldom to see the deadline;
-// the per-anchor read holds the run to its budget on the pool as inline.
-func TestGENStopsAtBudget(t *testing.T) {
-	m := onepaxos.New(3, onepaxos.NoBug, onepaxos.Driver{})
-	live, err := onepaxos.PaperLiveState(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const budget, slack = time.Second, 250 * time.Millisecond
-	for _, workers := range []int{-1, 2} {
-		res := Check(m, live, Options{Invariant: onepaxos.Agreement(), Budget: budget, Workers: workers})
-		if res.StopReason != StopBudget || res.Stats.Elapsed > budget+slack {
-			t.Errorf("workers=%d: stop reason %v after %v, want %v within %v",
-				workers, res.StopReason, res.Stats.Elapsed, StopBudget, budget+slack)
-		}
-	}
-}

@@ -343,7 +343,8 @@ func eventFP(ev model.Event, e *netstate.Entry) codec.Fingerprint {
 // addNext is Procedure addNextState of Figure 9, split around the round
 // barrier: the successor joins LSn (and records its predecessor edge)
 // immediately — the worker owns its node's space — while the generated
-// messages and the deferred invariant checks are buffered for the barrier.
+// messages, the interest key and the deferred invariant checks are buffered
+// for the barrier.
 // edge arrives complete but for the generated-message fingerprints; e is the
 // delivered entry (nil for internal events) and entry its index (-1). It
 // returns the accepted outcome — successor and emission fingerprints, both
@@ -381,11 +382,7 @@ func (r *nodeRun) addNext(edge pred, next model.State, emitted []model.Message,
 	if e != nil {
 		ns.history = &historyNode{parent: prev.history, fp: e.EventFingerprint()}
 	}
-	c.project(ns)
 	sp.add(ns)
-	if c.keyer != nil {
-		sp.classify(ns, c.keyer)
-	}
 	if ns.depth > r.maxDepth {
 		r.maxDepth = ns.depth
 	}
@@ -441,9 +438,10 @@ func (c *checker) runPhase(parallel, deliveries bool) []*nodeRun {
 }
 
 // mergePhase is the round barrier, the same after either sweep: the per-node
-// buffers enter I+ and the deferred checks run in the order the sequential
-// algorithm would have produced them, so entry indexes, duplicate drops,
-// counters and bugs are identical for every worker count. That order is
+// buffers enter I+, and the discoveries get their interest keys and then
+// their deferred checks in the order the sequential algorithm would have
+// produced them, so entry indexes, duplicate drops, key ids, counters and
+// bugs are identical for every worker count. That order is
 // ascending by producing entry, then by node: the delivery sweep interleaves
 // nodes entry by entry (an entry has one destination, and within it the
 // node's execution order is already right), and internal events all carry
@@ -490,6 +488,9 @@ func (c *checker) mergePhase(runs []*nodeRun) bool {
 		c.mergeEmit(b)
 	}
 	slices.SortStableFunc(news, func(a, b discovery) int { return cmp.Compare(a.entry, b.entry) })
+	for _, d := range news {
+		c.internKey(d.ns)
+	}
 
 	// The running view starts at the phase-start list lengths and grows by
 	// one (entry, node) group at a time.

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -11,7 +11,6 @@ import (
 	"lmc/internal/codec"
 	"lmc/internal/model"
 	"lmc/internal/obs"
-	"lmc/internal/spec"
 )
 
 // This file is system-state creation for LMC-GEN (Figure 9,
@@ -41,7 +40,7 @@ func (c *checker) checkStartState() {
 	for n := range c.spaces {
 		combo[n] = c.spaces[n].states[0]
 	}
-	if c.opt.Reduction != nil && !c.comboConflicts(combo) {
+	if c.opt.Reduction != nil && !c.keys.conflicting(combo) {
 		// LMC-OPT admission applies to the start state too: with no
 		// conflicting interests it cannot violate the invariant.
 		return
@@ -57,25 +56,6 @@ func (c *checker) checkStartState() {
 		// schedule realizes it, so there is nothing to search or replay.
 		c.settle(combo, v, &confirmResult{sound: true}, nil)
 	}
-}
-
-// comboConflicts reports whether some pair of interesting members of the
-// combination conflicts under the reduction.
-func (c *checker) comboConflicts(combo []*nodeState) bool {
-	for i := 0; i < len(combo); i++ {
-		if !combo[i].interesting {
-			continue
-		}
-		for j := i + 1; j < len(combo); j++ {
-			if !combo[j].interesting {
-				continue
-			}
-			if c.opt.Reduction.Conflict(combo[i].interest, combo[j].interest) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // checkNewState is Procedure checkSystemInvariant of Figure 9: after node
@@ -120,6 +100,9 @@ func (c *checker) forEachComboGEN(ns *nodeState, view []int) {
 		}
 	}
 	all := c.forEachCombo(lists)
+	if c.stopped {
+		return // the fixpoint sweep and confirmation will not run
+	}
 	// Violating orbits feed the fixpoint sweep: skipped sibling arrangements
 	// of a violating combination get their own checks there.
 	for i := range all {
@@ -242,7 +225,9 @@ func (s *sweepScratch) carve(k int) []cand {
 // per node) within MaxSystemDepth, materializes each into a reused scratch
 // system state and checks the invariant. It returns the preliminary
 // violations in ascending enumeration index — the index of the plain
-// lexicographic product, last list fastest — whatever order it visited in.
+// lexicographic product, last list fastest — whatever order it visited in,
+// unless the Budget's deadline has passed: the run then stops, and the
+// violations are left unsorted.
 //
 // It generates what it keeps instead of filtering what it forms: every
 // dimension is put in ascending depth once, and left at the first candidate
@@ -268,7 +253,7 @@ func (c *checker) forEachCombo(lists [][]*nodeState) []prelim {
 	// its root makes about one visit after a preparation that reads every
 	// list: each anchor reads it once too, so a barrier full of discoveries
 	// cannot run past the budget.
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
+	if c.pastDeadline() {
 		c.stop(obs.StopBudget)
 		return nil
 	}
@@ -345,9 +330,6 @@ func (c *checker) forEachCombo(lists [][]*nodeState) []prelim {
 	s.halt.Store(false)
 	c.runParallel(len(work), func(i int) { work[i].run() })
 	halted := s.halt.Load()
-	if halted {
-		c.stop(obs.StopBudget)
-	}
 
 	var all []prelim
 	states, skips := 0, 0
@@ -366,9 +348,14 @@ func (c *checker) forEachCombo(lists [][]*nodeState) []prelim {
 	c.res.Stats.InvariantChecks += states
 	c.res.Stats.SymmetrySkips += skips
 	c.res.Stats.PreliminaryViolations += len(all)
-	if len(all) > 1 {
-		sort.Slice(all, func(i, j int) bool { return all[i].idx < all[j].idx })
+	// A sweep can end just short of the deadline with hundreds of thousands
+	// of violations: their order matters only to confirmation, which a
+	// passed deadline cancels.
+	if halted || c.pastDeadline() {
+		c.stop(obs.StopBudget)
+		return all
 	}
+	slices.SortFunc(all, func(a, b prelim) int { return cmp.Compare(a.idx, b.idx) })
 	return all
 }
 
@@ -454,99 +441,8 @@ func (t *suffixTable) at(d, room int) (count, deepest int) {
 	return t.cum[i], t.deep[i]
 }
 
-// pairKeys gives the interest keys of an invariant that declares its
-// conflicting pairs (spec.PrefixInvariant) dense ids, and memoizes Conflict
-// between them as bitset rows: one Conflict call per key pair. Id 0 stands
-// for every uninteresting state; its row is empty and it is never asked.
-// Ids are content-keyed, so the table outlives a pass. It belongs to the
-// merge goroutine: sweep workers read rows only, and prepareCut completes
-// them before the workers start.
-type pairKeys struct {
-	red      spec.KeyedReduction
-	ids      map[string]int32
-	interest []spec.Interest // by id
-	rows     [][]uint64      // rows[a] has bit b when a and b conflict
-	asked    [][]uint64      // asked[a] has bit b once the pair {a, b} was asked
-	width    int             // words per row and per key mask
-}
-
-// newPairKeys returns the key table of inv, or nil when inv declares no
-// pairs.
-func newPairKeys(inv spec.Invariant) *pairKeys {
-	pi, ok := inv.(spec.PrefixInvariant)
-	if !ok {
-		return nil
-	}
-	return &pairKeys{red: pi.Pairs(), ids: make(map[string]int32),
-		interest: []spec.Interest{nil}, rows: [][]uint64{{0}}, asked: [][]uint64{{0}}, width: 1}
-}
-
-// intern gives ns its key id, the first time it is asked.
-func (k *pairKeys) intern(ns *nodeState) {
-	if ns.keyed {
-		return
-	}
-	ns.keyed = true
-	in, ok := k.red.Interest(ns.node, ns.state)
-	if !ok {
-		return // id 0
-	}
-	key := k.red.InterestKey(in)
-	id, seen := k.ids[key]
-	if !seen {
-		id = int32(len(k.interest))
-		k.ids[key] = id
-		k.interest = append(k.interest, in)
-		if len(k.interest) > 64*k.width {
-			k.width++
-			for a := range k.rows {
-				k.rows[a], k.asked[a] = append(k.rows[a], 0), append(k.asked[a], 0)
-			}
-		}
-		k.rows = append(k.rows, make([]uint64, k.width))
-		k.asked = append(k.asked, make([]uint64, k.width))
-	}
-	ns.key = id
-}
-
-// complete asks Conflict for every pair of ids in mask that has not been
-// asked yet, so the rows are exact within mask.
-func (k *pairKeys) complete(mask []uint64) {
-	for ai, aw := range mask {
-		for ; aw != 0; aw &= aw - 1 {
-			a := ai*64 + bits.TrailingZeros64(aw)
-			for bi, bw := range mask {
-				for todo := bw &^ k.asked[a][bi]; todo != 0; todo &= todo - 1 {
-					b := bi*64 + bits.TrailingZeros64(todo)
-					if k.red.Conflict(k.interest[a], k.interest[b]) {
-						k.rows[a][bi] |= 1 << (b & 63)
-						k.rows[b][ai] |= 1 << (a & 63)
-					}
-					k.asked[a][bi] |= 1 << (b & 63)
-					k.asked[b][ai] |= 1 << (a & 63)
-				}
-			}
-		}
-	}
-}
-
-// meets reports whether some id in a conflicts with some id in b.
-func (k *pairKeys) meets(a, b []uint64) bool {
-	for ai, aw := range a {
-		for ; aw != 0; aw &= aw - 1 {
-			row := k.rows[ai*64+bits.TrailingZeros64(aw)]
-			for i := range b {
-				if row[i]&b[i] != 0 {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// prepareCut interns the sweep's candidates, completes the conflict rows
-// among the keys they hold, and builds what sweepWork.decided reads: the
+// prepareCut completes the conflict rows among the keys the sweep's
+// candidates hold, and builds what sweepWork.decided reads: the
 // key ids of every suffix of dimensions, whether a suffix can hold a
 // conflicting pair within itself, and the counting groups. Two candidates
 // of one dimension never meet in a combination, so only pairs across
@@ -554,11 +450,6 @@ func (k *pairKeys) meets(a, b []uint64) bool {
 // product's, so they decide soundly for pass A too.
 func (c *checker) prepareCut() {
 	s, k := &c.sw, c.keys
-	for _, cands := range s.all {
-		for _, cd := range cands {
-			k.intern(cd.ns)
-		}
-	}
 	n, wd := len(s.all), k.width
 	s.present, s.suffix = grow(s.present, n*wd), grow(s.suffix, (n+1)*wd)
 	clear(s.present)
@@ -793,7 +684,7 @@ func (w *sweepWork) walk(d, depth int, safe bool) {
 		// wall-clock budget is enforced here too, counted in visits: pruned
 		// iterations cost time as well.
 		if w.tick++; w.tick&1023 == 0 {
-			if !c.deadline.IsZero() && time.Now().After(c.deadline) {
+			if c.pastDeadline() {
 				s.halt.Store(true)
 			}
 			if s.halt.Load() {

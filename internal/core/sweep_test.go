@@ -153,7 +153,7 @@ func (p *pairsInvariant) Check(ss model.SystemState) *spec.Violation {
 func newPairsInvariant(rng *rand.Rand, c *checker, states [][]*nodeState, sparsity int) *pairsInvariant {
 	const keyUniverse = 150
 	p := &pairsInvariant{keyOf: make(map[sweepState]int), asked: make(map[[2]int]int), sparsity: sparsity}
-	c.keys = newPairKeys(p)
+	c.keys = newKeyTable(p)
 	for i := rng.Intn(100); i > 0; i-- {
 		earlier := sweepState{slot: -1, seq: i}
 		p.keyOf[earlier] = rng.Intn(keyUniverse)
@@ -259,9 +259,12 @@ func TestSweepMatchesLeafFilter(t *testing.T) {
 						pinv = newPairsInvariant(rng, c, states, []int{4, 6, 15, 60}[seed%4])
 						rec, c.opt.Invariant = &pinv.recordingInvariant, pinv
 					}
+					// Every state gets its key id as it joins its space, as
+					// at a barrier: the sweep never interns.
 					for d := 0; d < sh.slots; d++ {
 						c.spaces = append(c.spaces, newSpace())
 						c.spaces[d].add(states[d][0])
+						c.internKey(states[d][0])
 					}
 					for {
 						var open []int
@@ -276,6 +279,7 @@ func TestSweepMatchesLeafFilter(t *testing.T) {
 						a := open[rng.Intn(len(open))]
 						anchor := states[a][len(c.spaces[a].states)]
 						c.spaces[a].add(anchor)
+						c.internKey(anchor)
 						lists := make([][]*nodeState, sh.slots)
 						for d, sp := range c.spaces {
 							// The view may lag the space, as it does when a

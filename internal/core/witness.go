@@ -27,20 +27,18 @@ func (c *checker) visibleMembers(g *interestGroup, n int, view []int) []*nodeSta
 
 // checkNewStateOpt is the invariant-specific system-state creation of
 // LMC-OPT (§4.2): only node states with an invariant-relevant interest
-// participate, other nodes are represented by a non-interesting filler
-// state, and a combination is materialized only when at least one pair of
-// interests conflicts.
+// participate, and a combination is materialized only when at least one
+// pair of interests conflicts.
 //
-// With a spec.Keyer reduction, interesting states are pre-grouped by
-// interest key and conflicts are decided once per key profile — the shape
-// of the paper's Paxos mapping ("we map the node states to the values that
-// are chosen in them") — so the non-conflicting case costs a handful of key
-// comparisons instead of a scan of the whole Cartesian product. Groups with
-// no member visible at the discovery's virtual time did not exist yet from
-// the sequential algorithm's point of view and are skipped without leaving
-// any witnessed mark.
+// Interesting states are grouped by interest key and conflicts are decided
+// once per key pair (keyTable) — the shape of the paper's Paxos mapping ("we
+// map the node states to the values that are chosen in them") — so the
+// non-conflicting case costs a handful of table reads instead of a scan of
+// the whole Cartesian product. Groups with no member visible at the
+// discovery's virtual time did not exist yet from the sequential algorithm's
+// point of view and are skipped without leaving any witnessed mark.
 func (c *checker) checkNewStateOpt(ns *nodeState, view []int) {
-	if !ns.interesting {
+	if ns.key == 0 {
 		return
 	}
 	// The violation, if any, lives in a pair of node states whose interests
@@ -58,44 +56,17 @@ func (c *checker) checkNewStateOpt(ns *nodeState, view []int) {
 		if k == int(ns.node) {
 			continue
 		}
-		if c.keyer != nil {
-			for _, g := range sp.groupOrder {
-				if len(c.visibleMembers(g, k, view)) == 0 {
-					continue
-				}
-				if !c.opt.Reduction.Conflict(ns.interest, g.interest) {
-					continue
-				}
-				c.searchWitness(ns, k, g, view)
-				if c.stopped {
-					return
-				}
+		for _, g := range sp.groupOrder {
+			cands := c.visibleMembers(g, k, view)
+			if len(cands) == 0 || !c.keys.conflicts(ns.key, g.key) {
+				continue
 			}
-			continue
-		}
-		c.searchWitness(ns, k, nil, view)
-		if c.stopped {
-			return
-		}
-	}
-}
-
-// resolveCandidates returns the conflicting candidate states of node k for
-// a witness search, restricted to the search's view: the visible members of
-// group g, or — g is nil under a keyless reduction — every visible state
-// whose interest conflicts with ns's.
-func (c *checker) resolveCandidates(ns *nodeState, k int, g *interestGroup, view []int) []*nodeState {
-	if g != nil {
-		return c.visibleMembers(g, k, view)
-	}
-	cands := c.wit.cands[:0]
-	for _, b := range c.viewStates(k, view) {
-		if b.interesting && c.opt.Reduction.Conflict(ns.interest, b.interest) {
-			cands = append(cands, b)
+			c.searchWitness(ns, k, g.key, cands, view)
+			if c.stopped {
+				return
+			}
 		}
 	}
-	c.wit.cands = cands
-	return cands
 }
 
 // witnessScratch is the working memory of a witness search. Searches run one
@@ -111,7 +82,6 @@ type witnessScratch struct {
 	nodes        []int          // the completion nodes: every node outside the pair, ascending
 	combo        []*nodeState   // the combination under construction
 	lists        [][]*nodeState // per completion node: its visible states, in walk order
-	cands        []*nodeState   // the candidates of a keyless search
 	// miss is the current pair's missing set (msgIDs.missing); missing lists
 	// its fingerprints, for a pair that survives the coverage check.
 	miss    idSet
@@ -208,8 +178,8 @@ func (c *checker) completionOrders(w *witnessScratch, view []int) {
 }
 
 // searchWitness looks for a real run in which ns coexists with one of the
-// conflicting candidate states of node k (the members of group g; every
-// conflicting state when g is nil). Other nodes are completed with any
+// conflicting candidate states cands of node k (the visible members of the
+// group of key id key). Other nodes are completed with any
 // visited state (within the search's view), iterated lazily in discovery
 // order — their events are what generated the messages the pair consumed.
 // Each candidate system state is materialized and invariant-checked; a
@@ -221,27 +191,19 @@ func (c *checker) completionOrders(w *witnessScratch, view []int) {
 // The search runs on the index layer (index.go): missing sets come from the
 // pair's flow memos and coverage questions go to the producer index, once
 // per message.
-func (c *checker) searchWitness(ns *nodeState, k int, g *interestGroup, view []int) {
-	cacheKey := witnessKey{fp: ns.fp, node: k, group: "all"}
-	if g != nil {
-		cacheKey.group = g.searchKey
-	}
+func (c *checker) searchWitness(ns *nodeState, k int, key int32, cands []*nodeState, view []int) {
+	cacheKey := witnessKey{fp: ns.fp, node: k, key: key}
 	if _, done := c.witnessed[cacheKey]; done {
 		return
 	}
 	c.witnessed[cacheKey] = struct{}{}
-	c.underPhase("soundness", func() { c.witnessSearch(ns, k, g, view) })
+	c.underPhase("soundness", func() { c.witnessSearch(ns, k, cands, view) })
 }
 
 // witnessSearch is the body of searchWitness, separated so the whole search
 // (including the path enumeration and replay it triggers) profiles under
 // the soundness phase label.
-func (c *checker) witnessSearch(ns *nodeState, k int, g *interestGroup, view []int) {
-	cands := c.resolveCandidates(ns, k, g, view)
-	if len(cands) == 0 {
-		return
-	}
-
+func (c *checker) witnessSearch(ns *nodeState, k int, cands []*nodeState, view []int) {
 	c.res.Stats.SoundnessCalls++
 	w := c.beginSearch(ns, k)
 	flow := c.msgs.flowOf(ns)
@@ -293,9 +255,10 @@ func (c *checker) witnessSearch(ns *nodeState, k int, g *interestGroup, view []i
 // completion ranged over lazily (within the discovery's view), ordered by
 // which missing messages its creation path can supply. There is no invariant
 // to evaluate at the leaf — every completion is a candidate witness — so with
-// confirmation off there is nothing to search.
-func (c *checker) confirmLocalViolation(ns *nodeState, v *spec.Violation, view []int) {
-	cacheKey := witnessKey{fp: ns.fp, node: int(ns.node), group: "local:" + v.Invariant}
+// confirmation off there is nothing to search. li is the local invariant's
+// index in Options.LocalInvariants.
+func (c *checker) confirmLocalViolation(ns *nodeState, v *spec.Violation, li int, view []int) {
+	cacheKey := witnessKey{fp: ns.fp, node: int(ns.node), key: -1 - int32(li)}
 	if _, done := c.witnessed[cacheKey]; done || !c.confirms() {
 		return
 	}

@@ -242,6 +242,9 @@ func (r Reduction) Conflict(a, b spec.Interest) bool {
 		(b == "root-unsent" && a == "target-received")
 }
 
+// InterestKey implements spec.Keyer: the interest is its own key.
+func (Reduction) InterestKey(i spec.Interest) string { return i.(string) }
+
 // SymmetryClasses implements model.Symmetric with no classes: the tree
 // topology pins every node to a position (parent/child edges, the root and
 // the distinguished target), so no two nodes are interchangeable. The

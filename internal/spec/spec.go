@@ -122,6 +122,10 @@ type Interest any
 // pairs the node has chosen (empty set → ok=false, "we can ignore the node
 // states in which no value is chosen yet"), and two interests conflict when
 // they choose different values for the same index.
+//
+// LMC-OPT requires a Reduction to implement Keyer too: the checker projects
+// every visited node state once, groups interesting states by key, and asks
+// Conflict once per unordered pair of keys, reading it as symmetric.
 type Reduction interface {
 	// Interest projects a node state. ok=false excludes the state from
 	// system-state creation under this reduction.
@@ -133,9 +137,9 @@ type Reduction interface {
 	Conflict(a, b Interest) bool
 }
 
-// Keyer is an optional extension of Reduction: a canonical grouping key for
-// interests. When available, the checker groups interesting node states by
-// key and decides conflicts once per key profile instead of once per state
+// Keyer is the extension of Reduction that LMC-OPT requires: a canonical
+// grouping key for interests. The checker groups interesting node states by
+// key and decides conflicts once per key pair instead of once per state
 // combination — the precise shape of the paper's Paxos optimization, which
 // "maps the node states to the values that are chosen in them" (§4.2).
 // Equal keys must imply interchangeable interests under Conflict.

@@ -34,8 +34,8 @@
 //	    fmt.Println(bug.Violation, bug.Schedule)
 //	}
 //
-// Supplying Options.Reduction turns on LMC-OPT, the invariant-specific
-// system-state creation of the paper's §4.2. Global/GlobalContext run the
+// Supplying Options.Reduction — a Reduction that is also a Keyer — turns on
+// LMC-OPT, the invariant-specific system-state creation of the paper's §4.2. Global/GlobalContext run the
 // classic bounded-DFS baseline for comparison. NewSim and
 // Online/OnlineContext reproduce the paper's online checking scheme: a live
 // (simulated, lossy) deployment snapshotted periodically, with the checker
@@ -112,7 +112,11 @@ type (
 	// Violation describes a failed invariant.
 	Violation = spec.Violation
 	// Reduction enables LMC-OPT's invariant-specific system-state creation.
+	// LMC-OPT requires it to implement Keyer too (InterestKey): node states
+	// are grouped, and conflicts decided, by interest key.
 	Reduction = spec.Reduction
+	// Keyer gives a reduction's interests canonical keys.
+	Keyer = spec.Keyer
 	// Interest is a reduction's projection of a node state.
 	Interest = spec.Interest
 )

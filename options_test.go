@@ -1,6 +1,7 @@
 package lmc_test
 
 import (
+	"context"
 	"os"
 	"reflect"
 	"regexp"
@@ -10,9 +11,17 @@ import (
 	"time"
 
 	"lmc"
+	"lmc/internal/model"
 	"lmc/internal/protocols/paxos"
 	"lmc/internal/protocols/randtree"
 )
+
+// keylessReduction is a reduction without InterestKey, which LMC-OPT
+// cannot group by.
+type keylessReduction struct{}
+
+func (keylessReduction) Interest(model.NodeID, model.State) (lmc.Interest, bool) { return nil, false }
+func (keylessReduction) Conflict(a, b lmc.Interest) bool                         { return false }
 
 // TestValidateRejections covers each rejection case of the uniform
 // Validate contract across the three option surfaces.
@@ -29,11 +38,21 @@ func TestValidateRejections(t *testing.T) {
 			{Invariant: inv, MaxTransitions: -1},      // negative transitions
 			{Invariant: inv, Budget: -time.Second},    // negative budget
 			{DisableSystemStates: true, DupLimit: -2}, // also when nothing is checked
+
+			// LMC-OPT groups node states by interest key.
+			{Invariant: inv, Reduction: keylessReduction{}},
 		}
 		for i, opt := range cases {
 			if err := opt.Validate(); err == nil {
 				t.Fatalf("case %d accepted: %+v", i, opt)
 			}
+			if _, err := lmc.CheckContext(context.Background(), m, lmc.InitialSystem(m), opt); err == nil {
+				t.Fatalf("case %d run by CheckContext: %+v", i, opt)
+			}
+		}
+		if err := (&lmc.Options{Invariant: inv, Reduction: keylessReduction{}}).Validate(); err == nil ||
+			!strings.Contains(err.Error(), "InterestKey") {
+			t.Fatalf("a keyless reduction's rejection does not name InterestKey: %v", err)
 		}
 		ok := []lmc.Options{
 			{Invariant: inv},
