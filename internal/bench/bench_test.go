@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lmc/internal/core"
+	"lmc/internal/obs"
 	"lmc/internal/testkit"
 )
 
@@ -158,7 +159,7 @@ func TestBughuntCountersAndAllocCeiling(t *testing.T) {
 		}
 	}
 
-	const maxBytes, maxMallocs = 28 << 20, 330_000
+	const maxBytes, maxMallocs = 25 << 20, 330_000
 	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("one check: %.1f MB in %d allocations", float64(bytes)/(1<<20), mallocs)
 	if bytes > maxBytes || mallocs > maxMallocs {
@@ -215,9 +216,11 @@ func TestPaxosTwoWitnessSearchCounters(t *testing.T) {
 // nowhere costs: nothing for the handler's copy, which is recycled into the
 // next handler's (model.Recycler), a successor that carries its fingerprint
 // when its handler wrote nothing and is re-hashed from the first section it
-// wrote otherwise, and eight bytes for a self-edge. A per-transition Clone or
-// encode coming back shows here first. The counters hold under the race detector too; the
-// ceiling is for plain builds (raceDetector).
+// wrote otherwise, eight bytes for a self-edge, and for any other edge a
+// 32-byte record whose emission fingerprints went to a reused phase buffer. A
+// per-transition Clone, encode or emission slice coming back shows here
+// first. The counters hold under the race detector too; the ceiling is for
+// plain builds (raceDetector).
 func TestExploreOptCountersAndAllocCeiling(t *testing.T) {
 	w, err := Lookup("1paxos")
 	if err != nil {
@@ -253,12 +256,53 @@ func TestExploreOptCountersAndAllocCeiling(t *testing.T) {
 		}
 	}
 
-	const maxBytes, maxMallocs = 390 << 20, 4_800_000
+	const maxBytes, maxMallocs = 300 << 20, 3_700_000
 	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("one check: %.1f MB in %d allocations", float64(bytes)/(1<<20), mallocs)
 	if !raceDetector && (bytes > maxBytes || mallocs > maxMallocs) {
 		t.Fatalf("one check allocated %.1f MB in %d objects; the ceiling is %d MB in %d",
 			float64(bytes)/(1<<20), mallocs, maxBytes>>20, maxMallocs)
+	}
+}
+
+// TestExploreOptRetainedBytesPerState bounds what the explore-opt check keeps
+// per visited state: an observer forces a collection at run end, while the
+// checker still holds every space, and the heap then live beyond what was
+// live before the check is divided by the node states. Predecessor edges are
+// the largest part of it; they are pointer-free 32-byte records with their
+// emission fingerprints pooled per space (core's pred), and an edge layout
+// that grows or gains a per-edge allocation again shows here.
+func TestExploreOptRetainedBytesPerState(t *testing.T) {
+	w, err := Lookup("1paxos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := w.StartState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, atEnd runtime.MemStats
+	observer := obs.FuncObserver(func(e obs.Event) {
+		if e.Kind == obs.KindRunEnd {
+			runtime.GC()
+			runtime.ReadMemStats(&atEnd)
+		}
+	})
+	opt := core.Options{Invariant: w.Invariant, LocalInvariants: w.Locals, Reduction: w.Reduction,
+		MaxTransitions: 1_000_000, Workers: -1, Observer: observer, HeartbeatEvery: -1}
+
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := core.Check(w.Machine, start, opt)
+	if res.Stats.NodeStates != 79_878 || atEnd.HeapAlloc == 0 {
+		t.Fatalf("explore-opt: %d node states, run-end heap %d B", res.Stats.NodeStates, atEnd.HeapAlloc)
+	}
+	const maxPerState = 1_100
+	perState := (float64(atEnd.HeapAlloc) - float64(before.HeapAlloc)) / float64(res.Stats.NodeStates)
+	t.Logf("%.0f B retained per state (%.1f MB over %d states)", perState,
+		(float64(atEnd.HeapAlloc)-float64(before.HeapAlloc))/(1<<20), res.Stats.NodeStates)
+	if perState > maxPerState {
+		t.Fatalf("%.0f B retained per state; the bound is %d", perState, maxPerState)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -183,7 +184,50 @@ const (
 	fnvPrime64  uint64 = 0x100000001b3
 )
 
+// fnvPow is fnvPrime64^k (mod 2^64) for k = 0…8, written out so that
+// start-up computes nothing.
+var fnvPow = [9]uint64{
+	0x0000000000000001,
+	0x00000100000001b3,
+	0x000366000002e329,
+	0x08a97b0004e7feab,
+	0x9ffaac085635bc91,
+	0x0caee32a7d4f6a63,
+	0xdc966432edf1c639,
+	0xc5527b8a51d3d2db,
+	0x1efac7090aef4a21,
+}
+
+// lo7 has the low seven bits of every byte set.
+const lo7 = 0x7f7f7f7f7f7f7f7f
+
+// fnvBytes folds b into h, byte for byte the FNV-1a of hash/fnv. A zero
+// byte's step is h *= P alone, so a run of k zero bytes is one multiplication
+// by P^k: an 8-byte word with at most two non-zero bytes — most words of an
+// encoding, whose integers are small values written 8 bytes wide — costs at
+// most three multiplications instead of eight. Other words and the tail take
+// the byte loop.
 func fnvBytes(h uint64, b []byte) uint64 {
+	for ; len(b) >= 8; b = b[8:] {
+		v := binary.LittleEndian.Uint64(b) // byte k of b is bits 8k…8k+7
+		// Bit 8k+7 of nz is set iff byte k is non-zero.
+		nz := ((v & lo7) + lo7 | v) &^ lo7
+		switch bits.OnesCount64(nz) {
+		case 0:
+			h *= fnvPow[8]
+		case 1:
+			j := bits.TrailingZeros64(nz) >> 3
+			h = (h*fnvPow[j] ^ v>>(8*j)&0xff) * fnvPow[8-j]
+		case 2:
+			i, j := bits.TrailingZeros64(nz)>>3, (63-bits.LeadingZeros64(nz))>>3
+			h = ((h*fnvPow[i]^v>>(8*i)&0xff)*fnvPow[j-i] ^ v>>(8*j)&0xff) * fnvPow[8-j]
+		default:
+			for _, c := range b[:8] {
+				h ^= uint64(c)
+				h *= fnvPrime64
+			}
+		}
+	}
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= fnvPrime64

@@ -276,7 +276,7 @@ func lyingRecords(m model.Machine, start model.SystemState, opt Options) []Deliv
 				continue
 			}
 			edge := &ns.preds[0]
-			recs = append(recs, DeliveryRecord{Entry: entryOf[edge.msgFP], Parent: edge.prev.fp,
+			recs = append(recs, DeliveryRecord{Entry: entryOf[edge.msgFP], Parent: sp.states[edge.prev].fp,
 				Rejected: len(recs)%2 == 0, Succ: ns.fp ^ 1})
 		}
 	}

@@ -15,7 +15,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"lmc/internal/codec"
@@ -280,13 +283,14 @@ type nodeState struct {
 	// enumerate the event sequences that could lead here. preds[0] is the
 	// creation edge, the one that discovered the state; following it from
 	// state to state back to seq 0 is the creation chain, the only record of
-	// the first path (creationEmits reads it, flowOf sums it). selfEdges holds
-	// the edges from the state to itself — the events that changed nothing,
-	// close to half of all transitions on a Paxos-shaped space — as event
-	// fingerprints only: no path enumeration ever follows one (a backward
-	// walk never revisits a state on its stack), so the fingerprint is kept
-	// for exactly what still reads it, addPred's duplicate rule and the
-	// maxPredecessors cap, which count both lists.
+	// the first path (creationEmits reads it, flowOf sums it). An edge names
+	// its predecessor by seq, so preds holds no pointer for the collector to
+	// trace. selfEdges holds the edges from the state to itself — the events
+	// that changed nothing, close to half of all transitions on a Paxos-shaped
+	// space — as event fingerprints only: no path enumeration ever follows one
+	// (a backward walk never revisits a state on its stack), so the
+	// fingerprint is kept for exactly what still reads it, addPred's duplicate
+	// rule and the maxPredecessors cap, which count both lists.
 	preds     []pred
 	selfEdges []codec.Fingerprint
 	// flow is the state's flow memo: net consumed-minus-generated counts per
@@ -313,25 +317,34 @@ type nodeState struct {
 // consumed message fingerprint (network events) and the fingerprints of
 // the generated messages (§4.2, "the input to Procedure isSequenceValid is
 // the set of sequenced events as well as the set of generated messages by
-// each event"). The event itself is not stored: its kind is here, its node
-// is prev's, and payload is the one of Msg and Act it carried; event()
-// puts them back together where a schedule is materialized.
+// each event"). It holds no pointer: prev is the predecessor's seq in the
+// same space, the generated fingerprints are a span of the space's pool
+// (space.generated), and the event itself is not stored — its kind is here,
+// its node is the space's, and src locates its payload, which c.event looks
+// up where a schedule is materialized. Seqs and entry indexes are per pass,
+// as spaces are. TestPredHasNoPointers holds the layout to 32 bytes.
 type pred struct {
-	prev      *nodeState
-	kind      model.EventKind
-	payload   codec.Encoder // the model.Message delivered or the model.Action performed
-	eventFP   codec.Fingerprint
-	msgFP     codec.Fingerprint // consumed message (network events)
-	generated []codec.Fingerprint
+	eventFP codec.Fingerprint
+	msgFP   codec.Fingerprint // consumed message (network events)
+	prev    int32             // the predecessor's seq
+	// src is the delivered message's I+ entry index, or the action's slot in
+	// the machine's Actions enumeration at the predecessor state.
+	src    int32
+	genOff uint32 // generated messages: the space's gen[genOff : genOff+genN]
+	genN   uint16
+	kind   model.EventKind
 }
 
-// event rebuilds the edge's event, for counterexample reporting.
-func (p *pred) event() model.Event {
-	ev := model.Event{Kind: p.kind, Node: p.prev.node}
+// event rebuilds the edge p of node's space as an event, for counterexample
+// reporting: a delivery reads the message off its I+ entry, an action is the
+// one at its slot in the enumeration at the predecessor state (the
+// enumeration is deterministic, which round-log records rely on as well).
+func (c *checker) event(node model.NodeID, p *pred) model.Event {
+	ev := model.Event{Kind: p.kind, Node: node}
 	if p.kind == model.NetworkEvent {
-		ev.Msg, _ = p.payload.(model.Message)
+		ev.Msg = c.net.Entry(int(p.src)).Msg
 	} else {
-		ev.Act, _ = p.payload.(model.Action)
+		ev.Act = c.m.Actions(node, c.spaces[node].states[p.prev].state)[p.src]
 	}
 	return ev
 }
@@ -356,6 +369,13 @@ func (h *historyNode) contains(fp codec.Fingerprint) bool {
 type space struct {
 	states []*nodeState
 	byFP   map[codec.Fingerprint]*nodeState
+	// gen pools the generated-message fingerprints of the kept edges, each
+	// edge's a span of it (pred.genOff, pred.genN): one pointer-free array
+	// instead of a slice per edge. Edges that generated the same list share
+	// its span, found through spans (list fingerprint → offset): a Paxos-shaped
+	// space keeps hundreds of thousands of edges over a few dozen lists.
+	gen   []codec.Fingerprint
+	spans map[codec.Fingerprint]uint32
 
 	// chain is the running combination of every visited fingerprint in
 	// discovery order. The states list only ever appends within a pass, so
@@ -396,6 +416,7 @@ func newSpace() *space {
 		byFP:        make(map[codec.Fingerprint]*nodeState),
 		groups:      make(map[int32]*interestGroup),
 		minProducer: make(map[codec.Fingerprint]int),
+		spans:       make(map[codec.Fingerprint]uint32),
 		chain:       codec.NewHasher(),
 	}
 }
@@ -423,6 +444,35 @@ func (sp *space) classify(ns *nodeState) {
 }
 
 func (sp *space) lookup(fp codec.Fingerprint) *nodeState { return sp.byFP[fp] }
+
+// keep points p at the generated-message fingerprints fps of an edge the
+// space keeps: at the pool's span of the same list if it has one, else at a
+// copy appended to the pool. A handler that emits more messages than a span
+// can count is refused loudly rather than truncated.
+func (sp *space) keep(p *pred, fps []codec.Fingerprint) {
+	if len(fps) > math.MaxUint16 || uint64(len(sp.gen)+len(fps)) > math.MaxUint32 {
+		panic(fmt.Sprintf("core: an edge generated %d messages into a pool of %d; a predecessor edge counts at most %d",
+			len(fps), len(sp.gen), math.MaxUint16))
+	}
+	p.genOff, p.genN = 0, uint16(len(fps))
+	if len(fps) == 0 {
+		return
+	}
+	list := codec.Combine(fps...)
+	if off, ok := sp.spans[list]; ok && slices.Equal(sp.gen[off:min(int(off)+len(fps), len(sp.gen))], fps) {
+		p.genOff = off
+		return
+	}
+	p.genOff = uint32(len(sp.gen))
+	sp.spans[list] = p.genOff
+	sp.gen = append(sp.gen, fps...)
+}
+
+// generated is the fingerprints of the messages edge p of this space
+// generated, in emission order.
+func (sp *space) generated(p *pred) []codec.Fingerprint {
+	return sp.gen[p.genOff : p.genOff+uint32(p.genN) : p.genOff+uint32(p.genN)]
+}
 
 // keyTable is the run's one projection of node states to interests, and the
 // only caller of the reduction (LMC-OPT's, or the pairs a GEN invariant

@@ -422,24 +422,27 @@ func (c *checker) pass() bool {
 	return false
 }
 
-// addPred records a predecessor edge of ns unless it duplicates an existing
-// one or ns already has maxPredecessors of them, self-edges included. An
-// edge from ns itself keeps only its event fingerprint (nodeState.selfEdges).
-func (c *checker) addPred(ns *nodeState, edge pred) {
+// addPred records a predecessor edge of ns, with gen the fingerprints of the
+// messages its event generated, unless it duplicates an existing one or ns
+// already has maxPredecessors of them, self-edges included. An edge from ns
+// itself keeps only its event fingerprint (nodeState.selfEdges); a kept edge
+// copies gen into the space's pool, so gen may be a phase buffer.
+func (c *checker) addPred(ns *nodeState, edge pred, gen []codec.Fingerprint) {
 	if len(ns.preds)+len(ns.selfEdges) >= maxPredecessors {
 		return
 	}
-	if edge.prev == ns {
+	if int(edge.prev) == ns.seq {
 		if !slices.Contains(ns.selfEdges, edge.eventFP) {
 			ns.selfEdges = append(ns.selfEdges, edge.eventFP)
 		}
 		return
 	}
-	for _, p := range ns.preds {
-		if p.prev == edge.prev && p.eventFP == edge.eventFP {
+	for i := range ns.preds {
+		if p := &ns.preds[i]; p.prev == edge.prev && p.eventFP == edge.eventFP {
 			return
 		}
 	}
+	c.spaces[ns.node].keep(&edge, gen)
 	ns.preds = append(ns.preds, edge)
 }
 

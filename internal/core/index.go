@@ -35,7 +35,7 @@ import (
 // question "does any state of node n visible under the view generate fp on
 // its creation chain" in O(1):
 //
-//   ∃ s ∈ states[:lim] with s.creationEmits(fp)  ⇔  minProducer[fp] < lim
+//   ∃ s ∈ states[:lim] with creationEmits(s, fp)  ⇔  minProducer[fp] < lim
 //
 // (⇐) the producing state's own chain starts with the emitting edge. (⇒) if
 // s's chain emits fp, some state t on it (s or an ancestor) has fp on its
@@ -44,12 +44,13 @@ import (
 // existing states by addPred are on no creation chain (preds[0] is fixed at
 // discovery), so indexing only the creation edge is not an approximation.
 
-// creationEmits reports whether an edge of ns's creation chain generated fp:
-// the per-state scan the producer index summarizes, still asked directly
-// where states are ranked one by one (orderByCoverage).
-func (ns *nodeState) creationEmits(fp codec.Fingerprint) bool {
-	for cur := ns; cur.seq != 0; cur = cur.preds[0].prev {
-		if slices.Contains(cur.preds[0].generated, fp) {
+// creationEmits reports whether an edge of the creation chain of ns, one of
+// the space's states, generated fp: the per-state scan the producer index
+// summarizes, still asked directly where states are ranked one by one
+// (orderByCoverage).
+func (sp *space) creationEmits(ns *nodeState, fp codec.Fingerprint) bool {
+	for cur := ns; cur.seq != 0; cur = sp.states[cur.preds[0].prev] {
+		if slices.Contains(sp.generated(&cur.preds[0]), fp) {
 			return true
 		}
 	}
@@ -63,7 +64,7 @@ func (sp *space) indexProducers(ns *nodeState) {
 	if len(ns.preds) == 0 {
 		return
 	}
-	for _, fp := range ns.preds[0].generated {
+	for _, fp := range sp.generated(&ns.preds[0]) {
 		if _, ok := sp.minProducer[fp]; !ok {
 			sp.minProducer[fp] = ns.seq
 		}
@@ -237,26 +238,26 @@ func (m *flowMemo) bump(id int32, d int) {
 	}
 }
 
-// flowOf returns ns's flow memo — the predecessor's memo plus the creation
-// edge's delta — building it, and every ancestor's still missing, on first
-// use. It is the only builder, and it writes the states it walks and the id
-// table: witness searches, its callers, run one at a time on the merge
-// goroutine. A start state's chain is empty: its memo is noFlow, and its
-// flow field stays nil.
-func (t *msgIDs) flowOf(ns *nodeState) *flowMemo {
+// flowOf returns the flow memo of ns, one of sp's states — the predecessor's
+// memo plus the creation edge's delta — building it, and every ancestor's
+// still missing, on first use. It is the only builder, and it writes the
+// states it walks and the id table: witness searches, its callers, run one at
+// a time on the merge goroutine. A start state's chain is empty: its memo is
+// noFlow, and its flow field stays nil.
+func (t *msgIDs) flowOf(sp *space, ns *nodeState) *flowMemo {
 	if ns.seq == 0 {
 		return &noFlow
 	}
 	if ns.flow == nil {
 		e := &ns.preds[0]
-		parent := t.flowOf(e.prev)
+		parent := t.flowOf(sp, sp.states[e.prev])
 		consumed := int32(-1)
 		if e.kind == model.NetworkEvent {
 			consumed = t.id(e.msgFP)
 		}
 		var buf [8]int32
 		gen := buf[:0]
-		for _, g := range e.generated {
+		for _, g := range sp.generated(e) {
 			gen = append(gen, t.id(g))
 		}
 		n := (len(t.fps) + 63) >> 6

@@ -20,19 +20,31 @@ import (
 // creation chain (creationPath, missingOf — the oracles, below), over
 // randomized synthetic predecessor graphs.
 
-// creationPath is ns's creation chain as a slice, start state first: the
-// definitional walk every derived structure is held to.
-func creationPath(ns *nodeState) []pred {
+// link gives ns an edge from prev, both states of sp, that generated gen; e
+// supplies the edge's other fields. A state's first link is its creation
+// edge, so it comes before sp.add(ns). It returns ns.
+func link(sp *space, ns, prev *nodeState, e pred, gen ...codec.Fingerprint) *nodeState {
+	e.prev = int32(prev.seq)
+	sp.keep(&e, gen)
+	ns.preds = append(ns.preds, e)
+	return ns
+}
+
+// creationPath is the creation chain of ns, one of sp's states, as a slice,
+// start state first: the definitional walk every derived structure is held
+// to.
+func creationPath(sp *space, ns *nodeState) []pred {
 	var path []pred
-	for cur := ns; cur.seq != 0; cur = cur.preds[0].prev {
+	for cur := ns; cur.seq != 0; cur = sp.states[cur.preds[0].prev] {
 		path = append(path, cur.preds[0])
 	}
 	slices.Reverse(path)
 	return path
 }
 
-// missingOf computes the missing set of any member set directly from the
-// creation paths: the reference msgIDs.missing is compared against.
+// missingOf computes the missing set of any member set of the checker's
+// spaces directly from the creation paths: the reference msgIDs.missing is
+// compared against.
 func (c *checker) missingOf(states ...*nodeState) []codec.Fingerprint {
 	supply := maps.Clone(c.initNetCount)
 	if supply == nil {
@@ -40,11 +52,12 @@ func (c *checker) missingOf(states ...*nodeState) []codec.Fingerprint {
 	}
 	var need []codec.Fingerprint
 	for _, ns := range states {
-		for _, e := range creationPath(ns) {
+		sp := c.spaces[ns.node]
+		for _, e := range creationPath(sp, ns) {
 			if e.kind == model.NetworkEvent {
 				need = append(need, e.msgFP)
 			}
-			for _, g := range e.generated {
+			for _, g := range sp.generated(&e) {
 				supply[g]++
 			}
 		}
@@ -65,14 +78,15 @@ func (c *checker) missingOf(states ...*nodeState) []codec.Fingerprint {
 }
 
 // chainFlow is the flow memo by the definitional walk: the nonzero net
-// consumed-minus-generated count per fingerprint along ns's creation path.
-func chainFlow(ns *nodeState) map[codec.Fingerprint]int {
+// consumed-minus-generated count per fingerprint along the creation path of
+// ns, one of sp's states.
+func chainFlow(sp *space, ns *nodeState) map[codec.Fingerprint]int {
 	flow := make(map[codec.Fingerprint]int)
-	for _, e := range creationPath(ns) {
+	for _, e := range creationPath(sp, ns) {
 		if e.kind == model.NetworkEvent {
 			flow[e.msgFP]++
 		}
-		for _, g := range e.generated {
+		for _, g := range sp.generated(&e) {
 			flow[g]--
 		}
 	}
@@ -126,16 +140,16 @@ func doubleUp(rng *rand.Rand, sp *space, universe []codec.Fingerprint) {
 		if e.kind == model.NetworkEvent && rng.Intn(2) == 0 {
 			e.msgFP = universe[rng.Intn(3)]
 		}
-		if len(e.generated) > 0 && rng.Intn(3) == 0 {
-			e.generated = append(e.generated, e.generated[rng.Intn(len(e.generated))])
+		if gen := sp.generated(e); len(gen) > 0 && rng.Intn(3) == 0 {
+			sp.keep(e, append(slices.Clone(gen), gen[rng.Intn(len(gen))]))
 		}
 	}
 }
 
 // chainEmits is creationEmits by the definitional walk.
-func chainEmits(ns *nodeState, fp codec.Fingerprint) bool {
-	for _, e := range creationPath(ns) {
-		if slices.Contains(e.generated, fp) {
+func chainEmits(sp *space, ns *nodeState, fp codec.Fingerprint) bool {
+	for _, e := range creationPath(sp, ns) {
+		if slices.Contains(sp.generated(&e), fp) {
 			return true
 		}
 	}
@@ -174,12 +188,8 @@ func buildRandomSpace(rng *rand.Rand, node model.NodeID, nStates int, universe [
 				gen = append(gen, fp)
 			}
 		}
-		sp.add(&nodeState{
-			node:  node,
-			fp:    codec.Fingerprint(rng.Uint64()),
-			depth: parent.depth + 1,
-			preds: []pred{{prev: parent, kind: kind, msgFP: consumed, generated: gen}},
-		})
+		sp.add(link(sp, &nodeState{node: node, fp: codec.Fingerprint(rng.Uint64()), depth: parent.depth + 1},
+			parent, pred{kind: kind, msgFP: consumed}, gen...))
 	}
 	return sp
 }
@@ -196,12 +206,12 @@ func TestProducerIndexMatchesGenScan(t *testing.T) {
 		sp := buildRandomSpace(rng, 0, 40, universe)
 		for _, fp := range universe {
 			for _, s := range sp.states {
-				if got, want := s.creationEmits(fp), chainEmits(s, fp); got != want {
+				if got, want := sp.creationEmits(s, fp), chainEmits(sp, s, fp); got != want {
 					t.Fatalf("seed %d fp %#x seq %d: creationEmits=%v walk=%v", seed, fp, s.seq, got, want)
 				}
 			}
 			for lim := 0; lim <= len(sp.states); lim++ {
-				want := slices.ContainsFunc(sp.states[:lim], func(s *nodeState) bool { return chainEmits(s, fp) })
+				want := slices.ContainsFunc(sp.states[:lim], func(s *nodeState) bool { return chainEmits(sp, s, fp) })
 				if got := sp.producerBefore(fp, lim); got != want {
 					t.Fatalf("seed %d fp %#x lim %d: producerBefore=%v genScan=%v",
 						seed, fp, lim, got, want)
@@ -219,14 +229,9 @@ func TestProducerIndexIgnoresAddPredEdges(t *testing.T) {
 	universe := testUniverse(8)
 	sp := buildRandomSpace(rng, 0, 10, universe)
 	ghost := codec.Fingerprint(0xdead)
-	target := sp.states[5]
-	target.preds = append(target.preds, pred{
-		prev:      sp.states[0],
-		kind:      model.InternalEvent,
-		generated: []codec.Fingerprint{ghost},
-	})
+	link(sp, sp.states[5], sp.states[0], pred{kind: model.InternalEvent}, ghost)
 	for _, s := range sp.states {
-		if s.creationEmits(ghost) {
+		if sp.creationEmits(s, ghost) {
 			t.Fatalf("seq %d: creation chain picked up a non-creation edge", s.seq)
 		}
 	}
@@ -268,7 +273,7 @@ func TestCoveredByAnyMatchesScan(t *testing.T) {
 		}
 		scan := func(fp codec.Fingerprint) bool {
 			return slices.ContainsFunc(w.nodes, func(n int) bool {
-				return slices.ContainsFunc(c.viewStates(n, view), func(s *nodeState) bool { return chainEmits(s, fp) })
+				return slices.ContainsFunc(c.viewStates(n, view), func(s *nodeState) bool { return chainEmits(c.spaces[n], s, fp) })
 			})
 		}
 		for pairs := 0; pairs < 10; pairs++ {
@@ -349,15 +354,16 @@ func TestPairMissingMatchesMissingOf(t *testing.T) {
 			}
 			c := &checker{initNetCount: counts, res: &Result{}, msgs: newMsgIDs(counts)}
 			pairMissing := func(dst idSet, a, b *nodeState) idSet {
-				return c.msgs.missing(dst, c.msgs.flowOf(a), c.msgs.flowOf(b))
+				return c.msgs.missing(dst, c.msgs.flowOf(c.spaces[a.node], a), c.msgs.flowOf(c.spaces[b.node], b))
 			}
 			spA := buildRandomSpace(rng, 0, 30, universe)
 			spB := buildRandomSpace(rng, 1, 30, universe)
-			for _, sp := range []*space{spA, spB} {
+			c.spaces = []*space{spA, spB}
+			for _, sp := range c.spaces {
 				if thirsty {
 					for _, ns := range sp.states[1:] {
 						if rng.Intn(5) > 0 {
-							ns.preds[0].generated = nil
+							ns.preds[0].genN = 0
 						}
 					}
 				}
@@ -431,21 +437,21 @@ func TestFlowOfMatchesCreationPath(t *testing.T) {
 		wides := 0
 		for _, i := range rng.Perm(len(sp.states)) {
 			ns := sp.states[i]
-			got := ids.flowOf(ns)
+			got := ids.flowOf(sp, ns)
 			if ns.seq == 0 {
 				if got != &noFlow || ns.flow != nil {
 					t.Fatal("start state: memo is not the shared empty one")
 				}
 				continue
 			}
-			if ns.flow != got || ids.flowOf(ns) != got {
+			if ns.flow != got || ids.flowOf(sp, ns) != got {
 				t.Fatalf("seq %d: flowOf did not keep its memo", ns.seq)
 			}
 			flow, w, err := memoFlow(&ids, got)
 			if err != nil {
 				t.Fatalf("seq %d: %v", ns.seq, err)
 			}
-			if want := chainFlow(ns); !maps.Equal(flow, want) {
+			if want := chainFlow(sp, ns); !maps.Equal(flow, want) {
 				t.Fatalf("seq %d: memo %v, path recount %v", ns.seq, flow, want)
 			}
 			wides += w
@@ -463,11 +469,11 @@ func TestFlowOfMatchesCreationPath(t *testing.T) {
 // seven edges above the ranked state, most of them silent, one of them
 // emitting something else — then on random spaces.
 func TestOrderByCoverageWalksWholeChain(t *testing.T) {
-	byWalk := func(states []*nodeState, missing []codec.Fingerprint) []*nodeState {
+	byWalk := func(sp *space, states []*nodeState, missing []codec.Fingerprint) []*nodeState {
 		count := func(s *nodeState) int {
 			n := 0
 			for _, fp := range missing {
-				if chainEmits(s, fp) {
+				if chainEmits(sp, s, fp) {
 					n++
 				}
 			}
@@ -497,8 +503,8 @@ func TestOrderByCoverageWalksWholeChain(t *testing.T) {
 	const x, y, z = codec.Fingerprint(0xa), codec.Fingerprint(0xb), codec.Fingerprint(0xc)
 	sp := newSpace()
 	grow := func(parent *nodeState, gen ...codec.Fingerprint) *nodeState {
-		ns := &nodeState{fp: codec.Fingerprint(0x100 + len(sp.states)), depth: parent.depth + 1,
-			preds: []pred{{prev: parent, kind: model.InternalEvent, generated: gen}}}
+		ns := link(sp, &nodeState{fp: codec.Fingerprint(0x100 + len(sp.states)), depth: parent.depth + 1},
+			parent, pred{kind: model.InternalEvent}, gen...)
 		sp.add(ns)
 		return ns
 	}
@@ -511,15 +517,15 @@ func TestOrderByCoverageWalksWholeChain(t *testing.T) {
 	both := grow(grow(grow(s0, y)), x)
 	missing := []codec.Fingerprint{x, y}
 
-	got := orderByCoverage(sp.states, missing)
-	if want := byWalk(sp.states, missing); !slices.Equal(got, want) {
+	got := orderByCoverage(sp, sp.states, missing)
+	if want := byWalk(sp, sp.states, missing); !slices.Equal(got, want) {
 		t.Fatalf("order %v, want %v", seqs(got), seqs(want))
 	}
 	at := func(s *nodeState) int { return slices.Index(got, s) }
 	if at(both) != 0 || at(deep) != at(sz)+3 || at(deep) > at(s0) || at(deep) > at(bare) {
 		t.Fatalf("deep state misranked: order %v (deep is seq %d)", seqs(got), deep.seq)
 	}
-	if got := orderByCoverage(sp.states, nil); !slices.Equal(got, sp.states) {
+	if got := orderByCoverage(sp, sp.states, nil); !slices.Equal(got, sp.states) {
 		t.Fatal("nothing missing must leave discovery order")
 	}
 
@@ -528,7 +534,7 @@ func TestOrderByCoverageWalksWholeChain(t *testing.T) {
 		rng := rand.New(rand.NewSource(50 + seed))
 		rsp := buildRandomSpace(rng, 0, 40, universe)
 		missing := []codec.Fingerprint{universe[rng.Intn(5)], universe[5+rng.Intn(5)], universe[rng.Intn(10)]}
-		if got, want := orderByCoverage(rsp.states, missing), byWalk(rsp.states, missing); !slices.Equal(got, want) {
+		if got, want := orderByCoverage(rsp, rsp.states, missing), byWalk(rsp, rsp.states, missing); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: order %v, want %v", seed, seqs(got), seqs(want))
 		}
 	}
@@ -555,7 +561,7 @@ func TestFlowMemosBelongToSearches(t *testing.T) {
 				if err != nil {
 					t.Fatalf("node %d seq %d: %v", ns.node, ns.seq, err)
 				}
-				if want := chainFlow(ns); !maps.Equal(got, want) {
+				if want := chainFlow(sp, ns); !maps.Equal(got, want) {
 					t.Fatalf("node %d seq %d: memo %v, chain recount %v", ns.node, ns.seq, got, want)
 				}
 				wides += w

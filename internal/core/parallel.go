@@ -36,6 +36,12 @@ type nodeRun struct {
 	// internal events), which is what the barrier sorts by.
 	emits []emitBatch
 	news  []discovery
+	// fps holds the phase's emission fingerprints, hashed once at the
+	// handler; each batch in emits aliases its span, and an edge a space
+	// keeps copies its span into the space's pool (space.keep). Like emits it
+	// is emptied at the barrier, so nothing may hold a span past it: a
+	// round-log capture copies its own.
+	fps []codec.Fingerprint
 
 	// spare is a handler copy this run made and nothing kept — its handler
 	// rejected, or its successor was already visited — which the next
@@ -67,7 +73,7 @@ type nodeRun struct {
 // reset readies the run for its next phase of the pass: the buffers and the
 // spare carry over, every per-phase counter and flag starts again.
 func (r *nodeRun) reset(halt *atomic.Bool) {
-	*r = nodeRun{c: r.c, node: r.node, halt: halt, emits: r.emits[:0], news: r.news[:0], spare: r.spare}
+	*r = nodeRun{c: r.c, node: r.node, halt: halt, emits: r.emits[:0], news: r.news[:0], fps: r.fps[:0], spare: r.spare}
 }
 
 // capped reports whether this node has exhausted its per-round delivery
@@ -177,7 +183,7 @@ func (r *nodeRun) runActions(s *nodeState) bool {
 		out := r.step(s, model.ActEvent(a), nil, ai)
 		if c.log.owns(s.fp) {
 			c.log.batch.Acts = append(c.log.batch.Acts, ActionRecord{Node: int(s.node), Parent: s.fp,
-				Action: ai, Rejected: out.Rejected, Succ: out.Succ, Emitted: out.Emitted})
+				Action: ai, Rejected: out.Rejected, Succ: out.Succ, Emitted: slices.Clone(out.Emitted)})
 		}
 	}
 	return ran
@@ -249,15 +255,17 @@ func (r *nodeRun) deliver(e *netstate.Entry, s *nodeState, entry int) {
 	out := r.step(s, model.RecvEvent(e.Msg), e, entry)
 	if c.log.owns(s.fp) {
 		c.log.batch.Dels = append(c.log.batch.Dels, DeliveryRecord{Entry: entry, Parent: s.fp,
-			Rejected: out.Rejected, Succ: out.Succ, Emitted: out.Emitted})
+			Rejected: out.Rejected, Succ: out.Succ, Emitted: slices.Clone(out.Emitted)})
 	}
 }
 
 // step is the one transition step of exploration, lines 6 and 8 of Figure 9
 // alike: the already charged event ev runs on node state s, and the outcome
-// comes back for the caller's capture. For a delivery e is the network entry
-// and slot its index in I+; for an internal action e is nil and slot the
-// action's index in the machine's enumeration at s.
+// comes back for the caller's capture, its emission fingerprints aliasing the
+// run's phase buffer. For a delivery e is the network entry and slot its
+// index in I+; for an internal action e is nil and slot the action's index in
+// the machine's enumeration at s. Either way slot is what the edge keeps to
+// find its event again (pred.src).
 //
 // A round-log hint stands in for the execution where it can: a recorded
 // rejection is trusted outright, and a recorded successor already in the
@@ -272,10 +280,10 @@ func (r *nodeRun) deliver(e *netstate.Entry, s *nodeState, entry int) {
 func (r *nodeRun) step(s *nodeState, ev model.Event, e *netstate.Entry, slot int) outcome {
 	c := r.c
 	node, entry := int(s.node), -1
-	edge := pred{prev: s, kind: ev.Kind, payload: ev.Act}
+	edge := pred{prev: int32(s.seq), src: int32(slot), kind: ev.Kind}
 	if e != nil {
 		node, entry = -1, slot
-		edge.payload, edge.msgFP = e.Msg, e.FP
+		edge.msgFP = e.FP
 	}
 	hint, hinted := c.log.hint(node, slot, s.fp)
 	if hinted {
@@ -288,8 +296,8 @@ func (r *nodeRun) step(s *nodeState, ev model.Event, e *netstate.Entry, slot int
 				r.emits = append(r.emits, emitBatch{entry: entry, fps: hint.Emitted,
 					lazy: &lazyEmit{state: s.state, ev: ev}})
 			}
-			edge.eventFP, edge.generated = eventFP(ev, e), hint.Emitted
-			c.addPred(existing, edge)
+			edge.eventFP = eventFP(ev, e)
+			c.addPred(existing, edge, hint.Emitted)
 			return hint
 		}
 	}
@@ -304,7 +312,7 @@ func (r *nodeRun) step(s *nodeState, ev model.Event, e *netstate.Entry, slot int
 		return outcome{Rejected: true}
 	}
 	edge.eventFP = eventFP(ev, e)
-	out, visited := r.addNext(edge, next, emitted, e, entry)
+	out, visited := r.addNext(s, edge, next, emitted, e, entry)
 	if visited && next == cp {
 		r.spare = cp
 	}
@@ -345,29 +353,34 @@ func eventFP(ev model.Event, e *netstate.Entry) codec.Fingerprint {
 // immediately — the worker owns its node's space — while the generated
 // messages, the interest key and the deferred invariant checks are buffered
 // for the barrier.
-// edge arrives complete but for the generated-message fingerprints; e is the
+// edge, from prev, arrives complete but for the generated-message
+// fingerprints, which are hashed into the run's phase buffer; e is the
 // delivered entry (nil for internal events) and entry its index (-1). It
 // returns the accepted outcome — successor and emission fingerprints, both
 // computed here anyway, so a worker replica's capture never re-hashes — and
 // whether the successor was already visited, in which case the space did not
 // keep next.
-func (r *nodeRun) addNext(edge pred, next model.State, emitted []model.Message,
+func (r *nodeRun) addNext(prev *nodeState, edge pred, next model.State, emitted []model.Message,
 	e *netstate.Entry, entry int) (_ outcome, visited bool) {
 
 	c := r.c
-	prev := edge.prev
-	edge.generated = fingerprintAll(emitted)
+	var gen []codec.Fingerprint
 	if len(emitted) > 0 {
-		r.emits = append(r.emits, emitBatch{entry: entry, msgs: emitted, fps: edge.generated})
+		lo := len(r.fps)
+		for _, m := range emitted {
+			r.fps = append(r.fps, model.MessageFingerprint(m))
+		}
+		gen = r.fps[lo:len(r.fps):len(r.fps)]
+		r.emits = append(r.emits, emitBatch{entry: entry, msgs: emitted, fps: gen})
 	}
-	out := outcome{Succ: model.StateFingerprint(next), Emitted: edge.generated}
+	out := outcome{Succ: model.StateFingerprint(next), Emitted: gen}
 	sp := c.spaces[prev.node]
 	if existing := sp.lookup(out.Succ); existing != nil {
-		// The state exists: only a predecessor pointer is added (the paper
+		// The state exists: only a predecessor edge is added (the paper
 		// keeps all immediate predecessors). The history rule (i) of §4.2
 		// is deliberately not applied to existing states, matching the
 		// paper's simplification.
-		c.addPred(existing, edge)
+		c.addPred(existing, edge, gen)
 		return out, true
 	}
 
@@ -379,6 +392,7 @@ func (r *nodeRun) addNext(edge pred, next model.State, emitted []model.Message,
 		history: prev.history,
 		preds:   []pred{edge},
 	}
+	sp.keep(&ns.preds[0], gen)
 	if e != nil {
 		ns.history = &historyNode{parent: prev.history, fp: e.EventFingerprint()}
 	}
@@ -461,7 +475,7 @@ func (c *checker) mergePhase(runs []*nodeRun) bool {
 		for _, r := range runs {
 			clear(r.emits)
 			clear(r.news)
-			r.emits, r.news = r.emits[:0], r.news[:0]
+			r.emits, r.news, r.fps = r.emits[:0], r.news[:0], r.fps[:0]
 		}
 	}()
 	for _, r := range runs {

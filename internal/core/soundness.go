@@ -27,7 +27,7 @@ func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget, seqs *in
 	sc.paths = grow(sc.paths, len(combo))
 	paths := sc.paths
 	for k, ns := range combo {
-		paths[k] = c.enumeratePathsCapped(sc, ns, pathCap, paths[k][:0])
+		paths[k] = c.spaces[ns.node].enumeratePathsCapped(sc, ns, pathCap, paths[k][:0])
 		if len(paths[k]) == 0 {
 			// No acyclic predecessor path within caps: cannot validate.
 			return false, nil
@@ -45,7 +45,7 @@ func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget, seqs *in
 		}
 		*budget--
 		*seqs++
-		if ok, sched := c.isSequenceValid(sc, cand); ok {
+		if ok, sched := c.isSequenceValid(sc, combo, cand); ok {
 			return true, sched
 		}
 		if *budget <= 0 {
@@ -76,7 +76,7 @@ func (c *checker) isStateSound(combo []*nodeState, pathCap int, budget, seqs *in
 type soundScratch struct {
 	// enumeratePathsCapped: the backward walk's stack, and the arena behind
 	// the paths of one isStateSound call (every member's are alive at once).
-	onStack map[*nodeState]bool
+	onStack map[int32]bool // by seq
 	rev     []pred
 	arena   []pred
 	paths   [][][]pred
@@ -102,20 +102,20 @@ func (sc *soundScratch) carve(n int) []pred {
 }
 
 // enumeratePathsCapped lists event sequences (as predecessor-edge slices
-// ordered start→state) that lead from the node's start state to ns. Following
-// the paper's simplification, self-referencing edges are ignored (exploration
-// keeps them off preds, nodeState.selfEdges) and, more generally, a backward
-// walk never revisits a state already on its stack;
-// the enumeration is capped at maxPaths paths. The paths are appended to out
-// and carved from sc's arena.
-func (c *checker) enumeratePathsCapped(sc *soundScratch, ns *nodeState, maxPaths int, out [][]pred) [][]pred {
+// ordered start→state) that lead from the node's start state to ns, one of
+// the space's states. Following the paper's simplification, self-referencing
+// edges are ignored (exploration keeps them off preds, nodeState.selfEdges)
+// and, more generally, a backward walk never revisits a state already on its
+// stack; the enumeration is capped at maxPaths paths. The paths are appended
+// to out and carved from sc's arena.
+func (sp *space) enumeratePathsCapped(sc *soundScratch, ns *nodeState, maxPaths int, out [][]pred) [][]pred {
 	if sc.onStack == nil {
-		sc.onStack = make(map[*nodeState]bool)
+		sc.onStack = make(map[int32]bool)
 	}
 	// A walk cut short by a cap returns from under its stack.
 	clear(sc.onStack)
 	onStack := sc.onStack
-	onStack[ns] = true
+	onStack[int32(ns.seq)] = true
 	rev := sc.rev[:0] // edges from ns backward
 
 	// The backward walk is capped on visited edges, not only on completed
@@ -143,12 +143,12 @@ func (c *checker) enumeratePathsCapped(sc *soundScratch, ns *nodeState, maxPaths
 		}
 		for i := range cur.preds {
 			e := cur.preds[i]
-			if e.prev == nil || onStack[e.prev] {
+			if onStack[e.prev] {
 				continue
 			}
 			onStack[e.prev] = true
 			rev = append(rev, e)
-			walk(e.prev)
+			walk(sp.states[e.prev])
 			rev = rev[:len(rev)-1]
 			delete(onStack, e.prev)
 			if len(out) >= maxPaths || steps > maxSteps {
@@ -171,8 +171,9 @@ func (c *checker) enumeratePathsCapped(sc *soundScratch, ns *nodeState, maxPaths
 // The greedy strategy is complete: it does not matter which enabled event
 // runs next, since the order demanded by the per-node sequences is enforced
 // by only ever consuming messages that were already generated. The schedule
-// is built only for a sequence that validates — one in thousands.
-func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.Schedule) {
+// is built only for a sequence that validates — one in thousands. seqs[k] is
+// a path of combo[k], whose space holds the edges' generated messages.
+func (c *checker) isSequenceValid(sc *soundScratch, combo []*nodeState, seqs [][]pred) (bool, trace.Schedule) {
 	if sc.net == nil {
 		sc.net = make(map[codec.Fingerprint]int, len(c.initNetCount)+8)
 	}
@@ -186,6 +187,7 @@ func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.
 	for {
 		progressed := false
 		for k := range seqs {
+			sp := c.spaces[combo[k].node]
 			for pos[k] < len(seqs[k]) {
 				e := &seqs[k][pos[k]]
 				if e.kind == model.NetworkEvent {
@@ -194,7 +196,7 @@ func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.
 					}
 					net[e.msgFP]--
 				}
-				for _, g := range e.generated {
+				for _, g := range sp.generated(e) {
 					net[g]++
 				}
 				order = append(order, k)
@@ -215,7 +217,7 @@ func (c *checker) isSequenceValid(sc *soundScratch, seqs [][]pred) (bool, trace.
 	sched := make(trace.Schedule, len(order))
 	clear(pos)
 	for i, k := range order {
-		sched[i] = seqs[k][pos[k]].event()
+		sched[i] = c.event(combo[k].node, &seqs[k][pos[k]])
 		pos[k]++
 	}
 	return true, sched

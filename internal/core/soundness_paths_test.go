@@ -11,6 +11,7 @@ import (
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
+	"lmc/internal/netstate"
 	"lmc/internal/trace"
 )
 
@@ -22,12 +23,7 @@ import (
 
 // chainState extends sp with one state whose creation edge comes from parent.
 func chainState(sp *space, parent *nodeState, fp codec.Fingerprint) *nodeState {
-	ns := &nodeState{
-		node:  parent.node,
-		fp:    fp,
-		depth: parent.depth + 1,
-		preds: []pred{{prev: parent, kind: model.InternalEvent}},
-	}
+	ns := link(sp, &nodeState{node: parent.node, fp: fp, depth: parent.depth + 1}, parent, pred{kind: model.InternalEvent})
 	sp.add(ns)
 	return ns
 }
@@ -42,63 +38,56 @@ func TestEnumeratePathsCyclicGraph(t *testing.T) {
 	s1 := chainState(sp, s0, 2)
 	s2 := chainState(sp, s1, 3)
 	// Back edge recorded later by addPred: s1 is (also) reachable from s2.
-	s1.preds = append(s1.preds, pred{prev: s2, kind: model.InternalEvent})
+	link(sp, s1, s2, pred{kind: model.InternalEvent})
 	// Self-referencing edge, which the paper's simplification ignores.
-	s2.preds = append(s2.preds, pred{prev: s2, kind: model.InternalEvent})
+	link(sp, s2, s2, pred{kind: model.InternalEvent})
 
-	c := &checker{}
-	paths := c.enumeratePathsCapped(new(soundScratch), s2, maxPathsPerNode, nil)
+	paths := sp.enumeratePathsCapped(new(soundScratch), s2, maxPathsPerNode, nil)
 	if len(paths) != 1 {
 		t.Fatalf("expected exactly the creation path, got %d paths", len(paths))
 	}
 	p := paths[0]
-	if len(p) != 2 || p[0].prev != s0 || p[1].prev != s1 {
+	if len(p) != 2 || int(p[0].prev) != s0.seq || int(p[1].prev) != s1.seq {
 		t.Fatalf("path is not start→s1→s2: %+v", p)
 	}
 	// And from the middle of the cycle: s1's back edge leads to s2, whose
 	// only non-cyclic predecessor is s1 itself (on stack) or its self edge —
 	// so only the direct creation path survives.
-	paths = c.enumeratePathsCapped(new(soundScratch), s1, maxPathsPerNode, nil)
-	if len(paths) != 1 || len(paths[0]) != 1 || paths[0][0].prev != s0 {
+	paths = sp.enumeratePathsCapped(new(soundScratch), s1, maxPathsPerNode, nil)
+	if len(paths) != 1 || len(paths[0]) != 1 || int(paths[0][0].prev) != s0.seq {
 		t.Fatalf("cycle leaked into s1's paths: %+v", paths)
 	}
 }
 
 // ladder builds a depth-level graph where every level has `width` parallel
 // predecessor edges to the previous level's state, giving width^depth
-// distinct backward paths.
-func ladder(depth, width int) *nodeState {
+// distinct backward paths. It returns the space and its last state.
+func ladder(depth, width int) (*space, *nodeState) {
 	sp := newSpace()
 	cur := &nodeState{fp: 1}
 	sp.add(cur)
 	for d := 1; d <= depth; d++ {
-		next := &nodeState{
-			fp:    codec.Fingerprint(1 + d),
-			depth: d,
-			preds: []pred{{prev: cur, kind: model.InternalEvent}},
-		}
+		next := link(sp, &nodeState{fp: codec.Fingerprint(1 + d), depth: d}, cur, pred{kind: model.InternalEvent})
 		for w := 1; w < width; w++ {
-			next.preds = append(next.preds, pred{prev: cur, kind: model.NetworkEvent,
-				msgFP: codec.Fingerprint(0x100*d + w)})
+			link(sp, next, cur, pred{kind: model.NetworkEvent, msgFP: codec.Fingerprint(0x100*d + w)})
 		}
 		sp.add(next)
 		cur = next
 	}
-	return cur
+	return sp, cur
 }
 
 // TestEnumeratePathsCap: the enumeration stops exactly at the configured
 // path cap on a DAG with more paths than the cap.
 func TestEnumeratePathsCap(t *testing.T) {
-	tip := ladder(6, 2) // 64 distinct paths
-	c := &checker{}
-	if got := len(c.enumeratePathsCapped(new(soundScratch), tip, 16, nil)); got != 16 {
+	sp, tip := ladder(6, 2) // 64 distinct paths
+	if got := len(sp.enumeratePathsCapped(new(soundScratch), tip, 16, nil)); got != 16 {
 		t.Fatalf("path cap 16 returned %d paths", got)
 	}
-	if got := len(c.enumeratePathsCapped(new(soundScratch), tip, 10, nil)); got != 10 {
+	if got := len(sp.enumeratePathsCapped(new(soundScratch), tip, 10, nil)); got != 10 {
 		t.Fatalf("explicit cap 10 returned %d paths", got)
 	}
-	if got := len(c.enumeratePathsCapped(new(soundScratch), tip, 100, nil)); got != 64 {
+	if got := len(sp.enumeratePathsCapped(new(soundScratch), tip, 100, nil)); got != 64 {
 		t.Fatalf("uncapped ladder should have 64 paths, got %d", got)
 	}
 }
@@ -107,9 +96,8 @@ func TestEnumeratePathsCap(t *testing.T) {
 // step cap still bounds the walk on a DAG with 2^16 paths — the enumeration
 // terminates with a nonempty, truncated result.
 func TestEnumeratePathsStepCap(t *testing.T) {
-	tip := ladder(16, 2) // 65536 distinct paths, far beyond maxSteps
-	c := &checker{}
-	paths := c.enumeratePathsCapped(new(soundScratch), tip, 1<<30, nil)
+	sp, tip := ladder(16, 2) // 65536 distinct paths, far beyond maxSteps
+	paths := sp.enumeratePathsCapped(new(soundScratch), tip, 1<<30, nil)
 	if len(paths) == 0 {
 		t.Fatal("step cap returned no paths at all")
 	}
@@ -144,23 +132,28 @@ func TestEnumeratePathsScratchMatchesFresh(t *testing.T) {
 	sp.add(s0)
 	s1 := chainState(sp, s0, 2)
 	s2 := chainState(sp, s1, 3)
-	s1.preds = append(s1.preds, pred{prev: s2, kind: model.InternalEvent})
-	s2.preds = append(s2.preds, pred{prev: s2, kind: model.InternalEvent})
+	link(sp, s1, s2, pred{kind: model.InternalEvent})
+	link(sp, s2, s2, pred{kind: model.InternalEvent})
 
-	shapes := []struct {
+	type shape struct {
+		sp  *space
 		ns  *nodeState
 		cap int
-	}{
-		{s2, maxPathsPerNode}, {ladder(16, 2), 1 << 30}, {s1, maxPathsPerNode},
-		{ladder(6, 2), 10}, {ladder(6, 2), 100}, {ladder(16, 2), 3}, {s2, 1},
 	}
-	c := &checker{}
+	ladderShape := func(depth, cap int) shape {
+		lsp, tip := ladder(depth, 2)
+		return shape{lsp, tip, cap}
+	}
+	shapes := []shape{
+		{sp, s2, maxPathsPerNode}, ladderShape(16, 1<<30), {sp, s1, maxPathsPerNode},
+		ladderShape(6, 10), ladderShape(6, 100), ladderShape(16, 3), {sp, s2, 1},
+	}
 	sc := new(soundScratch)
 	var held [][][]pred
 	for round := 0; round < 2; round++ {
 		for i, sh := range shapes {
-			got := c.enumeratePathsCapped(sc, sh.ns, sh.cap, nil)
-			want := c.enumeratePathsCapped(new(soundScratch), sh.ns, sh.cap, nil)
+			got := sh.sp.enumeratePathsCapped(sc, sh.ns, sh.cap, nil)
+			want := sh.sp.enumeratePathsCapped(new(soundScratch), sh.ns, sh.cap, nil)
 			if !samePaths(got, want) {
 				t.Fatalf("round %d shape %d: reused scratch returned %d paths, fresh %d (or different edges)",
 					round, i, len(got), len(want))
@@ -169,7 +162,7 @@ func TestEnumeratePathsScratchMatchesFresh(t *testing.T) {
 		}
 		// Nothing reset the arena: every earlier result is still whole.
 		for i, sh := range shapes {
-			if want := c.enumeratePathsCapped(new(soundScratch), sh.ns, sh.cap, nil); !samePaths(held[i], want) {
+			if want := sh.sp.enumeratePathsCapped(new(soundScratch), sh.ns, sh.cap, nil); !samePaths(held[i], want) {
 				t.Fatalf("round %d: shape %d's paths were overwritten by a later enumeration", round, i)
 			}
 		}
@@ -188,19 +181,23 @@ func TestEnumeratePathsScratchMatchesFresh(t *testing.T) {
 func TestSoundScratchMatchesFresh(t *testing.T) {
 	universe := testUniverse(5)
 	rng := rand.New(rand.NewSource(21))
-	c := &checker{res: &Result{}, initNetCount: map[codec.Fingerprint]int{universe[0]: 2, universe[3]: 1}}
+	// The synthetic edges all point at slot 0 — I+ entry 0, or the only
+	// action stepMachine offers — so the schedule tells whose event ran when
+	// by its node, which c.event takes from the combination.
+	c := &checker{res: &Result{}, initNetCount: map[codec.Fingerprint]int{universe[0]: 2, universe[3]: 1},
+		m: stepMachine{kind: "idle"}, net: netstate.NewSharedNet(0)}
+	c.net.Add(stepEvent{Kind: "idle"})
 	spaces := make([]*space, 3)
 	for n := range spaces {
 		spaces[n] = buildRandomSpace(rng, model.NodeID(n), 25, universe)
-		// The schedule tells whose event ran when: pred.event takes the node
-		// from the edge's source state.
 		for _, ns := range spaces[n].states {
 			// A second route to some states, so the odometer has something to turn.
 			if ns.seq > 1 && rng.Intn(3) == 0 {
-				ns.preds = append(ns.preds, pred{prev: spaces[n].states[rng.Intn(ns.seq)], kind: model.InternalEvent})
+				link(spaces[n], ns, spaces[n].states[rng.Intn(ns.seq)], pred{kind: model.InternalEvent})
 			}
 		}
 	}
+	c.spaces = spaces
 
 	type outcome struct {
 		ok     bool
@@ -235,11 +232,11 @@ func TestSoundScratchMatchesFresh(t *testing.T) {
 			// The pool the validating sequence left behind, once more on each.
 			seqs := make([][]pred, len(combo))
 			for n, ns := range combo {
-				seqs[n] = creationPath(ns)
+				seqs[n] = creationPath(spaces[n], ns)
 			}
 			fresh := new(soundScratch)
-			ok1, sched1 := c.isSequenceValid(reused, seqs)
-			ok2, sched2 := c.isSequenceValid(fresh, seqs)
+			ok1, sched1 := c.isSequenceValid(reused, combo, seqs)
+			ok2, sched2 := c.isSequenceValid(fresh, combo, seqs)
 			if ok1 != ok2 || !reflect.DeepEqual(sched1, sched2) || !maps.Equal(reused.net, fresh.net) {
 				t.Fatalf("trial %d: isSequenceValid reused (%v, %v, %v), fresh (%v, %v, %v)",
 					trial, ok1, sched1, reused.net, ok2, sched2, fresh.net)
@@ -277,20 +274,23 @@ func TestSoundScratchMatchesFresh(t *testing.T) {
 // nor when exploration delivers a second copy of the same message (DupLimit 1)
 // to the same state.
 func TestAddPredCountsSelfEdges(t *testing.T) {
-	c := &checker{}
-	ns, other := &nodeState{fp: 1}, &nodeState{fp: 2}
+	sp := newSpace()
+	c := &checker{spaces: []*space{sp}}
+	other, ns := &nodeState{fp: 2}, &nodeState{fp: 1}
+	sp.add(other)
+	sp.add(ns)
 	for i := 1; i < maxPredecessors; i++ {
-		c.addPred(ns, pred{prev: ns, kind: model.NetworkEvent, eventFP: codec.Fingerprint(i)})
-		c.addPred(ns, pred{prev: ns, kind: model.NetworkEvent, eventFP: codec.Fingerprint(i)})
+		c.addPred(ns, pred{prev: int32(ns.seq), kind: model.NetworkEvent, eventFP: codec.Fingerprint(i)}, nil)
+		c.addPred(ns, pred{prev: int32(ns.seq), kind: model.NetworkEvent, eventFP: codec.Fingerprint(i)}, nil)
 	}
 	if len(ns.selfEdges) != maxPredecessors-1 || len(ns.preds) != 0 {
 		t.Fatalf("%d self-edges and %d predecessor edges after %d distinct self-edges offered twice",
 			len(ns.selfEdges), len(ns.preds), maxPredecessors-1)
 	}
 	// The same event fingerprint from another state is another edge.
-	c.addPred(ns, pred{prev: other, kind: model.NetworkEvent, eventFP: 1})
-	c.addPred(ns, pred{prev: other, kind: model.NetworkEvent, eventFP: 2})
-	c.addPred(ns, pred{prev: ns, kind: model.NetworkEvent, eventFP: 1000})
+	c.addPred(ns, pred{prev: int32(other.seq), kind: model.NetworkEvent, eventFP: 1}, nil)
+	c.addPred(ns, pred{prev: int32(other.seq), kind: model.NetworkEvent, eventFP: 2}, nil)
+	c.addPred(ns, pred{prev: int32(ns.seq), kind: model.NetworkEvent, eventFP: 1000}, nil)
 	if len(ns.selfEdges) != maxPredecessors-1 || len(ns.preds) != 1 || ns.preds[0].eventFP != 1 {
 		t.Fatalf("at the cap: %d self-edges, predecessor edges %+v; want %d and the first real edge only",
 			len(ns.selfEdges), ns.preds, maxPredecessors-1)
@@ -322,43 +322,42 @@ func TestAddPredCountsSelfEdges(t *testing.T) {
 // so keeping those edges off preds changes no enumeration: the graphs above
 // give the same paths with self-edges on every state and with none.
 func TestEnumeratePathsIgnoresSelfEdges(t *testing.T) {
-	c := &checker{}
-	build := func(self bool) []*nodeState {
+	build := func(self bool) *space {
 		sp := newSpace()
+		c := &checker{spaces: []*space{sp}}
 		s0 := &nodeState{fp: 1}
 		sp.add(s0)
 		s1 := chainState(sp, s0, 2)
 		s2 := chainState(sp, s1, 3)
 		s3 := chainState(sp, s1, 4)
-		c.addPred(s1, pred{prev: s2, kind: model.InternalEvent, eventFP: 7}) // back edge
-		c.addPred(s3, pred{prev: s2, kind: model.NetworkEvent, eventFP: 8, msgFP: 9})
-		c.addPred(s2, pred{prev: s3, kind: model.InternalEvent, eventFP: 10})
+		c.addPred(s1, pred{prev: int32(s2.seq), kind: model.InternalEvent, eventFP: 7}, nil) // back edge
+		c.addPred(s3, pred{prev: int32(s2.seq), kind: model.NetworkEvent, eventFP: 8, msgFP: 9}, nil)
+		c.addPred(s2, pred{prev: int32(s3.seq), kind: model.InternalEvent, eventFP: 10}, nil)
 		if self {
 			for i, ns := range sp.states {
-				c.addPred(ns, pred{prev: ns, kind: model.InternalEvent, eventFP: codec.Fingerprint(100 + i)})
-				c.addPred(ns, pred{prev: ns, kind: model.NetworkEvent, eventFP: codec.Fingerprint(200 + i), msgFP: 5})
+				c.addPred(ns, pred{prev: int32(ns.seq), kind: model.InternalEvent, eventFP: codec.Fingerprint(100 + i)}, nil)
+				c.addPred(ns, pred{prev: int32(ns.seq), kind: model.NetworkEvent, eventFP: codec.Fingerprint(200 + i), msgFP: 5}, nil)
 			}
 		}
-		return sp.states
+		return sp
 	}
 	with, without := build(true), build(false)
-	// Edges of the two graphs differ in their prev pointers; compare by the
-	// source state's fingerprint.
-	render := func(paths [][]pred) [][]codec.Fingerprint {
+	// Compare paths by the source state's fingerprint.
+	render := func(sp *space, paths [][]pred) [][]codec.Fingerprint {
 		out := make([][]codec.Fingerprint, len(paths))
 		for i, p := range paths {
 			for _, e := range p {
-				out[i] = append(out[i], e.prev.fp, e.eventFP, e.msgFP)
+				out[i] = append(out[i], sp.states[e.prev].fp, e.eventFP, e.msgFP)
 			}
 		}
 		return out
 	}
-	for i := range with {
-		if len(with[i].selfEdges) != 2 || len(without[i].selfEdges) != 0 {
-			t.Fatalf("state %d: %d and %d self-edges", i, len(with[i].selfEdges), len(without[i].selfEdges))
+	for i := range with.states {
+		if len(with.states[i].selfEdges) != 2 || len(without.states[i].selfEdges) != 0 {
+			t.Fatalf("state %d: %d and %d self-edges", i, len(with.states[i].selfEdges), len(without.states[i].selfEdges))
 		}
-		a := render(c.enumeratePathsCapped(new(soundScratch), with[i], maxPathsPerNode, nil))
-		b := render(c.enumeratePathsCapped(new(soundScratch), without[i], maxPathsPerNode, nil))
+		a := render(with, with.enumeratePathsCapped(new(soundScratch), with.states[i], maxPathsPerNode, nil))
+		b := render(without, without.enumeratePathsCapped(new(soundScratch), without.states[i], maxPathsPerNode, nil))
 		if len(a) == 0 || !reflect.DeepEqual(a, b) {
 			t.Fatalf("state %d: paths with self-edges %v, without %v", i, a, b)
 		}

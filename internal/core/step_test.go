@@ -176,8 +176,8 @@ func TestStep(t *testing.T) {
 				}
 				if wantPreds == 1 {
 					p := succ.preds[0]
-					if p.prev != s || p.kind != wantEv.Kind || p.msgFP != wantMsgFP || p.event() != wantEv ||
-						p.eventFP != wantEv.Fingerprint() || !slices.Equal(p.generated, tc.hint.Emitted) {
+					if int(p.prev) != s.seq || p.kind != wantEv.Kind || p.msgFP != wantMsgFP || c.event(0, &p) != wantEv ||
+						p.eventFP != wantEv.Fingerprint() || !slices.Equal(c.spaces[0].generated(&p), tc.hint.Emitted) {
 						t.Errorf("predecessor edge %+v", p)
 					}
 				}

@@ -167,7 +167,7 @@ func (c *checker) completionOrders(w *witnessScratch, view []int) {
 		w.missing = c.msgs.fingerprints(w.missing, w.miss)
 		orders = make([][]*nodeState, len(w.nodes))
 		for i, n := range w.nodes {
-			orders[i] = orderByCoverage(c.viewStates(n, view), w.missing)
+			orders[i] = orderByCoverage(c.spaces[n], c.viewStates(n, view), w.missing)
 			// A coverage scan touches every visited state of the node;
 			// short lists still cost at least one unit.
 			w.budget -= max(len(orders[i])/64, 1)
@@ -206,7 +206,7 @@ func (c *checker) searchWitness(ns *nodeState, k int, key int32, cands []*nodeSt
 func (c *checker) witnessSearch(ns *nodeState, k int, cands []*nodeState, view []int) {
 	c.res.Stats.SoundnessCalls++
 	w := c.beginSearch(ns, k)
-	flow := c.msgs.flowOf(ns)
+	flow := c.msgs.flowOf(c.spaces[ns.node], ns)
 
 	for _, b := range cands {
 		if c.stopped || w.budget <= 0 {
@@ -231,7 +231,7 @@ func (c *checker) witnessSearch(ns *nodeState, k int, cands []*nodeState, view [
 		// message are tried last; a message nobody can cover refutes this
 		// pair outright (modulo alternate-path generation, the same kind of
 		// incompleteness the paper's caps accept).
-		w.miss = c.msgs.missing(w.miss, flow, c.msgs.flowOf(b))
+		w.miss = c.msgs.missing(w.miss, flow, c.msgs.flowOf(c.spaces[k], b))
 
 		// Feasibility: the cover-index counters count a pair's whole missing
 		// set, also past the first message nobody covers.
@@ -269,10 +269,10 @@ func (c *checker) confirmLocalViolation(ns *nodeState, v *spec.Violation, li int
 	c.underPhase("soundness", func() {
 		c.res.Stats.SoundnessCalls++
 		w := c.beginSearch(ns, int(ns.node))
-		w.miss = c.msgs.missing(w.miss, c.msgs.flowOf(ns), &noFlow)
+		w.miss = c.msgs.missing(w.miss, c.msgs.flowOf(c.spaces[ns.node], ns), &noFlow)
 		w.missing = c.msgs.fingerprints(w.missing, w.miss)
 		for i, n := range w.nodes {
-			w.lists[i] = orderByCoverage(c.viewStates(n, view), w.missing)
+			w.lists[i] = orderByCoverage(c.spaces[n], c.viewStates(n, view), w.missing)
 		}
 		c.completionWalk(0, func() bool { return c.settle(w.combo, v, nil, &w.budget) })
 	})
@@ -332,10 +332,11 @@ func (c *checker) witnessLeaf() bool {
 	return c.settle(combo, v, nil, budget)
 }
 
-// orderByCoverage buckets states by how many of the missing fingerprints
-// their creation chain generates: full coverers first, partial next, the
-// rest last; discovery order is preserved within each bucket.
-func orderByCoverage(states []*nodeState, missing []codec.Fingerprint) []*nodeState {
+// orderByCoverage buckets states, a prefix of sp's, by how many of the
+// missing fingerprints their creation chain generates: full coverers first,
+// partial next, the rest last; discovery order is preserved within each
+// bucket.
+func orderByCoverage(sp *space, states []*nodeState, missing []codec.Fingerprint) []*nodeState {
 	if len(missing) == 0 {
 		return states
 	}
@@ -343,7 +344,7 @@ func orderByCoverage(states []*nodeState, missing []codec.Fingerprint) []*nodeSt
 	for _, s := range states {
 		covered := 0
 		for _, fp := range missing {
-			if s.creationEmits(fp) {
+			if sp.creationEmits(s, fp) {
 				covered++
 			}
 		}

@@ -101,8 +101,8 @@ func TestProbeWitnessDirect(t *testing.T) {
 	if !ok {
 		for n, ns := range combo {
 			t.Logf("node %d creation path:", n)
-			for _, e := range creationPath(ns) {
-				t.Logf("   %s gen=%d", e.event().String(), len(e.generated))
+			for _, e := range creationPath(c.spaces[n], ns) {
+				t.Logf("   %s gen=%d", c.event(ns.node, &e).String(), e.genN)
 			}
 		}
 		t.Fatal("known-valid combo rejected")

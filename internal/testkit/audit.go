@@ -3,6 +3,7 @@ package testkit
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
@@ -30,22 +31,72 @@ type Reporter interface {
 //     points into the state the handler was given: the handler runs again on
 //     a third clone, which is then overwritten with the node's initial state
 //     the way a checker recycles a copy, and the messages of that second run
-//     must encode as they did before the overwrite.
+//     must encode as they did before the overwrite;
+//   - no two different encodings share a 64-bit fingerprint: a shadow map
+//     keeps the encoding of every successor state and every emitted message
+//     by the fingerprint the checkers dedupe it by (model.StateFingerprint,
+//     model.MessageFingerprint), states and messages apart, and a second
+//     encoding under a fingerprint already taken is a collision the checkers
+//     would have merged silently.
 //
 // The wrapper declares none of m's optional capabilities (model.Symmetric,
 // model.RawReplayer); an audited run is an unreduced one.
-func Audit(m model.Machine, t Reporter) model.Machine { return auditMachine{m, t} }
+func Audit(m model.Machine, t Reporter) model.Machine {
+	return auditMachine{m, t, &shadow{states: make(map[codec.Fingerprint]string), msgs: make(map[codec.Fingerprint]string)}}
+}
 
 type auditMachine struct {
 	model.Machine
-	t Reporter
+	t      Reporter
+	shadow *shadow
+}
+
+// shadow is the fingerprint → encoding record of an audited machine. Handlers
+// run on worker goroutines, so it is guarded.
+type shadow struct {
+	mu           sync.Mutex
+	states, msgs map[codec.Fingerprint]string
+}
+
+// record files enc under fp in seen and returns the different encoding
+// already filed there, if any.
+func (sh *shadow) record(seen map[codec.Fingerprint]string, fp codec.Fingerprint, enc []byte) (string, bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	prev, ok := seen[fp]
+	if !ok {
+		seen[fp] = string(enc)
+		return "", false
+	}
+	return prev, prev != string(enc)
+}
+
+// collisions reports the successor and the emitted messages of one handler
+// execution whose fingerprint another encoding already holds.
+func (a auditMachine) collisions(event fmt.Stringer, next model.State, nextEnc []byte, out []model.Message) {
+	if next != nil {
+		fp := model.StateFingerprint(next)
+		if prev, clash := a.shadow.record(a.shadow.states, fp, nextEnc); clash {
+			a.t.Errorf("%s: %v: fingerprint collision: successor %s (encoding %x) and a state encoded %x share fingerprint %v",
+				a.Name(), event, next, nextEnc, prev, fp)
+		}
+	}
+	for _, m := range out {
+		var w codec.Writer
+		m.Encode(&w)
+		fp := model.MessageFingerprint(m)
+		if prev, clash := a.shadow.record(a.shadow.msgs, fp, w.Bytes()); clash {
+			a.t.Errorf("%s: %v: fingerprint collision: message %s (encoding %x) and a message encoded %x share fingerprint %v",
+				a.Name(), event, m, w.Bytes(), prev, fp)
+		}
+	}
 }
 
 func (a auditMachine) HandleMessage(n model.NodeID, s model.State, m model.Message) (model.State, []model.Message) {
 	done := a.begin(s, m)
 	a.recycled(n, s, m, func(cp model.State) []model.Message { _, out := a.Machine.HandleMessage(n, cp, m); return out })
 	next, out := a.Machine.HandleMessage(n, s, m)
-	done(next)
+	done(next, out)
 	return next, out
 }
 
@@ -53,7 +104,7 @@ func (a auditMachine) HandleAction(n model.NodeID, s model.State, act model.Acti
 	done := a.begin(s, act)
 	a.recycled(n, s, act, func(cp model.State) []model.Message { _, out := a.Machine.HandleAction(n, cp, act); return out })
 	next, out := a.Machine.HandleAction(n, s, act)
-	done(next)
+	done(next, out)
 	return next, out
 }
 
@@ -86,21 +137,23 @@ func encodeAll(msgs []model.Message) []byte {
 }
 
 // begin takes the witness clone of the handler's input; the returned func
-// checks it, and the successor, once the handler has run.
-func (a auditMachine) begin(s model.State, event fmt.Stringer) func(next model.State) {
+// checks it, the successor and the emitted messages once the handler has run.
+func (a auditMachine) begin(s model.State, event fmt.Stringer) func(next model.State, out []model.Message) {
 	witness := s.Clone()
 	before := Encoding(witness)
-	return func(next model.State) {
+	return func(next model.State, out []model.Message) {
 		if !bytes.Equal(Encoding(witness), before) {
 			a.t.Errorf("%s: %v on %s wrote through to a state that shares its collections", a.Name(), event, witness)
 		}
-		if next == nil {
-			return
+		var enc []byte
+		if next != nil {
+			enc = Encoding(next)
+			if got, want := model.StateFingerprint(next), codec.Hash(enc); got != want {
+				a.t.Errorf("%s: %v on %s: the successor %s carries fingerprint %v, its encoding hashes to %v",
+					a.Name(), event, witness, next, got, want)
+			}
 		}
-		if got, want := model.StateFingerprint(next), codec.Hash(Encoding(next)); got != want {
-			a.t.Errorf("%s: %v on %s: the successor %s carries fingerprint %v, its encoding hashes to %v",
-				a.Name(), event, witness, next, got, want)
-		}
+		a.collisions(event, next, enc, out)
 	}
 }
 
