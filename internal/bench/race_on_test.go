@@ -4,7 +4,7 @@ package bench
 
 // raceDetector reports whether the test binary is instrumented by the race
 // detector, whose bookkeeping inflates what a check allocates (explore-opt:
-// 442 MB in 4.7 M objects against 297 MB in 3.7 M) — an allocation ceiling
+// 280 MB in 3.46 M objects against 223 MB in 3.07 M) — an allocation ceiling
 // sized for a plain build says nothing there.
 const raceDetector = true
 

@@ -23,8 +23,19 @@ import (
 
 // Writer accumulates a canonical binary encoding. The zero value is ready to
 // use. Writers are not safe for concurrent use.
+//
+// A Writer has two modes. In byte mode, the default, every write appends to
+// a buffer (Bytes). In hashing mode, entered by StartHash, every write folds
+// the bytes byte mode would have appended into a running FNV-1a hash (Sum)
+// and nothing is buffered: duplicate detection needs the hash of an
+// encoding, never the encoding itself. The two modes agree bit for bit —
+// Sum after StartHash(p) and some writes is HashAfter(p, the bytes those
+// writes append in byte mode).
 type Writer struct {
 	buf []byte
+	// h is the running hash in hashing mode.
+	h       uint64
+	hashing bool
 }
 
 // NewWriter returns a Writer with capacity preallocated for n bytes.
@@ -32,19 +43,51 @@ func NewWriter(n int) *Writer {
 	return &Writer{buf: make([]byte, 0, n)}
 }
 
-// Reset discards the accumulated encoding, retaining the buffer.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
+// Reset discards the accumulated encoding, retaining the buffer, and returns
+// the Writer to byte mode.
+func (w *Writer) Reset() { w.buf, w.hashing = w.buf[:0], false }
+
+// StartHash discards the accumulated encoding and puts the Writer in hashing
+// mode, with the running hash at prefix: the fingerprint of whatever the
+// encoding to come continues (Hash(nil) for an encoding of its own).
+func (w *Writer) StartHash(prefix Fingerprint) {
+	w.buf, w.h, w.hashing = w.buf[:0], uint64(prefix), true
+}
+
+// Sum returns the running hash of a Writer in hashing mode: the fingerprint
+// of the prefix given to StartHash followed by everything written since.
+// Writing may go on after it.
+func (w *Writer) Sum() Fingerprint {
+	if !w.hashing {
+		panic("codec: Sum on a Writer in byte mode")
+	}
+	return Fingerprint(w.h)
+}
+
+// bytesMode panics unless w is in byte mode; only byte mode has bytes.
+func (w *Writer) bytesMode() {
+	if w.hashing {
+		panic("codec: the bytes of a Writer in hashing mode")
+	}
+}
 
 // Len reports the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
+func (w *Writer) Len() int {
+	w.bytesMode()
+	return len(w.buf)
+}
 
 // Bytes returns the accumulated encoding. The slice aliases the Writer's
 // internal buffer and is invalidated by further writes or Reset.
-func (w *Writer) Bytes() []byte { return w.buf }
+func (w *Writer) Bytes() []byte {
+	w.bytesMode()
+	return w.buf
+}
 
 // Clone returns a copy of the accumulated encoding that remains valid after
 // the Writer is reused.
 func (w *Writer) Clone() []byte {
+	w.bytesMode()
 	out := make([]byte, len(w.buf))
 	copy(out, w.buf)
 	return out
@@ -52,28 +95,93 @@ func (w *Writer) Clone() []byte {
 
 // Bool writes a boolean as a single byte (0 or 1).
 func (w *Writer) Bool(v bool) {
+	var b byte
 	if v {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
+		b = 1
 	}
+	w.Byte(b)
 }
 
 // Byte writes a single raw byte.
-func (w *Writer) Byte(v byte) { w.buf = append(w.buf, v) }
+func (w *Writer) Byte(v byte) {
+	if w.hashing {
+		w.h = (w.h ^ uint64(v)) * fnvPrime64
+		return
+	}
+	w.buf = append(w.buf, v)
+}
 
-// Uint32 writes a fixed-width big-endian uint32.
+// Uint32 writes a fixed-width big-endian uint32. In hashing mode a value
+// below 2^8 — most length prefixes — costs one multiplication by P^3 and
+// one by P (fnvBytes's zero-run identity); uint32Slow does the rest.
 func (w *Writer) Uint32(v uint32) {
-	w.buf = binary.BigEndian.AppendUint32(w.buf, v)
+	if w.hashing && v < 1<<8 {
+		w.h = (w.h*fnvPrime64p3 ^ uint64(v)) * fnvPrime64
+		return
+	}
+	w.uint32Slow(v)
 }
 
-// Uint64 writes a fixed-width big-endian uint64.
+// uint32Slow is Uint32 outside its fast path, kept out of line so that
+// Uint32 inlines.
+//
+//go:noinline
+func (w *Writer) uint32Slow(v uint32) {
+	if !w.hashing {
+		w.buf = binary.BigEndian.AppendUint32(w.buf, v)
+		return
+	}
+	if v < 1<<16 {
+		w.h = ((w.h*fnvPow[2]^uint64(v>>8))*fnvPrime64 ^ uint64(v&0xff)) * fnvPrime64
+		return
+	}
+	for shift := 24; shift >= 0; shift -= 8 {
+		w.h = (w.h ^ uint64(v>>uint(shift)&0xff)) * fnvPrime64
+	}
+}
+
+// Uint64 writes a fixed-width big-endian uint64. In hashing mode a value
+// below 2^8 — most integers of a state — costs one multiplication by P^7
+// and one by P instead of eight; uint64Slow does the rest.
 func (w *Writer) Uint64(v uint64) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
+	if w.hashing && v < 1<<8 {
+		w.h = (w.h*fnvPrime64p7 ^ v) * fnvPrime64
+		return
+	}
+	w.uint64Slow(v)
 }
 
-// Int writes a signed integer as a 64-bit two's-complement value.
-func (w *Writer) Int(v int) { w.Uint64(uint64(v)) }
+// uint64Slow is Uint64 outside its fast path, kept out of line so that
+// Uint64 and Int inline.
+//
+//go:noinline
+func (w *Writer) uint64Slow(v uint64) {
+	switch {
+	case !w.hashing:
+		w.buf = binary.BigEndian.AppendUint64(w.buf, v)
+	case v < 1<<16:
+		w.h = ((w.h*fnvPow[6]^v>>8)*fnvPrime64 ^ v&0xff) * fnvPrime64
+	default:
+		w.h = fnvUint64(w.h, v)
+	}
+}
+
+// Int writes a signed integer as a 64-bit two's-complement value. It is
+// Uint64 written out again: a call to an inlined Uint64 would put Int over
+// the inlining budget, and Int is the write encodings make most.
+func (w *Writer) Int(v int) {
+	if w.hashing && uint64(v) < 1<<8 {
+		w.h = (w.h*fnvPrime64p7 ^ uint64(v)) * fnvPrime64
+	} else {
+		w.intSlow(v)
+	}
+}
+
+// intSlow is Int outside its fast path; taking the int unconverted keeps
+// Int inside the inlining budget.
+//
+//go:noinline
+func (w *Writer) intSlow(v int) { w.uint64Slow(uint64(v)) }
 
 // Int64 writes a signed 64-bit integer.
 func (w *Writer) Int64(v int64) { w.Uint64(uint64(v)) }
@@ -91,13 +199,25 @@ func (w *Writer) Float64(v float64) {
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Uint32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
+	if !w.hashing {
+		w.buf = append(w.buf, s...)
+		return
+	}
+	h := w.h
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	w.h = h
 }
 
 // Bytes32 writes a length-prefixed byte slice.
 func (w *Writer) Bytes32(b []byte) {
 	w.Uint32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
+	if !w.hashing {
+		w.buf = append(w.buf, b...)
+		return
+	}
+	w.h = fnvBytes(w.h, b)
 }
 
 // Ints writes a length-prefixed slice of ints in the order given.
@@ -184,17 +304,24 @@ const (
 	fnvPrime64  uint64 = 0x100000001b3
 )
 
+// fnvPrime64^3 and ^7 (mod 2^64), the factors of the inlined fast paths of
+// Writer.Uint32 and Writer.Uint64.
+const (
+	fnvPrime64p3 uint64 = 0x08a97b0004e7feab
+	fnvPrime64p7 uint64 = 0xc5527b8a51d3d2db
+)
+
 // fnvPow is fnvPrime64^k (mod 2^64) for k = 0…8, written out so that
 // start-up computes nothing.
 var fnvPow = [9]uint64{
 	0x0000000000000001,
 	0x00000100000001b3,
 	0x000366000002e329,
-	0x08a97b0004e7feab,
+	fnvPrime64p3,
 	0x9ffaac085635bc91,
 	0x0caee32a7d4f6a63,
 	0xdc966432edf1c639,
-	0xc5527b8a51d3d2db,
+	fnvPrime64p7,
 	0x1efac7090aef4a21,
 }
 
@@ -252,8 +379,8 @@ func Hash(b []byte) Fingerprint {
 
 // HashAfter fingerprints the concatenation of some prefix and b, given only
 // the prefix's fingerprint: FNV-1a is a running hash, so Hash(prefix ++ b) ==
-// HashAfter(Hash(prefix), b). A layered state whose encoding starts with its
-// lower layer's uses it to carry on from the lower layer's fingerprint.
+// HashAfter(Hash(prefix), b). A Writer in hashing mode started at a prefix's
+// fingerprint computes the same over what it is written, without the bytes.
 func HashAfter(prefix Fingerprint, b []byte) Fingerprint {
 	return Fingerprint(fnvBytes(uint64(prefix), b))
 }
@@ -282,13 +409,14 @@ func PutWriter(w *Writer) {
 	writerPool.Put(w)
 }
 
-// HashOf encodes v into a pooled scratch Writer and fingerprints the
-// result. Steady state it performs no heap allocations for encodings up to
-// the pooled buffer capacity.
+// HashOf fingerprints v's encoding: Hash of the bytes Encode writes, folded
+// in as they are written by a pooled Writer in hashing mode, so nothing is
+// buffered and, steady state, nothing is allocated.
 func HashOf(v Encoder) Fingerprint {
 	w := GetWriter()
+	w.StartHash(Hash(nil))
 	v.Encode(w)
-	fp := Hash(w.buf)
+	fp := w.Sum()
 	PutWriter(w)
 	return fp
 }

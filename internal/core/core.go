@@ -203,7 +203,8 @@ const (
 	// maxSequencesPerCheck caps the path combinations examined per
 	// soundness call.
 	maxSequencesPerCheck = 1 << 14
-	// maxPredecessors caps the predecessor edges recorded per node state.
+	// maxPredecessors caps the predecessor edges recorded per node state,
+	// self-edges (never recorded) not counted.
 	maxPredecessors = 64
 
 	// parallelThreshold is the Cartesian-product size above which
@@ -285,14 +286,12 @@ type nodeState struct {
 	// state to state back to seq 0 is the creation chain, the only record of
 	// the first path (creationEmits reads it, flowOf sums it). An edge names
 	// its predecessor by seq, so preds holds no pointer for the collector to
-	// trace. selfEdges holds the edges from the state to itself — the events
-	// that changed nothing, close to half of all transitions on a Paxos-shaped
-	// space — as event fingerprints only: no path enumeration ever follows one
-	// (a backward walk never revisits a state on its stack), so the
-	// fingerprint is kept for exactly what still reads it, addPred's duplicate
-	// rule and the maxPredecessors cap, which count both lists.
-	preds     []pred
-	selfEdges []codec.Fingerprint
+	// trace. An edge from the state to itself — an event that changed
+	// nothing, close to half of all transitions on a Paxos-shaped space — is
+	// not recorded at all: no path enumeration would follow it (a backward
+	// walk never revisits a state on its stack), and the maxPredecessors cap
+	// counts preds alone.
+	preds []pred
 	// flow is the state's flow memo: net consumed-minus-generated counts per
 	// message along the creation chain, in the pass's message ids. flowOf
 	// (index.go) builds it the first time a witness search asks; nil means

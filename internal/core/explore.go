@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"time"
 
 	"lmc/internal/codec"
@@ -423,18 +422,12 @@ func (c *checker) pass() bool {
 }
 
 // addPred records a predecessor edge of ns, with gen the fingerprints of the
-// messages its event generated, unless it duplicates an existing one or ns
-// already has maxPredecessors of them, self-edges included. An edge from ns
-// itself keeps only its event fingerprint (nodeState.selfEdges); a kept edge
-// copies gen into the space's pool, so gen may be a phase buffer.
+// messages its event generated, unless it is an edge from ns itself (see
+// nodeState.preds), duplicates an existing one or ns already has
+// maxPredecessors of them. A kept edge copies gen into the space's pool, so
+// gen may be a phase buffer.
 func (c *checker) addPred(ns *nodeState, edge pred, gen []codec.Fingerprint) {
-	if len(ns.preds)+len(ns.selfEdges) >= maxPredecessors {
-		return
-	}
-	if int(edge.prev) == ns.seq {
-		if !slices.Contains(ns.selfEdges, edge.eventFP) {
-			ns.selfEdges = append(ns.selfEdges, edge.eventFP)
-		}
+	if int(edge.prev) == ns.seq || len(ns.preds) >= maxPredecessors {
 		return
 	}
 	for i := range ns.preds {

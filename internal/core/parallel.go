@@ -374,6 +374,12 @@ func (r *nodeRun) addNext(prev *nodeState, edge pred, next model.State, emitted 
 		r.emits = append(r.emits, emitBatch{entry: entry, msgs: emitted, fps: gen})
 	}
 	out := outcome{Succ: model.StateFingerprint(next), Emitted: gen}
+	if out.Succ == prev.fp {
+		// A self-loop, close to half of all transitions: the successor is
+		// prev itself, which needs no lookup and records no edge. Its
+		// emissions are in the batch already.
+		return out, true
+	}
 	sp := c.spaces[prev.node]
 	if existing := sp.lookup(out.Succ); existing != nil {
 		// The state exists: only a predecessor edge is added (the paper

@@ -104,8 +104,8 @@ func (sc *soundScratch) carve(n int) []pred {
 // enumeratePathsCapped lists event sequences (as predecessor-edge slices
 // ordered start→state) that lead from the node's start state to ns, one of
 // the space's states. Following the paper's simplification, self-referencing
-// edges are ignored (exploration keeps them off preds, nodeState.selfEdges)
-// and, more generally, a backward walk never revisits a state already on its
+// edges are ignored (exploration never records them, nodeState.preds) and,
+// more generally, a backward walk never revisits a state already on its
 // stack; the enumeration is capped at maxPaths paths. The paths are appended
 // to out and carved from sc's arena.
 func (sp *space) enumeratePathsCapped(sc *soundScratch, ns *nodeState, maxPaths int, out [][]pred) [][]pred {

@@ -266,14 +266,13 @@ func TestSoundScratchMatchesFresh(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAddPredCountsSelfEdges: an edge from a state to itself is stored as its
-// event fingerprint only, and addPred's two rules still see it. A state given
-// 63 distinct self-edges and then two edges from another state admits exactly
-// one of them (maxPredecessors counts both lists), and a self-edge offered
-// again is not counted twice — neither when addPred is handed the same edge,
-// nor when exploration delivers a second copy of the same message (DupLimit 1)
-// to the same state.
-func TestAddPredCountsSelfEdges(t *testing.T) {
+// TestAddPredIgnoresSelfEdges: an edge from a state to itself is not
+// recorded and does not count towards maxPredecessors. A state offered 63
+// distinct self-edges keeps none of them and still admits maxPredecessors
+// edges from another state — the same event fingerprints among them — and
+// no more; a second copy of a message that exploration delivers to the same
+// state (DupLimit 1) runs the handler again and records nothing either.
+func TestAddPredIgnoresSelfEdges(t *testing.T) {
 	sp := newSpace()
 	c := &checker{spaces: []*space{sp}}
 	other, ns := &nodeState{fp: 2}, &nodeState{fp: 1}
@@ -281,19 +280,22 @@ func TestAddPredCountsSelfEdges(t *testing.T) {
 	sp.add(ns)
 	for i := 1; i < maxPredecessors; i++ {
 		c.addPred(ns, pred{prev: int32(ns.seq), kind: model.NetworkEvent, eventFP: codec.Fingerprint(i)}, nil)
-		c.addPred(ns, pred{prev: int32(ns.seq), kind: model.NetworkEvent, eventFP: codec.Fingerprint(i)}, nil)
 	}
-	if len(ns.selfEdges) != maxPredecessors-1 || len(ns.preds) != 0 {
-		t.Fatalf("%d self-edges and %d predecessor edges after %d distinct self-edges offered twice",
-			len(ns.selfEdges), len(ns.preds), maxPredecessors-1)
+	if len(ns.preds) != 0 {
+		t.Fatalf("%d predecessor edges after %d self-edges offered", len(ns.preds), maxPredecessors-1)
 	}
-	// The same event fingerprint from another state is another edge.
-	c.addPred(ns, pred{prev: int32(other.seq), kind: model.NetworkEvent, eventFP: 1}, nil)
-	c.addPred(ns, pred{prev: int32(other.seq), kind: model.NetworkEvent, eventFP: 2}, nil)
+	for i := 1; i <= maxPredecessors+1; i++ {
+		c.addPred(ns, pred{prev: int32(other.seq), kind: model.NetworkEvent, eventFP: codec.Fingerprint(i)}, nil)
+	}
 	c.addPred(ns, pred{prev: int32(ns.seq), kind: model.NetworkEvent, eventFP: 1000}, nil)
-	if len(ns.selfEdges) != maxPredecessors-1 || len(ns.preds) != 1 || ns.preds[0].eventFP != 1 {
-		t.Fatalf("at the cap: %d self-edges, predecessor edges %+v; want %d and the first real edge only",
-			len(ns.selfEdges), ns.preds, maxPredecessors-1)
+	if len(ns.preds) != maxPredecessors {
+		t.Fatalf("%d predecessor edges kept of %d offered from another state, want %d",
+			len(ns.preds), maxPredecessors+1, maxPredecessors)
+	}
+	for i, p := range ns.preds {
+		if int(p.prev) != other.seq || p.eventFP != codec.Fingerprint(i+1) {
+			t.Fatalf("predecessor edge %d is %+v, want the edge from state %d with event %d", i, p, other.seq, i+1)
+		}
 	}
 
 	calls := 0
@@ -310,17 +312,15 @@ func TestAddPredCountsSelfEdges(t *testing.T) {
 		}
 		r.deliver(e, s, dup)
 	}
-	want := model.RecvEvent(stepEvent{Kind: "idle"}).Fingerprint()
-	if calls != 2 || len(s.preds) != 0 || len(s.selfEdges) != 1 || s.selfEdges[0] != want {
-		t.Fatalf("two copies delivered (%d handler calls): self-edges %v, %d predecessor edges; want the one fingerprint %v",
-			calls, s.selfEdges, len(s.preds), want)
+	if calls != 2 || len(s.preds) != 0 {
+		t.Fatalf("two copies delivered: %d handler calls and %d predecessor edges, want 2 and 0", calls, len(s.preds))
 	}
 }
 
 // TestEnumeratePathsIgnoresSelfEdges: the backward walk never followed an
 // edge from a state to itself (its source is on the stack by construction),
-// so keeping those edges off preds changes no enumeration: the graphs above
-// give the same paths with self-edges on every state and with none.
+// so not recording those edges changes no enumeration: the graphs above give
+// the same paths with self-edges offered on every state and with none.
 func TestEnumeratePathsIgnoresSelfEdges(t *testing.T) {
 	build := func(self bool) *space {
 		sp := newSpace()
@@ -353,8 +353,8 @@ func TestEnumeratePathsIgnoresSelfEdges(t *testing.T) {
 		return out
 	}
 	for i := range with.states {
-		if len(with.states[i].selfEdges) != 2 || len(without.states[i].selfEdges) != 0 {
-			t.Fatalf("state %d: %d and %d self-edges", i, len(with.states[i].selfEdges), len(without.states[i].selfEdges))
+		if len(with.states[i].preds) != len(without.states[i].preds) {
+			t.Fatalf("state %d: %d and %d predecessor edges", i, len(with.states[i].preds), len(without.states[i].preds))
 		}
 		a := render(with, with.enumeratePathsCapped(new(soundScratch), with.states[i], maxPathsPerNode, nil))
 		b := render(without, without.enumeratePathsCapped(new(soundScratch), without.states[i], maxPathsPerNode, nil))

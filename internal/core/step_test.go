@@ -90,7 +90,7 @@ func TestStep(t *testing.T) {
 		rejections int  // Stats.Rejections
 		news       int  // node states discovered
 		back       bool // run on a second visited state, so the visited successor is not the parent
-		preds      int  // predecessor edges added to the successor: to selfEdges, or with back to preds
+		preds      int  // predecessor edges added to the successor (none without back: a self-edge is not recorded)
 		lazy       bool // a fingerprint-only batch was queued
 		real       bool // a materialized batch was queued
 		captured   outcome
@@ -99,14 +99,16 @@ func TestStep(t *testing.T) {
 	}{
 		{name: "no hint", kind: "inc",
 			calls: 1, news: 1, real: true, captured: outcome{Succ: s1, Emitted: note1}},
+		{name: "no hint, self-loop with a new emission", kind: "echo",
+			calls: 1, real: true, captured: outcome{Succ: s0, Emitted: note0}},
 		{name: "no hint, rejecting handler", kind: "reject",
 			calls: 1, rejections: 1, captured: outcome{Rejected: true}},
 		{name: "rejected hint is trusted", kind: "inc", hint: &outcome{Rejected: true},
 			rejections: 1, captured: outcome{Rejected: true}},
 		{name: "hint to visited successor with emissions", kind: "echo", hint: &outcome{Succ: s0, Emitted: note0},
-			preds: 1, lazy: true, captured: outcome{Succ: s0, Emitted: note0}, mergeCalls: 1},
+			lazy: true, captured: outcome{Succ: s0, Emitted: note0}, mergeCalls: 1},
 		{name: "hint to visited successor without emissions", kind: "idle", hint: &outcome{Succ: s0},
-			preds: 1, captured: outcome{Succ: s0}},
+			captured: outcome{Succ: s0}},
 		{name: "hint to visited successor that is not the parent", kind: "zero", hint: &outcome{Succ: s0, Emitted: note0},
 			back: true, preds: 1, lazy: true, captured: outcome{Succ: s0, Emitted: note0}, mergeCalls: 1},
 		{name: "hint to new successor", kind: "inc", hint: &outcome{Succ: s1, Emitted: note1},
@@ -116,7 +118,7 @@ func TestStep(t *testing.T) {
 		{name: "hint accepts what the handler rejects", kind: "reject", hint: &outcome{Succ: s1},
 			calls: 1, rejections: 1, captured: outcome{Rejected: true}, tainted: true},
 		{name: "hint lies about a visited successor's emissions", kind: "echo", hint: &outcome{Succ: s0, Emitted: note1},
-			preds: 1, lazy: true, captured: outcome{Succ: s0, Emitted: note1}, tainted: true, mergeCalls: 1},
+			lazy: true, captured: outcome{Succ: s0, Emitted: note1}, tainted: true, mergeCalls: 1},
 	}
 	for _, tc := range cases {
 		for _, delivery := range []bool{false, true} {
@@ -160,21 +162,12 @@ func TestStep(t *testing.T) {
 				if calls != tc.calls {
 					t.Errorf("handler ran %d times during the walk, want %d", calls, tc.calls)
 				}
-				// An edge from the successor itself is kept as its event
-				// fingerprint; one from another state whole, and its event
-				// comes back out of it.
-				wantSelf, wantPreds := tc.preds, 0
-				if tc.back {
-					wantSelf, wantPreds = 0, tc.preds
+				// An edge from the successor itself is not recorded; one from
+				// another state is, whole, and its event comes back out of it.
+				if len(succ.preds) != tc.preds {
+					t.Fatalf("successor has %d predecessor edges, want %d", len(succ.preds), tc.preds)
 				}
-				if len(succ.selfEdges) != wantSelf || len(succ.preds) != wantPreds {
-					t.Fatalf("successor has %d self-edges and %d predecessor edges, want %d and %d",
-						len(succ.selfEdges), len(succ.preds), wantSelf, wantPreds)
-				}
-				if wantSelf == 1 && succ.selfEdges[0] != wantEv.Fingerprint() {
-					t.Errorf("self-edge %v, want the fingerprint of %v", succ.selfEdges[0], wantEv)
-				}
-				if wantPreds == 1 {
+				if tc.preds == 1 {
 					p := succ.preds[0]
 					if int(p.prev) != s.seq || p.kind != wantEv.Kind || p.msgFP != wantMsgFP || c.event(0, &p) != wantEv ||
 						p.eventFP != wantEv.Fingerprint() || !slices.Equal(c.spaces[0].generated(&p), tc.hint.Emitted) {
@@ -228,6 +221,8 @@ func TestStep(t *testing.T) {
 				}
 				if added := c.net.Len() - netBefore; (added == 1) != (tc.lazy || tc.real) {
 					t.Errorf("barrier appended %d messages to I+", added)
+				} else if added == 1 && !tc.tainted && c.net.Entry(netBefore).FP != tc.captured.Emitted[0] {
+					t.Errorf("barrier appended %v to I+, want %v", c.net.Entry(netBefore).FP, tc.captured.Emitted[0])
 				}
 			})
 		}

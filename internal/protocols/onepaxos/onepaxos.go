@@ -166,10 +166,10 @@ func (s *State) CloneInto(dst model.State) model.State {
 func (s *State) Fingerprint() codec.Fingerprint {
 	util := s.Util.Fingerprint()
 	if s.memo == 0 || s.memoUtil != util {
-		w := codec.GetWriter()
-		s.encodeOwn(w)
-		s.memo, s.memoUtil = codec.HashAfter(util, w.Bytes()), util
-		codec.PutWriter(w)
+		var w codec.Writer
+		w.StartHash(util)
+		s.encodeOwn(&w)
+		s.memo, s.memoUtil = w.Sum(), util
 	}
 	return s.memo
 }

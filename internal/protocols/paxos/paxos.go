@@ -348,7 +348,10 @@ func (s *State) CloneInto(dst model.State) model.State {
 
 // Fingerprint implements model.Fingerprinter: the hash of the state's
 // encoding, computed at most once between two writes, and then only from the
-// first section written since the hash was last taken (State.marks).
+// first section written since the hash was last taken (State.marks). The
+// sections are written to a Writer in hashing mode, so the encoding is
+// folded into the hash as it is written and never buffered; each mark is the
+// running hash at a section boundary.
 func (s *State) Fingerprint() codec.Fingerprint {
 	if s.memo != 0 {
 		return s.memo
@@ -360,18 +363,16 @@ func (s *State) Fingerprint() codec.Fingerprint {
 			break
 		}
 	}
-	w := codec.GetWriter()
+	var w codec.Writer
+	w.StartHash(h)
 	for ; sec < numSections; sec++ {
 		if sec > proposerSection {
-			s.marks[sec-1] = h
+			s.marks[sec-1] = w.Sum()
 		}
-		w.Reset()
-		s.encodeSection(sec, w)
-		h = codec.HashAfter(h, w.Bytes())
+		s.encodeSection(sec, &w)
 	}
-	codec.PutWriter(w)
-	s.memo = h
-	return h
+	s.memo = w.Sum()
+	return s.memo
 }
 
 // Encode implements codec.Encoder. Every collection is written ascending by
