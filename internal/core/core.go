@@ -228,8 +228,8 @@ const (
 
 // Bug is a violation confirmed by soundness verification. Schedule is a
 // realizable total order of events from the start system state whose final
-// state violates the invariant; it has been validated by isSequenceValid
-// and replayed against the real handlers.
+// state violates the invariant; it has been validated by sequenceValid
+// (Figure 9's isSequenceValid) and replayed against the real handlers.
 type Bug struct {
 	Violation *spec.Violation
 	Schedule  trace.Schedule
@@ -312,7 +312,7 @@ type nodeState struct {
 }
 
 // pred is a predecessor edge: the event that produced a state from a prior
-// state of the same node, plus exactly the data isSequenceValid needs — the
+// state of the same node, plus exactly the data sequenceValid needs — the
 // consumed message fingerprint (network events) and the fingerprints of
 // the generated messages (§4.2, "the input to Procedure isSequenceValid is
 // the set of sequenced events as well as the set of generated messages by
@@ -404,10 +404,12 @@ type witnessKey struct {
 	key  int32
 }
 
-// interestGroup is the bucket of node states sharing one interest key.
+// interestGroup is the bucket of node states sharing one interest key, with
+// the members' flow memos transposed for the witness search (index.go).
 type interestGroup struct {
 	key     int32
 	members []*nodeState
+	cols    memberColumns
 }
 
 func newSpace() *space {

@@ -235,6 +235,7 @@ func run(ctx context.Context, m model.Machine, start model.SystemState, opt Opti
 			c.localBound = c.opt.MaxLocalBound
 		}
 	}
+	c.finishSources()
 	c.res.Stats.Elapsed = time.Since(c.begin)
 	if c.stopped {
 		c.res.StopReason = c.reason

@@ -113,10 +113,18 @@ type msgIDs struct {
 	init    []int               // id → initial count
 	init1   idSet               // the ids with initial count ≥ 1
 	init2   []int32             // the ids with initial count ≥ 2, ascending
+	// twice is whether the pass seeds some message twice or more: its id,
+	// once interned, joins init2 and takes missing's exact correction, which
+	// the member columns do not model.
+	twice bool
 }
 
 func newMsgIDs(initial map[codec.Fingerprint]int) msgIDs {
-	return msgIDs{initial: initial, ids: make(map[codec.Fingerprint]int32)}
+	twice := false
+	for _, n := range initial {
+		twice = twice || n >= 2
+	}
+	return msgIDs{initial: initial, ids: make(map[codec.Fingerprint]int32), twice: twice}
 }
 
 // id interns fp.
@@ -319,4 +327,71 @@ func (t *msgIDs) missing(dst idSet, a, b *flowMemo) idSet {
 		miss = miss[:len(miss)-1]
 	}
 	return miss
+}
+
+// ---------------------------------------------------------------------------
+// Member columns
+//
+// memberColumns is an interest group's flow memos transposed: per block of 64
+// members (bit i of block j is members[64j+i]) and per message id, the members
+// whose memo has the id in pos and those that have it in neg, plus the
+// members whose memo has wide entries. A witness search reads a block's rows
+// instead of one memo per candidate, and refutes up to 64 candidates in one
+// pass over the ids (checker.refuteChunk, witness.go).
+//
+// For an anchor a whose memo has no wide entries, in a pass that seeds no
+// message twice, candidate b misses id x exactly when missing's word formula
+// says so, and that selects, per id,
+//
+//	x ∈ I1:  b ∈ P[x] if a has x in pos, else no member;
+//	x ∉ I1:  b ∉ N[x] if a has x in pos (a.count + b.count ≥ 1 unless b has
+//	         surplus), no member if a has x in neg, b ∈ P[x] otherwise.
+//
+// Members enter in member order, the first time a search examines them (the
+// per-pair path built their memos then), so the entered members are a prefix
+// and a run that raises no search enters none. Ids are per pass, and so are
+// groups: the columns start empty with every pass.
+type memberColumns struct {
+	filled int // members[:filled] have entered
+	blocks []memberBlock
+}
+
+type memberBlock struct {
+	// pos and neg are indexed by message id, 64 ids at a time; an id past
+	// the end is in no entered member's memo. posAny has an id's bit when
+	// its pos row is not empty.
+	pos, neg []uint64
+	posAny   idSet
+	wide     uint64
+}
+
+// enter adds the next member, whose flow memo is m.
+func (mc *memberColumns) enter(m *flowMemo) {
+	j, bit := mc.filled>>6, uint64(1)<<(mc.filled&63)
+	if j == len(mc.blocks) {
+		mc.blocks = append(mc.blocks, memberBlock{})
+	}
+	b := &mc.blocks[j]
+	if n := len(m.pos) << 6; n > len(b.pos) {
+		b.pos = append(b.pos, make([]uint64, n-len(b.pos))...)
+		b.neg = append(b.neg, make([]uint64, n-len(b.neg))...)
+	}
+	for len(b.posAny) < len(m.pos) {
+		b.posAny = append(b.posAny, 0)
+	}
+	for i, x := range m.pos {
+		b.posAny[i] |= x
+		for ; x != 0; x &= x - 1 {
+			b.pos[i<<6+bits.TrailingZeros64(x)] |= bit
+		}
+	}
+	for i, x := range m.neg {
+		for ; x != 0; x &= x - 1 {
+			b.neg[i<<6+bits.TrailingZeros64(x)] |= bit
+		}
+	}
+	if len(m.wide) > 0 {
+		b.wide |= bit
+	}
+	mc.filled++
 }

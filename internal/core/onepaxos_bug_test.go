@@ -6,6 +6,7 @@ import (
 
 	"lmc/internal/obs"
 	"lmc/internal/protocols/onepaxos"
+	"lmc/internal/stats"
 	"lmc/internal/trace"
 )
 
@@ -64,21 +65,31 @@ func TestOnePaxosBugFound(t *testing.T) {
 // The two phases must not both claim it — otherwise their sum exceeds the
 // run and obs.Attribution reports zero exploration (LMC-GEN on buggy 1Paxos
 // confirms thousands of violations, so soundness dominates the run).
+//
+// Only a wall-clock budget ends this run — a transition cap does not bound
+// GEN's confirmations here — and on a slow host one second may end it before
+// it has swept and confirmed. The budget doubles, up to 8 s, until it has.
 func TestPhaseTimesPartitionTheRun(t *testing.T) {
 	m := onepaxos.New(3, onepaxos.PlusPlusBug, onepaxos.Driver{})
 	live, err := onepaxos.PaperLiveState(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Check(m, live, Options{
-		Invariant: onepaxos.Agreement(),
-		Budget:    time.Second,
-		Workers:   -1,
-	})
-	s := res.Stats
-	t.Logf("stats: %s", s.String())
-	if s.SoundnessTime == 0 || s.SystemStateTime == 0 {
-		t.Fatalf("the capped run never swept or never confirmed: %s", s.String())
+	var s stats.Counters
+	for budget := time.Second; ; budget *= 2 {
+		res := Check(m, live, Options{
+			Invariant: onepaxos.Agreement(),
+			Budget:    budget,
+			Workers:   -1,
+		})
+		s = res.Stats
+		t.Logf("budget %v: %s", budget, s.String())
+		if s.SoundnessTime > 0 && s.SystemStateTime > 0 {
+			break
+		}
+		if budget >= 8*time.Second {
+			t.Fatalf("the run never swept or never confirmed within %v: %s", budget, s.String())
+		}
 	}
 	if s.SystemStateTime+s.SoundnessTime > s.Elapsed {
 		t.Fatalf("systemStateTime %v + soundnessTime %v exceed the run's %v",

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"math/bits"
+	"time"
 
 	"lmc/internal/codec"
 	"lmc/internal/model"
 	"lmc/internal/obs"
-	"lmc/internal/stats"
 )
 
 // The round log. The checker's state is two append-only structures (the
@@ -85,9 +85,12 @@ type hintKey struct {
 // roundSource prepares a round (fill) and checks its outcome (verify). Both
 // methods run on the sequential merge goroutine and return false to detach
 // the source for the rest of the run, after applying its own failure policy.
+// finish is called on every source still attached when the run ends, before
+// the engine stops its clock.
 type roundSource interface {
 	fill(c *checker, round int) bool
 	verify(c *checker, round int, d ShardDigest, progress bool) bool
+	finish(c *checker)
 }
 
 // roundSink receives the round's digest (and reads the capture it wants) at
@@ -113,6 +116,14 @@ func (lg *roundLog) keepSources(keep func(roundSource) bool) {
 		}
 	}
 	lg.sources = kept
+}
+
+// finishSources ends the run for every attached source.
+func (c *checker) finishSources() {
+	for _, s := range c.log.sources {
+		s.finish(c)
+	}
+	c.log.sources = nil
 }
 
 // endRound is the barrier half: one digest, handed first to the sources that
@@ -194,7 +205,8 @@ type ShardLink interface {
 	Shards() int
 	// BeginPass announces a fresh pass (iterative deepening restarts
 	// exploration from scratch) with its local-event bound; the workers
-	// then run the pass's rounds autonomously, streaming records.
+	// then run the pass's rounds autonomously, streaming records. The first
+	// call may dial the fleet.
 	BeginPass(pass, bound int) error
 	// FetchRound returns every worker's records for the round, in worker
 	// order. Batches collected before an error are returned with it and
@@ -212,23 +224,27 @@ type ShardLink interface {
 // fleetSource attaches a shard fleet. Its failure policy: any link error, a
 // digest mismatch or a tainted record degrades the run — one typed event,
 // the fleet torn down, exploration continuing in-process with whatever
-// hints already arrived. Result.Complete keeps its usual meaning.
+// hints already arrived. A fleet that cannot be dialed degrades the same
+// way, before the first round has a record. Result.Complete keeps its usual
+// meaning.
+//
+// Every link call — the dial (the first BeginPass), the fetches, the digest
+// checks and the teardown, a degradation's included — runs on the engine's
+// clock and is booked to ShardWaitTime, never to the exploration phases, so
+// the phases account for the whole call.
 type fleetSource struct{ link ShardLink }
 
 // fill pulls every worker's records for the round — the workers produced
 // them autonomously, so in the steady state the frames are already buffered
-// in the transport. The wait is accounted to ShardWaitTime, never to the
-// exploration phases. A pass begins with its first round.
+// in the transport. A pass begins with its first round.
 func (f fleetSource) fill(c *checker, round int) bool {
+	defer c.bookShardWait(time.Now())
 	if round == 1 {
 		if err := f.link.BeginPass(c.em.pass, c.localBound); err != nil {
 			return f.degrade(c, err)
 		}
 	}
-	var sw stats.Stopwatch
-	sw.Start()
 	batches, err := f.link.FetchRound(round)
-	c.res.Stats.ShardWaitTime += sw.Elapsed()
 	for i, b := range batches {
 		c.em.shardRound(i+1, f.link.Shards(), len(b.Acts)+len(b.Dels))
 		c.log.load(b)
@@ -243,12 +259,10 @@ func (f fleetSource) verify(c *checker, round int, d ShardDigest, progress bool)
 	if c.stopped {
 		return true
 	}
+	defer c.bookShardWait(time.Now())
 	err := c.log.taint
 	if err == nil {
-		var sw stats.Stopwatch
-		sw.Start()
 		err = f.link.EndRound(round, d, !progress)
-		c.res.Stats.ShardWaitTime += sw.Elapsed()
 	}
 	return err == nil || f.degrade(c, err)
 }
@@ -257,6 +271,17 @@ func (f fleetSource) degrade(c *checker, err error) bool {
 	f.link.Finish()
 	c.em.shardDegraded(-1, f.link.Shards(), err.Error())
 	return false
+}
+
+// finish tears the fleet down at the end of the run.
+func (f fleetSource) finish(c *checker) {
+	defer c.bookShardWait(time.Now())
+	f.link.Finish()
+}
+
+// bookShardWait books the time since t0 to ShardWaitTime.
+func (c *checker) bookShardWait(t0 time.Time) {
+	c.res.Stats.ShardWaitTime += time.Since(t0)
 }
 
 // CheckpointSink receives one RoundCheckpoint per completed round, on the
@@ -294,6 +319,8 @@ func (s *resumeSource) fill(c *checker, round int) bool {
 	c.em.resume(s.want.States, "")
 	return true
 }
+
+func (s *resumeSource) finish(*checker) {}
 
 // verify skips a round a stop criterion cut short: it is incomplete and its
 // digest means nothing.
@@ -345,15 +372,15 @@ func ShardOwner(fp codec.Fingerprint, shards int) int {
 // CheckShardedContext runs the checker with a shard-worker fleet attached.
 // Results are bit-for-bit identical to Check/CheckContext for any shard
 // count; the link only redistributes handler executions. The caller owns
-// the link's transport setup; the checker finishes the link when the run
-// ends or degrades.
+// the link's transport; the checker finishes the link when the run ends or
+// degrades, on its clock. A link may dial its fleet at the first BeginPass:
+// a dial error degrades the run like any other link error.
 func CheckShardedContext(ctx context.Context, m model.Machine, start model.SystemState,
 	opt Options, link ShardLink) (*Result, error) {
 
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	defer link.Finish()
 	return run(ctx, m, start, opt, fleetSource{link}), nil
 }
 

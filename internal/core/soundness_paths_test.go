@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -56,6 +55,13 @@ func TestEnumeratePathsCyclicGraph(t *testing.T) {
 	paths = sp.enumeratePathsCapped(new(soundScratch), s1, maxPathsPerNode, nil)
 	if len(paths) != 1 || len(paths[0]) != 1 || int(paths[0][0].prev) != s0.seq {
 		t.Fatalf("cycle leaked into s1's paths: %+v", paths)
+	}
+	// And from past the cycle: s3's walk meets s1 ← s2 with s2 on its stack
+	// below s3, so again only the creation path survives.
+	s3 := chainState(sp, s2, 4)
+	paths = sp.enumeratePathsCapped(new(soundScratch), s3, maxPathsPerNode, nil)
+	if len(paths) != 1 || len(paths[0]) != 3 {
+		t.Fatalf("cycle leaked into s3's paths: %d paths, the first %+v", len(paths), paths[0])
 	}
 }
 
@@ -229,17 +235,25 @@ func TestSoundScratchMatchesFresh(t *testing.T) {
 			if trial > 0 && !want[trial-1].ok {
 				afterFailure++
 			}
-			// The pool the validating sequence left behind, once more on each.
-			seqs := make([][]pred, len(combo))
-			for n, ns := range combo {
-				seqs[n] = creationPath(spaces[n], ns)
+			// The counts the validating sequence left behind, once more on
+			// each: the creation paths alone, densified and validated.
+			validate := func(sc *soundScratch) (bool, trace.Schedule, []int32) {
+				sc.paths = grow(sc.paths, len(combo))
+				for n, ns := range combo {
+					sc.paths[n] = [][]pred{creationPath(spaces[n], ns)}
+				}
+				c.densify(sc, combo)
+				idx := make([]int, len(combo))
+				if !sc.sequenceValid(idx) {
+					return false, nil, sc.count
+				}
+				return true, c.schedule(sc, combo, idx), sc.count
 			}
-			fresh := new(soundScratch)
-			ok1, sched1 := c.isSequenceValid(reused, combo, seqs)
-			ok2, sched2 := c.isSequenceValid(fresh, combo, seqs)
-			if ok1 != ok2 || !reflect.DeepEqual(sched1, sched2) || !maps.Equal(reused.net, fresh.net) {
-				t.Fatalf("trial %d: isSequenceValid reused (%v, %v, %v), fresh (%v, %v, %v)",
-					trial, ok1, sched1, reused.net, ok2, sched2, fresh.net)
+			ok1, sched1, count1 := validate(reused)
+			ok2, sched2, count2 := validate(new(soundScratch))
+			if ok1 != ok2 || !reflect.DeepEqual(sched1, sched2) || !slices.Equal(count1, count2) {
+				t.Fatalf("trial %d: sequenceValid reused (%v, %v, %v), fresh (%v, %v, %v)",
+					trial, ok1, sched1, count1, ok2, sched2, count2)
 			}
 		}
 		combos, want = append(combos, combo), append(want, got)

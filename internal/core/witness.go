@@ -61,7 +61,7 @@ func (c *checker) checkNewStateOpt(ns *nodeState, view []int) {
 			if len(cands) == 0 || !c.keys.conflicts(ns.key, g.key) {
 				continue
 			}
-			c.searchWitness(ns, k, g.key, cands, view)
+			c.searchWitness(ns, k, g, len(cands), view)
 			if c.stopped {
 				return
 			}
@@ -92,6 +92,9 @@ type witnessScratch struct {
 	// depends on nothing that changes during a search, so each id is asked
 	// about once.
 	known, coverable idSet
+	// rows is columnRows' scratch: by bit of the id word at hand, the
+	// candidates that miss the id.
+	rows [64]uint64
 	// orders holds the completion orderings this search has built, per
 	// completion node, by the exact missing set (miss's words as bytes, in
 	// key): candidates that miss the same messages share a scan.
@@ -124,33 +127,38 @@ func (c *checker) beginSearch(ns *nodeState, k int) *witnessScratch {
 }
 
 // coverage reports whether the completion nodes can supply every message
-// of the current pair's missing set, asking the producer index only about
-// the ids the search has not asked about yet. Each missing message still
-// charges one cover-index hit or miss, as if it had been asked about again:
-// the counters count the search's coverage questions, not how they were
+// of the current pair's missing set. Each missing message charges one
+// cover-index hit or miss, also past the first message nobody covers and
+// also when the search asked the producer index about it before: the
+// counters count the search's coverage questions, not how they were
 // answered, and stay what a probe per question would make them.
 func (c *checker) coverage(w *witnessScratch, view []int) bool {
-	for len(w.known) < len(w.miss) {
-		w.known = append(w.known, 0)
-		w.coverable = append(w.coverable, 0)
-	}
-	feasible := true
+	hits, misses := 0, 0
 	for i, m := range w.miss {
-		for ask := m &^ w.known[i]; ask != 0; ask &= ask - 1 {
-			b := bits.TrailingZeros64(ask)
-			if c.coveredByAny(w.nodes, c.msgs.fps[i<<6+b], view) {
-				w.coverable[i] |= 1 << b
+		for ; m != 0; m &= m - 1 {
+			if c.coverable(w, int32(i<<6+bits.TrailingZeros64(m)), view) {
+				hits++
+			} else {
+				misses++
 			}
-			w.known[i] |= 1 << b
-		}
-		hits := bits.OnesCount64(m & w.coverable[i])
-		c.res.Stats.CoverIndexHits += hits
-		c.res.Stats.CoverIndexMisses += bits.OnesCount64(m) - hits
-		if m&^w.coverable[i] != 0 {
-			feasible = false
 		}
 	}
-	return feasible
+	c.res.Stats.CoverIndexHits += hits
+	c.res.Stats.CoverIndexMisses += misses
+	return misses == 0
+}
+
+// coverable reports whether the completion nodes can supply message id x
+// under the view, asking the producer index the first time the search meets
+// x.
+func (c *checker) coverable(w *witnessScratch, x int32, view []int) bool {
+	if !w.known.has(x) {
+		if c.coveredByAny(w.nodes, c.msgs.fps[x], view) {
+			w.coverable.add(x)
+		}
+		w.known.add(x)
+	}
+	return w.coverable.has(x)
 }
 
 // completionOrders sets w.lists to the completion nodes' visible states
@@ -178,8 +186,8 @@ func (c *checker) completionOrders(w *witnessScratch, view []int) {
 }
 
 // searchWitness looks for a real run in which ns coexists with one of the
-// conflicting candidate states cands of node k (the visible members of the
-// group of key id key). Other nodes are completed with any
+// conflicting candidate states of node k: the first n members of group g,
+// those visible under the view. Other nodes are completed with any
 // visited state (within the search's view), iterated lazily in discovery
 // order — their events are what generated the messages the pair consumed.
 // Each candidate system state is materialized and invariant-checked; a
@@ -189,65 +197,233 @@ func (c *checker) completionOrders(w *witnessScratch, view []int) {
 // candidates.
 //
 // The search runs on the index layer (index.go): missing sets come from the
-// pair's flow memos and coverage questions go to the producer index, once
-// per message.
-func (c *checker) searchWitness(ns *nodeState, k int, key int32, cands []*nodeState, view []int) {
-	cacheKey := witnessKey{fp: ns.fp, node: k, key: key}
+// flow memos, most of them read 64 candidates at a time off the group's
+// member columns, and coverage questions go to the producer index, once per
+// message.
+func (c *checker) searchWitness(ns *nodeState, k int, g *interestGroup, n int, view []int) {
+	cacheKey := witnessKey{fp: ns.fp, node: k, key: g.key}
 	if _, done := c.witnessed[cacheKey]; done {
 		return
 	}
 	c.witnessed[cacheKey] = struct{}{}
-	c.underPhase("soundness", func() { c.witnessSearch(ns, k, cands, view) })
+	c.underPhase("soundness", func() { c.witnessSearch(ns, k, g, n, view) })
 }
 
 // witnessSearch is the body of searchWitness, separated so the whole search
 // (including the path enumeration and replay it triggers) profiles under
 // the soundness phase label.
-func (c *checker) witnessSearch(ns *nodeState, k int, cands []*nodeState, view []int) {
+func (c *checker) witnessSearch(ns *nodeState, k int, g *interestGroup, n int, view []int) {
 	c.res.Stats.SoundnessCalls++
 	w := c.beginSearch(ns, k)
-	flow := c.msgs.flowOf(c.spaces[ns.node], ns)
+	c.examineGroup(w, c.msgs.flowOf(c.spaces[ns.node], ns), k, g, n, view,
+		func() bool { return c.pursue(w, view) })
+}
 
+// examineGroup runs the candidate loop of a search whose anchor has flow
+// memo flow over the first n members of g, handing each feasible candidate
+// to pursue. Candidates are examined in member order, each one charging a
+// unit of budget, a deadline tick and a cover-index hit or miss per missing
+// message, until pursue ends the search or the budget, the deadline or the
+// run stops it. The member columns (columnSearch) do exactly that for an
+// anchor whose memo has no wide entries in a pass that seeds no message
+// twice — every registry workload's — and the per-pair loop (pairSearch)
+// does it for the rest.
+func (c *checker) examineGroup(w *witnessScratch, flow *flowMemo, k int, g *interestGroup, n int, view []int, pursue func() bool) {
+	if len(flow.wide) > 0 || c.msgs.twice {
+		c.pairSearch(w, flow, k, g.members[:n], view, pursue)
+		return
+	}
+	c.columnSearch(w, flow, k, g, n, view, pursue)
+}
+
+// pairSearch examines the candidates one pair at a time.
+func (c *checker) pairSearch(w *witnessScratch, flow *flowMemo, k int, cands []*nodeState, view []int, pursue func() bool) {
 	for _, b := range cands {
-		if c.stopped || w.budget <= 0 {
-			return
-		}
-		// Examining a candidate costs budget even when the feasibility
-		// check refutes it without materializing anything — conflicting
-		// groups can hold thousands of members, and the walk must stay
-		// within the per-search allowance. Ordering a node's completions by
-		// coverage scans that node's whole visited list, so it is charged
-		// proportionally below.
-		w.budget--
-		if c.pollDeadline(&w.tick) {
-			c.stop(obs.StopBudget)
-			return
-		}
-		w.combo[k] = b
-
-		// What must the completion nodes supply? Every message the pair's
-		// creation chains consume beyond what the pair itself (or the seeded
-		// network) generates. Candidates that cannot cover a missing
-		// message are tried last; a message nobody can cover refutes this
-		// pair outright (modulo alternate-path generation, the same kind of
-		// incompleteness the paper's caps accept).
-		w.miss = c.msgs.missing(w.miss, flow, c.msgs.flowOf(c.spaces[k], b))
-
-		// Feasibility: the cover-index counters count a pair's whole missing
-		// set, also past the first message nobody covers.
-		if !c.coverage(w, view) {
-			continue
-		}
-
-		c.completionOrders(w, view)
-		if w.budget <= 0 {
-			return
-		}
-
-		if c.completionWalk(0, c.witnessLeaf) || c.stopped {
+		if c.stopped || w.budget <= 0 || c.examine(w, flow, k, b, view, pursue) {
 			return
 		}
 	}
+}
+
+// examine is the per-pair path for candidate b of node k, the other member
+// of the pair whose anchor has flow memo flow. It reports whether the search
+// ends.
+func (c *checker) examine(w *witnessScratch, flow *flowMemo, k int, b *nodeState, view []int, pursue func() bool) bool {
+	// Examining a candidate costs budget even when the feasibility
+	// check refutes it without materializing anything — conflicting
+	// groups can hold thousands of members, and the walk must stay
+	// within the per-search allowance. Ordering a node's completions by
+	// coverage scans that node's whole visited list, so it is charged
+	// proportionally (completionOrders).
+	w.budget--
+	if c.pollDeadline(&w.tick) {
+		c.stop(obs.StopBudget)
+		return true
+	}
+	w.combo[k] = b
+
+	// What must the completion nodes supply? Every message the pair's
+	// creation chains consume beyond what the pair itself (or the seeded
+	// network) generates. Candidates that cannot cover a missing
+	// message are tried last; a message nobody can cover refutes this
+	// pair outright (modulo alternate-path generation, the same kind of
+	// incompleteness the paper's caps accept).
+	w.miss = c.msgs.missing(w.miss, flow, c.msgs.flowOf(c.spaces[k], b))
+
+	// Feasibility: the cover-index counters count a pair's whole missing
+	// set, also past the first message nobody covers.
+	return c.coverage(w, view) && pursue()
+}
+
+// pursue takes the feasible pair in w.combo, its missing set in w.miss, past
+// the coverage check: completion orders, then the walk. It reports whether
+// the search ends.
+func (c *checker) pursue(w *witnessScratch, view []int) bool {
+	c.completionOrders(w, view)
+	if w.budget <= 0 {
+		return true
+	}
+	return c.completionWalk(0, c.witnessLeaf) || c.stopped
+}
+
+// columnSearch is the candidate loop on g's member columns. A member no
+// search has examined yet this pass takes the per-pair path, which builds
+// its memo, and then enters the columns; entered members are examined a
+// chunk at a time (refuteChunk).
+func (c *checker) columnSearch(w *witnessScratch, flow *flowMemo, k int, g *interestGroup, n int, view []int, pursue func() bool) {
+	mc := &g.cols
+	for i := 0; i < n && !c.stopped && w.budget > 0; {
+		if i < mc.filled {
+			var end bool
+			if i, end = c.refuteChunk(w, flow, k, g, i, min(n, mc.filled), view, pursue); end {
+				return
+			}
+			continue
+		}
+		b := g.members[i]
+		end := c.examine(w, flow, k, b, view, pursue)
+		// A deadline stop comes before the memo is read: enter b only
+		// if it has one, so the columns build no memo the loop did not.
+		if b.seq == 0 || b.flow != nil {
+			mc.enter(c.msgs.flowOf(c.spaces[k], b))
+		}
+		if end {
+			return
+		}
+		i++
+	}
+}
+
+// refuteChunk examines entered candidates from member i on, below lim and
+// within i's block, as the per-pair loop would: the chunk ends where the
+// budget runs out and at the next candidate whose tick reads the clock. The
+// chunk's rows say which candidates miss a message nobody supplies; the
+// refuted ones before the first candidate that is not refuted — feasible,
+// or with wide entries — are charged from the rows, and that candidate
+// takes the per-pair path. It returns where the next chunk starts and
+// whether the search ends.
+func (c *checker) refuteChunk(w *witnessScratch, flow *flowMemo, k int, g *interestGroup, i, lim int, view []int, pursue func() bool) (int, bool) {
+	j := i >> 6
+	e := min(lim, (j+1)<<6, i+w.budget, i+deadlinePollInterval-w.tick%deadlinePollInterval)
+	blk := &g.cols.blocks[j]
+	span := spanMask(i-j<<6, e-j<<6)
+	mask := span &^ blk.wide
+	refuted, hits, misses := c.columnRows(w, flow, blk, mask, view)
+	p := e
+	if rest := span &^ refuted; rest != 0 {
+		p = j<<6 + bits.TrailingZeros64(rest)
+	}
+	if m := p - i; m > 0 {
+		seg := spanMask(i-j<<6, p-j<<6)
+		w.budget -= m
+		w.tick += m
+		// Only the chunk's last candidate can read the clock; a stop there
+		// comes before its missing set is charged.
+		stop := w.tick%deadlinePollInterval == 0 && c.pastDeadline()
+		if stop {
+			seg &^= 1 << ((p - 1) & 63)
+		}
+		if seg != mask {
+			_, hits, misses = c.columnRows(w, flow, blk, seg, view)
+		}
+		c.res.Stats.CoverIndexHits += hits
+		c.res.Stats.CoverIndexMisses += misses
+		if stop {
+			c.stop(obs.StopBudget)
+			return p, true
+		}
+	}
+	if p == e {
+		return e, false
+	}
+	return p + 1, c.examine(w, flow, k, g.members[p], view, pursue)
+}
+
+// columnRows reads block blk's rows for the anchor with flow memo flow (the
+// selection is memberColumns'), restricted to the candidates in mask: it
+// returns the candidates that miss a message nobody supplies, and the
+// cover-index hits and misses the candidates' missing sets charge. The
+// producer index is asked only about ids some candidate in mask misses: the
+// ids the per-pair loop asks about.
+func (c *checker) columnRows(w *witnessScratch, flow *flowMemo, blk *memberBlock, mask uint64, view []int) (refuted uint64, hits, misses int) {
+	if mask == 0 {
+		return 0, 0, 0
+	}
+	cols := len(blk.pos) >> 6
+	for wi := range max(cols, len(flow.pos)) {
+		pa, na, i1 := flow.pos.word(wi), flow.neg.word(wi), c.msgs.init1.word(wi)
+		// Ids the anchor needs and nobody seeded are missed by every
+		// candidate without surplus; ids the anchor needs and the network
+		// seeded once, and ids the anchor neither needs nor produces and
+		// nobody seeded, by every candidate that needs them.
+		needed, byPos := pa&^i1, uint64(0)
+		if wi < cols {
+			byPos = (pa&i1 | ^(pa | na | i1)) & blk.posAny[wi]
+		}
+		rows, held := &w.rows, uint64(0)
+		for s := needed; s != 0; s &= s - 1 {
+			b := bits.TrailingZeros64(s)
+			rows[b] = mask
+			if wi < cols {
+				rows[b] &^= blk.neg[wi<<6+b]
+			}
+			if rows[b] != 0 {
+				held |= 1 << b
+			}
+		}
+		for s := byPos; s != 0; s &= s - 1 {
+			b := bits.TrailingZeros64(s)
+			if rows[b] = blk.pos[wi<<6+b] & mask; rows[b] != 0 {
+				held |= 1 << b
+			}
+		}
+		cov := c.coverableWord(w, wi, held, view)
+		for s := held; s != 0; s &= s - 1 {
+			b := bits.TrailingZeros64(s)
+			n := bits.OnesCount64(rows[b])
+			if cov&(1<<b) != 0 {
+				hits += n
+			} else {
+				misses += n
+				refuted |= rows[b]
+			}
+		}
+	}
+	return refuted, hits, misses
+}
+
+// coverableWord is coverable for the ids of word wi in ids at once: the
+// ones the completion nodes can supply.
+func (c *checker) coverableWord(w *witnessScratch, wi int, ids uint64, view []int) uint64 {
+	for ask := ids &^ w.known.word(wi); ask != 0; ask &= ask - 1 {
+		c.coverable(w, int32(wi<<6+bits.TrailingZeros64(ask)), view)
+	}
+	return ids & w.coverable.word(wi)
+}
+
+// spanMask is the word with bits [lo, hi) set, 0 ≤ lo < hi ≤ 64.
+func spanMask(lo, hi int) uint64 {
+	return ^uint64(0) >> (64 - (hi - lo)) << lo
 }
 
 // confirmLocalViolation runs the witness search for a node-local invariant

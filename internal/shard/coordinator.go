@@ -29,31 +29,21 @@ type remoteWorker struct {
 // replica divergence surfaces as a digest or frame-type mismatch, never
 // as a deadlock.
 type link struct {
-	ws    []*remoteWorker
-	n     int // total process count, coordinator included
-	batch int
+	spawner Spawner
+	hello   hello
+	dialed  bool
+	ws      []*remoteWorker
+	n       int // total process count, coordinator included
+	batch   int
 }
 
-// dial spawns and handshakes the fleet: workers take shard indices
-// 1..cfg.Shards-1, the coordinator keeps shard 0. HELLOs go out to every
-// worker before any READY is collected, so workers build their replicas
-// concurrently. On any failure the already-spawned workers are torn down
-// and the error names the shard.
-func dial(cfg Config, opt core.Options) (*link, error) {
+// newLink prepares the fleet's link; the first BeginPass dials it.
+func newLink(cfg Config, opt core.Options) *link {
 	batch := cfg.Batch
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	l := &link{n: cfg.Shards, batch: batch}
-	for i := 1; i < cfg.Shards; i++ {
-		rwc, err := cfg.Spawner.Spawn(i, cfg.Shards)
-		if err != nil {
-			l.Finish()
-			return nil, fmt.Errorf("shard %d: spawn: %w", i, err)
-		}
-		l.ws = append(l.ws, &remoteWorker{conn: newConn(rwc), rwc: rwc})
-	}
-	h := hello{
+	return &link{spawner: cfg.Spawner, n: cfg.Shards, batch: batch, hello: hello{
 		Version:        Version,
 		Spec:           cfg.Spec,
 		Count:          cfg.Shards,
@@ -62,20 +52,36 @@ func dial(cfg Config, opt core.Options) (*link, error) {
 		MaxPathDepth:   opt.MaxPathDepth,
 		MaxTransitions: opt.MaxTransitions,
 		Batch:          batch,
+	}}
+}
+
+// dial spawns and handshakes the fleet: workers take shard indices
+// 1..cfg.Shards-1, the coordinator keeps shard 0. HELLOs go out to every
+// worker before any READY is collected, so workers build their replicas
+// concurrently. On any failure the already-spawned workers are torn down
+// and the error names the shard.
+func (l *link) dial() error {
+	for i := 1; i < l.n; i++ {
+		rwc, err := l.spawner.Spawn(i, l.n)
+		if err != nil {
+			l.Finish()
+			return fmt.Errorf("shard %d: spawn: %w", i, err)
+		}
+		l.ws = append(l.ws, &remoteWorker{conn: newConn(rwc), rwc: rwc})
 	}
 	for wi, w := range l.ws {
-		hi := h
+		hi := l.hello
 		hi.Idx = wi + 1
 		if err := w.conn.send(ftHello, hi.encode); err != nil {
 			l.Finish()
-			return nil, fmt.Errorf("shard %d: sending HELLO: %w", wi+1, err)
+			return fmt.Errorf("shard %d: sending HELLO: %w", wi+1, err)
 		}
 	}
 	for wi, w := range l.ws {
 		ft, r, err := w.conn.recv()
 		if err != nil {
 			l.Finish()
-			return nil, fmt.Errorf("shard %d: handshake: %w", wi+1, err)
+			return fmt.Errorf("shard %d: handshake: %w", wi+1, err)
 		}
 		switch ft {
 		case ftReady:
@@ -83,20 +89,27 @@ func dial(cfg Config, opt core.Options) (*link, error) {
 		case ftError:
 			msg := r.String()
 			l.Finish()
-			return nil, fmt.Errorf("shard %d: %s", wi+1, msg)
+			return fmt.Errorf("shard %d: %s", wi+1, msg)
 		default:
 			l.Finish()
-			return nil, fmt.Errorf("shard %d: expected READY, got %s", wi+1, ft)
+			return fmt.Errorf("shard %d: expected READY, got %s", wi+1, ft)
 		}
 	}
-	return l, nil
+	return nil
 }
 
 func (l *link) Shards() int { return l.n }
 
 // BeginPass releases every worker into autonomous round streaming: after
 // this frame, the next coordinator I/O with each worker is FetchRound(1).
+// The first call dials the fleet.
 func (l *link) BeginPass(pass, bound int) error {
+	if !l.dialed {
+		l.dialed = true
+		if err := l.dial(); err != nil {
+			return err
+		}
+	}
 	for wi, w := range l.ws {
 		w.parked = false
 		err := w.conn.send(ftPass, func(cw *codec.Writer) {

@@ -24,7 +24,6 @@ import (
 
 	"lmc/internal/core"
 	"lmc/internal/model"
-	"lmc/internal/obs"
 )
 
 // DefaultBatch is the digest cadence used when Config.Batch is unset:
@@ -53,28 +52,17 @@ type Config struct {
 }
 
 // Check runs a sharded exploration: identical results to core.Check for any
-// shard count. If the fleet cannot be dialed — spawn failure, handshake
-// refusal, resolver error on the worker side — the run falls back to the
-// in-process checker after reporting a KindShardDegraded event to the
-// observer, mirroring how a mid-run worker failure degrades.
+// shard count. The fleet is dialed when the run begins its first pass and
+// torn down before it stops its clock, so Stats.Elapsed covers both and
+// Stats.ShardWaitTime books them. If the fleet cannot be dialed — spawn
+// failure, handshake refusal, resolver error on the worker side — the run
+// degrades to in-process exploration with a KindShardDegraded event, as a
+// mid-run worker failure does.
 func Check(ctx context.Context, m model.Machine, start model.SystemState,
 	opt core.Options, cfg Config) (*core.Result, error) {
 
 	if cfg.Shards <= 1 || cfg.Spawner == nil {
 		return core.CheckContext(ctx, m, start, opt)
 	}
-	l, err := dial(cfg, opt)
-	if err != nil {
-		if opt.Observer != nil {
-			opt.Observer.OnEvent(obs.Event{
-				Kind:    obs.KindShardDegraded,
-				Checker: "lmc",
-				Shard:   -1,
-				Shards:  cfg.Shards,
-				Detail:  err.Error(),
-			})
-		}
-		return core.CheckContext(ctx, m, start, opt)
-	}
-	return core.CheckShardedContext(ctx, m, start, opt, l)
+	return core.CheckShardedContext(ctx, m, start, opt, newLink(cfg, opt))
 }

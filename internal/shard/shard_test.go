@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"lmc/internal/bench"
 	"lmc/internal/core"
@@ -322,6 +323,85 @@ type failSpawner struct{}
 
 func (failSpawner) Spawn(idx, count int) (io.ReadWriteCloser, error) {
 	return nil, fmt.Errorf("no workers here")
+}
+
+// slowSpawner delays every Spawn, and every Close of a conn it spawned, by
+// delay: a fleet whose bring-up and teardown take long enough to measure.
+type slowSpawner struct {
+	inner shard.Spawner
+	delay time.Duration
+}
+
+func (s slowSpawner) Spawn(idx, count int) (io.ReadWriteCloser, error) {
+	time.Sleep(s.delay)
+	rwc, err := s.inner.Spawn(idx, count)
+	if err != nil {
+		return nil, err
+	}
+	return slowCloser{rwc, s.delay}, nil
+}
+
+type slowCloser struct {
+	io.ReadWriteCloser
+	delay time.Duration
+}
+
+func (c slowCloser) Close() error {
+	time.Sleep(c.delay)
+	return c.ReadWriteCloser.Close()
+}
+
+// TestFleetDialAndTeardownOnTheEngineClock: spawning and handshaking the
+// fleet and tearing it down are part of the engine call, so Stats.Elapsed
+// covers them — the call timed from outside exceeds it by less than 10 ms
+// though each of the two takes 50 ms — and ShardWaitTime books them. A
+// fleet that cannot be spawned still degrades with exactly one event to the
+// in-process result.
+func TestFleetDialAndTeardownOnTheEngineClock(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	m, start, opt := benchCase(t, "paxos")
+	base := core.Check(m, start, opt)
+
+	for _, tc := range []struct {
+		name  string
+		inner shard.Spawner
+	}{
+		{"fleet", shard.PipeSpawner{Resolve: testResolver()}},
+		{"no fleet", failSpawner{}},
+	} {
+		degraded := 0
+		opt.Observer = obs.FuncObserver(func(e obs.Event) {
+			if e.Kind == obs.KindShardDegraded {
+				degraded++
+			}
+		})
+		t0 := time.Now()
+		res, err := shard.Check(context.Background(), m, start, opt, shard.Config{
+			Shards:  2,
+			Spawner: slowSpawner{tc.inner, delay},
+			Spec:    benchSpec("paxos"),
+		})
+		outside := time.Since(t0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		s := res.Stats
+		t.Logf("%s: call %v, Elapsed %v, ShardWaitTime %v", tc.name, outside, s.Elapsed, s.ShardWaitTime)
+		if gap := outside - s.Elapsed; gap >= 10*time.Millisecond {
+			t.Errorf("%s: the call took %v outside the engine clock", tc.name, gap)
+		}
+		wantDegraded, minWait := 0, 2*delay
+		if tc.name == "no fleet" {
+			wantDegraded, minWait = 1, delay
+		}
+		if s.ShardWaitTime < minWait {
+			t.Errorf("%s: ShardWaitTime %v, want at least %v", tc.name, s.ShardWaitTime, minWait)
+		}
+		if degraded != wantDegraded {
+			t.Errorf("%s: %d degradation events, want %d", tc.name, degraded, wantDegraded)
+		}
+		assertSameResult(t, 2, base, res)
+	}
 }
 
 // TestBadSpecDegrades: a worker that cannot resolve the spec refuses the
